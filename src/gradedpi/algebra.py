@@ -18,8 +18,10 @@ from .errors import (
     CocycleError,
     HypothesisError,
     NotSubgroupError,
+    VerificationFailedError,
 )
 from .groups import CosetDecomposition, FiniteGroup, Subgroup
+from .linalg import vec_clean
 from .scalars import CycScalar, root_of_unity
 
 Triple = tuple[int, int, int]  # (h, row, col): u_h (x) e_{row, col}, 0-based
@@ -139,6 +141,20 @@ class GradedAlgebra:
             return None
         return self._exp(a[0], b[0]), (self._hmul(a[0], b[0]), a[1], b[2])
 
+    def mul_vectors(self, u: dict, v: dict) -> dict[Triple, CycScalar]:
+        """Product of two sparse triple -> scalar maps, zero terms dropped.
+        The one structure-constant kernel behind every element product."""
+        out: dict[Triple, CycScalar] = {}
+        for ta, ca in u.items():
+            for tb, cb in v.items():
+                hit = self.mul_basis(ta, tb)
+                if hit is None:
+                    continue
+                exp, t = hit
+                contrib = (ca * cb).shift_root(exp)
+                out[t] = out[t] + contrib if t in out else contrib
+        return vec_clean(out)
+
     def support(self) -> frozenset[int]:
         return frozenset(g for g, comp in self.components.items() if comp)
 
@@ -207,18 +223,7 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        alg = self.algebra
-        N = alg.modulus
-        out: dict[Triple, CycScalar] = {}
-        for ta, ca in self.terms.items():
-            for tb, cb in other.terms.items():
-                hit = alg.mul_basis(ta, tb)
-                if hit is None:
-                    continue
-                exp, t = hit
-                contrib = (ca * cb).shift_root(exp)
-                out[t] = out[t] + contrib if t in out else contrib
-        return AlgebraElement(alg, out)
+        return AlgebraElement(self.algebra, self.algebra.mul_vectors(self.terms, other.terms))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -471,7 +476,10 @@ def is_crossed_product(algebra: GradedAlgebra, verify: bool = True) -> CrossedPr
             for i, j in zip(src, dst):
                 # h with g_i^-1 h g_j = g, i.e. h = g_i g g_j^-1 (in H).
                 h = G.mul(G.mul(p.grading[i], g), G.inv(p.grading[j]))
-                assert h in p.subgroup
+                if h not in p.subgroup:
+                    raise VerificationFailedError(
+                        f"crossed-product unit for degree {g} needs u_{h} outside H"
+                    )
                 terms[(h, i, j)] = one
                 hinv = G.inv(h)
                 inv_terms[(hinv, j, i)] = root_of_unity(
@@ -480,7 +488,7 @@ def is_crossed_product(algebra: GradedAlgebra, verify: bool = True) -> CrossedPr
         unit = algebra.element(terms)
         inv = algebra.element(inv_terms)
         if verify and ((unit * inv != algebra.one()) or (inv * unit != algebra.one())):
-            raise AssertionError("crossed-product certificate failed to verify")
+            raise VerificationFailedError("crossed-product certificate failed to verify")
         certificates[g] = (unit, inv)
     return CrossedProductResult(True, certificates)
 

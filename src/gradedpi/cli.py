@@ -255,7 +255,7 @@ def _fmt(v: Any) -> str:
     return str(v)
 
 
-def run(command: str, document: dict, threads: int = 1, max_degree: Optional[int] = None) -> tuple[str, int]:
+def run(command: str, document: dict, max_degree: Optional[int] = None) -> tuple[str, int]:
     """Execute a command against a raw document; returns (report text, exit code)."""
     if command not in COMMANDS:
         raise DocumentError(f"unknown command '{command}'")
@@ -275,10 +275,10 @@ def run(command: str, document: dict, threads: int = 1, max_degree: Optional[int
     if command == "equivalent":
         return _cmd_equivalent(doc)
     if command == "identity-check":
-        return _cmd_identity(doc, threads)
+        return _cmd_identity(doc)
     if command == "witness":
-        return _cmd_witness(doc, threads)
-    return _cmd_envelope(doc, threads)
+        return _cmd_witness(doc)
+    return _cmd_envelope(doc)
 
 
 def _cmd_validate(doc: SessionDocument) -> tuple[str, int]:
@@ -335,10 +335,10 @@ def _cmd_equivalent(doc: SessionDocument) -> tuple[str, int]:
     return _emit([("equivalent", verdict)], {"equivalent": verdict}), 0 if verdict else 1
 
 
-def _cmd_identity(doc: SessionDocument, threads: int) -> tuple[str, int]:
+def _cmd_identity(doc: SessionDocument) -> tuple[str, int]:
     poly = doc.polynomial()
     algebra = build_algebra(doc.presentation)
-    report = check_identity(poly, algebra, threads=threads)
+    report = check_identity(poly, algebra)
     lines: list[tuple[str, Any]] = [("identity", report.identity)]
     machine: dict[str, Any] = {"identity": report.identity}
     if not report.identity:
@@ -348,7 +348,7 @@ def _cmd_identity(doc: SessionDocument, threads: int) -> tuple[str, int]:
     return _emit(lines, machine), 0 if report.identity else 1
 
 
-def emit_witness(report: ClassificationReport, threads: int = 1) -> dict:
+def emit_witness(report: ClassificationReport) -> dict:
     """Serialized witness pair plus verification certificate for a report.
 
     Polynomial-witness reports are re-verified from scratch; condition-(3)
@@ -370,7 +370,7 @@ def emit_witness(report: ClassificationReport, threads: int = 1) -> dict:
             },
         }
     pair = report.witness
-    cert = verify_witness(pair, threads=threads)
+    cert = verify_witness(pair)
     return {
         "witness": {
             "kind": pair.kind,
@@ -391,7 +391,7 @@ def emit_witness(report: ClassificationReport, threads: int = 1) -> dict:
     }
 
 
-def _cmd_witness(doc: SessionDocument, threads: int) -> tuple[str, int]:
+def _cmd_witness(doc: SessionDocument) -> tuple[str, int]:
     report = classify(doc.presentation, with_witness=True)
     if report.strongly_verbally_prime:
         return (
@@ -401,7 +401,7 @@ def _cmd_witness(doc: SessionDocument, threads: int) -> tuple[str, int]:
             ),
             1,
         )
-    machine = emit_witness(report, threads=threads)
+    machine = emit_witness(report)
     if machine["witness"] is None:
         cert = machine["certificate"]
         lines = [
@@ -420,7 +420,7 @@ def _cmd_witness(doc: SessionDocument, threads: int) -> tuple[str, int]:
     return _emit(lines, machine), 0
 
 
-def _cmd_envelope(doc: SessionDocument, threads: int) -> tuple[str, int]:
+def _cmd_envelope(doc: SessionDocument) -> tuple[str, int]:
     poly = doc.polynomial()
     truncation = doc.params.get("truncation")
     if not isinstance(truncation, int) or truncation < 0:
@@ -456,15 +456,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument("--input", required=True, help="path to a JSON session document")
     parser.add_argument("--command", required=True, choices=COMMANDS)
-    parser.add_argument("--threads", type=int, default=1, help="oracle worker count")
+    parser.add_argument("--threads", type=int, help="accepted and ignored; the oracle is serial")
     parser.add_argument(
         "--max-degree", type=int, default=None, help="cap on identity-oracle degree"
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="reserved for randomized suites; the shipped commands are deterministic",
     )
     args = parser.parse_args(argv)
     try:
@@ -477,9 +471,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"input error: invalid JSON at line {exc.lineno}: {exc.msg}", file=sys.stderr)
         return 2
     try:
-        text, code = run(
-            args.command, document, threads=max(1, args.threads), max_degree=args.max_degree
-        )
+        text, code = run(args.command, document, max_degree=args.max_degree)
     except DocumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,12 @@ from itertools import permutations, product
 from math import gcd
 from typing import Iterator, Optional, Sequence
 
-from .errors import BinomialConditionError, CocycleError, NotNormalError
+from .errors import (
+    BinomialConditionError,
+    CocycleError,
+    NotNormalError,
+    VerificationFailedError,
+)
 from .groups import FiniteGroup, Subgroup
 from .scalars import CycScalar, root_of_unity
 
@@ -51,10 +56,6 @@ class Cocycle2:
     def trivial(cls, subgroup: Subgroup, modulus: int = 1) -> "Cocycle2":
         n = len(subgroup)
         return cls(subgroup, modulus, [[0] * n for _ in range(n)])
-
-    @classmethod
-    def from_coboundary(cls, cob: "Coboundary") -> "Cocycle2":
-        return cob.induced()
 
     # -- lookup ----------------------------------------------------------------
 
@@ -389,13 +390,9 @@ def coboundary_or_obstruction(
     if sol is None:
         return None, obstruction
     wit = Coboundary(c.subgroup, c.modulus, tuple(sol))
-    assert wit.induced() == c, "congruence solver returned a bad witness"
+    if wit.induced() != c:
+        raise VerificationFailedError("congruence solver returned a bad witness")
     return wit, None
-
-
-def validate_cocycle(c: Cocycle2) -> list[CocycleViolation]:
-    """Module-level form of Cocycle2.violations (ok == empty list)."""
-    return c.violations()
 
 
 def subgroup_exponent(H: Subgroup) -> int:
@@ -438,37 +435,17 @@ def classes_cohomologous(c1: Cocycle2, c2: Cocycle2) -> bool:
     return is_trivial_class(c1.with_modulus(n).quotient_exps(c2.with_modulus(n)))
 
 
-def conjugate_cocycle(c: Cocycle2, g: int) -> Cocycle2:
-    return c.conjugate(g)
-
-
-def cocycle_product_scalar(c: Cocycle2, hs: Sequence[int]) -> int:
-    return c.product_exp(hs)
-
-
-def binomial_alpha(c: Cocycle2, hs: Sequence[int], sigma: Sequence[int]) -> CycScalar:
-    return c.binomial_alpha(hs, sigma)
-
-
 def is_G_invariant_class(c: Cocycle2, group: FiniteGroup | None = None) -> bool:
     """True iff [g.c] = [c] in H^2(H, F*) for every right-coset representative.
 
     The quotient (g.c)/c is tested for class triviality at the lifted modulus
     (see class_modulus), so invariance is decided in H^2(H, F*) and not merely
-    modulo mu_N-valued coboundaries.  Requires H normal in the ambient group.
+    modulo mu_N-valued coboundaries.  Requires H normal in the ambient group
+    (invariance_obstruction checks it).
     """
-    H = c.subgroup
-    if group is not None and group != H.parent:
+    if group is not None and group != c.subgroup.parent:
         raise NotNormalError("cocycle does not live inside the given group")
-    if not H.is_normal():
-        raise NotNormalError("subgroup is not normal; the G-action is undefined")
-    for g in H.right_cosets().reps:
-        if g == 0:
-            continue
-        diff = c.conjugate(g).quotient_exps(c)
-        if not is_trivial_class(diff):
-            return False
-    return True
+    return invariance_obstruction(c) is None
 
 
 def invariance_obstruction(

@@ -126,10 +126,6 @@ class GrassmannElement:
         return " + ".join(bits)
 
 
-def grassmann_mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    return a * b
-
-
 EnvelopeBasisKey = tuple[tuple[int, ...], int]  # (generator subset, base basis index)
 
 
@@ -204,10 +200,6 @@ def _mask(subset: tuple[int, ...]) -> int:
     for i in subset:
         m |= 1 << i
     return m
-
-
-def envelope(base: GradedAlgebra, truncation: int) -> EnvelopeAlgebra:
-    return EnvelopeAlgebra(base, truncation)
 
 
 @dataclass

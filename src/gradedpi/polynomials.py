@@ -13,7 +13,6 @@ monomials.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, Optional, Sequence
@@ -34,6 +33,7 @@ from .errors import (
     NonMultilinearError,
     NotNormalError,
     OrderMismatchError,
+    VerificationFailedError,
 )
 from .groups import FiniteGroup, Subgroup
 from .linalg import Span, span_of, vec_clean
@@ -350,46 +350,19 @@ def accumulate_evaluations(
     poly: GradedPolynomial,
     algebra: GradedAlgebra,
     allowed_rows: Optional[dict[int, frozenset[int]]] = None,
-    threads: int = 1,
 ) -> dict[tuple, dict[Triple, CycScalar]]:
     """Assignment table: basis-index tuple (variables in sorted id order) ->
     accumulated value as a sparse triple -> scalar map."""
     _check_scalar_order(poly, algebra)
     vids = poly.var_ids()
     slot = {vid: i for i, vid in enumerate(vids)}
-    if threads <= 1 or len(poly.monomials) <= 1:
-        acc: dict = {}
-        for mono in poly.monomials:
-            _monomial_accumulate(poly, algebra, mono, slot, acc, allowed_rows)
-        return acc
-    # Deterministic parallel merge: worker w takes every w-th monomial and the
-    # partial tables are merged in worker order.
-    partials: list[dict] = []
-
-    def work(monos):
-        local: dict = {}
-        for mono in monos:
-            _monomial_accumulate(poly, algebra, mono, slot, local, allowed_rows)
-        return local
-
-    chunks = [poly.monomials[w::threads] for w in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = list(pool.map(work, chunks))
-    acc = partials[0] if partials else {}
-    for part in partials[1:]:
-        for key, bucket in part.items():
-            dst = acc.get(key)
-            if dst is None:
-                acc[key] = bucket
-            else:
-                for t, s in bucket.items():
-                    dst[t] = dst[t] + s if t in dst else s
+    acc: dict = {}
+    for mono in poly.monomials:
+        _monomial_accumulate(poly, algebra, mono, slot, acc, allowed_rows)
     return acc
 
 
-def check_identity(
-    f: GradedPolynomial, algebra: GradedAlgebra, threads: int = 1
-) -> IdentityReport:
+def check_identity(f: GradedPolynomial, algebra: GradedAlgebra) -> IdentityReport:
     """Exhaustive multilinear identity test over homogeneous basis assignments.
 
     Products built by disjoint_product are decided through the factors'
@@ -398,8 +371,8 @@ def check_identity(
     walked."""
     _check_scalar_order(f, algebra)
     if f.factors is not None:
-        return _check_identity_factored(f, algebra, threads)
-    acc = accumulate_evaluations(f, algebra, threads=threads)
+        return _check_identity_factored(f, algebra)
+    acc = accumulate_evaluations(f, algebra)
     for key in sorted(acc):
         value = vec_clean(acc[key])
         if value:
@@ -409,45 +382,30 @@ def check_identity(
     return IdentityReport(True)
 
 
-def is_identity(f: GradedPolynomial, algebra: GradedAlgebra, threads: int = 1) -> bool:
-    return check_identity(f, algebra, threads=threads).identity
+def is_identity(f: GradedPolynomial, algebra: GradedAlgebra) -> bool:
+    return check_identity(f, algebra).identity
 
 
-def _product_vectors(algebra: GradedAlgebra, u: dict, v: dict) -> dict:
-    out: dict = {}
-    for ta, ca in u.items():
-        for tb, cb in v.items():
-            hit = algebra.mul_basis(ta, tb)
-            if hit is None:
-                continue
-            exp, t = hit
-            contrib = (ca * cb).shift_root(exp)
-            out[t] = out[t] + contrib if t in out else contrib
-    return vec_clean(out)
-
-
-def evaluation_span(f: GradedPolynomial, algebra: GradedAlgebra, threads: int = 1) -> Span:
+def evaluation_span(f: GradedPolynomial, algebra: GradedAlgebra) -> Span:
     """Reduced span of all values of f on homogeneous basis assignments."""
     if f.factors is not None:
         left, right = f.factors
-        s1 = evaluation_span(left, algebra, threads)
-        s2 = evaluation_span(right, algebra, threads)
+        s1 = evaluation_span(left, algebra)
+        s2 = evaluation_span(right, algebra)
         return span_of(
-            _product_vectors(algebra, u, v) for u in s1.basis() for v in s2.basis()
+            algebra.mul_vectors(u, v) for u in s1.basis() for v in s2.basis()
         )
-    acc = accumulate_evaluations(f, algebra, threads=threads)
+    acc = accumulate_evaluations(f, algebra)
     return span_of(vec_clean(acc[key]) for key in sorted(acc))
 
 
-def _check_identity_factored(
-    f: GradedPolynomial, algebra: GradedAlgebra, threads: int
-) -> IdentityReport:
+def _check_identity_factored(f: GradedPolynomial, algebra: GradedAlgebra) -> IdentityReport:
     left, right = f.factors
-    s1 = evaluation_span(left, algebra, threads)
-    s2 = evaluation_span(right, algebra, threads)
+    s1 = evaluation_span(left, algebra)
+    s2 = evaluation_span(right, algebra)
     for u in s1.basis():
         for v in s2.basis():
-            if _product_vectors(algebra, u, v):
+            if algebra.mul_vectors(u, v):
                 assign, value = _factored_counterexample(f, algebra)
                 return IdentityReport(False, assign, value)
     return IdentityReport(True)
@@ -461,7 +419,7 @@ def _value_pairs(
         left, right = f.factors
         for a1, v1 in _value_pairs(left, algebra):
             for a2, v2 in _value_pairs(right, algebra):
-                prod = _product_vectors(algebra, v1, v2)
+                prod = algebra.mul_vectors(v1, v2)
                 if prod:
                     merged = dict(a1)
                     merged.update(a2)
@@ -478,7 +436,9 @@ def _value_pairs(
 def _factored_counterexample(f: GradedPolynomial, algebra: GradedAlgebra):
     for assign, value in _value_pairs(f, algebra):
         return assign, value
-    raise AssertionError("factored counterexample requested for an identity")
+    raise VerificationFailedError(
+        "span product is nonzero but no assignment gives a nonzero value"
+    )
 
 
 # -- good permutations, pure polynomials -----------------------------------------

@@ -8,10 +8,7 @@ import pytest
 from gradedpi.cohomology import (
     Coboundary,
     Cocycle2,
-    binomial_alpha,
     classes_cohomologous,
-    cocycle_product_scalar,
-    conjugate_cocycle,
     enumerate_binomials,
     invariance_obstruction,
     is_G_invariant_class,
@@ -19,9 +16,11 @@ from gradedpi.cohomology import (
     is_trivial_class,
     smith_diagonalize,
     solve_congruences,
-    validate_cocycle,
 )
-from gradedpi.errors import BinomialConditionError, NotNormalError
+from gradedpi import cohomology
+from gradedpi.algebra import normalize_presentation
+from gradedpi.classify import classify
+from gradedpi.errors import BinomialConditionError, NotNormalError, VerificationFailedError
 from gradedpi.scalars import root_of_unity
 
 from conftest import brute_coboundary, klein_nontrivial_cocycle
@@ -29,7 +28,7 @@ from conftest import brute_coboundary, klein_nontrivial_cocycle
 
 def test_trivial_cocycle_validates(k4):
     c = Cocycle2.trivial(k4.full_subgroup(), 2)
-    assert validate_cocycle(c) == []
+    assert c.violations() == []
 
 
 def test_klein_cocycle_validates(k4):
@@ -141,16 +140,16 @@ def test_coboundary_matches_brute_force_on_random_cocycles(k4, z4):
 
 def test_conjugation_by_identity_and_abelian(k4):
     c = klein_nontrivial_cocycle(k4.full_subgroup())
-    assert conjugate_cocycle(c, 0) == c
+    assert c.conjugate(0) == c
     for g in k4.elements():
-        assert conjugate_cocycle(c, g) == c
+        assert c.conjugate(g) == c
 
 
 def test_conjugation_by_subgroup_element_preserves_class(d4):
     H = d4.subgroup([0, 2, 4, 6])
     c = klein_nontrivial_cocycle(H)
     for h in H.members:
-        diff = conjugate_cocycle(c, h).quotient_exps(c)
+        diff = c.conjugate(h).quotient_exps(c)
         assert is_trivial_class(diff)
 
 
@@ -158,7 +157,7 @@ def test_conjugation_outside_normalizer_raises(d3):
     H = d3.generated_subgroup([3])
     c = Cocycle2.trivial(H, 2)
     with pytest.raises(NotNormalError):
-        conjugate_cocycle(c, 1)
+        c.conjugate(1)
     with pytest.raises(NotNormalError):
         is_G_invariant_class(c)
 
@@ -174,7 +173,7 @@ def test_invariance_klein_in_d4_needs_lifted_modulus(d4):
     H^2(H, F*) even though the quotient is no mu_2-coboundary."""
     H = d4.subgroup([0, 2, 4, 6])
     c = klein_nontrivial_cocycle(H)
-    diff = conjugate_cocycle(c, 1).quotient_exps(c)
+    diff = c.conjugate(1).quotient_exps(c)
     assert is_coboundary(diff) is None
     assert is_trivial_class(diff)
     assert is_G_invariant_class(c)
@@ -189,6 +188,33 @@ def test_noninvariant_class_detected(p_z3z3_noninvariant):
     assert g != 0 and obstruction is not None
 
 
+def test_classify_solves_invariance_once(p_z3z3_noninvariant, monkeypatch):
+    """classify decides a failing invariance with one pass over the cosets:
+    as many congruence solves as invariance_obstruction alone."""
+    calls = []
+    real = cohomology.solve_congruences
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(cohomology, "solve_congruences", counting)
+    report = classify(p_z3z3_noninvariant)
+    in_classify = len(calls)
+    calls.clear()
+    assert invariance_obstruction(normalize_presentation(p_z3z3_noninvariant).cocycle)
+    assert report.class_G_invariant is False and report.invariance_failure is not None
+    assert in_classify == len(calls) > 0
+
+
+def test_bad_solver_witness_raises_typed_error(k4, monkeypatch):
+    c = Cocycle2.trivial(k4.full_subgroup(), 2)
+    wrong = klein_nontrivial_cocycle(k4.full_subgroup())
+    monkeypatch.setattr(Coboundary, "induced", lambda self: wrong)
+    with pytest.raises(VerificationFailedError):
+        is_coboundary(c)
+
+
 def test_classes_cohomologous(k4):
     H = k4.full_subgroup()
     c = klein_nontrivial_cocycle(H)
@@ -198,21 +224,21 @@ def test_classes_cohomologous(k4):
 
 def test_product_scalar_fold(k4):
     c = klein_nontrivial_cocycle(H := k4.full_subgroup())
-    assert cocycle_product_scalar(c, []) == 0
-    assert cocycle_product_scalar(Cocycle2.trivial(H, 2), [1, 2, 3]) == 0
+    assert c.product_exp([]) == 0
+    assert Cocycle2.trivial(H, 2).product_exp([1, 2, 3]) == 0
     # u_a u_b = - u_b u_a for a = (1,0) -> index 2, b = (0,1) -> index 1
-    assert (cocycle_product_scalar(c, [2, 1]) - cocycle_product_scalar(c, [1, 2])) % 2 == 1
+    assert (c.product_exp([2, 1]) - c.product_exp([1, 2])) % 2 == 1
 
 
 def test_binomial_alpha_examples(k4):
     H = k4.full_subgroup()
     c = klein_nontrivial_cocycle(H)
-    assert binomial_alpha(c, (2, 1), (0, 1)) == root_of_unity(2, 0)
-    assert binomial_alpha(c, (2, 1), (1, 0)) == root_of_unity(2, 1)
+    assert c.binomial_alpha((2, 1), (0, 1)) == root_of_unity(2, 0)
+    assert c.binomial_alpha((2, 1), (1, 0)) == root_of_unity(2, 1)
     triv = Cocycle2.trivial(H, 2)
     for hs in product(H.members, repeat=2):
         for sigma in permutations(range(2)):
-            assert binomial_alpha(triv, hs, sigma) == root_of_unity(2, 0)
+            assert triv.binomial_alpha(hs, sigma) == root_of_unity(2, 0)
 
 
 def test_binomial_condition_enforced(d4):

@@ -10,9 +10,7 @@ from gradedpi.errors import FactorizationError, TruncationError
 from gradedpi.grassmann import (
     EnvelopeAlgebra,
     GrassmannElement,
-    envelope,
     envelope_identity_check,
-    grassmann_mul,
 )
 from gradedpi.groups import FiniteGroup
 from gradedpi.polynomials import GradedPolynomial, monomial_polynomial, variables_for
@@ -27,7 +25,7 @@ def test_defining_relations():
     e1, e2 = gens(4, 2)
     assert e1 * e2 == -(e2 * e1)
     assert not (e1 * e1)
-    assert grassmann_mul(e1, e2).terms == {(1, 2): CycScalar.one(1)}
+    assert (e1 * e2).terms == {(1, 2): CycScalar.one(1)}
 
 
 def test_even_elements_are_central_exhaustive_n6():
@@ -71,15 +69,15 @@ def test_envelope_requires_product_group(z2):
     H = z2.trivial_subgroup()
     A = build_algebra(Presentation(z2, H, Cocycle2.trivial(H, 1), (0,)))
     with pytest.raises(FactorizationError):
-        envelope(A, 2)
+        EnvelopeAlgebra(A, 2)
 
 
 def test_envelope_dimensions():
     A = base_env_fixture((0, 2))  # one even row, one odd row
-    env = envelope(A, 4)
+    env = EnvelopeAlgebra(A, 4)
     # G-degree e: even part {e11, e22} x 8 even subsets, odd part {e12, e21} x 8
     assert env.dim_component(0) == 2 * 8 + 2 * 8
-    env0 = envelope(A, 0)
+    env0 = EnvelopeAlgebra(A, 0)
     # truncation 0: even envelope only
     assert env0.dim_component(0) == 2
 
