@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cohomology import Cocycle2, classes_cohomologous
+from .cohomology import Cocycle2, CoboundarySystem, classes_cohomologous
 from .errors import (
     AlgebraMismatchError,
     CocycleError,
@@ -345,17 +345,22 @@ def is_normalized(p: Presentation) -> bool:
 
 def presentations_equivalent(p: Presentation, q: Presentation) -> bool:
     """True iff p and q present graded-isomorphic algebras: some conjugation
-    of p matches q after normalization, with cohomologous cocycles."""
+    of p matches q after normalization, with cohomologous cocycles.  Every
+    matching conjugate lives on q's subgroup, so its congruence system is
+    diagonalized once, at the first match."""
     if p.group != q.group:
         raise HypothesisError("presentations must share the ambient group")
     if p.size != q.size:
         return False
     nq = normalize_presentation(q)
+    system = None
     for g in p.group.elements():
         np = normalize_presentation(apply_move(p, M3(g)))
         if np.subgroup != nq.subgroup or np.grading != nq.grading:
             continue
-        if classes_cohomologous(np.cocycle, nq.cocycle):
+        if system is None:
+            system = CoboundarySystem(nq.subgroup)
+        if classes_cohomologous(np.cocycle, nq.cocycle, system):
             return True
     return False
 

@@ -33,6 +33,10 @@ from .scalars import CycScalar
 MACHINE_BEGIN = "--- machine ---"
 MACHINE_END = "--- end machine ---"
 
+# Largest cocycle modulus a document may declare.  Scalar arithmetic over
+# Q(zeta_N) costs O(N) and more per table built, so the cap is checked first.
+MAX_MODULUS = 1024
+
 COMMANDS = (
     "validate",
     "classify",
@@ -77,6 +81,17 @@ def parse_group(spec: Any, where: str = "group") -> FiniteGroup:
             parse_group(factors[1], f"{where}.factors[1]"),
         )
     raise DocumentError(f"{where}.construct: unknown constructor '{construct}'")
+
+
+def _need_list(doc: dict, key: str, where: str, field: str) -> list:
+    value = _need(doc, key, where)
+    if not isinstance(value, list):
+        raise DocumentError(f"{field}: expected a list, got {value!r}")
+    return value
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _resolve_element(value: Any, names: dict[str, int], group: FiniteGroup, where: str) -> int:
@@ -205,24 +220,37 @@ class SessionDocument:
             raise DocumentError("params: expected an object")
 
     def _parse_presentation(self, raw: dict, prefix: str) -> Presentation:
+        where = prefix + "document"
         members = [
             _resolve_element(v, self.names, self.group, f"{prefix}subgroup[{i}]")
-            for i, v in enumerate(_need(raw, "subgroup", prefix + "document"))
+            for i, v in enumerate(_need_list(raw, "subgroup", where, f"{prefix}subgroup"))
         ]
         try:
             subgroup = self.group.subgroup(members)
         except GradedPIError as exc:
             raise DocumentError(f"{prefix}subgroup: {exc}") from exc
-        cspec = _need(raw, "cocycle", prefix + "document")
-        modulus = int(_need(cspec, "modulus", prefix + "cocycle"))
-        exps = _need(cspec, "exponents", prefix + "cocycle")
+        cspec = _need(raw, "cocycle", where)
+        if not isinstance(cspec, dict):
+            raise DocumentError(f"{prefix}cocycle: expected an object")
+        modulus = _need(cspec, "modulus", prefix + "cocycle")
+        if not _is_int(modulus) or not 1 <= modulus <= MAX_MODULUS:
+            raise DocumentError(
+                f"{prefix}cocycle.modulus: expected an integer from 1 to {MAX_MODULUS}, "
+                f"got {modulus!r}"
+            )
+        exps = _need_list(cspec, "exponents", prefix + "cocycle", f"{prefix}cocycle.exponents")
+        for i, row in enumerate(exps):
+            if not isinstance(row, list) or not all(_is_int(v) for v in row):
+                raise DocumentError(
+                    f"{prefix}cocycle.exponents[{i}]: expected a list of integers, got {row!r}"
+                )
         try:
             cocycle = Cocycle2(subgroup, modulus, exps)
         except GradedPIError as exc:
             raise DocumentError(f"{prefix}cocycle: {exc}") from exc
         grading = [
             _resolve_element(v, self.names, self.group, f"{prefix}grading[{i}]")
-            for i, v in enumerate(_need(raw, "grading", prefix + "document"))
+            for i, v in enumerate(_need_list(raw, "grading", where, f"{prefix}grading"))
         ]
         try:
             return Presentation(self.group, subgroup, cocycle, tuple(grading))

@@ -4,7 +4,11 @@ A cocycle stores exponents mod N: c(a, b) = zeta_N^exps[a][b], indexed by the
 subgroup's local element order.  Coboundary membership is decided exactly by
 diagonalizing the integer relation matrix (Smith-style row/column operations)
 and solving the diagonal congruences mod N, which handles composite N
-uniformly.
+uniformly.  The relation matrix depends only on the subgroup, so a
+CoboundarySystem diagonalizes it once, records the row operations instead of
+forming the unimodular row matrix, and replays them on each right-hand side;
+one decision (class invariance, presentation equivalence) reuses one system
+for all its solves on that subgroup.
 """
 
 from __future__ import annotations
@@ -247,26 +251,32 @@ class CoboundaryObstruction:
 
 # -- integer linear algebra ---------------------------------------------------
 
+RowOp = tuple[int, int, int, int, int, int]  # (i1, i2, a, b, c, d), see smith_diagonalize
+SmithForm = tuple[list[list[int]], list[RowOp], list[list[int]]]  # (D, row_ops, V)
 
-def smith_diagonalize(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+
+def smith_diagonalize(matrix: Sequence[Sequence[int]]) -> SmithForm:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
-    Returns (D, U, V) with U * matrix * V = D and D nonzero only on the
-    diagonal.  Divisibility chaining of the classical Smith form is not
-    enforced; it is not needed to solve diagonal congruences.
+    Returns (D, row_ops, V) with U * matrix * V = D and D nonzero only on the
+    diagonal.  U is not formed: it is the product of the recorded row
+    operations, each (i1, i2, a, b, c, d) replacing (row i1, row i2) by
+    (a*row i1 + b*row i2, c*row i1 + d*row i2) with ad - bc = +-1;
+    solve_congruences replays them on its right-hand side.  Divisibility
+    chaining of the classical Smith form is not enforced; it is not needed to
+    solve diagonal congruences.
     """
     D = [list(row) for row in matrix]
     m = len(D)
     n = len(D[0]) if m else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
+    row_ops: list[RowOp] = []
 
     def row_combine(i1, i2, a, b, c, d):
-        # (row i1, row i2) <- (a*row i1 + b*row i2, c*row i1 + d*row i2)
-        for M in (D, U):
-            r1, r2 = M[i1], M[i2]
-            for k in range(len(r1)):
-                r1[k], r2[k] = a * r1[k] + b * r2[k], c * r1[k] + d * r2[k]
+        row_ops.append((i1, i2, a, b, c, d))
+        r1, r2 = D[i1], D[i2]
+        for k in range(n):
+            r1[k], r2[k] = a * r1[k] + b * r2[k], c * r1[k] + d * r2[k]
 
     def col_combine(j1, j2, a, b, c, d):
         for M in (D, V):
@@ -315,7 +325,7 @@ def smith_diagonalize(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]],
                     dirty = True
             if not dirty:
                 break
-    return D, U, V
+    return D, row_ops, V
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -330,20 +340,30 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def solve_congruences(
-    matrix: Sequence[Sequence[int]], rhs: Sequence[int], modulus: int
+    matrix: Sequence[Sequence[int]],
+    rhs: Sequence[int],
+    modulus: int,
+    smith: Optional[SmithForm] = None,
 ) -> tuple[Optional[list[int]], Optional[CoboundaryObstruction]]:
     """Solve M x = rhs (mod modulus) over the integers; returns (solution, None)
-    or (None, obstruction)."""
-    D, U, V = smith_diagonalize(matrix)
+    or (None, obstruction).
+
+    smith is smith_diagonalize(matrix); pass it to solve several right-hand
+    sides or moduli against one matrix without diagonalizing it again.
+    """
+    D, row_ops, V = smith if smith is not None else smith_diagonalize(matrix)
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    c = [sum(U[i][k] * rhs[k] for k in range(m)) % modulus for i in range(m)]
+    # c = U * rhs (mod modulus), replaying the row operations that make U.
+    c = [v % modulus for v in rhs]
+    for i1, i2, a, b, u, v in row_ops:
+        c[i1], c[i2] = (a * c[i1] + b * c[i2]) % modulus, (u * c[i1] + v * c[i2]) % modulus
     y = [0] * n
     for i in range(m):
         d = D[i][i] if i < n else 0
         if d == 0:
-            if c[i] % modulus != 0:
-                return None, CoboundaryObstruction(i, modulus, c[i] % modulus)
+            if c[i] != 0:
+                return None, CoboundaryObstruction(i, modulus, c[i])
             continue
         g = gcd(d, modulus)
         if c[i] % g != 0:
@@ -358,22 +378,37 @@ def solve_congruences(
 # -- coboundary decision ----------------------------------------------------------
 
 
-def _relation_system(c: Cocycle2) -> tuple[list[list[int]], list[int]]:
-    H = c.subgroup
-    g = H.parent
-    n = len(H)
-    mem = H.members
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * n
-            row[i] += 1
-            row[j] += 1
-            row[H.local_index(g.mul(mem[i], mem[j]))] -= 1
-            rows.append(row)
-            rhs.append(c.exps[i][j])
-    return rows, rhs
+class CoboundarySystem:
+    """The congruences d(lambda) = c on one subgroup H, diagonalized once.
+
+    Row (i, j) of the relation matrix reads lambda_i + lambda_j - lambda_ij,
+    in local element order.  The matrix depends only on H, not on the cocycle
+    or its modulus, so one system serves every solve on H within a decision.
+    """
+
+    __slots__ = ("subgroup", "rows", "smith")
+
+    def __init__(self, subgroup: Subgroup):
+        g = subgroup.parent
+        n = len(subgroup)
+        mem = subgroup.members
+        rows = []
+        for i in range(n):
+            for j in range(n):
+                row = [0] * n
+                row[i] += 1
+                row[j] += 1
+                row[subgroup.local_index(g.mul(mem[i], mem[j]))] -= 1
+                rows.append(row)
+        self.subgroup = subgroup
+        self.rows = rows
+        self.smith = smith_diagonalize(rows)
+
+    def solve(self, c: Cocycle2) -> tuple[Optional[list[int]], Optional[CoboundaryObstruction]]:
+        if c.subgroup != self.subgroup:
+            raise CocycleError("cocycle lives on another subgroup than the system")
+        rhs = [v for row in c.exps for v in row]
+        return solve_congruences(self.rows, rhs, c.modulus, self.smith)
 
 
 def is_coboundary(c: Cocycle2) -> Optional[Coboundary]:
@@ -383,10 +418,10 @@ def is_coboundary(c: Cocycle2) -> Optional[Coboundary]:
 
 
 def coboundary_or_obstruction(
-    c: Cocycle2,
+    c: Cocycle2, system: Optional[CoboundarySystem] = None
 ) -> tuple[Optional[Coboundary], Optional[CoboundaryObstruction]]:
-    rows, rhs = _relation_system(c)
-    sol, obstruction = solve_congruences(rows, rhs, c.modulus)
+    """Decide c = d(lambda) mod N; system, when given, is that of c's subgroup."""
+    sol, obstruction = (system or CoboundarySystem(c.subgroup)).solve(c)
     if sol is None:
         return None, obstruction
     wit = Coboundary(c.subgroup, c.modulus, tuple(sol))
@@ -414,25 +449,31 @@ def class_modulus(c: Cocycle2) -> int:
     return c.modulus * subgroup_exponent(c.subgroup)
 
 
-def is_trivial_class(c: Cocycle2) -> bool:
+def is_trivial_class(c: Cocycle2, system: Optional[CoboundarySystem] = None) -> bool:
     """True iff [c] = 1 in H^2(H, F*) (not merely modulo mu_N-coboundaries)."""
     lifted = c.with_modulus(class_modulus(c))
-    return is_coboundary(lifted) is not None
+    return coboundary_or_obstruction(lifted, system)[0] is not None
 
 
 def trivial_class_obstruction(
-    c: Cocycle2,
+    c: Cocycle2, system: Optional[CoboundarySystem] = None
 ) -> tuple[Optional[Coboundary], Optional[CoboundaryObstruction]]:
     lifted = c.with_modulus(class_modulus(c))
-    return coboundary_or_obstruction(lifted)
+    return coboundary_or_obstruction(lifted, system)
 
 
-def classes_cohomologous(c1: Cocycle2, c2: Cocycle2) -> bool:
-    """Whether two cocycles on the same subgroup define one class in H^2(H, F*)."""
+def classes_cohomologous(
+    c1: Cocycle2, c2: Cocycle2, system: Optional[CoboundarySystem] = None
+) -> bool:
+    """Whether two cocycles on the same subgroup define one class in H^2(H, F*).
+
+    system, when given, is the CoboundarySystem of that subgroup; a caller
+    comparing many pairs on one subgroup builds it once.
+    """
     if c1.subgroup != c2.subgroup:
         raise CocycleError("cocycles live on different subgroups")
     n = c1.modulus * c2.modulus // gcd(c1.modulus, c2.modulus)
-    return is_trivial_class(c1.with_modulus(n).quotient_exps(c2.with_modulus(n)))
+    return is_trivial_class(c1.with_modulus(n).quotient_exps(c2.with_modulus(n)), system)
 
 
 def is_G_invariant_class(c: Cocycle2, group: FiniteGroup | None = None) -> bool:
@@ -452,15 +493,19 @@ def invariance_obstruction(
     c: Cocycle2,
 ) -> Optional[tuple[int, CoboundaryObstruction]]:
     """The first failing coset representative with its congruence obstruction,
-    or None when the class is G-invariant."""
+    or None when the class is G-invariant.  The congruence system of H is
+    diagonalized once, at the first non-trivial representative."""
     H = c.subgroup
     if not H.is_normal():
         raise NotNormalError("subgroup is not normal; the G-action is undefined")
+    system = None
     for g in H.right_cosets().reps:
         if g == 0:
             continue
+        if system is None:
+            system = CoboundarySystem(H)
         diff = c.conjugate(g).quotient_exps(c)
-        wit, obstruction = trivial_class_obstruction(diff)
+        wit, obstruction = trivial_class_obstruction(diff, system)
         if wit is None:
             return g, obstruction
     return None

@@ -193,6 +193,42 @@ def test_schema_errors_name_fields():
         run("identity-check", doc_z2([0, 1]))
 
 
+README_SAMPLE = {
+    "group": {"construct": "cyclic", "n": 2},
+    "names": {"e": 0, "sigma": 1},
+    "subgroup": [0],
+    "cocycle": {"modulus": 1, "exponents": [[0]]},
+    "grading": [0, 0, "sigma"],
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("cocycle.modulus", "abc"),
+        ("cocycle.modulus", 2.5),
+        ("cocycle.modulus", True),
+        ("cocycle.modulus", 10**12),
+        ("cocycle.exponents", [["x"]]),
+        ("cocycle.exponents", 5),
+        ("subgroup", 5),
+    ],
+)
+def test_bad_cocycle_block_exits_2_naming_the_field(field, value, tmp_path, capsys):
+    doc = json.loads(json.dumps(README_SAMPLE))
+    *parents, key = field.split(".")
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--input", str(path), "--command", "classify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+
+
 def test_max_degree_cap():
     polys = {
         "x": {"variables": ["x1:sigma"], "monomials": [{"coeff": "1", "order": [1]}]}

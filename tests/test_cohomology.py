@@ -18,9 +18,16 @@ from gradedpi.cohomology import (
     solve_congruences,
 )
 from gradedpi import cohomology
-from gradedpi.algebra import normalize_presentation
+from gradedpi.algebra import (
+    M3,
+    Presentation,
+    apply_move,
+    normalize_presentation,
+    presentations_equivalent,
+)
 from gradedpi.classify import classify
 from gradedpi.errors import BinomialConditionError, NotNormalError, VerificationFailedError
+from gradedpi.groups import FiniteGroup
 from gradedpi.scalars import root_of_unity
 
 from conftest import brute_coboundary, klein_nontrivial_cocycle
@@ -46,13 +53,24 @@ def test_corrupt_entry_names_a_triple(k4):
     assert any(v.kind == "identity" and len(v.triple) == 3 for v in violations)
 
 
+def _replay_on_identity(row_ops, m):
+    """The unimodular U that smith_diagonalize records as row operations."""
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    for i1, i2, a, b, c, d in row_ops:
+        r1, r2 = U[i1], U[i2]
+        U[i1] = [a * x + b * y for x, y in zip(r1, r2)]
+        U[i2] = [c * x + d * y for x, y in zip(r1, r2)]
+    return U
+
+
 def test_smith_diagonalize_properties():
     rng = random.Random(11)
     for _ in range(30):
         m = rng.randint(1, 4)
         n = rng.randint(1, 4)
         A = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-        D, U, V = smith_diagonalize(A)
+        D, row_ops, V = smith_diagonalize(A)
+        U = _replay_on_identity(row_ops, m)
         # U A V == D
         UA = [[sum(U[i][k] * A[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
         UAV = [[sum(UA[i][k] * V[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
@@ -85,17 +103,34 @@ def _det(M):
 
 
 def test_solve_congruences_random():
+    """One factorization serves several right-hand sides and moduli; every
+    solution satisfies its system, and for up to 3 unknowns an obstruction
+    comes back only when brute force over (Z/N)^n finds no solution."""
     rng = random.Random(5)
     for _ in range(40):
-        m, n, N = rng.randint(1, 4), rng.randint(1, 4), rng.choice([2, 3, 4, 6])
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
         A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-        x = [rng.randrange(N) for _ in range(n)]
-        rhs = [sum(A[i][j] * x[j] for j in range(n)) % N for i in range(m)]
-        sol, obstruction = solve_congruences(A, rhs, N)
-        assert obstruction is None
-        assert all(
-            sum(A[i][j] * sol[j] for j in range(n)) % N == rhs[i] % N for i in range(m)
-        )
+        smith = smith_diagonalize(A)
+        for N in (2, 3, 4, 6, 12):
+            x = [rng.randrange(N) for _ in range(n)]
+            solvable = [sum(A[i][j] * x[j] for j in range(n)) % N for i in range(m)]
+            arbitrary = [rng.randrange(N) for _ in range(m)]
+            for rhs in (solvable, arbitrary):
+                sol, obstruction = solve_congruences(A, rhs, N, smith)
+                assert (sol, obstruction) == solve_congruences(A, rhs, N)
+                if sol is not None:
+                    assert obstruction is None
+                    assert all(
+                        sum(A[i][j] * sol[j] for j in range(n)) % N == rhs[i] % N
+                        for i in range(m)
+                    )
+                    continue
+                assert rhs is not solvable and obstruction is not None
+                if n <= 3:
+                    assert not any(
+                        all(sum(A[i][j] * y[j] for j in range(n)) % N == rhs[i] for i in range(m))
+                        for y in product(range(N), repeat=n)
+                    )
 
 
 def test_coboundary_of_trivial_is_zero_witness(k4):
@@ -205,6 +240,45 @@ def test_classify_solves_invariance_once(p_z3z3_noninvariant, monkeypatch):
     assert invariance_obstruction(normalize_presentation(p_z3z3_noninvariant).cocycle)
     assert report.class_G_invariant is False and report.invariance_failure is not None
     assert in_classify == len(calls) > 0
+
+
+def test_one_diagonalization_per_decision(monkeypatch):
+    """The relation matrix of H is diagonalized once per decision and reused
+    for every conjugate or coset representative that needs a solve."""
+    counts = {"smith": 0, "solve": 0}
+    real = {"smith": cohomology.smith_diagonalize, "solve": cohomology.solve_congruences}
+
+    def counting(key):
+        def wrapper(*args):
+            counts[key] += 1
+            return real[key](*args)
+
+        return wrapper
+
+    monkeypatch.setattr(cohomology, "smith_diagonalize", counting("smith"))
+    monkeypatch.setattr(cohomology, "solve_congruences", counting("solve"))
+    c2 = FiniteGroup.cyclic(2)
+    G = FiniteGroup.direct_product(FiniteGroup.direct_product(c2, c2), c2)
+    H = G.subgroup([0, 2, 4, 6])
+    p = Presentation(G, H, klein_nontrivial_cocycle(H), (0, 1))
+    q = Presentation(G, H, Cocycle2.trivial(H, 2), (0, 1))
+    nq = normalize_presentation(q)
+    matching = 0
+    for g in G.elements():
+        np = normalize_presentation(apply_move(p, M3(g)))
+        matching += np.subgroup == nq.subgroup and np.grading == nq.grading
+    assert matching > 1
+    assert not presentations_equivalent(p, q)
+    assert counts == {"smith": 1, "solve": matching}
+
+    c4 = FiniteGroup.cyclic(4)
+    G = FiniteGroup.direct_product(FiniteGroup.direct_product(c2, c2), c4)
+    H = G.subgroup([0, 4, 8, 12])
+    reps = [g for g in H.right_cosets().reps if g != 0]
+    assert H.is_normal() and len(reps) >= 2
+    counts["smith"] = counts["solve"] = 0
+    assert invariance_obstruction(klein_nontrivial_cocycle(H)) is None
+    assert counts == {"smith": 1, "solve": len(reps)}
 
 
 def test_bad_solver_witness_raises_typed_error(k4, monkeypatch):
