@@ -269,26 +269,11 @@ def _missing_coset_witness(np: Presentation) -> WitnessPair:
         [GradedVariable(i + 1, t) for i, t in enumerate(head)], one
     )
     g = monomial_polynomial([GradedVariable(len(word) + 1, tail[0])], one)
-    # First chaining assignment for the head word.
-    def dfs(pos: int, col: int, partial: dict) -> Optional[dict]:
-        if pos == len(head):
-            return partial
-        cands = (
-            algebra.homogeneous_basis(head[pos])
-            if pos == 0
-            else algebra.basis_by_degree_and_row(head[pos], col)
-        )
-        for k in cands:
-            t = algebra.basis[k]
-            out = dfs(pos + 1, t[2], {**partial, pos + 1: t})
-            if out is not None:
-                return out
-        return None
-
-    found = dfs(0, 0, {})
-    if found is None:
+    # The lex-first nonzero assignment of a single monomial is its first
+    # chained assignment.
+    assign_f = check_identity(f, algebra).counterexample
+    if assign_f is None:
         raise VerificationFailedError("head word unexpectedly has no nonzero value")
-    assign_f = found
     assign_g = {len(word) + 1: algebra.basis[algebra.homogeneous_basis(tail[0])[0]]}
     return WitnessPair("missing_coset", np, f, g, assign_f, assign_g)
 

@@ -66,20 +66,24 @@ def parse_group(spec: Any, where: str = "group") -> FiniteGroup:
         except GradedPIError as exc:
             raise DocumentError(f"{where}.table: {exc}") from exc
     construct = _need(spec, "construct", where)
-    if construct == "cyclic":
-        return FiniteGroup.cyclic(int(_need(spec, "n", where)))
-    if construct == "dihedral":
-        return FiniteGroup.dihedral(int(_need(spec, "n", where)))
-    if construct == "symmetric":
-        return FiniteGroup.symmetric(int(_need(spec, "n", where)))
+    if construct in ("cyclic", "dihedral", "symmetric"):
+        n = _need(spec, "n", where)
+        if not _is_int(n):
+            raise DocumentError(f"{where}.n: expected an integer, got {n!r}")
+        try:
+            return getattr(FiniteGroup, construct)(n)
+        except GradedPIError as exc:
+            raise DocumentError(f"{where}.n: {exc}") from exc
     if construct == "product":
         factors = _need(spec, "factors", where)
         if not isinstance(factors, list) or len(factors) != 2:
             raise DocumentError(f"{where}.factors: expected a list of two group specs")
-        return FiniteGroup.direct_product(
-            parse_group(factors[0], f"{where}.factors[0]"),
-            parse_group(factors[1], f"{where}.factors[1]"),
-        )
+        a = parse_group(factors[0], f"{where}.factors[0]")
+        b = parse_group(factors[1], f"{where}.factors[1]")
+        try:
+            return FiniteGroup.direct_product(a, b)
+        except GradedPIError as exc:
+            raise DocumentError(f"{where}: {exc}") from exc
     raise DocumentError(f"{where}.construct: unknown constructor '{construct}'")
 
 
@@ -99,7 +103,7 @@ def _resolve_element(value: Any, names: dict[str, int], group: FiniteGroup, wher
         if value not in names:
             raise DocumentError(f"{where}: unknown element alias '{value}'")
         value = names[value]
-    if not isinstance(value, int) or not (0 <= value < group.order):
+    if not _is_int(value) or not (0 <= value < group.order):
         raise DocumentError(f"{where}: element {value!r} out of range")
     return value
 
@@ -133,7 +137,7 @@ def parse_polynomial(
 ) -> GradedPolynomial:
     if not isinstance(spec, dict):
         raise DocumentError(f"{where}: expected an object")
-    raw_vars = _need(spec, "variables", where)
+    raw_vars = _need_list(spec, "variables", where, f"{where}.variables")
     variables = []
     for i, v in enumerate(raw_vars):
         if not isinstance(v, str) or ":" not in v or not v.startswith("x"):
@@ -151,10 +155,16 @@ def parse_polynomial(
         degree = _resolve_element(tail_value, names, group, f"{where}.variables[{i}]")
         variables.append(GradedVariable(vid, degree))
     monos = []
-    for i, m in enumerate(_need(spec, "monomials", where)):
-        coeff = parse_coefficient(_need(m, "coeff", f"{where}.monomials[{i}]"), modulus, f"{where}.monomials[{i}].coeff")
-        order = _need(m, "order", f"{where}.monomials[{i}]")
-        monos.append((coeff, tuple(int(x) for x in order)))
+    for i, m in enumerate(_need_list(spec, "monomials", where, f"{where}.monomials")):
+        at = f"{where}.monomials[{i}]"
+        if not isinstance(m, dict):
+            raise DocumentError(f"{at}: expected an object")
+        coeff = parse_coefficient(_need(m, "coeff", at), modulus, f"{at}.coeff")
+        order = _need_list(m, "order", at, f"{at}.order")
+        for j, x in enumerate(order):
+            if not _is_int(x):
+                raise DocumentError(f"{at}.order[{j}]: expected a variable id, got {x!r}")
+        monos.append((coeff, tuple(order)))
     try:
         return GradedPolynomial(variables, monos)
     except GradedPIError as exc:
@@ -201,17 +211,24 @@ class SessionDocument:
         names = raw.get("names", {})
         if not isinstance(names, dict):
             raise DocumentError("names: expected an object of alias -> index")
-        self.names = {str(k): int(v) for k, v in names.items()}
-        for alias, idx in self.names.items():
+        for alias, idx in names.items():
+            if not _is_int(idx):
+                raise DocumentError(f"names.{alias}: expected an element index, got {idx!r}")
             if not (0 <= idx < self.group.order):
                 raise DocumentError(f"names.{alias}: index {idx} out of range")
+        self.names = {str(k): v for k, v in names.items()}
         self.presentation = self._parse_presentation(raw, "")
         self.second: Optional[Presentation] = None
         if "second" in raw:
+            if not isinstance(raw["second"], dict):
+                raise DocumentError("second: expected an object")
             self.second = self._parse_presentation(raw["second"], "second.")
         self.polynomials: dict[str, GradedPolynomial] = {}
         modulus = self.presentation.cocycle.modulus
-        for name, spec in raw.get("polynomials", {}).items():
+        polynomials = raw.get("polynomials", {})
+        if not isinstance(polynomials, dict):
+            raise DocumentError("polynomials: expected an object of name -> polynomial")
+        for name, spec in polynomials.items():
             self.polynomials[name] = parse_polynomial(
                 spec, self.names, self.group, modulus, f"polynomials.{name}"
             )
@@ -451,7 +468,7 @@ def _cmd_witness(doc: SessionDocument) -> tuple[str, int]:
 def _cmd_envelope(doc: SessionDocument) -> tuple[str, int]:
     poly = doc.polynomial()
     truncation = doc.params.get("truncation")
-    if not isinstance(truncation, int) or truncation < 0:
+    if not _is_int(truncation) or truncation < 0:
         raise DocumentError("params.truncation: expected a nonnegative integer")
     factors = doc.group.product_factors
     if factors is None or factors[0].order != 2:

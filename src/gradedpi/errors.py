@@ -9,8 +9,13 @@ class OrderMismatchError(GradedPIError):
     """Arithmetic attempted between scalars of different cyclotomic orders."""
 
 
+class InexactDivisionError(GradedPIError):
+    """An exact polynomial division met a non-monic divisor or a remainder."""
+
+
 class InvalidTableError(GradedPIError):
-    """A Cayley table violates a group axiom."""
+    """A Cayley table violates a group axiom, or a group is outside the
+    supported orders 1..MAX_ORDER."""
 
 
 class NotSubgroupError(GradedPIError):

@@ -3,17 +3,33 @@
 A Grassmann element over n generators is a sparse map from sorted generator
 subsets to scalars, with e_i e_j = -e_j e_i realized by sort-with-sign and
 e_i^2 = 0 by annihilating duplicate merges.  The envelope of a (Z2 x G)-graded
-algebra pairs even/odd base components with even/odd generator subsets; for a
-multilinear polynomial of degree d any truncation n >= d decides the same
-verdict as the full envelope, since each variable can occupy its own block of
-generators (backed by the truncation-stability tests rather than a proof).
+algebra A pairs the even base components A_(0,g) with even generator subsets
+and the odd components A_(1,g) with odd ones.
+
+Identities of the envelope are decided by Kemer's sign twist (Kemer, Ideals of
+Identities of Associative Algebras, AMS 1991; Giambruno-Zaicev, Polynomial
+Identities and Asymptotic Methods, Ch. 3).  For a multilinear f of degree d
+and a parity pattern eps in {0,1}^d, the twisted f*_eps multiplies each
+monomial by the sign of the permutation it induces on the odd variables; f is
+an identity of the envelope iff every f*_eps vanishes on the base assignments
+with x_i of degree (eps_i, g_i).  Proof: substitute x_i = a_i (x) w_i with a_i
+a base basis element and w_i a Grassmann monomial of parity eps_i.  Even w_i
+are central and odd ones anticommute, so the monomial x_s(1)...x_s(d) takes
+the value sgn_eps(s) a_s(1)...a_s(d) (x) w_1...w_d, and f takes the value
+f*_eps(a) (x) w_1...w_d.  That is zero when the w_i share a generator, and
+zero exactly when f*_eps(a) = 0 otherwise; multilinearity extends this to all
+homogeneous elements.  The choice w_i = 1 for the even variables and distinct
+single generators for the odd ones uses at most d generators, so a truncation
+n >= d already detects every nonzero f*_eps(a); a truncated envelope is a
+subalgebra of the full one, so it has no nonzero value the full envelope
+lacks.  The verdict at any n >= d is therefore that of the full envelope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Optional
+from itertools import combinations, count
+from typing import Optional
 
 from .algebra import GradedAlgebra
 from .errors import FactorizationError, TruncationError
@@ -31,15 +47,6 @@ def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, Optional[t
         if sum(1 for x in a if x > y) % 2:
             sign = -sign
     return sign, tuple(sorted(a + b))
-
-
-def _mask_merge_sign(used: int, subset_tuple: tuple[int, ...]) -> int:
-    """Sign of appending subset_tuple after the generators in the bitmask."""
-    sign = 1
-    for y in subset_tuple:
-        if (used >> (y + 1)).bit_count() % 2:
-            sign = -sign
-    return sign
 
 
 class GrassmannElement:
@@ -126,6 +133,14 @@ class GrassmannElement:
         return " + ".join(bits)
 
 
+def _sign_split(base: GradedAlgebra):
+    """The (Z2, G) factors of the base group; FactorizationError otherwise."""
+    factors = base.group.product_factors
+    if factors is None or factors[0].order != 2:
+        raise FactorizationError("base group must be built as a direct product Z2 x G")
+    return factors
+
+
 EnvelopeBasisKey = tuple[tuple[int, ...], int]  # (generator subset, base basis index)
 
 
@@ -138,11 +153,7 @@ class EnvelopeAlgebra:
     """
 
     def __init__(self, base: GradedAlgebra, truncation: int):
-        factors = base.group.product_factors
-        if factors is None or factors[0].order != 2:
-            raise FactorizationError(
-                "base group must be built as a direct product Z2 x G"
-            )
+        factors = _sign_split(base)
         if truncation < 0:
             raise TruncationError("truncation must be nonnegative")
         self.base = base
@@ -155,9 +166,6 @@ class EnvelopeAlgebra:
         self.odd_subsets = tuple(
             s for size in range(1, truncation + 1, 2) for s in combinations(gens, size)
         )
-        self._subset_masks = {
-            s: _mask(s) for s in self.even_subsets + self.odd_subsets
-        }
         ng = self.g_group.order
         comps: dict[int, list[EnvelopeBasisKey]] = {}
         for g in range(ng):
@@ -195,13 +203,6 @@ class EnvelopeAlgebra:
         return sign, exp, (merged, self.base.index[triple])
 
 
-def _mask(subset: tuple[int, ...]) -> int:
-    m = 0
-    for i in subset:
-        m |= 1 << i
-    return m
-
-
 @dataclass
 class EnvelopeIdentityReport:
     identity: bool
@@ -211,25 +212,34 @@ class EnvelopeIdentityReport:
 def envelope_identity_check(
     f: GradedPolynomial, base: GradedAlgebra, truncation: int
 ) -> EnvelopeIdentityReport:
-    """Multilinear identity test over the truncated envelope basis.
+    """Multilinear identity test over the truncated envelope, by the sign twist.
 
     Variable degrees of f are elements of the second (G) factor.  The
     truncation must be at least deg(f); the verdict then matches the full
-    envelope.  Enumeration chains matrix-unit rows exactly as the base oracle
-    and additionally forces disjoint generator subsets with the sign of their
-    interleaving.
+    envelope (module docstring).  Each monomial is walked once over chained
+    base assignments in which a variable of degree g takes a basis element of
+    degree (0, g) (even) or (1, g) (odd); placing an odd variable flips the
+    sign once for every odd variable already placed in a later slot.  The
+    counterexample is the nonzero assignment that is least under the
+    per-variable order (parity, basis index), written as envelope keys with
+    the generators 1, 2, ... given to the odd variables in id order and the
+    empty subset to the even ones.  That is the lex-first nonzero key over all
+    generator subsets as well: the canonical subsets are the least disjoint
+    ones of their parities, and canonical keys compare as (parity, index)
+    variable by variable.
     """
     if truncation < f.degree:
         raise TruncationError(
             f"truncation {truncation} is below the polynomial degree {f.degree}"
         )
-    env = EnvelopeAlgebra(base, truncation)
+    ng = _sign_split(base)[1].order
     vids = f.var_ids()
     slot = {vid: i for i, vid in enumerate(vids)}
     basis = base.basis
-    ng = env.g_group.order
     mul = base.group.mul
     exp_of = base._exp
+    by_row = base.basis_by_degree_and_row
+    # assignment (per slot: (parity, base index)) -> base triple -> scalar
     acc: dict[tuple, dict] = {}
     for mono in f.monomials:
         order = mono.order
@@ -237,54 +247,41 @@ def envelope_identity_check(
         degs = [f.degree_of[v] for v in order]
         slots_by_pos = [slot[v] for v in order]
         coeff = mono.coeff
+        key: list = [None] * len(vids)
 
-        def base_candidates(pos: int, col: Optional[int]) -> Iterable[tuple[int, int]]:
-            g = degs[pos]
-            for parity, d in ((0, g), (1, ng + g)):
-                ks = (
-                    base.homogeneous_basis(d)
-                    if col is None
-                    else base.basis_by_degree_and_row(d, col)
-                )
-                for k in ks:
-                    yield k, parity
-
-        def rec(pos, col, hprod, expsum, used, sign, key):
+        def rec(pos, col, hprod, expsum, odd_slots, sign):
             if pos == n:
-                tkey = tuple(key)
                 scalar = coeff.shift_root(expsum)
                 if sign < 0:
                     scalar = -scalar
-                row0 = basis[key[slots_by_pos[0]][1]][1]
-                value = (hprod, row0, col)
-                bucket = acc.get(tkey)
-                if bucket is None:
-                    acc[tkey] = {value: scalar}
-                else:
-                    prev = bucket.get(value)
-                    bucket[value] = scalar if prev is None else prev + scalar
+                value = (hprod, basis[key[slots_by_pos[0]][1]][1], col)
+                bucket = acc.setdefault(tuple(key), {})
+                prev = bucket.get(value)
+                bucket[value] = scalar if prev is None else prev + scalar
                 return
-            for k, parity in base_candidates(pos, col):
-                t = basis[k]
-                if pos == 0:
-                    h2, e2 = t[0], 0
-                else:
-                    h2, e2 = mul(hprod, t[0]), expsum + exp_of(hprod, t[0])
-                pool = env.even_subsets if parity == 0 else env.odd_subsets
-                for s in pool:
-                    mask = env._subset_masks[s]
-                    if mask & used:
-                        continue
-                    msign = _mask_merge_sign(used, s)
-                    key[slots_by_pos[pos]] = (s, k)
-                    rec(pos + 1, t[2], h2, e2, used | mask, sign * msign, key)
-            key[slots_by_pos[pos]] = None
+            s = slots_by_pos[pos]
+            odd_sign = -sign if (odd_slots >> (s + 1)).bit_count() % 2 else sign
+            for parity in (0, 1):
+                d = parity * ng + degs[pos]
+                mask = odd_slots | parity << s
+                sign2 = odd_sign if parity else sign
+                ks = base.homogeneous_basis(d) if pos == 0 else by_row(d, col)
+                for k in ks:
+                    t = basis[k]
+                    if pos == 0:
+                        h2, e2 = t[0], 0
+                    else:
+                        h2, e2 = mul(hprod, t[0]), expsum + exp_of(hprod, t[0])
+                    key[s] = (parity, k)
+                    rec(pos + 1, t[2], h2, e2, mask, sign2)
 
-        key: list = [None] * len(vids)
-        rec(0, None, 0, 0, 0, 1, key)
+        rec(0, None, 0, 0, 0, 1)
     for tkey in sorted(acc):
-        value = vec_clean(acc[tkey])
-        if value:
-            assign = {vid: tkey[i] for i, vid in enumerate(vids)}
+        if vec_clean(acc[tkey]):
+            odd_rank = count(1)
+            assign = {
+                vid: ((next(odd_rank),) if parity else (), k)
+                for vid, (parity, k) in zip(vids, tkey)
+            }
             return EnvelopeIdentityReport(False, assign)
     return EnvelopeIdentityReport(True)

@@ -2,8 +2,9 @@
 
 Elements are dense indices 0..order-1 with the identity at index 0 (tables
 given with the identity elsewhere are relabeled on construction).  Orders
-beyond 64 are rejected: everything downstream is desk-scale exact
-computation, not a group-theory system.
+beyond 64 are rejected, by the constructors before they build a table:
+everything downstream is desk-scale exact computation, not a group-theory
+system.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ class FiniteGroup:
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
+        _check_order(n)
         table = [[(a + b) % n for b in range(n)] for a in range(n)]
         return cls(table, name=f"C{n}")
 
@@ -94,8 +96,9 @@ class FiniteGroup:
         """Dihedral group of order 2n: indices 0..n-1 are rotations r^i,
         n..2n-1 are reflections s*r^i."""
         if n < 1:
-            raise ValueError("dihedral parameter must be >= 1")
+            raise InvalidTableError("dihedral parameter must be >= 1")
         size = 2 * n
+        _check_order(size)
 
         def mul(a, b):
             ra, fa = a % n, a >= n
@@ -113,8 +116,8 @@ class FiniteGroup:
 
     @classmethod
     def symmetric(cls, n: int) -> "FiniteGroup":
-        if n > 4:
-            raise ValueError("symmetric groups only supported up to n = 4")
+        if not 0 <= n <= 4:
+            raise InvalidTableError("symmetric groups only supported for 0 <= n <= 4")
         perms = sorted(permutations(range(n)))
         index = {p: i for i, p in enumerate(perms)}
 
@@ -131,6 +134,7 @@ class FiniteGroup:
         so graded machinery can split degrees back into components."""
         nb = b.order
         size = a.order * nb
+        _check_order(size)
         table = [
             [a.mul(x // nb, y // nb) * nb + b.mul(x % nb, y % nb) for y in range(size)]
             for x in range(size)
@@ -184,12 +188,17 @@ def _closed(group: FiniteGroup, members) -> bool:
     return all(group.mul(a, b) in ms for a in members for b in members)
 
 
-def _validate_table(rows) -> None:
-    n = len(rows)
-    if n == 0:
+def _check_order(n: int) -> None:
+    """Size gate of every table; the constructors call it before building one."""
+    if n < 1:
         raise InvalidTableError("empty table")
     if n > MAX_ORDER:
         raise InvalidTableError(f"order {n} exceeds supported maximum {MAX_ORDER}")
+
+
+def _validate_table(rows) -> None:
+    n = len(rows)
+    _check_order(n)
     for i, row in enumerate(rows):
         if len(row) != n:
             raise InvalidTableError(f"row {i} has length {len(row)}, expected {n}")

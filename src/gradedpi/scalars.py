@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import OrderMismatchError
+from .errors import InexactDivisionError, OrderMismatchError
 
 
 @lru_cache(maxsize=None)
@@ -25,7 +25,8 @@ def _poly_div_exact(num: Sequence[int], den: Sequence[int]) -> tuple[int, ...]:
     """Divide integer polynomials known to divide exactly (ascending coeffs)."""
     num = list(num)
     dn = len(den) - 1
-    assert den[-1] == 1, "divisor must be monic"
+    if den[-1] != 1:
+        raise InexactDivisionError("divisor must be monic")
     quot = [0] * (len(num) - dn)
     for i in range(len(num) - 1, dn - 1, -1):
         c = num[i]
@@ -33,7 +34,8 @@ def _poly_div_exact(num: Sequence[int], den: Sequence[int]) -> tuple[int, ...]:
         if c:
             for j, d in enumerate(den):
                 num[i - dn + j] -= c * d
-    assert all(c == 0 for c in num), "inexact polynomial division"
+    if any(num):
+        raise InexactDivisionError("inexact polynomial division")
     return tuple(quot)
 
 

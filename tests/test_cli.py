@@ -229,6 +229,78 @@ def test_bad_cocycle_block_exits_2_naming_the_field(field, value, tmp_path, caps
     assert field in captured.err
 
 
+README_SAMPLE_WITH_POLYNOMIAL = {
+    **README_SAMPLE,
+    "polynomials": {
+        "bin": {
+            "variables": ["x1:sigma", "x2:sigma"],
+            "monomials": [
+                {"coeff": "1", "order": [1, 2]},
+                {"coeff": "-1", "order": [2, 1]},
+            ],
+        }
+    },
+    "params": {"polynomial": "bin"},
+}
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("group", "n"), "abc", "group.n"),
+        (("group", "n"), 2.5, "group.n"),
+        (("group", "n"), True, "group.n"),
+        (("group",), {"construct": "symmetric", "n": 5}, "group.n"),
+        (("group",), {"construct": "dihedral", "n": 0}, "group.n"),
+        (("group",), {"construct": "product", "factors": [
+            {"construct": "cyclic", "n": 16}, {"construct": "cyclic", "n": 8}]}, "group"),
+        (("group", "construct"), ["cyclic"], "group.construct"),
+        (("names", "sigma"), "x", "names.sigma"),
+        (("second",), 5, "second"),
+        (("grading", 2), True, "grading[2]"),
+        (("polynomials",), [], "polynomials"),
+        (("polynomials", "bin", "variables"), 5, "polynomials.bin.variables"),
+        (("polynomials", "bin", "monomials"), 5, "polynomials.bin.monomials"),
+        (("polynomials", "bin", "monomials", 0), 5, "polynomials.bin.monomials[0]"),
+        (("polynomials", "bin", "monomials", 0, "order"), 12,
+         "polynomials.bin.monomials[0].order"),
+        (("polynomials", "bin", "monomials", 0, "order", 0), "a",
+         "polynomials.bin.monomials[0].order[0]"),
+        (("polynomials", "bin", "monomials", 0, "order", 0), 1.5,
+         "polynomials.bin.monomials[0].order[0]"),
+    ],
+)
+def test_bad_document_exits_2_naming_the_field(path, value, field, tmp_path, capsys):
+    doc = json.loads(json.dumps(README_SAMPLE_WITH_POLYNOMIAL))
+    *parents, key = path
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--input", str(path), "--command", "classify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+
+
+def test_envelope_truncation_must_be_an_integer_not_a_bool():
+    c2 = {"construct": "cyclic", "n": 2}
+    doc = {
+        "group": {"construct": "product", "factors": [c2, c2]},
+        "subgroup": [0],
+        "cocycle": {"modulus": 1, "exponents": [[0]]},
+        "grading": [0, 2],
+        "polynomials": {"f": {"variables": ["x1:0"], "monomials": [{"coeff": "1", "order": [1]}]}},
+        "params": {"polynomial": "f", "truncation": True},
+    }
+    with pytest.raises(DocumentError, match="params.truncation"):
+        run("envelope-check", doc)
+    doc["params"]["truncation"] = 1
+    assert run("envelope-check", doc)[1] == 1
+
+
 def test_max_degree_cap():
     polys = {
         "x": {"variables": ["x1:sigma"], "monomials": [{"coeff": "1", "order": [1]}]}

@@ -233,3 +233,69 @@ def test_truncation_stability_degree_up_to_three():
                 envelope_identity_check(f, A, d).identity
                 == envelope_identity_check(f, A, d + 2).identity
             )
+
+
+def first_nonzero_envelope_key(f, base, truncation):
+    """Independent oracle for the counterexample: every envelope key tuple of
+    the truncated envelope in sorted order, multiplied out by mul_basis; the
+    first tuple with a nonzero value."""
+    from itertools import product as iproduct
+
+    env = EnvelopeAlgebra(base, truncation)
+    vids = f.var_ids()
+    pools = [env.homogeneous_basis(f.degree_of[v]) for v in vids]
+    for choice in sorted(iproduct(*pools)):
+        assign = dict(zip(vids, choice))
+        total: dict = {}
+        for m in f.monomials:
+            acc, sign, exp = assign[m.order[0]], 1, 0
+            for vid in m.order[1:]:
+                hit = env.mul_basis(acc, assign[vid])
+                if hit is None:
+                    break
+                s, e, acc = hit
+                sign, exp = sign * s, exp + e
+            else:
+                contrib = m.coeff.shift_root(exp)
+                contrib = contrib if sign > 0 else -contrib
+                total[acc] = total[acc] + contrib if acc in total else contrib
+        if any(total.values()):
+            return assign
+    return None
+
+
+def test_envelope_counterexample_is_the_lex_first_key():
+    """The reported counterexample is the least nonzero envelope key tuple,
+    at truncation d and d + 1, over Z2 x C2 and Z2 x C3 bases."""
+    import random
+    from itertools import permutations
+
+    z2, c3 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(3)
+    g6 = FiniteGroup.direct_product(z2, c3)
+    H6 = g6.trivial_subgroup()
+    bases = [
+        (base_env_fixture((0, 2)), 2),  # even diagonal, odd off-diagonal
+        (build_algebra(Presentation(g6, H6, Cocycle2.trivial(H6, 1), (0, 4))), 3),
+    ]
+    rng = random.Random(2718)
+    mixed = compared = 0
+    for trial in range(24):
+        A, ng = bases[trial % 2]
+        d = rng.randint(1, 3)
+        vs = variables_for([rng.randrange(ng) for _ in range(d)])
+        orders = list(permutations(v.vid for v in vs))
+        monos = [
+            (CycScalar.from_rational(1, rng.choice([-2, -1, 1, 2])), o)
+            for o in rng.sample(orders, k=rng.randint(1, len(orders)))
+        ]
+        f = GradedPolynomial(vs, monos)
+        if f.is_zero():
+            continue
+        for n in (d, d + 1):
+            expected = first_nonzero_envelope_key(f, A, n)
+            assert envelope_identity_check(f, A, n).counterexample == expected
+            if expected is not None:
+                compared += 1
+                parities = {len(subset) % 2 for subset, _ in expected.values()}
+                mixed += parities == {0, 1}
+    assert compared >= 20 and mixed >= 3

@@ -54,6 +54,34 @@ def test_order_cap():
         FiniteGroup.cyclic(65)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FiniteGroup.cyclic(65),
+        lambda: FiniteGroup.cyclic(0),
+        lambda: FiniteGroup.dihedral(33),
+        lambda: FiniteGroup.dihedral(0),
+        lambda: FiniteGroup.symmetric(5),
+        lambda: FiniteGroup.direct_product(FiniteGroup.cyclic(16), FiniteGroup.cyclic(8)),
+    ],
+    ids=["cyclic-65", "cyclic-0", "dihedral-33", "dihedral-0", "symmetric-5", "C16xC8"],
+)
+def test_constructor_checks_order_before_building_the_table(build, monkeypatch):
+    """Every table builder iterates range(size), so a guarded range in the
+    module shows whether a too-large table was started."""
+    from gradedpi import groups
+
+    def guarded_range(*args):
+        r = range(*args)
+        if len(r) > groups.MAX_ORDER:
+            raise AssertionError(f"table of size {len(r)} built before the order check")
+        return r
+
+    monkeypatch.setattr(groups, "range", guarded_range, raising=False)
+    with pytest.raises(InvalidTableError):
+        build()
+
+
 def test_subgroup_validation():
     g = FiniteGroup.cyclic(4)
     with pytest.raises(NotSubgroupError):

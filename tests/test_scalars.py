@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from gradedpi.errors import OrderMismatchError
+from gradedpi.errors import InexactDivisionError, OrderMismatchError
 from gradedpi.scalars import (
     CycScalar,
+    _poly_div_exact,
     cyclotomic_polynomial,
     euler_phi,
     root_of_unity,
@@ -135,3 +136,29 @@ def test_pretty_and_rational_accessors():
     assert x.is_rational() and x.as_rational() == Fraction(-3, 2)
     assert root_of_unity(4, 1).pretty() == "z"
     assert not root_of_unity(4, 1).is_rational()
+
+
+def test_exact_division_raises_typed_errors():
+    # (x^2 - 1) / (x - 1) = x + 1
+    assert _poly_div_exact((-1, 0, 1), (-1, 1)) == (1, 1)
+    with pytest.raises(InexactDivisionError, match="monic"):
+        _poly_div_exact((-1, 0, 1), (-1, 2))
+    with pytest.raises(InexactDivisionError, match="inexact"):
+        _poly_div_exact((1, 0, 1), (-1, 1))
+
+
+def test_library_has_no_assert_statements():
+    """python -O strips assert, so library invariants raise typed errors."""
+    import ast
+    from pathlib import Path
+
+    import gradedpi
+
+    package = Path(gradedpi.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
