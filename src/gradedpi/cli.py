@@ -37,6 +37,11 @@ MACHINE_END = "--- end machine ---"
 # Q(zeta_N) costs O(N) and more per table built, so the cap is checked first.
 MAX_MODULUS = 1024
 
+# Most digits a rational literal in a coefficient may stand for, counting its
+# decimal exponent ("1e999999" stands for a million digits).  Checked before
+# Fraction reads the literal.
+MAX_RATIONAL_DIGITS = 100
+
 COMMANDS = (
     "validate",
     "classify",
@@ -61,8 +66,16 @@ def parse_group(spec: Any, where: str = "group") -> FiniteGroup:
     if not isinstance(spec, dict):
         raise DocumentError(f"{where}: expected an object")
     if "table" in spec:
+        table = spec["table"]
+        if not isinstance(table, list):
+            raise DocumentError(f"{where}.table: expected a list of rows, got {table!r}")
+        for i, row in enumerate(table):
+            if not isinstance(row, list) or not all(_is_int(v) for v in row):
+                raise DocumentError(
+                    f"{where}.table[{i}]: expected a list of integers, got {row!r}"
+                )
         try:
-            return FiniteGroup.from_table(spec["table"])
+            return FiniteGroup.from_table(table)
         except GradedPIError as exc:
             raise DocumentError(f"{where}.table: {exc}") from exc
     construct = _need(spec, "construct", where)
@@ -108,25 +121,41 @@ def _resolve_element(value: Any, names: dict[str, int], group: FiniteGroup, wher
     return value
 
 
+def _rational(text: str, where: str) -> Fraction:
+    """Fraction(text), refused first when the literal could stand for more
+    than MAX_RATIONAL_DIGITS digits."""
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = len(text)
+    if exponent and digits <= MAX_RATIONAL_DIGITS:
+        try:
+            digits = sum(ch.isdigit() for ch in mantissa) + abs(int(exponent))
+        except ValueError:
+            pass  # not a decimal exponent; Fraction rejects the literal
+    if digits > MAX_RATIONAL_DIGITS:
+        raise DocumentError(
+            f"{where}: rational literal {text!r} exceeds {MAX_RATIONAL_DIGITS} digits"
+        )
+    return Fraction(text)
+
+
 def parse_coefficient(value: Any, modulus: int, where: str) -> CycScalar:
     """Coefficients are rational strings ("1", "-2/3") or [[power, rational], ...]
     lists denoting sums of rational multiples of zeta^power."""
     try:
-        if isinstance(value, str):
-            return CycScalar.from_rational(modulus, Fraction(value))
-        if isinstance(value, int):
-            return CycScalar.from_rational(modulus, value)
+        if isinstance(value, str) or _is_int(value):
+            return CycScalar.from_rational(modulus, _rational(str(value), where))
         if isinstance(value, list):
-            out = CycScalar.zero(modulus)
-            for item in value:
+            coeffs = [Fraction(0)] * modulus
+            for i, item in enumerate(value):
                 if not (isinstance(item, list) and len(item) == 2):
                     raise DocumentError(f"{where}: expected [power, rational] pairs")
-                k = int(item[0]) % modulus
-                q = Fraction(str(item[1]))
-                out = out + CycScalar.from_poly(
-                    modulus, [Fraction(0)] * k + [q]
-                )
-            return out
+                power, q = item
+                if not _is_int(power):
+                    raise DocumentError(
+                        f"{where}[{i}]: expected an integer power, got {power!r}"
+                    )
+                coeffs[power % modulus] += _rational(str(q), f"{where}[{i}]")
+            return CycScalar.from_poly(modulus, coeffs)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"{where}: bad coefficient {value!r} ({exc})") from exc
     raise DocumentError(f"{where}: bad coefficient {value!r}")

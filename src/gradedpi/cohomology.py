@@ -71,6 +71,18 @@ class Cocycle2:
     def value(self, a: int, b: int) -> CycScalar:
         return root_of_unity(self.modulus, self.exp(a, b))
 
+    def exponent_table(self) -> list[list[int]]:
+        """Dense G x G exponent table indexed by parent-group elements: entry
+        [a][b] is exp(a, b) for a, b in H and 0 elsewhere."""
+        H = self.subgroup
+        n = H.parent.order
+        table = [[0] * n for _ in range(n)]
+        for row, a in zip(self.exps, H.members):
+            dense = table[a]
+            for v, b in zip(row, H.members):
+                dense[b] = v
+        return table
+
     # -- validation ------------------------------------------------------------
 
     def violations(self) -> list[CocycleViolation]:
@@ -85,12 +97,17 @@ class Cocycle2:
                 out.append(CocycleViolation("normalization", (0, h), "c(e, h) != 1"))
             if self.exps[i][e_local] % N != 0:
                 out.append(CocycleViolation("normalization", (h, 0), "c(h, e) != 1"))
-        for a in H.members:
-            for b in H.members:
-                ab = g.mul(a, b)
-                for d in H.members:
-                    lhs = self.exp(a, b) + self.exp(ab, d)
-                    rhs = self.exp(a, g.mul(b, d)) + self.exp(b, d)
+        E = self.exponent_table()
+        mul = g.table
+        members = H.members
+        for a in members:
+            row_a, mul_a = E[a], mul[a]
+            for b in members:
+                row_b, row_ab, mul_b = E[b], E[mul_a[b]], mul[b]
+                exp_ab = row_a[b]
+                for d in members:
+                    lhs = exp_ab + row_ab[d]
+                    rhs = row_a[mul_b[d]] + row_b[d]
                     if (lhs - rhs) % N != 0:
                         out.append(
                             CocycleViolation(

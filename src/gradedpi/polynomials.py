@@ -1,20 +1,42 @@
 """Multilinear graded polynomials and the exact identity oracle.
 
-The oracle enumerates homogeneous basis assignments monomial by monomial,
-chaining matrix-unit triples (a triple can follow another only when its row
-matches the previous column), and accumulates exact scalar contributions in a
-table keyed by the assignment.  A polynomial is an identity iff every
-accumulated value is zero; the lexicographically first nonzero assignment is
-returned as the counterexample.  Polynomials built as products on disjoint
-variables carry their factorization, which lets the oracle decide the product
-through the factors' evaluation spans instead of walking the concatenated
-monomials.
+The oracle enumerates homogeneous basis assignments by chaining matrix-unit
+triples (a triple can follow another only when its row matches the previous
+column) and accumulates each assignment's value in a table keyed by the
+assignment.  A polynomial is an identity iff every accumulated value is zero;
+the lexicographically first nonzero assignment is returned as the
+counterexample.
+
+One walk (accumulate_evaluations) serves every caller:
+
+- The monomial orders form a prefix trie, so a prefix shared by several
+  monomials (a chain of basis choices) is enumerated once; each leaf holds its
+  monomial's coefficient.
+- The cocycle is read from one dense G x G exponent table and products from
+  the group's Cayley rows.
+- A value is a tuple of phi(N) Python ints: its coordinates over the power
+  basis 1, zeta, ..., zeta^(phi(N)-1) of Q(zeta_N), times the lcm L of all
+  coefficient denominators.  A leaf adds the precomputed L * coeff * zeta^e,
+  reduced mod Phi_N, computed once per (coefficient, exponent) the walk
+  reaches.  Phi_N is monic, so the reduction stays integral: the sums are
+  exact integers, and a vector is zero exactly when the value is.
+- Only the values that leave the module (a counterexample's value, span
+  vectors, the witness stream of _value_pairs) become CycScalars, by dividing
+  by L.  The power-basis coordinates of an element of Q(zeta_N) are unique, so
+  the result is the same canonical scalar that Fraction arithmetic gives.
+
+Polynomials built as products on disjoint variables carry their
+factorization, which lets the oracle decide the product through the factors'
+evaluation spans instead of walking the concatenated monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import lcm
+from operator import add
+from types import MappingProxyType
 from typing import Iterator, Optional, Sequence
 
 from .algebra import (
@@ -36,7 +58,7 @@ from .errors import (
     VerificationFailedError,
 )
 from .groups import FiniteGroup, Subgroup
-from .linalg import Span, span_of, vec_clean
+from .linalg import Span, span_of
 from .scalars import CycScalar, root_of_unity
 
 Triple = tuple[int, int, int]
@@ -74,6 +96,8 @@ class GradedPolynomial:
                 raise NonMultilinearError(
                     f"monomial {order} is not a permutation of the variable ids"
                 )
+            if not order:
+                raise NonMultilinearError("a monomial of degree 0 (empty order) is not supported")
             if order in merged:
                 merged[order] = merged[order] + coeff
             else:
@@ -294,71 +318,127 @@ def _check_scalar_order(f: GradedPolynomial, algebra: GradedAlgebra) -> None:
         )
 
 
-def _monomial_accumulate(
-    poly: GradedPolynomial,
-    algebra: GradedAlgebra,
-    mono: GradedMonomial,
-    slot: dict[int, int],
-    acc: dict,
-    allowed_rows: Optional[dict[int, frozenset[int]]] = None,
-) -> None:
-    """Add one monomial's chained-path contributions into acc."""
-    order = mono.order
-    n = len(order)
-    degs = [poly.degree_of[v] for v in order]
-    basis = algebra.basis
-    exp_of = algebra._exp
-    mul = algebra.group.mul
-    by_row = algebra.basis_by_degree_and_row
-    coeff = mono.coeff
-    slots_by_pos = [slot[v] for v in order]
-    nvars = len(slot)
+# The value of every key whose contributions cancelled: one shared, read-only
+# empty map (most keys of an alternating polynomial end here).
+_ZERO = MappingProxyType({})
 
-    def rec(pos: int, col: int, hprod: int, expsum: int, key: list) -> None:
-        if pos == n:
-            tkey = tuple(key)
-            row0 = basis[key[slots_by_pos[0]]][1]
-            value = (hprod, row0, col)
-            scalar = coeff.shift_root(expsum)
-            bucket = acc.get(tkey)
-            if bucket is None:
-                acc[tkey] = {value: scalar}
-            else:
-                prev = bucket.get(value)
-                bucket[value] = scalar if prev is None else prev + scalar
-        else:
-            restrict = allowed_rows.get(order[pos]) if allowed_rows else None
-            for k in by_row(degs[pos], col):
-                t = basis[k]
-                if restrict is not None and t[1] not in restrict:
-                    continue
-                key[slots_by_pos[pos]] = k
-                rec(pos + 1, t[2], mul(hprod, t[0]), expsum + exp_of(hprod, t[0]), key)
 
-    first = algebra.homogeneous_basis(degs[0])
-    restrict0 = allowed_rows.get(order[0]) if allowed_rows else None
-    for k in first:
-        t = basis[k]
-        if restrict0 is not None and t[1] not in restrict0:
-            continue
-        key = [-1] * nvars
-        key[slots_by_pos[0]] = k
-        rec(1, t[2], t[0], 0, key)
+class EvaluationTable(dict):
+    """Assignment key (basis indices of the variables in sorted id order) ->
+    {value triple: nonzero integer vector}.  A vector holds the power-basis
+    coordinates over Q(zeta_order) of the exact value times `scale`; keys the
+    walk reached whose value is zero map to the empty _ZERO."""
+
+    __slots__ = ("order", "scale")
+
+    def __init__(self, order: int, scale: int):
+        super().__init__()
+        self.order = order
+        self.scale = scale
+
+    def value(self, key: tuple) -> dict[Triple, CycScalar]:
+        """The value at one assignment as canonical scalars."""
+        order, scale = self.order, self.scale
+        return {
+            t: CycScalar.from_scaled_ints(order, v, scale) for t, v in self[key].items()
+        }
+
+
+def _prefix_trie(poly: GradedPolynomial, edges: dict) -> tuple[tuple, list[CycScalar]]:
+    """Prefix trie over the monomial orders: a node is a tuple of
+    (*edges[vid], child) entries, and the child after a monomial's last
+    variable is the index of its coefficient in the returned list."""
+    nested: dict = {}
+    index: dict[CycScalar, int] = {}
+    for m in poly.monomials:
+        node = nested
+        for vid in m.order[:-1]:
+            node = node.setdefault(vid, {})
+        node[m.order[-1]] = index.setdefault(m.coeff, len(index))
+
+    def freeze(node: dict) -> tuple:
+        return tuple(
+            (*edges[vid], child if type(child) is int else freeze(child))
+            for vid, child in node.items()
+        )
+
+    return freeze(nested), list(index)
 
 
 def accumulate_evaluations(
     poly: GradedPolynomial,
     algebra: GradedAlgebra,
     allowed_rows: Optional[dict[int, frozenset[int]]] = None,
-) -> dict[tuple, dict[Triple, CycScalar]]:
-    """Assignment table: basis-index tuple (variables in sorted id order) ->
-    accumulated value as a sparse triple -> scalar map."""
+) -> EvaluationTable:
+    """Assignment table of poly over the homogeneous basis assignments whose
+    chained matrix units have a nonzero product (see EvaluationTable)."""
     _check_scalar_order(poly, algebra)
-    vids = poly.var_ids()
-    slot = {vid: i for i, vid in enumerate(vids)}
-    acc: dict = {}
-    for mono in poly.monomials:
-        _monomial_accumulate(poly, algebra, mono, slot, acc, allowed_rows)
+    N = algebra.modulus
+    scale = lcm(*(q.denominator for m in poly.monomials for q in m.coeff.coeffs))
+    acc = EvaluationTable(N, scale)
+    if not poly.monomials:
+        return acc
+    m = algebra.presentation.size
+    basis = algebra.basis
+    # Per variable: its key slot, and per row the (basis index, H-part,
+    # column) of its degree's basis elements there (none where allowed_rows
+    # bars the row).
+    edges = {}
+    for i, vid in enumerate(poly.var_ids()):
+        restrict = allowed_rows.get(vid) if allowed_rows else None
+        by_row = [
+            algebra.basis_by_degree_and_row(poly.degree_of[vid], row)
+            if restrict is None or row in restrict
+            else ()
+            for row in range(m)
+        ]
+        edges[vid] = (i, [tuple((k, basis[k][0], basis[k][2]) for k in ks) for ks in by_row])
+    trie, coeffs = _prefix_trie(poly, edges)
+    vectors: list[dict[int, tuple[int, ...]]] = [{} for _ in coeffs]
+    mul = algebra.group.table
+    # Row 0 is zero: build_algebra validated the cocycle, so it is normalized.
+    exps = algebra.presentation.cocycle.exponent_table()
+    key = [0] * len(edges)
+
+    def walk(node: tuple, ends: list, col: int, hprod: int, expsum: int) -> None:
+        mul_row, exp_row = mul[hprod], exps[hprod]
+        if type(node[0][2]) is not int:
+            for s, per_row, child in node:
+                for k, h, c in per_row[col]:
+                    key[s] = k
+                    walk(child, ends, c, mul_row[h], expsum + exp_row[h])
+            return
+        for s, per_row, ci in node:
+            coeff, cached = coeffs[ci], vectors[ci]
+            for k, h, c in per_row[col]:
+                key[s] = k
+                e = (expsum + exp_row[h]) % N
+                vec = cached.get(e)
+                if vec is None:
+                    vec = cached[e] = coeff.scaled_ints(scale, e)
+                tkey = tuple(key)
+                t = ends[mul_row[h]][c]
+                bucket = acc.get(tkey)
+                if not bucket:
+                    acc[tkey] = {t: vec}
+                    continue
+                prev = bucket.get(t)
+                if prev is None:
+                    bucket[t] = vec
+                    continue
+                total = tuple(map(add, prev, vec))
+                if any(total):
+                    bucket[t] = total
+                elif len(bucket) > 1:
+                    del bucket[t]
+                else:
+                    acc[tkey] = _ZERO
+
+    # A chain starting in row r is a walk from the identity with column r; its
+    # value triples (h, r, col) are ends[h][col], one object shared by all keys.
+    for r in range(m):
+        ends = [[(h, r, c) for c in range(m)] for h in range(len(mul))]
+        walk(trie, ends, r, 0, 0)
     return acc
 
 
@@ -373,13 +453,11 @@ def check_identity(f: GradedPolynomial, algebra: GradedAlgebra) -> IdentityRepor
     if f.factors is not None:
         return _check_identity_factored(f, algebra)
     acc = accumulate_evaluations(f, algebra)
-    for key in sorted(acc):
-        value = vec_clean(acc[key])
-        if value:
-            vids = f.var_ids()
-            assign = {vid: algebra.basis[key[i]] for i, vid in enumerate(vids)}
-            return IdentityReport(False, assign, value)
-    return IdentityReport(True)
+    key = min((key for key, bucket in acc.items() if bucket), default=None)
+    if key is None:
+        return IdentityReport(True)
+    assign = {vid: algebra.basis[key[i]] for i, vid in enumerate(f.var_ids())}
+    return IdentityReport(False, assign, acc.value(key))
 
 
 def is_identity(f: GradedPolynomial, algebra: GradedAlgebra) -> bool:
@@ -396,7 +474,13 @@ def evaluation_span(f: GradedPolynomial, algebra: GradedAlgebra) -> Span:
             algebra.mul_vectors(u, v) for u in s1.basis() for v in s2.basis()
         )
     acc = accumulate_evaluations(f, algebra)
-    return span_of(vec_clean(acc[key]) for key in sorted(acc))
+    # A repeated value adds nothing to the span, so each distinct one is
+    # converted and added once, at its first key.
+    first: dict[frozenset, tuple] = {}
+    for key in sorted(acc):
+        if acc[key]:
+            first.setdefault(frozenset(acc[key].items()), key)
+    return span_of(acc.value(key) for key in first.values())
 
 
 def _check_identity_factored(f: GradedPolynomial, algebra: GradedAlgebra) -> IdentityReport:
@@ -428,9 +512,8 @@ def _value_pairs(
     acc = accumulate_evaluations(f, algebra)
     vids = f.var_ids()
     for key in sorted(acc):
-        value = vec_clean(acc[key])
-        if value:
-            yield {vid: algebra.basis[key[i]] for i, vid in enumerate(vids)}, value
+        if acc[key]:
+            yield {vid: algebra.basis[key[i]] for i, vid in enumerate(vids)}, acc.value(key)
 
 
 def _factored_counterexample(f: GradedPolynomial, algebra: GradedAlgebra):
@@ -638,7 +721,7 @@ def path_vanishes(
     bs = _path_block_structure(f, algebra)
     allowed = _path_rows(f, algebra, start_block, bs)
     acc = accumulate_evaluations(f, algebra, allowed_rows=allowed)
-    return all(not vec_clean(v) for v in acc.values())
+    return not any(acc.values())
 
 
 def _path_block_structure(f: GradedPolynomial, algebra: GradedAlgebra) -> BlockStructure:

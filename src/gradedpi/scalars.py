@@ -54,7 +54,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _reduce_mod_phi(order: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+def _reduce_mod_phi(order: int, coeffs: list) -> tuple:
+    """Remainder mod Phi_order of Fraction or int coefficients (ascending);
+    int input of length >= phi(order) stays int."""
     phi = cyclotomic_polynomial(order)
     deg = len(phi) - 1
     for i in range(len(coeffs) - 1, deg - 1, -1):
@@ -101,6 +103,12 @@ class CycScalar:
     @classmethod
     def from_rational(cls, order: int, value: Fraction | int) -> "CycScalar":
         return cls.from_poly(order, [Fraction(value)])
+
+    @classmethod
+    def from_scaled_ints(cls, order: int, ints: Sequence[int], scale: int) -> "CycScalar":
+        """Inverse of scaled_ints: the scalar with power-basis coordinates
+        ints / scale."""
+        return cls(order, [Fraction(c, scale) for c in ints])
 
     def _check_order(self, other: "CycScalar") -> None:
         if self.order != other.order:
@@ -159,6 +167,14 @@ class CycScalar:
             return self
         shifted = [Fraction(0)] * k + list(self.coeffs)
         return CycScalar.from_poly(self.order, shifted)
+
+    def scaled_ints(self, scale: int, k: int) -> tuple[int, ...]:
+        """Power-basis coordinates of scale * self * zeta^k as integers; scale
+        must be a multiple of every coefficient's denominator.  Phi_N is monic,
+        so reducing mod Phi_N keeps the coordinates integral."""
+        k %= self.order
+        ints = [0] * k + [c.numerator * (scale // c.denominator) for c in self.coeffs]
+        return _reduce_mod_phi(self.order, ints)
 
     def __pow__(self, n: int) -> "CycScalar":
         if n < 0:

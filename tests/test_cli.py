@@ -1,20 +1,24 @@
 """Document parsing, command dispatch, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from gradedpi.cli import (
     MACHINE_BEGIN,
     MACHINE_END,
+    MAX_RATIONAL_DIGITS,
     SessionDocument,
     main,
+    parse_coefficient,
     parse_polynomial,
     run,
     serialize_polynomial,
     serialize_presentation,
 )
 from gradedpi.errors import DocumentError
+from gradedpi.scalars import CycScalar
 
 
 def doc_z2(grading, polys=None, params=None, extra=None):
@@ -268,6 +272,20 @@ README_SAMPLE_WITH_POLYNOMIAL = {
          "polynomials.bin.monomials[0].order[0]"),
         (("polynomials", "bin", "monomials", 0, "order", 0), 1.5,
          "polynomials.bin.monomials[0].order[0]"),
+        (("polynomials", "bin"), {"variables": [], "monomials": [{"coeff": "1", "order": []}]},
+         "polynomials.bin"),
+        (("group",), {"table": [[0, "a"], [1, 0]]}, "group.table[0]"),
+        (("group",), {"table": [[0, 1], 5]}, "group.table[1]"),
+        (("group",), {"table": [[0, True], [True, 0]]}, "group.table[0]"),
+        (("group",), {"table": 5}, "group.table"),
+        (("polynomials", "bin", "monomials", 0, "coeff"), True,
+         "polynomials.bin.monomials[0].coeff"),
+        (("polynomials", "bin", "monomials", 0, "coeff"), [[0.7, "1"]],
+         "polynomials.bin.monomials[0].coeff[0]"),
+        (("polynomials", "bin", "monomials", 0, "coeff"), "1e999999",
+         "polynomials.bin.monomials[0].coeff"),
+        (("polynomials", "bin", "monomials", 0, "coeff"), [[1, "-1e-200"]],
+         "polynomials.bin.monomials[0].coeff[0]"),
     ],
 )
 def test_bad_document_exits_2_naming_the_field(path, value, field, tmp_path, capsys):
@@ -299,6 +317,17 @@ def test_envelope_truncation_must_be_an_integer_not_a_bool():
         run("envelope-check", doc)
     doc["params"]["truncation"] = 1
     assert run("envelope-check", doc)[1] == 1
+
+
+def test_coefficient_literals_are_capped_before_fraction_reads_them():
+    cap = MAX_RATIONAL_DIGITS
+    assert parse_coefficient(f"1e{cap - 1}", 1, "c") == CycScalar.from_rational(1, 10 ** (cap - 1))
+    assert parse_coefficient([[1, "-2/5"], [3, 1], [-1, "1/2"]], 4, "c") == CycScalar.from_poly(
+        4, [0, Fraction(-2, 5), 0, Fraction(3, 2)]
+    )
+    for bad in (f"1e{cap}", f"1e-{cap}", "9" * (cap + 1), "1e999999999999"):
+        with pytest.raises(DocumentError, match="exceeds"):
+            parse_coefficient(bad, 1, "c")
 
 
 def test_max_degree_cap():

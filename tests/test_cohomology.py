@@ -8,6 +8,7 @@ import pytest
 from gradedpi.cohomology import (
     Coboundary,
     Cocycle2,
+    CocycleViolation,
     classes_cohomologous,
     enumerate_binomials,
     invariance_obstruction,
@@ -51,6 +52,60 @@ def test_corrupt_entry_names_a_triple(k4):
     violations = bad.violations()
     assert violations
     assert any(v.kind == "identity" and len(v.triple) == 3 for v in violations)
+
+
+def _naive_violations(c: Cocycle2) -> list[CocycleViolation]:
+    """The exp-based triple loop that violations() replaced, as a reference."""
+    H = c.subgroup
+    g = H.parent
+    N = c.modulus
+    out = []
+    e_local = H.local_index(0)
+    for i, h in enumerate(H.members):
+        if c.exps[e_local][i] % N != 0:
+            out.append(CocycleViolation("normalization", (0, h), "c(e, h) != 1"))
+        if c.exps[i][e_local] % N != 0:
+            out.append(CocycleViolation("normalization", (h, 0), "c(h, e) != 1"))
+    for a in H.members:
+        for b in H.members:
+            for d in H.members:
+                lhs = c.exp(a, b) + c.exp(g.mul(a, b), d)
+                rhs = c.exp(a, g.mul(b, d)) + c.exp(b, d)
+                if (lhs - rhs) % N != 0:
+                    detail = f"c(a,b)c(ab,d) != c(a,bd)c(b,d) (exponents {lhs} vs {rhs})"
+                    out.append(CocycleViolation("identity", (a, b, d), detail))
+    return out
+
+
+def test_violations_match_the_naive_triple_loop():
+    """Same violations, order and messages as the exp-based loop, on valid
+    and corrupted tables over every subgroup of C2 x C6 and of D4."""
+    rng = random.Random(4711)
+    c2c6 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(6))
+    kinds = {"valid": 0, "normalization": 0, "identity": 0}
+    for G in (c2c6, FiniteGroup.dihedral(4)):
+        for H in G.all_subgroups():
+            n = len(H)
+            for N in (2, 3, 4, 12):
+                for _ in range(3):
+                    lam = (0,) + tuple(rng.randrange(N) for _ in range(n - 1))
+                    exps = [list(r) for r in Coboundary(H, N, lam).induced().exps]
+                    for _ in range(rng.randrange(3) if n > 1 else 0):
+                        i, j = rng.randrange(n), rng.randrange(n)
+                        exps[i][j] = (exps[i][j] + rng.randrange(1, N)) % N
+                    c = Cocycle2(H, N, exps)
+                    got = c.violations()
+                    assert got == _naive_violations(c)
+                    if not got:
+                        kinds["valid"] += 1
+                    for kind in {v.kind for v in got}:
+                        kinds[kind] += 1
+                    table = c.exponent_table()
+                    for a in G.elements():
+                        for b in G.elements():
+                            inside = a in H and b in H
+                            assert table[a][b] == (c.exp(a, b) if inside else 0)
+    assert min(kinds.values()) >= 10, kinds
 
 
 def _replay_on_identity(row_ops, m):

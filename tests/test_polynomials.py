@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
+from itertools import product as iproduct
+from math import gcd
 
 import pytest
 
-from gradedpi.algebra import Presentation, build_algebra
-from gradedpi.cohomology import Cocycle2, enumerate_binomials
+from gradedpi.algebra import Presentation, block_structure, build_algebra
+from gradedpi.cohomology import Coboundary, Cocycle2, enumerate_binomials
 from gradedpi.errors import (
     DegreeMismatchError,
     HypothesisError,
@@ -25,6 +28,7 @@ from gradedpi.polynomials import (
     check_identity,
     disjoint_product,
     evaluate,
+    evaluation_span,
     good_binomial,
     good_permutation_scalar,
     good_permutations_of,
@@ -40,7 +44,7 @@ from gradedpi.polynomials import (
 )
 from gradedpi.scalars import CycScalar, root_of_unity
 
-from conftest import brute_is_identity, random_multilinear
+from conftest import brute_is_identity, klein_nontrivial_cocycle, random_multilinear
 
 
 def one(n=1):
@@ -55,6 +59,14 @@ def test_multilinearity_enforced():
         GradedPolynomial(vs, [(one(), (1,))])
     with pytest.raises(NonMultilinearError):
         GradedPolynomial([GradedVariable(1, 0), GradedVariable(1, 1)], [])
+
+
+def test_degree_zero_monomial_rejected(p_z2_unbalanced):
+    with pytest.raises(NonMultilinearError, match="degree 0"):
+        GradedPolynomial([], [(one(), ())])
+    zero = GradedPolynomial([], [])
+    assert zero.is_zero() and zero.degree == 0
+    assert check_identity(zero, build_algebra(p_z2_unbalanced)).identity
 
 
 def test_monomials_merge_and_drop_zeros():
@@ -120,6 +132,145 @@ def test_oracle_matches_brute_force_random():
         for _ in range(40):
             f = random_multilinear(rng, A, rng.randint(1, 3))
             assert is_identity(f, A) == brute_is_identity(f, A)
+
+
+def _coefficient(N: int, pairs) -> CycScalar:
+    """The [[power, rational], ...] coefficient sum of q * zeta_N^power."""
+    coeffs = [Fraction(0)] * N
+    for power, q in pairs:
+        coeffs[power % N] += Fraction(q)
+    return CycScalar.from_poly(N, coeffs)
+
+
+def _brute_values(f: GradedPolynomial, A) -> list[tuple[tuple, dict]]:
+    """(key, value) for every homogeneous basis assignment, in sorted key
+    order, each value by element arithmetic (polynomials.evaluate)."""
+    vids = f.var_ids()
+    pools = [A.homogeneous_basis(f.degree_of[v]) for v in vids]
+    out = []
+    for key in sorted(iproduct(*pools)):
+        elements = assignment_elements(A, {vid: A.basis[k] for vid, k in zip(vids, key)})
+        out.append((key, evaluate(f, A, elements).terms))
+    return out
+
+
+def _presentations_over_moduli_3_4_12() -> list[Presentation]:
+    """Cocycles with non-trivial values: coboundaries of random maps, times the
+    Klein class lifted to N = 4 and a bilinear class at N = 12."""
+    rng = random.Random(5)
+
+    def coboundary(H, N):
+        """d(lambda) for a random lambda with a primitive N-th root among its values."""
+        while True:
+            lam = (0,) + tuple(rng.randrange(N) for _ in range(len(H) - 1))
+            c = Coboundary(H, N, lam).induced()
+            if any(gcd(e, N) == 1 for row in c.exps for e in row):
+                return c
+
+    def times(c: Cocycle2, other: Cocycle2) -> Cocycle2:
+        n = len(c.subgroup)
+        exps = [[c.exps[i][j] + other.exps[i][j] for j in range(n)] for i in range(n)]
+        return Cocycle2(c.subgroup, c.modulus, exps)
+
+    c2, c3, c6 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(3), FiniteGroup.cyclic(6)
+    k4 = FiniteGroup.direct_product(c2, c2)
+    c2c4 = FiniteGroup.direct_product(c2, FiniteGroup.cyclic(4))
+    c2c6 = FiniteGroup.direct_product(c2, c6)
+    h3 = c6.subgroup([0, 2, 4])
+    h4 = c2c4.subgroup(range(4))
+    hk = k4.full_subgroup()
+    h12 = c2c6.full_subgroup()
+    h6 = c2c6.subgroup(range(6))
+    mem12 = h12.members
+    bilinear = Cocycle2(h12, 12, [[6 * (a // 6) * (b % 6) for b in mem12] for a in mem12])
+    klein4 = klein_nontrivial_cocycle(hk).with_modulus(4)
+    return [
+        Presentation(c3, c3.full_subgroup(), coboundary(c3.full_subgroup(), 3), (0,)),
+        Presentation(c6, h3, coboundary(h3, 3), (0, 0, 1)),
+        Presentation(c2c4, h4, coboundary(h4, 4), (0, 4)),
+        Presentation(k4, hk, times(klein4, coboundary(hk, 4)), (0, 1)),
+        Presentation(c2c6, h12, times(bilinear, coboundary(h12, 12)), (0, 7)),
+        Presentation(c2c6, h6, coboundary(h6, 12), (0, 6)),
+    ]
+
+
+def _random_twisted_polynomial(rng, A, degree: int) -> GradedPolynomial:
+    """Up to four monomials with [[power, rational], ...] coefficients whose
+    rationals have denominators 2, 3 and 5."""
+    sup = sorted(A.support())
+    variables = variables_for([rng.choice(sup) for _ in range(degree)])
+    orders = list(permutations([v.vid for v in variables]))
+    monos = []
+    for order in rng.sample(orders, k=min(rng.randint(1, 4), len(orders))):
+        pairs = [
+            (rng.randrange(A.modulus), Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([2, 3, 5])))
+            for _ in range(rng.randint(1, 3))
+        ]
+        monos.append((_coefficient(A.modulus, pairs), order))
+    return GradedPolynomial(variables, monos)
+
+
+def test_integer_oracle_matches_brute_force_at_moduli_3_4_12():
+    """The scaled power-basis walk against evaluate over every assignment:
+    verdict, lex-first counterexample and its exact value, span dimension,
+    and path vanishing of pure components."""
+    rng = random.Random(31)
+    seen = {"identity": 0, "counterexample": 0, "vanishing_path": 0, "path": 0}
+    for p in _presentations_over_moduli_3_4_12():
+        A = build_algebra(p)
+        polys = [_random_twisted_polynomial(rng, A, rng.randint(1, 3)) for _ in range(12)]
+        try:
+            ctx = GoodScalarContext(p)
+        except (HypothesisError, NotNormalError):
+            ctx = None
+        for _ in range(4 if ctx else 0):
+            # Good binomials Z - s Z_sigma, scaled: identities.
+            degrees = [rng.choice(sorted(A.support())) for _ in range(3)]
+            sigma = rng.choice(list(good_permutations_of(degrees, p.subgroup))[1:] or [(0, 1, 2)])
+            scale = _coefficient(A.modulus, [(rng.randrange(A.modulus), Fraction(2, 15))])
+            polys.append(good_binomial(degrees, sigma, ctx.scalar(degrees, sigma)).scale(scale))
+        if p.subgroup == p.group.full_subgroup() and p.size == 1:
+            # Commutative F^c C3: vanishes only through 1 + z + z^2 = 0.
+            vs = variables_for([1, 1, 2])
+            z = [_coefficient(3, [(k, "1/2")]) for k in range(3)]
+            for last in (z[2], z[1]):
+                monos = [(z[0], (1, 2, 3)), (z[1], (2, 3, 1)), (last, (3, 1, 2))]
+                polys.append(GradedPolynomial(vs, monos))
+            assert is_identity(polys[-2], A) and not is_identity(polys[-1], A)
+        for f in polys:
+            values = _brute_values(f, A)
+            nonzero = [(key, value) for key, value in values if value]
+            report = check_identity(f, A)
+            assert report.identity == (not nonzero)
+            if nonzero:
+                key, value = nonzero[0]
+                assign = {vid: A.basis[k] for vid, k in zip(f.var_ids(), key)}
+                assert report.counterexample == assign
+                assert report.value == value
+                seen["counterexample"] += 1
+            else:
+                seen["identity"] += 1
+            span = Span()
+            for _, value in values:
+                span.add(value)
+            assert evaluation_span(f, A).dim == span.dim
+            if p.subgroup == p.group.full_subgroup() or f.is_zero():
+                continue  # paths need one canonical tuple entry per coset
+            bs = block_structure(p)
+            for g in pure_components(f, p.subgroup):
+                lead = f.var_ids().index(g.monomials[0].order[0])
+                for b in range(bs.k):
+                    rows = bs.positions[b]
+                    brute = all(
+                        not value
+                        for key, value in _brute_values(g, A)
+                        if A.basis[key[lead]][1] in rows
+                    )
+                    assert path_vanishes(g, A, b) == brute
+                    seen["path"] += 1
+                    seen["vanishing_path"] += brute
+    assert seen["identity"] >= 2 and seen["counterexample"] >= 40, seen
+    assert 0 < seen["vanishing_path"] < seen["path"], seen
 
 
 def test_identity_random_evaluations_vanish(p_k4_twisted):
