@@ -37,6 +37,11 @@ MACHINE_END = "--- end machine ---"
 # Q(zeta_N) costs O(N) and more per table built, so the cap is checked first.
 MAX_MODULUS = 1024
 
+# Longest grading tuple a presentation may declare.  The algebra has a basis
+# of m^2 |H| elements for a grading of length m, so the cap is checked before
+# any algebra is built.
+MAX_GRADING = 16
+
 # Most digits a rational literal in a coefficient may stand for, counting its
 # decimal exponent ("1e999999" stands for a million digits).  Checked before
 # Fraction reads the literal.
@@ -294,9 +299,14 @@ class SessionDocument:
             cocycle = Cocycle2(subgroup, modulus, exps)
         except GradedPIError as exc:
             raise DocumentError(f"{prefix}cocycle: {exc}") from exc
+        raw_grading = _need_list(raw, "grading", where, f"{prefix}grading")
+        if len(raw_grading) > MAX_GRADING:
+            raise DocumentError(
+                f"{prefix}grading: length {len(raw_grading)} exceeds the maximum {MAX_GRADING}"
+            )
         grading = [
             _resolve_element(v, self.names, self.group, f"{prefix}grading[{i}]")
-            for i, v in enumerate(_need_list(raw, "grading", where, f"{prefix}grading"))
+            for i, v in enumerate(raw_grading)
         ]
         try:
             return Presentation(self.group, subgroup, cocycle, tuple(grading))

@@ -2,13 +2,47 @@
 
 A cocycle stores exponents mod N: c(a, b) = zeta_N^exps[a][b], indexed by the
 subgroup's local element order.  Coboundary membership is decided exactly by
-diagonalizing the integer relation matrix (Smith-style row/column operations)
+diagonalizing an integer relation matrix (Smith-style row/column operations)
 and solving the diagonal congruences mod N, which handles composite N
-uniformly.  The relation matrix depends only on the subgroup, so a
-CoboundarySystem diagonalizes it once, records the row operations instead of
-forming the unimodular row matrix, and replays them on each right-hand side;
-one decision (class invariance, presentation equivalence) reuses one system
-for all its solves on that subgroup.
+uniformly.  The matrix depends only on the subgroup, so a CoboundarySystem
+diagonalizes it once, records the row operations instead of forming the
+unimodular row matrix, and replays them on each right-hand side; one decision
+(class invariance, presentation equivalence) reuses one system for all its
+solves on that subgroup.
+
+The decision runs on a generating set, as cohomology is computed from a
+presentation (Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, 2005, section 7.6).  S is picked greedily in member order: h joins S
+when right multiplication by the earlier generators does not reach it, so
+|S| <= log2 |H|.  The (e, e) equation of d(lambda) = c forces
+lambda(e) = c(e, e); each lambda(s), s in S, is an unknown u_s; a
+breadth-first walk over the edges a -> as (s in S) fixes every other element
+by lambda(as) = lambda(a) + lambda(s) - c(a, s), so each lambda(b) is
+integer-affine in the u_s.  The congruences left are those of the non-tree
+edges (a, s), (e, s) included: about |H||S| rows in |S| unknowns instead of
+the |H|^2 x |H| relation matrix.  Only the tree constants depend on c.
+
+Why this is exact.  A solution of the full system restricts to one of the
+reduced system, so "unsolvable" is correct for any table.  Conversely let c
+be a cocycle, lambda a solution of the reduced system and delta = c - d(lambda),
+again a cocycle, with delta(e, e) = 0 and delta(a, s) = 0 for all a in H and
+s in S.  The cocycle identity
+    delta(a, b) + delta(ab, s) = delta(a, bs) + delta(b, s)
+gives delta(a, b) = delta(a, bs), and every element is a positive word in S,
+so delta(a, .) is constant, equal to delta(a, e).  The identity at b = e,
+    delta(a, e) + delta(a, d) = delta(a, d) + delta(e, d),
+gives delta(a, e) = delta(e, d) = delta(e, e) = 0.  So delta = 0 and c = d(lambda).
+A table that is not a cocycle can pass the reduced system with a lambda that
+does not induce it; every witness is checked against c, and such a table is
+answered from the full system.
+
+The full |H|^2 x |H| system is otherwise needed only for a printed
+certificate: the CoboundaryObstruction names a row of its diagonalization.
+A CoboundarySystem builds it lazily, at most once, when
+coboundary_or_obstruction or trivial_class_obstruction must return an
+obstruction.  The yes/no decisions (is_coboundary, is_trivial_class,
+classes_cohomologous, and so presentation equivalence and a passing
+invariance check) never build it.
 """
 
 from __future__ import annotations
@@ -24,7 +58,7 @@ from .errors import (
     NotNormalError,
     VerificationFailedError,
 )
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, right_generators
 from .scalars import CycScalar, root_of_unity
 
 
@@ -168,37 +202,32 @@ class Cocycle2:
     def conjugate(self, g: int) -> "Cocycle2":
         """(g . c)(h1, h2) = c(g h1 g^-1, g h2 g^-1) on the same subgroup."""
         H = self.subgroup
-        grp = H.parent
-        conj = {}
+        table = H.parent.table
+        row_g, gi = table[g], H.parent.inv(g)
+        images = []
         for h in H.members:
-            x = grp.conj(g, h)
+            x = table[row_g[h]][gi]
             if x not in H.member_set:
                 raise NotNormalError(f"conjugation by {g} maps {h} outside H")
-            conj[h] = x
-        n = len(H)
-        mem = H.members
-        return Cocycle2(
-            H,
-            self.modulus,
-            [[self.exp(conj[mem[i]], conj[mem[j]]) for j in range(n)] for i in range(n)],
-        )
+            images.append(H.local_index(x))
+        return self._permuted(H, images)
 
     def transport(self, g: int) -> "Cocycle2":
         """Move the cocycle to the conjugate subgroup gHg^-1 (the M3 transport):
         c'(g h1 g^-1, g h2 g^-1) = c(h1, h2)."""
         H = self.subgroup
-        grp = H.parent
+        table = H.parent.table
         new_sub = H.conjugate(g)
-        gi = grp.inv(g)
-        mem = new_sub.members
-        n = len(mem)
+        row_gi = table[H.parent.inv(g)]
+        return self._permuted(
+            new_sub, [H.local_index(table[row_gi[x]][g]) for x in new_sub.members]
+        )
+
+    def _permuted(self, subgroup: Subgroup, local: list[int]) -> "Cocycle2":
+        """The cocycle on subgroup with entry [i][j] = exps[local[i]][local[j]]."""
+        exps = self.exps
         return Cocycle2(
-            new_sub,
-            self.modulus,
-            [
-                [self.exp(grp.conj(gi, mem[i]), grp.conj(gi, mem[j])) for j in range(n)]
-                for i in range(n)
-            ],
+            subgroup, self.modulus, [[exps[i][j] for j in local] for i in local]
         )
 
     # -- folds and binomials -------------------------------------------------------
@@ -398,53 +427,119 @@ def solve_congruences(
 class CoboundarySystem:
     """The congruences d(lambda) = c on one subgroup H, diagonalized once.
 
-    Row (i, j) of the relation matrix reads lambda_i + lambda_j - lambda_ij,
-    in local element order.  The matrix depends only on H, not on the cocycle
-    or its modulus, so one system serves every solve on H within a decision.
+    Decisions solve the reduced system on a generating set (see the module
+    docstring): one row per non-tree edge (a, s), reading
+    lambda(a) + lambda(s) - lambda(as) through each element's coefficients in
+    the unknowns u_s.  Row (i, j) of the full relation matrix reads
+    lambda_i + lambda_j - lambda_ij in local element order; it is built and
+    diagonalized on the first call that needs an obstruction.  Neither matrix
+    depends on the cocycle or its modulus, so one system serves every solve
+    on H within a decision.  All indices are local.
     """
 
-    __slots__ = ("subgroup", "rows", "smith")
+    __slots__ = ("subgroup", "tree", "edges", "coefs", "rows", "smith", "_full")
 
     def __init__(self, subgroup: Subgroup):
         g = subgroup.parent
-        n = len(subgroup)
         mem = subgroup.members
+        n = len(mem)
+        mul = [[subgroup.local_index(g.mul(a, b)) for b in mem] for a in mem]
+        gens = right_generators(mul)
+        k = len(gens)
+        coefs: list[Optional[tuple[int, ...]]] = [None] * n
+        coefs[0] = (0,) * k
+        for t, s in enumerate(gens):
+            coefs[s] = tuple(int(i == t) for i in range(k))
+        queue = [0, *gens]
+        tree = []  # (b, a, s): lambda(b) = lambda(a) + lambda(s) - c(a, s)
+        edges = []  # (a, s, b) with b = as, one congruence each
         rows = []
-        for i in range(n):
-            for j in range(n):
-                row = [0] * n
-                row[i] += 1
-                row[j] += 1
-                row[subgroup.local_index(g.mul(mem[i], mem[j]))] -= 1
-                rows.append(row)
+        for a in queue:  # the queue grows while it is walked
+            for t, s in enumerate(gens):
+                b = mul[a][s]
+                if coefs[b] is None:
+                    coefs[b] = tuple(v + (i == t) for i, v in enumerate(coefs[a]))
+                    tree.append((b, a, s))
+                    queue.append(b)
+                else:
+                    edges.append((a, s, b))
+                    rows.append([x + y - z for x, y, z in zip(coefs[a], coefs[s], coefs[b])])
         self.subgroup = subgroup
+        self.tree = tree
+        self.edges = edges
+        self.coefs = coefs
         self.rows = rows
         self.smith = smith_diagonalize(rows)
+        self._full: Optional[tuple[list[list[int]], SmithForm]] = None
 
-    def solve(self, c: Cocycle2) -> tuple[Optional[list[int]], Optional[CoboundaryObstruction]]:
+    def decide(
+        self, c: Cocycle2, certify: bool = False
+    ) -> tuple[Optional[Coboundary], Optional[CoboundaryObstruction]]:
+        """(witness, None) when c = d(lambda) mod N, else (None, obstruction).
+
+        The obstruction is that of the full system; it is None when certify
+        is false and the reduced system alone shows c is no coboundary.
+        """
         if c.subgroup != self.subgroup:
             raise CocycleError("cocycle lives on another subgroup than the system")
+        lam = self._solve_reduced(c)
+        if lam is not None:
+            wit = Coboundary(c.subgroup, c.modulus, lam)
+            if wit.induced() == c:
+                return wit, None
+        elif not certify:
+            return None, None
+        # A certificate, or a table that is not a cocycle: ask the full system.
+        sol, obstruction = self._solve_full(c)
+        if sol is not None:
+            raise VerificationFailedError("congruence solver returned a bad witness")
+        return None, obstruction
+
+    def _solve_reduced(self, c: Cocycle2) -> Optional[tuple[int, ...]]:
+        N = c.modulus
+        x = c.exps
+        kappa = [0] * len(self.coefs)  # the tree constants; kappa(s) = 0 on gens
+        kappa[0] = x[0][0]
+        for b, a, s in self.tree:
+            kappa[b] = (kappa[a] - x[a][s]) % N
+        rhs = [x[a][s] - kappa[a] + kappa[b] for a, s, b in self.edges]
+        u, _ = solve_congruences(self.rows, rhs, N, self.smith)
+        if u is None:
+            return None
+        return tuple(
+            (k + sum(f * v for f, v in zip(coef, u))) % N for k, coef in zip(kappa, self.coefs)
+        )
+
+    def _solve_full(self, c: Cocycle2):
+        if self._full is None:
+            g = self.subgroup.parent
+            mem = self.subgroup.members
+            n = len(mem)
+            rows = []
+            for i in range(n):
+                for j in range(n):
+                    row = [0] * n
+                    row[i] += 1
+                    row[j] += 1
+                    row[self.subgroup.local_index(g.mul(mem[i], mem[j]))] -= 1
+                    rows.append(row)
+            self._full = (rows, smith_diagonalize(rows))
+        rows, smith = self._full
         rhs = [v for row in c.exps for v in row]
-        return solve_congruences(self.rows, rhs, c.modulus, self.smith)
+        return solve_congruences(rows, rhs, c.modulus, smith)
 
 
 def is_coboundary(c: Cocycle2) -> Optional[Coboundary]:
     """A witness lambda with d(lambda) = c when one exists, else None."""
-    wit, _ = coboundary_or_obstruction(c)
-    return wit
+    return CoboundarySystem(c.subgroup).decide(c)[0]
 
 
 def coboundary_or_obstruction(
     c: Cocycle2, system: Optional[CoboundarySystem] = None
 ) -> tuple[Optional[Coboundary], Optional[CoboundaryObstruction]]:
-    """Decide c = d(lambda) mod N; system, when given, is that of c's subgroup."""
-    sol, obstruction = (system or CoboundarySystem(c.subgroup)).solve(c)
-    if sol is None:
-        return None, obstruction
-    wit = Coboundary(c.subgroup, c.modulus, tuple(sol))
-    if wit.induced() != c:
-        raise VerificationFailedError("congruence solver returned a bad witness")
-    return wit, None
+    """Decide c = d(lambda) mod N; system, when given, is that of c's subgroup.
+    A negative answer carries the full system's obstruction."""
+    return (system or CoboundarySystem(c.subgroup)).decide(c, certify=True)
 
 
 def subgroup_exponent(H: Subgroup) -> int:
@@ -469,7 +564,7 @@ def class_modulus(c: Cocycle2) -> int:
 def is_trivial_class(c: Cocycle2, system: Optional[CoboundarySystem] = None) -> bool:
     """True iff [c] = 1 in H^2(H, F*) (not merely modulo mu_N-coboundaries)."""
     lifted = c.with_modulus(class_modulus(c))
-    return coboundary_or_obstruction(lifted, system)[0] is not None
+    return (system or CoboundarySystem(c.subgroup)).decide(lifted)[0] is not None
 
 
 def trivial_class_obstruction(
@@ -510,8 +605,10 @@ def invariance_obstruction(
     c: Cocycle2,
 ) -> Optional[tuple[int, CoboundaryObstruction]]:
     """The first failing coset representative with its congruence obstruction,
-    or None when the class is G-invariant.  The congruence system of H is
-    diagonalized once, at the first non-trivial representative."""
+    or None when the class is G-invariant.  The reduced congruence system of
+    H is diagonalized once, at the first non-trivial representative; a
+    failing representative diagonalizes the full system once more, for its
+    certificate."""
     H = c.subgroup
     if not H.is_normal():
         raise NotNormalError("subgroup is not normal; the G-action is undefined")

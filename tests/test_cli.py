@@ -8,6 +8,7 @@ import pytest
 from gradedpi.cli import (
     MACHINE_BEGIN,
     MACHINE_END,
+    MAX_GRADING,
     MAX_RATIONAL_DIGITS,
     SessionDocument,
     main,
@@ -262,6 +263,9 @@ README_SAMPLE_WITH_POLYNOMIAL = {
         (("names", "sigma"), "x", "names.sigma"),
         (("second",), 5, "second"),
         (("grading", 2), True, "grading[2]"),
+        (("grading",), [0] * (MAX_GRADING + 1), "grading"),
+        (("second",), {"subgroup": [0], "cocycle": {"modulus": 1, "exponents": [[0]]},
+                       "grading": [0] * (MAX_GRADING + 1)}, "second.grading"),
         (("polynomials",), [], "polynomials"),
         (("polynomials", "bin", "variables"), 5, "polynomials.bin.variables"),
         (("polynomials", "bin", "monomials"), 5, "polynomials.bin.monomials"),

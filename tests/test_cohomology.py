@@ -2,6 +2,7 @@
 
 import random
 from itertools import permutations, product
+from math import gcd
 
 import pytest
 
@@ -9,7 +10,9 @@ from gradedpi.cohomology import (
     Coboundary,
     Cocycle2,
     CocycleViolation,
+    class_modulus,
     classes_cohomologous,
+    coboundary_or_obstruction,
     enumerate_binomials,
     invariance_obstruction,
     is_G_invariant_class,
@@ -17,6 +20,7 @@ from gradedpi.cohomology import (
     is_trivial_class,
     smith_diagonalize,
     solve_congruences,
+    trivial_class_obstruction,
 )
 from gradedpi import cohomology
 from gradedpi.algebra import (
@@ -407,3 +411,226 @@ def test_alpha_depends_only_on_class(k4):
         )
         for b in enumerate_binomials(c, 3):
             assert shifted.binomial_alpha_exp(b.hs, b.sigma) == b.alpha_exp
+
+
+def _exp_conjugate(c: Cocycle2, g: int) -> Cocycle2:
+    """The per-entry exp/conj comprehension that conjugate() replaced."""
+    H = c.subgroup
+    grp = H.parent
+    conj = {}
+    for h in H.members:
+        x = grp.conj(g, h)
+        if x not in H.member_set:
+            raise NotNormalError(f"conjugation by {g} maps {h} outside H")
+        conj[h] = x
+    mem = H.members
+    return Cocycle2(H, c.modulus, [[c.exp(conj[a], conj[b]) for b in mem] for a in mem])
+
+
+def _exp_transport(c: Cocycle2, g: int) -> Cocycle2:
+    """The per-entry exp/conj comprehension that transport() replaced."""
+    H = c.subgroup
+    grp = H.parent
+    new_sub = H.conjugate(g)
+    gi = grp.inv(g)
+    mem = new_sub.members
+    return Cocycle2(
+        new_sub, c.modulus, [[c.exp(grp.conj(gi, a), grp.conj(gi, b)) for b in mem] for a in mem]
+    )
+
+
+def test_conjugate_and_transport_match_the_exp_comprehension():
+    rng = random.Random(606)
+    c2 = FiniteGroup.cyclic(2)
+    groups = [
+        FiniteGroup.direct_product(c2, FiniteGroup.cyclic(6)),
+        FiniteGroup.dihedral(4),
+        FiniteGroup.direct_product(FiniteGroup.direct_product(c2, c2), c2),
+    ]
+    refused = 0
+    for G in groups:
+        for H in G.all_subgroups():
+            n = len(H)
+            c = Cocycle2(H, 12, [[rng.randrange(12) for _ in range(n)] for _ in range(n)])
+            for g in G.elements():
+                assert c.transport(g) == _exp_transport(c, g)
+                try:
+                    want = _exp_conjugate(c, g)
+                except NotNormalError as exc:
+                    with pytest.raises(NotNormalError) as err:
+                        c.conjugate(g)
+                    assert str(err.value) == str(exc)
+                    refused += 1
+                    continue
+                assert c.conjugate(g) == want
+    assert refused > 0
+
+
+def _full_system(H):
+    """The |H|^2 x |H| relation matrix of d(lambda) = c, with its
+    diagonalization, built independently of CoboundarySystem."""
+    g = H.parent
+    mem = H.members
+    n = len(mem)
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [0] * n
+            row[i] += 1
+            row[j] += 1
+            row[H.local_index(g.mul(mem[i], mem[j]))] -= 1
+            rows.append(row)
+    return rows, smith_diagonalize(rows)
+
+
+def _full_solve(full, c: Cocycle2):
+    rows, smith = full
+    return solve_congruences(rows, [v for row in c.exps for v in row], c.modulus, smith)
+
+
+def _characters(H, p: int) -> list[list[int]]:
+    """Every homomorphism H -> Z/p in local order, by brute force over the
+    values on a generating set."""
+    from gradedpi.groups import right_generators
+
+    g = H.parent
+    mem = H.members
+    n = len(mem)
+    mul = [[H.local_index(g.mul(a, b)) for b in mem] for a in mem]
+    gens = right_generators(mul)
+    out = []
+    for vals in product(range(p), repeat=len(gens)):
+        phi = [0] + [None] * (n - 1)
+        queue = [0]
+        for a in queue:
+            for s, v in zip(gens, vals):
+                b = mul[a][s]
+                if phi[b] is None:
+                    phi[b] = (phi[a] + v) % p
+                    queue.append(b)
+        if all((phi[a] + phi[b] - phi[mul[a][b]]) % p == 0 for a in range(n) for b in range(n)):
+            out.append(phi)
+    return out
+
+
+def _zoo_inputs(rng):
+    """(H, c, is_cocycle) over every subgroup of the AC-11 zoo at N = 2, 3, 4,
+    12: bilinear forms k phi(a) psi(b) of two characters into Z/p, plus a
+    normalized coboundary (one form per H and N is alternating, a
+    non-trivial class on the Klein-like subgroups), a coboundary with
+    lambda(e) != 0, and a table that breaks the identity."""
+    c2 = FiniteGroup.cyclic(2)
+    zoo = [
+        c2,
+        FiniteGroup.cyclic(3),
+        FiniteGroup.cyclic(4),
+        FiniteGroup.cyclic(6),
+        FiniteGroup.cyclic(8),
+        FiniteGroup.dihedral(3),
+        FiniteGroup.dihedral(4),
+        FiniteGroup.direct_product(c2, c2),
+        FiniteGroup.direct_product(c2, FiniteGroup.cyclic(4)),
+    ]
+    for G in zoo:
+        for H in G.all_subgroups():
+            n = len(H)
+            chars = {p: _characters(H, p) for p in (2, 3, 4)}
+            alternating = [
+                (2, phi, psi, 1)
+                for phi, psi in product(chars[2], repeat=2)
+                if any(phi[i] * psi[j] != phi[j] * psi[i] for i in range(n) for j in range(n))
+            ]
+            for N in (2, 3, 4, 12):
+                forms = [
+                    (p, rng.choice(chars[p]), rng.choice(chars[p]), rng.randrange(N))
+                    for p in (2, 3, 4)
+                ]
+                for p, phi, psi, k in forms + alternating[:1]:
+                    scale = k * (N // gcd(N, p))  # well defined mod N: p * scale = 0
+                    lam = (0,) + tuple(rng.randrange(N) for _ in range(n - 1))
+                    d = Coboundary(H, N, lam).induced().exps
+                    exps = [[scale * phi[i] * psi[j] + d[i][j] for j in range(n)] for i in range(n)]
+                    yield H, Cocycle2(H, N, exps), True
+                lam = (rng.randrange(1, N),) + tuple(rng.randrange(N) for _ in range(n - 1))
+                yield H, Coboundary(H, N, lam).induced(), True
+                exps = [list(r) for r in Coboundary(H, N, lam).induced().exps]
+                i, j = rng.randrange(n), rng.randrange(n)
+                exps[i][j] += rng.randrange(1, N)
+                broken = Cocycle2(H, N, exps)
+                yield H, broken, not any(v.kind == "identity" for v in broken.violations())
+
+
+def test_reduced_decision_matches_the_full_system_on_the_zoo(monkeypatch):
+    """The generating-set system against the full relation matrix, at the
+    given modulus and at the lifted one: same verdicts, the same obstruction
+    whenever one is returned, and the full matrix diagonalized only for a
+    certificate or a table that is not a cocycle."""
+    rng = random.Random(1212)
+    smith_calls = []
+    real_smith = cohomology.smith_diagonalize
+
+    def counting(*args):
+        smith_calls.append(len(args[0]))
+        return real_smith(*args)
+
+    monkeypatch.setattr(cohomology, "smith_diagonalize", counting)
+    seen = dict.fromkeys(
+        ("coboundary", "cocycle, no coboundary", "non-trivial class", "broken", "trivial H"), 0
+    )
+    fulls = {}
+    for H, c, is_cocycle in _zoo_inputs(rng):
+        full = fulls.setdefault(H, _full_system(H))
+        seen["trivial H"] += len(H) == 1
+        lifted = c.with_modulus(class_modulus(c))
+        for table, decide in (
+            (c, lambda: is_coboundary(c) is not None),
+            (lifted, lambda: is_trivial_class(c)),
+        ):
+            sol, obstruction = _full_solve(full, table)
+            smith_calls.clear()
+            assert decide() == (sol is not None)
+            if is_cocycle:  # one reduced system, never the |H|^2 full rows
+                assert len(smith_calls) == 1 and smith_calls[0] < len(H) ** 2
+            wit, got = coboundary_or_obstruction(table)
+            assert got == obstruction and str(got) == str(obstruction)
+            if wit is not None:
+                assert wit.induced() == table
+            if not is_cocycle:
+                seen["broken"] += table is c
+            elif table is c:
+                seen["coboundary" if sol is not None else "cocycle, no coboundary"] += 1
+            else:
+                seen["non-trivial class"] += sol is None
+        assert trivial_class_obstruction(c)[1] == _full_solve(full, lifted)[1]
+    assert min(seen.values()) >= 10, seen
+
+
+def test_invariance_builds_the_full_system_only_for_a_failure(p_z3z3_noninvariant, monkeypatch):
+    """A passing invariance decision diagonalizes one (reduced) system; a
+    failing one a second, full system for its certificate, which is the
+    full system's own obstruction."""
+    calls = []
+    real_smith = cohomology.smith_diagonalize
+
+    def counting(*args):
+        calls.append(1)
+        return real_smith(*args)
+
+    monkeypatch.setattr(cohomology, "smith_diagonalize", counting)
+    rng = random.Random(77)
+    passed = 0
+    for H, c, is_cocycle in _zoo_inputs(rng):
+        if not is_cocycle or H == H.parent.full_subgroup() or not H.is_normal():
+            continue
+        calls.clear()
+        assert invariance_obstruction(c) is None
+        assert len(calls) == 1
+        passed += 1
+    assert passed > 50
+    c = p_z3z3_noninvariant.cocycle
+    calls.clear()
+    g, obstruction = invariance_obstruction(c)
+    assert len(calls) == 2
+    diff = c.conjugate(g).quotient_exps(c)
+    lifted = diff.with_modulus(class_modulus(diff))
+    assert obstruction == _full_solve(_full_system(c.subgroup), lifted)[1] is not None

@@ -170,3 +170,88 @@ def test_element_order_and_conj():
     assert d4.element_order(4) == 2
     # conjugation by r sends s to s r^2 in the dihedral index layout
     assert d4.conj(1, 4) == 6
+
+
+def _naive_associativity_error(rows):
+    n = len(rows)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+                    return f"associativity fails at triple ({a}, {b}, {c})"
+    return None
+
+
+def _ac11_zoo():
+    return [
+        FiniteGroup.cyclic(2),
+        FiniteGroup.cyclic(3),
+        FiniteGroup.cyclic(4),
+        FiniteGroup.cyclic(6),
+        FiniteGroup.cyclic(8),
+        FiniteGroup.dihedral(3),
+        FiniteGroup.dihedral(4),
+        FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
+        FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)),
+    ]
+
+
+def test_nonassociative_loop_of_order_5_names_the_first_triple():
+    """The smallest non-associative loop: Latin, with identity 0."""
+    table = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+    with pytest.raises(InvalidTableError) as err:
+        FiniteGroup.from_table(table)
+    assert str(err.value) == _naive_associativity_error(table)
+
+
+def test_light_test_matches_the_naive_scan_on_corrupted_tables():
+    """Swapping the two symbols of a 2x2 Latin subsquare off the identity's
+    row and column keeps a Latin square with identity; Light's test must
+    reject exactly when the n^3 scan does, naming the same first triple."""
+    import random
+
+    rng = random.Random(2024)
+    rejected = 0
+    for g in _ac11_zoo() + [FiniteGroup.symmetric(3), FiniteGroup.cyclic(64)]:
+        n = g.order
+        base = [list(r) for r in g.table]
+        for _ in range(8):
+            rows = [list(r) for r in base]
+            for _ in range(rng.randint(1, 3)):
+                x1, x2, y1 = rng.randrange(1, n), rng.randrange(1, n), rng.randrange(1, n)
+                if x1 == x2:
+                    continue
+                p, q = rows[x1][y1], rows[x2][y1]
+                y2 = rows[x1].index(q)
+                if y2 != 0 and rows[x2][y2] == p:
+                    rows[x1][y1], rows[x1][y2] = q, p
+                    rows[x2][y1], rows[x2][y2] = p, q
+            want = _naive_associativity_error(rows)
+            if want is None:
+                assert FiniteGroup.from_table(rows).order == n
+                continue
+            with pytest.raises(InvalidTableError) as err:
+                FiniteGroup.from_table(rows)
+            assert str(err.value) == want
+            rejected += 1
+    assert rejected >= 20
+
+
+def test_every_zoo_group_constructs_with_few_generators():
+    from gradedpi.groups import right_generators
+
+    for g in _ac11_zoo():
+        assert FiniteGroup.from_table(g.table) == g
+        gens = right_generators(g.table)
+        assert len(g.generated_subgroup(gens)) == g.order
+        assert 2 ** len(gens) <= g.order
+        for H in g.all_subgroups():
+            assert FiniteGroup.from_table(
+                [[H.local_index(g.mul(a, b)) for b in H.members] for a in H.members]
+            ).order == len(H)
