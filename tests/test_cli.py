@@ -263,9 +263,6 @@ README_SAMPLE_WITH_POLYNOMIAL = {
         (("names", "sigma"), "x", "names.sigma"),
         (("second",), 5, "second"),
         (("grading", 2), True, "grading[2]"),
-        (("grading",), [0] * (MAX_GRADING + 1), "grading"),
-        (("second",), {"subgroup": [0], "cocycle": {"modulus": 1, "exponents": [[0]]},
-                       "grading": [0] * (MAX_GRADING + 1)}, "second.grading"),
         (("polynomials",), [], "polynomials"),
         (("polynomials", "bin", "variables"), 5, "polynomials.bin.variables"),
         (("polynomials", "bin", "monomials"), 5, "polynomials.bin.monomials"),
@@ -290,6 +287,9 @@ README_SAMPLE_WITH_POLYNOMIAL = {
          "polynomials.bin.monomials[0].coeff"),
         (("polynomials", "bin", "monomials", 0, "coeff"), [[1, "-1e-200"]],
          "polynomials.bin.monomials[0].coeff[0]"),
+        (("grading",), [0] * (MAX_GRADING + 1), "grading"),
+        (("second",), {"subgroup": [0], "cocycle": {"modulus": 1, "exponents": [[0]]},
+                       "grading": [0] * (MAX_GRADING + 1)}, "second.grading"),
     ],
 )
 def test_bad_document_exits_2_naming_the_field(path, value, field, tmp_path, capsys):
