@@ -79,8 +79,8 @@ class GradedAlgebra:
         "degree",
         "components",
         "_by_degree_row",
-        "_exp",
-        "_hmul",
+        "exp_table",
+        "mul_table",
         "_one",
     )
 
@@ -109,9 +109,9 @@ class GradedAlgebra:
             by_row.setdefault((g, t[1]), []).append(k)
         self.components = {g: tuple(v) for g, v in components.items()}
         self._by_degree_row = {key: tuple(v) for key, v in by_row.items()}
-        # Local copies for hot loops.
-        self._exp = presentation.cocycle.exp
-        self._hmul = G.mul
+        # Dense G x G tables for the hot loops (see Cocycle2.exponent_table).
+        self.exp_table = presentation.cocycle.exponent_table()
+        self.mul_table = G.table
         self._one = None
 
     # -- structure ------------------------------------------------------------
@@ -139,7 +139,7 @@ class GradedAlgebra:
         """Structure constants: returns (scalar exponent, triple) or None for 0."""
         if a[2] != b[1]:
             return None
-        return self._exp(a[0], b[0]), (self._hmul(a[0], b[0]), a[1], b[2])
+        return self.exp_table[a[0]][b[0]], (self.mul_table[a[0]][b[0]], a[1], b[2])
 
     def mul_vectors(self, u: dict, v: dict) -> dict[Triple, CycScalar]:
         """Product of two sparse triple -> scalar maps, zero terms dropped.

@@ -23,6 +23,11 @@ single generators for the odd ones uses at most d generators, so a truncation
 n >= d already detects every nonzero f*_eps(a); a truncated envelope is a
 subalgebra of the full one, so it has no nonzero value the full envelope
 lacks.  The verdict at any n >= d is therefore that of the full envelope.
+
+envelope_identity_check runs the identity oracle's walk once, on labels (vid,
+parity) whose edges are the base elements of degree (parity, g).  The sign
+goes into the terms, not the walk: each monomial enters once per parity
+pattern, negated when its odd variables stand in an odd permutation.
 """
 
 from __future__ import annotations
@@ -32,9 +37,8 @@ from itertools import combinations, count
 from typing import Optional
 
 from .algebra import GradedAlgebra
-from .errors import FactorizationError, TruncationError
-from .linalg import vec_clean
-from .polynomials import GradedPolynomial
+from .errors import DegreeMismatchError, FactorizationError, TruncationError
+from .polynomials import GradedPolynomial, _row_edges, _walk_paths
 from .scalars import CycScalar
 
 
@@ -216,17 +220,13 @@ def envelope_identity_check(
 
     Variable degrees of f are elements of the second (G) factor.  The
     truncation must be at least deg(f); the verdict then matches the full
-    envelope (module docstring).  Each monomial is walked once over chained
-    base assignments in which a variable of degree g takes a basis element of
-    degree (0, g) (even) or (1, g) (odd); placing an odd variable flips the
-    sign once for every odd variable already placed in a later slot.  The
-    counterexample is the nonzero assignment that is least under the
-    per-variable order (parity, basis index), written as envelope keys with
-    the generators 1, 2, ... given to the odd variables in id order and the
-    empty subset to the even ones.  That is the lex-first nonzero key over all
-    generator subsets as well: the canonical subsets are the least disjoint
-    ones of their parities, and canonical keys compare as (parity, index)
-    variable by variable.
+    envelope (module docstring).  The counterexample is the nonzero assignment
+    that is least under the per-variable order (parity, basis index), written
+    as envelope keys with the generators 1, 2, ... given to the odd variables
+    in id order and the empty subset to the even ones.  That is the lex-first
+    nonzero key over all generator subsets as well: the canonical subsets are
+    the least disjoint ones of their parities, and canonical keys compare as
+    (parity, index) variable by variable.
     """
     if truncation < f.degree:
         raise TruncationError(
@@ -234,54 +234,35 @@ def envelope_identity_check(
         )
     ng = _sign_split(base)[1].order
     vids = f.var_ids()
-    slot = {vid: i for i, vid in enumerate(vids)}
-    basis = base.basis
-    mul = base.group.mul
-    exp_of = base._exp
-    by_row = base.basis_by_degree_and_row
-    # assignment (per slot: (parity, base index)) -> base triple -> scalar
-    acc: dict[tuple, dict] = {}
+    nb = len(base.basis)
+    # Digit parity * nb + k: numeric key order is the (parity, index) order.
+    edges = {}
+    for s, vid in enumerate(vids):
+        g = f.degree_of[vid]
+        if not 0 <= g < ng:
+            raise DegreeMismatchError(f"x{vid}: degree {g} is not in the second factor")
+        for parity in (0, 1):
+            edges[vid, parity] = (s, _row_edges(base, parity * ng + g, parity * nb))
+    # Monomial i per parity pattern as coefficient 2i or its negation 2i + 1:
+    # an odd variable flips the sign once per odd later-id variable before it.
+    coeffs, terms = [], []
     for mono in f.monomials:
-        order = mono.order
-        n = len(order)
-        degs = [f.degree_of[v] for v in order]
-        slots_by_pos = [slot[v] for v in order]
-        coeff = mono.coeff
-        key: list = [None] * len(vids)
-
-        def rec(pos, col, hprod, expsum, odd_slots, sign):
-            if pos == n:
-                scalar = coeff.shift_root(expsum)
-                if sign < 0:
-                    scalar = -scalar
-                value = (hprod, basis[key[slots_by_pos[0]][1]][1], col)
-                bucket = acc.setdefault(tuple(key), {})
-                prev = bucket.get(value)
-                bucket[value] = scalar if prev is None else prev + scalar
-                return
-            s = slots_by_pos[pos]
-            odd_sign = -sign if (odd_slots >> (s + 1)).bit_count() % 2 else sign
-            for parity in (0, 1):
-                d = parity * ng + degs[pos]
-                mask = odd_slots | parity << s
-                sign2 = odd_sign if parity else sign
-                ks = base.homogeneous_basis(d) if pos == 0 else by_row(d, col)
-                for k in ks:
-                    t = basis[k]
-                    if pos == 0:
-                        h2, e2 = t[0], 0
-                    else:
-                        h2, e2 = mul(hprod, t[0]), expsum + exp_of(hprod, t[0])
-                    key[s] = (parity, k)
-                    rec(pos + 1, t[2], h2, e2, mask, sign2)
-
-        rec(0, None, 0, 0, 0, 1)
-    for tkey in sorted(acc):
-        if vec_clean(acc[tkey]):
-            odd_rank = count(1)
-            assign = {
-                vid: ((next(odd_rank),) if parity else (), k)
-                for vid, (parity, k) in zip(vids, tkey)
-            }
-            return EnvelopeIdentityReport(False, assign)
-    return EnvelopeIdentityReport(True)
+        ci = len(coeffs)
+        coeffs += (mono.coeff, -mono.coeff)
+        paths = [((), 0, 0)]  # (label path, odd-slot mask, flips)
+        for vid in mono.order:
+            s = vids.index(vid)
+            paths = [
+                (path + ((vid, p),), odd | p << s, flips + p * (odd >> s).bit_count())
+                for path, odd, flips in paths
+                for p in (0, 1)
+            ]
+        terms += [(ci + flips % 2, path) for path, _, flips in paths]
+    acc = _walk_paths(base, coeffs, terms, edges)
+    key = min((key for key, bucket in acc.items() if bucket), default=None)
+    if key is None:
+        return EnvelopeIdentityReport(True)
+    odd_rank = count(1)
+    pairs = (divmod(digit, nb) for digit in key)
+    assign = {vid: ((next(odd_rank),) if odd else (), k) for vid, (odd, k) in zip(vids, pairs)}
+    return EnvelopeIdentityReport(False, assign)

@@ -7,7 +7,8 @@ assignment.  A polynomial is an identity iff every accumulated value is zero;
 the lexicographically first nonzero assignment is returned as the
 counterexample.
 
-One walk (accumulate_evaluations) serves every caller:
+One walk serves every caller, the Grassmann envelope check included (its
+paths are monomial orders with a parity per variable, see grassmann):
 
 - The monomial orders form a prefix trie, so a prefix shared by several
   monomials (a chain of basis choices) is enumerated once; each leaf holds its
@@ -273,7 +274,7 @@ def evaluate(
     f: GradedPolynomial, algebra: GradedAlgebra, assignment: dict[int, AlgebraElement]
 ) -> AlgebraElement:
     """Sum over monomials of coeff times the ordered product of the images."""
-    _check_scalar_order(f, algebra)
+    _check_scalar_order(f.scalar_order, algebra)
     for v in f.variables:
         if v.vid not in assignment:
             raise DegreeMismatchError(f"variable x{v.vid} is unassigned")
@@ -310,10 +311,10 @@ class IdentityReport:
     value: Optional[dict[Triple, CycScalar]] = None
 
 
-def _check_scalar_order(f: GradedPolynomial, algebra: GradedAlgebra) -> None:
-    if f.scalar_order is not None and f.scalar_order != algebra.modulus:
+def _check_scalar_order(order: Optional[int], algebra: GradedAlgebra) -> None:
+    if order is not None and order != algebra.modulus:
         raise OrderMismatchError(
-            f"polynomial coefficients live in Q(zeta_{f.scalar_order}) "
+            f"polynomial coefficients live in Q(zeta_{order}) "
             f"but the algebra uses order {algebra.modulus}"
         )
 
@@ -344,25 +345,39 @@ class EvaluationTable(dict):
         }
 
 
-def _prefix_trie(poly: GradedPolynomial, edges: dict) -> tuple[tuple, list[CycScalar]]:
-    """Prefix trie over the monomial orders: a node is a tuple of
-    (*edges[vid], child) entries, and the child after a monomial's last
-    variable is the index of its coefficient in the returned list."""
+def _prefix_trie(terms: list, edges: dict) -> tuple:
+    """Prefix trie over the label paths of (coefficient index, path) terms: a
+    node is a tuple of (*edges[label], child) entries, and the child after a
+    path's last label is its coefficient index."""
     nested: dict = {}
-    index: dict[CycScalar, int] = {}
-    for m in poly.monomials:
+    for ci, path in terms:
         node = nested
-        for vid in m.order[:-1]:
-            node = node.setdefault(vid, {})
-        node[m.order[-1]] = index.setdefault(m.coeff, len(index))
+        for label in path[:-1]:
+            node = node.setdefault(label, {})
+        node[path[-1]] = ci
 
     def freeze(node: dict) -> tuple:
         return tuple(
-            (*edges[vid], child if type(child) is int else freeze(child))
-            for vid, child in node.items()
+            (*edges[label], child if type(child) is int else freeze(child))
+            for label, child in node.items()
         )
 
-    return freeze(nested), list(index)
+    return freeze(nested)
+
+
+def _row_edges(algebra: GradedAlgebra, g: int, offset: int = 0, rows=None) -> list[tuple]:
+    """Per row: the (offset + basis index, H-part, column) of the degree-g
+    basis elements there; none in a row outside the set rows."""
+    basis = algebra.basis
+    return [
+        tuple(
+            (offset + k, basis[k][0], basis[k][2])
+            for k in algebra.basis_by_degree_and_row(g, row)
+        )
+        if rows is None or row in rows
+        else ()
+        for row in range(algebra.presentation.size)
+    ]
 
 
 def accumulate_evaluations(
@@ -372,33 +387,36 @@ def accumulate_evaluations(
 ) -> EvaluationTable:
     """Assignment table of poly over the homogeneous basis assignments whose
     chained matrix units have a nonzero product (see EvaluationTable)."""
-    _check_scalar_order(poly, algebra)
-    N = algebra.modulus
-    scale = lcm(*(q.denominator for m in poly.monomials for q in m.coeff.coeffs))
-    acc = EvaluationTable(N, scale)
-    if not poly.monomials:
-        return acc
-    m = algebra.presentation.size
-    basis = algebra.basis
-    # Per variable: its key slot, and per row the (basis index, H-part,
-    # column) of its degree's basis elements there (none where allowed_rows
-    # bars the row).
     edges = {}
     for i, vid in enumerate(poly.var_ids()):
         restrict = allowed_rows.get(vid) if allowed_rows else None
-        by_row = [
-            algebra.basis_by_degree_and_row(poly.degree_of[vid], row)
-            if restrict is None or row in restrict
-            else ()
-            for row in range(m)
-        ]
-        edges[vid] = (i, [tuple((k, basis[k][0], basis[k][2]) for k in ks) for ks in by_row])
-    trie, coeffs = _prefix_trie(poly, edges)
+        edges[vid] = (i, _row_edges(algebra, poly.degree_of[vid], rows=restrict))
+    index: dict[CycScalar, int] = {}
+    terms = [(index.setdefault(m.coeff, len(index)), m.order) for m in poly.monomials]
+    return _walk_paths(algebra, list(index), terms, edges)
+
+
+def _walk_paths(
+    algebra: GradedAlgebra, coeffs: list[CycScalar], terms: list, edges: dict
+) -> EvaluationTable:
+    """The chained-path walk behind accumulate_evaluations and the envelope
+    check.  terms are (index into coeffs, label path) pairs, every path
+    visiting each key slot once; edges maps a label to (key slot, per row the
+    (key digit, H-part, column) of the basis elements it may take there).
+    The table's keys are tuples of digits by slot."""
+    _check_scalar_order(coeffs[0].order if coeffs else None, algebra)
+    N = algebra.modulus
+    scale = lcm(*(q.denominator for coeff in coeffs for q in coeff.coeffs))
+    acc = EvaluationTable(N, scale)
+    if not terms:
+        return acc
+    m = algebra.presentation.size
+    trie = _prefix_trie(terms, edges)
     vectors: list[dict[int, tuple[int, ...]]] = [{} for _ in coeffs]
-    mul = algebra.group.table
+    mul = algebra.mul_table
     # Row 0 is zero: build_algebra validated the cocycle, so it is normalized.
-    exps = algebra.presentation.cocycle.exponent_table()
-    key = [0] * len(edges)
+    exps = algebra.exp_table
+    key = [0] * len(terms[0][1])
 
     def walk(node: tuple, ends: list, col: int, hprod: int, expsum: int) -> None:
         mul_row, exp_row = mul[hprod], exps[hprod]
@@ -449,7 +467,7 @@ def check_identity(f: GradedPolynomial, algebra: GradedAlgebra) -> IdentityRepor
     evaluation spans: a product on disjoint variables is an identity iff every
     product of span vectors vanishes, so the concatenated monomials are never
     walked."""
-    _check_scalar_order(f, algebra)
+    _check_scalar_order(f.scalar_order, algebra)
     if f.factors is not None:
         return _check_identity_factored(f, algebra)
     acc = accumulate_evaluations(f, algebra)

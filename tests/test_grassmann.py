@@ -6,7 +6,12 @@ import pytest
 
 from gradedpi.algebra import Presentation, build_algebra
 from gradedpi.cohomology import Cocycle2
-from gradedpi.errors import FactorizationError, TruncationError
+from gradedpi.errors import (
+    DegreeMismatchError,
+    FactorizationError,
+    OrderMismatchError,
+    TruncationError,
+)
 from gradedpi.grassmann import (
     EnvelopeAlgebra,
     GrassmannElement,
@@ -14,7 +19,7 @@ from gradedpi.grassmann import (
 )
 from gradedpi.groups import FiniteGroup
 from gradedpi.polynomials import GradedPolynomial, monomial_polynomial, variables_for
-from gradedpi.scalars import CycScalar
+from gradedpi.scalars import CycScalar, root_of_unity
 
 
 def gens(n, count):
@@ -299,3 +304,126 @@ def test_envelope_counterexample_is_the_lex_first_key():
                 parities = {len(subset) % 2 for subset, _ in expected.values()}
                 mixed += parities == {0, 1}
     assert compared >= 20 and mixed >= 3
+
+
+def coboundary_exps(H, modulus, lam):
+    """Exponent table of d(lam): (a, b) -> lam(a) + lam(b) - lam(ab)."""
+    mul = H.parent.mul
+    return [
+        [(lam[a] + lam[b] - lam[mul(a, b)]) % modulus for b in H.members] for a in H.members
+    ]
+
+
+def twisted_envelope_bases():
+    """Bases with phi(N) > 1 and nonzero cocycle exponents, each with its
+    second-factor order: Z2 x C2 at N = 4 (the bilinear class 2 p_a y_b plus a
+    coboundary) and Z2 x C3 at N = 3 (a coboundary), each over its whole
+    group; and the sign-group algebras of both at a coboundary, whose
+    envelopes are Grassmann algebras."""
+    z2, c3 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(3)
+    g4 = FiniteGroup.direct_product(z2, z2)
+    g6 = FiniteGroup.direct_product(z2, c3)
+    H4, H6 = g4.full_subgroup(), g6.full_subgroup()
+    bilinear = coboundary_exps(H4, 4, {0: 0, 1: 3, 2: 1, 3: 2})
+    for i, a in enumerate(H4.members):
+        for j, b in enumerate(H4.members):
+            bilinear[i][j] = (bilinear[i][j] + 2 * (a // 2) * (b % 2)) % 4
+    S4, S6 = g4.subgroup([0, 2]), g6.subgroup([0, 3])
+    cocycles = [
+        (g4, Cocycle2(H4, 4, bilinear)),
+        (g6, Cocycle2(H6, 3, coboundary_exps(H6, 3, dict(enumerate((0, 1, 2, 2, 0, 1)))))),
+        (g4, Cocycle2(S4, 4, coboundary_exps(S4, 4, {0: 0, 2: 1}))),
+        (g6, Cocycle2(S6, 3, coboundary_exps(S6, 3, {0: 0, 3: 2}))),
+    ]
+    return [
+        (build_algebra(Presentation(G, c.subgroup, c, (0,))), G.product_factors[1].order)
+        for G, c in cocycles
+    ]
+
+
+def random_cyclotomic(rng, order):
+    from fractions import Fraction
+
+    from gradedpi.scalars import euler_phi
+
+    return CycScalar(
+        order, [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(euler_phi(order))]
+    )
+
+
+def test_envelope_check_matches_brute_force_at_moduli_3_and_4():
+    """Verdict and lex-first counterexample against the brute-force envelope
+    oracles, with coefficients in Q(zeta_N) on bases with phi(N) > 1."""
+    import random
+    from itertools import permutations
+
+    rng = random.Random(3141)
+    bases = twisted_envelope_bases()
+    identities = nonidentities = 0
+    for trial in range(32):
+        A, ng = bases[trial % 2]
+        N = A.modulus
+        d = rng.randint(1, 3)
+        vs = variables_for([rng.randrange(ng) for _ in range(d)])
+        orders = list(permutations(v.vid for v in vs))
+        monos = [
+            (random_cyclotomic(rng, N), o)
+            for o in rng.sample(orders, k=rng.randint(1, len(orders)))
+        ]
+        f = GradedPolynomial(vs, monos)
+        if f.is_zero():
+            continue
+        n = d + trial % 2
+        report = envelope_identity_check(f, A, n)
+        assert report.identity == brute_envelope_identity(f, A, n)
+        assert report.counterexample == first_nonzero_envelope_key(f, A, n)
+        nonidentities += not report.identity
+    # The triple commutator is an identity of the Grassmann algebra, so of
+    # the sign-group algebras' envelopes.
+    for A, _ in bases[2:]:
+        vs = variables_for([0, 0, 0])
+        a = random_cyclotomic(rng, A.modulus)
+        terms = (((1, 2, 3), 1), ((2, 1, 3), -1), ((3, 1, 2), -1), ((3, 2, 1), 1))
+        f = GradedPolynomial(vs, [(a if s > 0 else -a, o) for o, s in terms])
+        for n in (3, 4):
+            assert envelope_identity_check(f, A, n).identity
+            assert brute_envelope_identity(f, A, n)
+            identities += 1
+    assert identities == 4 and nonidentities >= 20
+
+
+def test_envelope_check_makes_no_cocycle_or_scalar_calls(monkeypatch):
+    """The envelope check reads the algebra's dense tables and integer
+    vectors: no Cocycle2.exp lookups and no CycScalar shifts or sums."""
+    calls = {"exp": 0, "shift_root": 0, "__add__": 0}
+    for owner, name in ((Cocycle2, "exp"), (CycScalar, "shift_root"), (CycScalar, "__add__")):
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    A, _ = twisted_envelope_bases()[0]
+    one = CycScalar.one(4)
+    vs = variables_for([0, 1, 1])
+    f = GradedPolynomial(vs, [(one, (1, 2, 3)), (root_of_unity(4, 1), (3, 1, 2))])
+    calls.update(dict.fromkeys(calls, 0))
+    report = envelope_identity_check(f, A, 3)
+    assert not report.identity
+    assert calls == {"exp": 0, "shift_root": 0, "__add__": 0}
+
+
+def test_envelope_check_rejects_a_coefficient_order_mismatch():
+    A = base_env_fixture((0, 2))  # modulus 1
+    f = monomial_polynomial(variables_for([0, 0]), root_of_unity(3, 1))
+    with pytest.raises(OrderMismatchError):
+        envelope_identity_check(f, A, 2)
+
+
+def test_envelope_check_rejects_a_degree_outside_the_second_factor():
+    A = base_env_fixture((0, 2))  # Z2 x C2: second-factor degrees are 0 and 1
+    for degree in (2, 3, -1):
+        f = monomial_polynomial(variables_for([degree]), CycScalar.one(1))
+        with pytest.raises(DegreeMismatchError):
+            envelope_identity_check(f, A, 1)
