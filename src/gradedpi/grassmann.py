@@ -234,15 +234,17 @@ def envelope_identity_check(
         )
     ng = _sign_split(base)[1].order
     vids = f.var_ids()
-    nb = len(base.basis)
-    # Digit parity * nb + k: numeric key order is the (parity, index) order.
+    nb, d = len(base.basis), len(vids)
+    # Slot s holds digit parity * nb + k with weight (2 nb)^(d-1-s): numeric
+    # key order is the per-variable (parity, index) order.
     edges = {}
     for s, vid in enumerate(vids):
         g = f.degree_of[vid]
         if not 0 <= g < ng:
             raise DegreeMismatchError(f"x{vid}: degree {g} is not in the second factor")
+        weight = (2 * nb) ** (d - 1 - s)
         for parity in (0, 1):
-            edges[vid, parity] = (s, _row_edges(base, parity * ng + g, parity * nb))
+            edges[vid, parity] = _row_edges(base, parity * ng + g, weight, parity * nb)
     # Monomial i per parity pattern as coefficient 2i or its negation 2i + 1:
     # an odd variable flips the sign once per odd later-id variable before it.
     coeffs, terms = [], []
@@ -258,11 +260,11 @@ def envelope_identity_check(
                 for p in (0, 1)
             ]
         terms += [(ci + flips % 2, path) for path, _, flips in paths]
-    acc = _walk_paths(base, coeffs, terms, edges)
+    acc = _walk_paths(base, coeffs, terms, edges, 2 * nb, d)
     key = min((key for key, bucket in acc.items() if bucket), default=None)
     if key is None:
         return EnvelopeIdentityReport(True)
     odd_rank = count(1)
-    pairs = (divmod(digit, nb) for digit in key)
+    pairs = (divmod(digit, nb) for digit in acc.digits(key))
     assign = {vid: ((next(odd_rank),) if odd else (), k) for vid, (odd, k) in zip(vids, pairs)}
     return EnvelopeIdentityReport(False, assign)

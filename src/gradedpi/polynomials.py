@@ -7,6 +7,13 @@ assignment.  A polynomial is an identity iff every accumulated value is zero;
 the lexicographically first nonzero assignment is returned as the
 counterexample.
 
+An assignment key is one int: the basis index of the slot-i variable (in
+sorted id order) is its digit of weight nb^(d-1-i), nb = len(basis), and the
+walk adds a digit's weight along each edge.  Numeric order of keys is then
+lexicographic order of the digit tuples, so the least nonzero key is the
+lex-first counterexample; EvaluationTable.digits decodes only the keys that
+are reported.
+
 One walk serves every caller, the Grassmann envelope check included (its
 paths are monomial orders with a parity per variable, see grassmann):
 
@@ -325,19 +332,29 @@ _ZERO = MappingProxyType({})
 
 
 class EvaluationTable(dict):
-    """Assignment key (basis indices of the variables in sorted id order) ->
-    {value triple: nonzero integer vector}.  A vector holds the power-basis
-    coordinates over Q(zeta_order) of the exact value times `scale`; keys the
-    walk reached whose value is zero map to the empty _ZERO."""
+    """Assignment key -> {value triple: nonzero integer vector}.  A key is the
+    int whose base-radix digits, most significant first, are the width slots'
+    digits (decoded by digits).  A vector holds the power-basis coordinates
+    over Q(zeta_order) of the exact value times `scale`; keys the walk reached
+    whose value is zero map to the empty _ZERO."""
 
-    __slots__ = ("order", "scale")
+    __slots__ = ("order", "scale", "radix", "width")
 
-    def __init__(self, order: int, scale: int):
+    def __init__(self, order: int, scale: int, radix: int, width: int):
         super().__init__()
         self.order = order
         self.scale = scale
+        self.radix = radix
+        self.width = width
 
-    def value(self, key: tuple) -> dict[Triple, CycScalar]:
+    def digits(self, key: int) -> tuple[int, ...]:
+        """The slot digits of a key, slot 0 first."""
+        out = [0] * self.width
+        for i in range(self.width - 1, -1, -1):
+            key, out[i] = divmod(key, self.radix)
+        return tuple(out)
+
+    def value(self, key: int) -> dict[Triple, CycScalar]:
         """The value at one assignment as canonical scalars."""
         order, scale = self.order, self.scale
         return {
@@ -347,7 +364,7 @@ class EvaluationTable(dict):
 
 def _prefix_trie(terms: list, edges: dict) -> tuple:
     """Prefix trie over the label paths of (coefficient index, path) terms: a
-    node is a tuple of (*edges[label], child) entries, and the child after a
+    node is a tuple of (edges[label], child) entries, and the child after a
     path's last label is its coefficient index."""
     nested: dict = {}
     for ci, path in terms:
@@ -358,20 +375,22 @@ def _prefix_trie(terms: list, edges: dict) -> tuple:
 
     def freeze(node: dict) -> tuple:
         return tuple(
-            (*edges[label], child if type(child) is int else freeze(child))
+            (edges[label], child if type(child) is int else freeze(child))
             for label, child in node.items()
         )
 
     return freeze(nested)
 
 
-def _row_edges(algebra: GradedAlgebra, g: int, offset: int = 0, rows=None) -> list[tuple]:
-    """Per row: the (offset + basis index, H-part, column) of the degree-g
-    basis elements there; none in a row outside the set rows."""
+def _row_edges(
+    algebra: GradedAlgebra, g: int, weight: int, offset: int = 0, rows=None
+) -> list[tuple]:
+    """Per row: the ((offset + basis index) * weight, H-part, column) of the
+    degree-g basis elements there; none in a row outside the set rows."""
     basis = algebra.basis
     return [
         tuple(
-            (offset + k, basis[k][0], basis[k][2])
+            ((offset + k) * weight, basis[k][0], basis[k][2])
             for k in algebra.basis_by_degree_and_row(g, row)
         )
         if rows is None or row in rows
@@ -387,58 +406,67 @@ def accumulate_evaluations(
 ) -> EvaluationTable:
     """Assignment table of poly over the homogeneous basis assignments whose
     chained matrix units have a nonzero product (see EvaluationTable)."""
+    vids = poly.var_ids()
+    nb, d = len(algebra.basis), len(vids)
     edges = {}
-    for i, vid in enumerate(poly.var_ids()):
+    for i, vid in enumerate(vids):
         restrict = allowed_rows.get(vid) if allowed_rows else None
-        edges[vid] = (i, _row_edges(algebra, poly.degree_of[vid], rows=restrict))
+        edges[vid] = _row_edges(
+            algebra, poly.degree_of[vid], nb ** (d - 1 - i), rows=restrict
+        )
     index: dict[CycScalar, int] = {}
     terms = [(index.setdefault(m.coeff, len(index)), m.order) for m in poly.monomials]
-    return _walk_paths(algebra, list(index), terms, edges)
+    return _walk_paths(algebra, list(index), terms, edges, nb, d)
 
 
 def _walk_paths(
-    algebra: GradedAlgebra, coeffs: list[CycScalar], terms: list, edges: dict
+    algebra: GradedAlgebra,
+    coeffs: list[CycScalar],
+    terms: list,
+    edges: dict,
+    radix: int,
+    width: int,
 ) -> EvaluationTable:
     """The chained-path walk behind accumulate_evaluations and the envelope
     check.  terms are (index into coeffs, label path) pairs, every path
-    visiting each key slot once; edges maps a label to (key slot, per row the
-    (key digit, H-part, column) of the basis elements it may take there).
-    The table's keys are tuples of digits by slot."""
+    visiting each of the width key slots once; edges maps a label to, per
+    row, the (weighted key digit, H-part, column) of the basis elements it may
+    take there.  A key is the sum of its path's weighted digits."""
     _check_scalar_order(coeffs[0].order if coeffs else None, algebra)
     N = algebra.modulus
     scale = lcm(*(q.denominator for coeff in coeffs for q in coeff.coeffs))
-    acc = EvaluationTable(N, scale)
+    acc = EvaluationTable(N, scale, radix, width)
     if not terms:
         return acc
     m = algebra.presentation.size
     trie = _prefix_trie(terms, edges)
-    vectors: list[dict[int, tuple[int, ...]]] = [{} for _ in coeffs]
+    # Per coefficient, L * coeff * zeta^e by exponent e, filled on first use.
+    vectors: list[Optional[list]] = [None] * len(coeffs)
     mul = algebra.mul_table
     # Row 0 is zero: build_algebra validated the cocycle, so it is normalized.
     exps = algebra.exp_table
-    key = [0] * len(terms[0][1])
 
-    def walk(node: tuple, ends: list, col: int, hprod: int, expsum: int) -> None:
+    def walk(node: tuple, ends: list, col: int, hprod: int, expsum: int, kv: int) -> None:
         mul_row, exp_row = mul[hprod], exps[hprod]
-        if type(node[0][2]) is not int:
-            for s, per_row, child in node:
+        if type(node[0][1]) is not int:
+            for per_row, child in node:
                 for k, h, c in per_row[col]:
-                    key[s] = k
-                    walk(child, ends, c, mul_row[h], expsum + exp_row[h])
+                    walk(child, ends, c, mul_row[h], expsum + exp_row[h], kv + k)
             return
-        for s, per_row, ci in node:
+        for per_row, ci in node:
             coeff, cached = coeffs[ci], vectors[ci]
+            if cached is None:
+                cached = vectors[ci] = [None] * N
             for k, h, c in per_row[col]:
-                key[s] = k
                 e = (expsum + exp_row[h]) % N
-                vec = cached.get(e)
+                vec = cached[e]
                 if vec is None:
                     vec = cached[e] = coeff.scaled_ints(scale, e)
-                tkey = tuple(key)
+                key = kv + k
                 t = ends[mul_row[h]][c]
-                bucket = acc.get(tkey)
+                bucket = acc.get(key)
                 if not bucket:
-                    acc[tkey] = {t: vec}
+                    acc[key] = {t: vec}
                     continue
                 prev = bucket.get(t)
                 if prev is None:
@@ -450,13 +478,13 @@ def _walk_paths(
                 elif len(bucket) > 1:
                     del bucket[t]
                 else:
-                    acc[tkey] = _ZERO
+                    acc[key] = _ZERO
 
     # A chain starting in row r is a walk from the identity with column r; its
     # value triples (h, r, col) are ends[h][col], one object shared by all keys.
     for r in range(m):
         ends = [[(h, r, c) for c in range(m)] for h in range(len(mul))]
-        walk(trie, ends, r, 0, 0)
+        walk(trie, ends, r, 0, 0, 0)
     return acc
 
 
@@ -474,7 +502,7 @@ def check_identity(f: GradedPolynomial, algebra: GradedAlgebra) -> IdentityRepor
     key = min((key for key, bucket in acc.items() if bucket), default=None)
     if key is None:
         return IdentityReport(True)
-    assign = {vid: algebra.basis[key[i]] for i, vid in enumerate(f.var_ids())}
+    assign = {vid: algebra.basis[k] for vid, k in zip(f.var_ids(), acc.digits(key))}
     return IdentityReport(False, assign, acc.value(key))
 
 
@@ -494,7 +522,7 @@ def evaluation_span(f: GradedPolynomial, algebra: GradedAlgebra) -> Span:
     acc = accumulate_evaluations(f, algebra)
     # A repeated value adds nothing to the span, so each distinct one is
     # converted and added once, at its first key.
-    first: dict[frozenset, tuple] = {}
+    first: dict[frozenset, int] = {}
     for key in sorted(acc):
         if acc[key]:
             first.setdefault(frozenset(acc[key].items()), key)
@@ -531,7 +559,8 @@ def _value_pairs(
     vids = f.var_ids()
     for key in sorted(acc):
         if acc[key]:
-            yield {vid: algebra.basis[key[i]] for i, vid in enumerate(vids)}, acc.value(key)
+            assign = {vid: algebra.basis[k] for vid, k in zip(vids, acc.digits(key))}
+            yield assign, acc.value(key)
 
 
 def _factored_counterexample(f: GradedPolynomial, algebra: GradedAlgebra):

@@ -255,3 +255,45 @@ def test_every_zoo_group_constructs_with_few_generators():
             assert FiniteGroup.from_table(
                 [[H.local_index(g.mul(a, b)) for b in H.members] for a in H.members]
             ).order == len(H)
+
+
+def _full_scan_error(g: FiniteGroup, members):
+    """The |S|^2 reference: the first inverse or product that leaves the set,
+    member by member in index order; None for a subgroup."""
+    ms = tuple(sorted(set(members)))
+    for a in ms:
+        if g.inv(a) not in ms:
+            return f"member {a} has inverse outside the set"
+        for b in ms:
+            if g.mul(a, b) not in ms:
+                return f"product {a}*{b} leaves the set"
+    return None
+
+
+def test_closure_on_generators_matches_the_full_scan():
+    """Every subset holding the identity of C6, D4, S3 and C2xC4: the same
+    verdict and the same NotSubgroupError message as the full scan."""
+    from itertools import combinations
+
+    c2c4 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(4))
+    zoo = [
+        (FiniteGroup.cyclic(6), 4),
+        (FiniteGroup.dihedral(4), 10),
+        (FiniteGroup.symmetric(3), 6),
+        (c2c4, 8),
+    ]
+    for g, n_subgroups in zoo:
+        found = 0
+        rest = range(1, g.order)
+        for size in range(g.order):
+            for extra in combinations(rest, size):
+                members = (0,) + extra
+                want = _full_scan_error(g, members)
+                if want is None:
+                    assert g.subgroup(members).members == members
+                    found += 1
+                    continue
+                with pytest.raises(NotSubgroupError) as err:
+                    g.subgroup(members)
+                assert str(err.value) == want
+        assert found == n_subgroups == len(g.all_subgroups())

@@ -20,9 +20,11 @@ from gradedpi.errors import (
 from gradedpi.groups import FiniteGroup
 from gradedpi.linalg import Span
 from gradedpi.polynomials import (
+    EvaluationTable,
     GoodScalarContext,
     GradedPolynomial,
     GradedVariable,
+    accumulate_evaluations,
     alternate,
     assignment_elements,
     check_identity,
@@ -718,3 +720,112 @@ def test_binomial_completeness_degree_three(p_k4_twisted):
                 )
                 assert is_identity(poly, A)
                 assert binomial_span.contains(vec), (degrees, sigmas[si0], sigmas[si])
+
+
+def _encode(digits, radix: int) -> int:
+    key = 0
+    for digit in digits:
+        key = key * radix + digit
+    return key
+
+
+def test_key_digits_round_trip_and_order_lexicographically():
+    """Mixed-radix keys at radix 2..40 and width up to 20 (past 2^64):
+    digits inverts the encoding, and numeric order is lex digit order."""
+    rng = random.Random(8)
+    wide = 0
+    for radix in range(2, 41):
+        for width in (1, 2, 3, 7, 20):
+            table = EvaluationTable(1, 1, radix, width)
+            tuples = {
+                tuple(rng.randrange(radix) for _ in range(width)) for _ in range(30)
+            }
+            tuples |= {(0,) * width, (radix - 1,) * width}
+            keys = {_encode(t, radix): t for t in tuples}
+            assert len(keys) == len(tuples)
+            for key, t in keys.items():
+                assert table.digits(key) == t
+            assert [keys[k] for k in sorted(keys)] == sorted(tuples)
+            wide += max(keys) >= 2**64
+    assert wide > 0
+
+
+def test_envelope_key_radix_orders_by_parity_then_index():
+    """The envelope's digit parity * nb + k at radix 2 nb: numeric key order
+    is the per-variable (parity, index) order, and divmod recovers both."""
+    rng = random.Random(9)
+    for nb in (1, 2, 4, 16):
+        for width in (1, 3, 5):
+            table = EvaluationTable(1, 1, 2 * nb, width)
+            pairs = {
+                tuple((rng.randrange(2), rng.randrange(nb)) for _ in range(width))
+                for _ in range(40)
+            }
+            keys = {_encode([p * nb + k for p, k in t], 2 * nb): t for t in pairs}
+            assert len(keys) == len(pairs)
+            for key, t in keys.items():
+                assert tuple(divmod(digit, nb) for digit in table.digits(key)) == t
+            assert [keys[k] for k in sorted(keys)] == sorted(pairs)
+
+
+def _chained_keys(f: GradedPolynomial, A, allowed_rows=None) -> set[tuple]:
+    """Every assignment (basis indices in sorted id order) whose matrix units
+    chain in the order of some monomial, by brute force over all of them."""
+    vids = f.var_ids()
+    pools = [A.homogeneous_basis(f.degree_of[v]) for v in vids]
+    keys = set()
+    for key in iproduct(*pools):
+        triple = {vid: A.basis[k] for vid, k in zip(vids, key)}
+        if allowed_rows and any(
+            triple[vid][1] not in rows for vid, rows in allowed_rows.items()
+        ):
+            continue
+        for m in f.monomials:
+            units = [triple[vid] for vid in m.order]
+            if all(a[2] == b[1] for a, b in zip(units, units[1:])):
+                keys.add(key)
+                break
+    return keys
+
+
+def test_key_count_matches_brute_force_at_sixteen_basis_elements(k4):
+    """Twisted K4 with two tuple entries (nb = 16), degree 3: the table holds
+    exactly the chained assignments, with the brute-force nonzero ones and
+    lex-first counterexample, with and without allowed rows.  Keys merged by
+    a wrong weight would shrink the table."""
+    H = k4.full_subgroup()
+    A = build_algebra(Presentation(k4, H, klein_nontrivial_cocycle(H), (0, 1)))
+    assert len(A.basis) == 16
+    rng = random.Random(16)
+    zero_keys = 0
+    for _ in range(12):
+        f = random_multilinear(rng, A, 3, max_monomials=6)
+        for lead_rows in (None, frozenset({0}), frozenset({1})):
+            allowed = {f.monomials[0].order[0]: lead_rows} if lead_rows else None
+            acc = accumulate_evaluations(f, A, allowed_rows=allowed)
+            keys = _chained_keys(f, A, allowed)
+            nonzero = sorted(
+                key
+                for key in keys
+                if evaluate(
+                    f, A, assignment_elements(
+                        A, {vid: A.basis[k] for vid, k in zip(f.var_ids(), key)}
+                    )
+                )
+            )
+            assert len(acc) == len(keys)
+            assert {acc.digits(key) for key in acc} == keys
+            assert sum(1 for bucket in acc.values() if bucket) == len(nonzero)
+            first = min((key for key, bucket in acc.items() if bucket), default=None)
+            assert (first is None) == (not nonzero)
+            if nonzero:
+                assert acc.digits(first) == nonzero[0]
+            if lead_rows is None:
+                report = check_identity(f, A)
+                assert report.identity == (not nonzero)
+                if nonzero:
+                    assert report.counterexample == {
+                        vid: A.basis[k] for vid, k in zip(f.var_ids(), nonzero[0])
+                    }
+            zero_keys += len(keys) - len(nonzero)
+    assert zero_keys > 0
