@@ -38,12 +38,12 @@ from .polynomials import (
     GradedPolynomial,
     GradedVariable,
     Triple,
+    _factor_spans,
     alternate,
     assignment_elements,
     check_identity,
     disjoint_product,
     evaluate,
-    evaluation_span,
     monomial_polynomial,
 )
 from .scalars import CycScalar
@@ -358,7 +358,14 @@ def verify_witness(
     product decision.  The identity oracle would decide disjoint_product(f, g)
     by recomputing the same two spans and running the same test, so it could
     not disagree and is not asked again; product_identity is read off the
-    span check."""
+    span check.
+
+    When f and g have the same shape (GradedPolynomial.shape) they have the
+    same evaluation span, and one walk computes it.  The alternating factors
+    of unequal_blocks and non_normal pairs are one polynomial on shifted
+    variable ids, so they always share; a missing_coset pair shares only when
+    its vanishing word is (t, t).  Every other obligation is still checked on
+    both factors."""
     A = algebra if algebra is not None else build_algebra(pair.presentation)
     val_f = evaluate(pair.f, A, assignment_elements(A, pair.assignment_f))
     if not val_f:
@@ -366,8 +373,7 @@ def verify_witness(
     val_g = evaluate(pair.g, A, assignment_elements(A, pair.assignment_g))
     if not val_g:
         raise VerificationFailedError("canonical evaluation of g vanished")
-    span_f = evaluation_span(pair.f, A)
-    span_g = evaluation_span(pair.g, A)
+    span_f, span_g = _factor_spans(pair.f, pair.g, A)
     if span_f.dim == 0 or span_g.dim == 0:
         raise VerificationFailedError("a factor has zero evaluation span")
     product_zero = all(

@@ -79,11 +79,16 @@ class Cocycle2:
 
     __slots__ = ("subgroup", "modulus", "exps")
 
-    def __init__(self, subgroup: Subgroup, modulus: int, exps):
+    def __init__(self, subgroup: Subgroup, modulus: int, exps, *, _reduced=False):
+        """_reduced: the caller, a method of this module, computed every entry
+        as an int in [0, modulus), so none is reduced again."""
         if modulus < 1:
             raise CocycleError("modulus must be a positive integer")
         n = len(subgroup)
-        rows = tuple(tuple(int(v) % modulus for v in row) for row in exps)
+        if _reduced:
+            rows = tuple(map(tuple, exps))
+        else:
+            rows = tuple(tuple(int(v) % modulus for v in row) for row in exps)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise CocycleError(f"exponent table must be {n}x{n}")
         self.subgroup = subgroup
@@ -166,7 +171,10 @@ class Cocycle2:
             raise CocycleError("new modulus must be a multiple of the old one")
         f = new_modulus // self.modulus
         return Cocycle2(
-            self.subgroup, new_modulus, [[v * f for v in row] for row in self.exps]
+            self.subgroup,
+            new_modulus,
+            [[v * f for v in row] for row in self.exps],
+            _reduced=True,
         )
 
     def quotient_exps(self, other: "Cocycle2") -> "Cocycle2":
@@ -181,6 +189,7 @@ class Cocycle2:
                 [(self.exps[i][j] - other.exps[i][j]) % self.modulus for j in range(n)]
                 for i in range(n)
             ],
+            _reduced=True,
         )
 
     def __eq__(self, other) -> bool:
@@ -227,7 +236,10 @@ class Cocycle2:
         """The cocycle on subgroup with entry [i][j] = exps[local[i]][local[j]]."""
         exps = self.exps
         return Cocycle2(
-            subgroup, self.modulus, [[exps[i][j] for j in local] for i in local]
+            subgroup,
+            self.modulus,
+            [[exps[i][j] for j in local] for i in local],
+            _reduced=True,
         )
 
     # -- folds and binomials -------------------------------------------------------
@@ -277,7 +289,9 @@ class Coboundary:
             ij = H.local_index(g.mul(mem[i], mem[j]))
             return (self.lam[i] + self.lam[j] - self.lam[ij]) % self.modulus
 
-        return Cocycle2(H, self.modulus, [[d(i, j) for j in range(n)] for i in range(n)])
+        return Cocycle2(
+            H, self.modulus, [[d(i, j) for j in range(n)] for i in range(n)], _reduced=True
+        )
 
 
 @dataclass(frozen=True)

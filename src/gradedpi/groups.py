@@ -14,7 +14,9 @@ The set of a that pass is closed under products (when a and b pass,
 (x ab) y = ((x a) b) y = (x a)(b y) = x (a (b y)) = x ((ab) y)) and holds the
 identity, so it holds every left-nested product of generators, which is
 every element.  On a failure the n^3 scan runs in (a, b, c) order, so the
-error names the first failing triple.
+error names the first failing triple.  The tables that cyclic and
+direct_product build are group tables with identity 0 by construction and
+are not validated again.
 
 A subset S holding the identity is closed under products iff S t is inside S
 for each greedy right generator t of S (right_generators over S): every
@@ -40,11 +42,14 @@ class FiniteGroup:
 
     __slots__ = ("order", "table", "_inv", "name", "product_factors")
 
-    def __init__(self, table, name: str = "G", product_factors=None):
+    def __init__(self, table, name: str = "G", product_factors=None, *, _trusted=False):
+        """_trusted: the caller, a constructor of this class, built the table
+        as a group table with identity 0, so it is not validated again."""
         rows = tuple(tuple(r) for r in table)
-        e = _validate_table(rows)
-        if e != 0:
-            rows = _relabel(rows, e)
+        if not _trusted:
+            e = _validate_table(rows)
+            if e != 0:
+                rows = _relabel(rows, e)
         self.order = len(rows)
         self.table = rows
         self.name = name
@@ -106,7 +111,7 @@ class FiniteGroup:
     def cyclic(cls, n: int) -> "FiniteGroup":
         _check_order(n)
         table = [[(a + b) % n for b in range(n)] for a in range(n)]
-        return cls(table, name=f"C{n}")
+        return cls(table, name=f"C{n}", _trusted=True)
 
     @classmethod
     def dihedral(cls, n: int) -> "FiniteGroup":
@@ -156,7 +161,7 @@ class FiniteGroup:
             [a.mul(x // nb, y // nb) * nb + b.mul(x % nb, y % nb) for y in range(size)]
             for x in range(size)
         ]
-        return cls(table, name=f"{a.name}x{b.name}", product_factors=(a, b))
+        return cls(table, name=f"{a.name}x{b.name}", product_factors=(a, b), _trusted=True)
 
     # -- subgroup machinery ---------------------------------------------------
 

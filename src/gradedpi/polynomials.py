@@ -35,14 +35,15 @@ paths are monomial orders with a parity per variable, see grassmann):
 
 Polynomials built as products on disjoint variables carry their
 factorization, which lets the oracle decide the product through the factors'
-evaluation spans instead of walking the concatenated monomials.
+evaluation spans instead of walking the concatenated monomials.  Two factors
+of the same shape (GradedPolynomial.shape) have one span, from one walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from math import lcm
+from itertools import chain, permutations
+from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
 from typing import Iterator, Optional, Sequence
@@ -135,6 +136,21 @@ class GradedPolynomial:
 
     def var_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.degree_of))
+
+    def shape(self) -> tuple:
+        """The degrees in sorted-id order, and each monomial's (coeff, order)
+        with every id replaced by its rank among the ids.
+
+        accumulate_evaluations reads a polynomial only through var_ids(),
+        degree_of and the monomials, and uses an id only as the label of its
+        rank's key slot, so two polynomials with equal shapes give equal
+        tables, and therefore equal evaluation spans."""
+        ids = self.var_ids()
+        rank = {vid: i for i, vid in enumerate(ids)}
+        return (
+            tuple(self.degree_of[vid] for vid in ids),
+            tuple((m.coeff, tuple(rank[v] for v in m.order)) for m in self.monomials),
+        )
 
     def total_degrees(self, group: FiniteGroup) -> tuple[int, ...]:
         return tuple(
@@ -440,11 +456,18 @@ def _walk_paths(
         return acc
     m = algebra.presentation.size
     trie = _prefix_trie(terms, edges)
-    # Per coefficient, L * coeff * zeta^e by exponent e, filled on first use.
-    vectors: list[Optional[list]] = [None] * len(coeffs)
     mul = algebra.mul_table
     # Row 0 is zero: build_algebra validated the cocycle, so it is normalized.
+    # Every exponent sum is a multiple of g = gcd(N, table entries), so the
+    # walk sums e // g modulo N // g and multiplies by g only on first use.
     exps = algebra.exp_table
+    g = gcd(N, *chain.from_iterable(exps))
+    if g > 1:
+        exps = [[v // g for v in row] for row in exps]
+    n = N // g
+    # Per coefficient, L * coeff * zeta^(g e) by reduced exponent e, filled on
+    # first use.
+    vectors: list[Optional[list]] = [None] * len(coeffs)
 
     def walk(node: tuple, ends: list, col: int, hprod: int, expsum: int, kv: int) -> None:
         mul_row, exp_row = mul[hprod], exps[hprod]
@@ -456,12 +479,12 @@ def _walk_paths(
         for per_row, ci in node:
             coeff, cached = coeffs[ci], vectors[ci]
             if cached is None:
-                cached = vectors[ci] = [None] * N
+                cached = vectors[ci] = [None] * n
             for k, h, c in per_row[col]:
-                e = (expsum + exp_row[h]) % N
+                e = (expsum + exp_row[h]) % n
                 vec = cached[e]
                 if vec is None:
-                    vec = cached[e] = coeff.scaled_ints(scale, e)
+                    vec = cached[e] = coeff.scaled_ints(scale, e * g)
                 key = kv + k
                 t = ends[mul_row[h]][c]
                 bucket = acc.get(key)
@@ -485,6 +508,10 @@ def _walk_paths(
     for r in range(m):
         ends = [[(h, r, c) for c in range(m)] for h in range(len(mul))]
         walk(trie, ends, r, 0, 0, 0)
+    # walk holds itself through its closure cell.  Clearing the cell breaks
+    # that cycle, so the table is freed when the caller drops it, not at the
+    # next full collection.
+    walk = None
     return acc
 
 
@@ -513,9 +540,7 @@ def is_identity(f: GradedPolynomial, algebra: GradedAlgebra) -> bool:
 def evaluation_span(f: GradedPolynomial, algebra: GradedAlgebra) -> Span:
     """Reduced span of all values of f on homogeneous basis assignments."""
     if f.factors is not None:
-        left, right = f.factors
-        s1 = evaluation_span(left, algebra)
-        s2 = evaluation_span(right, algebra)
+        s1, s2 = _factor_spans(*f.factors, algebra)
         return span_of(
             algebra.mul_vectors(u, v) for u in s1.basis() for v in s2.basis()
         )
@@ -523,16 +548,25 @@ def evaluation_span(f: GradedPolynomial, algebra: GradedAlgebra) -> Span:
     # A repeated value adds nothing to the span, so each distinct one is
     # converted and added once, at its first key.
     first: dict[frozenset, int] = {}
-    for key in sorted(acc):
-        if acc[key]:
-            first.setdefault(frozenset(acc[key].items()), key)
+    for key in sorted(k for k, bucket in acc.items() if bucket):
+        first.setdefault(frozenset(acc[key].items()), key)
     return span_of(acc.value(key) for key in first.values())
 
 
-def _check_identity_factored(f: GradedPolynomial, algebra: GradedAlgebra) -> IdentityReport:
-    left, right = f.factors
+def _factor_spans(
+    left: GradedPolynomial, right: GradedPolynomial, algebra: GradedAlgebra
+) -> tuple[Span, Span]:
+    """The evaluation spans of two factors, from one walk when they have the
+    same shape (see GradedPolynomial.shape).  A factored polynomial's span is
+    built from its own factors, so it is never shared."""
     s1 = evaluation_span(left, algebra)
-    s2 = evaluation_span(right, algebra)
+    if left.factors is None and right.factors is None and left.shape() == right.shape():
+        return s1, s1
+    return s1, evaluation_span(right, algebra)
+
+
+def _check_identity_factored(f: GradedPolynomial, algebra: GradedAlgebra) -> IdentityReport:
+    s1, s2 = _factor_spans(*f.factors, algebra)
     for u in s1.basis():
         for v in s2.basis():
             if algebra.mul_vectors(u, v):
@@ -547,8 +581,9 @@ def _value_pairs(
     """Lazy (assignment, nonzero value) stream in deterministic order."""
     if f.factors is not None:
         left, right = f.factors
+        right_pairs = _Replay(_value_pairs(right, algebra))
         for a1, v1 in _value_pairs(left, algebra):
-            for a2, v2 in _value_pairs(right, algebra):
+            for a2, v2 in right_pairs:
                 prod = algebra.mul_vectors(v1, v2)
                 if prod:
                     merged = dict(a1)
@@ -557,10 +592,29 @@ def _value_pairs(
         return
     acc = accumulate_evaluations(f, algebra)
     vids = f.var_ids()
-    for key in sorted(acc):
-        if acc[key]:
-            assign = {vid: algebra.basis[k] for vid, k in zip(vids, acc.digits(key))}
-            yield assign, acc.value(key)
+    for key in sorted(k for k, bucket in acc.items() if bucket):
+        assign = {vid: algebra.basis[k] for vid, k in zip(vids, acc.digits(key))}
+        yield assign, acc.value(key)
+
+
+class _Replay:
+    """A lazy stream that can be iterated again: each item is drawn from the
+    stream once, on the first pass that reaches it, and replayed after."""
+
+    def __init__(self, stream: Iterator):
+        self._stream = stream
+        self._seen: list = []
+
+    def __iter__(self) -> Iterator:
+        seen, i = self._seen, 0
+        while True:
+            if i == len(seen):
+                item = next(self._stream, None)
+                if item is None:
+                    return
+                seen.append(item)
+            yield seen[i]
+            i += 1
 
 
 def _factored_counterexample(f: GradedPolynomial, algebra: GradedAlgebra):

@@ -13,6 +13,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from gradedpi import polynomials
 from gradedpi.algebra import GradedAlgebra, Presentation
 from gradedpi.cohomology import Cocycle2
 from gradedpi.groups import FiniteGroup
@@ -239,3 +240,17 @@ def random_multilinear(
     chosen = rng.sample(orders, k=min(count, len(orders)))
     monos = [(random_rational(rng, algebra.modulus), o) for o in chosen]
     return GradedPolynomial(vs, monos)
+
+
+def count_walks(monkeypatch) -> list:
+    """Record each polynomial that polynomials.accumulate_evaluations walks
+    from now on (the module's callers look it up at call time)."""
+    calls = []
+    walk = polynomials.accumulate_evaluations
+
+    def counting(poly, *args, **kwargs):
+        calls.append(poly)
+        return walk(poly, *args, **kwargs)
+
+    monkeypatch.setattr(polynomials, "accumulate_evaluations", counting)
+    return calls

@@ -1,9 +1,11 @@
 """Classification flags, witness pairs, verification, and the product probes."""
 
+import dataclasses
 import random
 
 import pytest
 
+from gradedpi import polynomials
 from gradedpi.algebra import Presentation, build_algebra, normalize_presentation
 from gradedpi.classify import (
     classify,
@@ -13,17 +15,24 @@ from gradedpi.classify import (
     witness_nonstrong,
 )
 from gradedpi.cohomology import Cocycle2
-from gradedpi.errors import DisconnectedGradingError, NonMultilinearError
+from gradedpi.errors import (
+    DisconnectedGradingError,
+    NonMultilinearError,
+    VerificationFailedError,
+)
 from gradedpi.groups import FiniteGroup
 from gradedpi.polynomials import (
     GradedPolynomial,
+    assignment_elements,
     check_identity,
+    evaluate,
+    evaluation_span,
     monomial_polynomial,
     variables_for,
 )
 from gradedpi.scalars import CycScalar
 
-from conftest import random_multilinear
+from conftest import count_walks, random_multilinear
 
 
 def test_flag_implications_on_fixture_zoo(
@@ -290,3 +299,69 @@ def test_verify_witness_rejects_degenerate_pairs(p_z2_balanced):
     )
     with pytest.raises(VerificationFailedError):
         verify_witness(degenerate, Af)
+
+
+def _missing_coset_pair(z4, grading=(0, 1)):
+    H = z4.trivial_subgroup()
+    return witness_nonstrong(Presentation(z4, H, Cocycle2.trivial(H, 1), grading))
+
+
+@pytest.mark.parametrize("fixture", ["p_z2_unbalanced", "p_d3_reflection"])
+def test_alternating_witness_factors_are_walked_once(fixture, request, monkeypatch):
+    """g is f on shifted ids: one walk per verify_witness, and the
+    certificate equals the one two walks give."""
+    w = witness_nonstrong(request.getfixturevalue(fixture))
+    assert w.kind in ("unequal_blocks", "non_normal")
+    assert w.f.shape() == w.g.shape()
+    A = build_algebra(w.presentation)
+    span_g = evaluation_span(w.g, A).basis()
+    calls = count_walks(monkeypatch)
+    cert = verify_witness(w, A)
+    assert calls == [w.f]
+    assert cert.span_g_basis == span_g == cert.span_f_basis
+    assert cert.span_square_zero and cert.span_product_zero
+    assert cert.span_g_basis is not cert.span_f_basis
+
+
+def test_missing_coset_witness_walks_both_factors(z4, monkeypatch):
+    """Over (0, 1, 2) the vanishing word is (1, 1, 1): f = x1 x2 and g = x4
+    differ in shape, so both are walked.  Over (0, 1) it is (1, 1): f = x1
+    and g = x3 have one shape, and one walk serves both."""
+    w = _missing_coset_pair(z4, (0, 1, 2))
+    assert w.kind == "missing_coset" and w.f.shape() != w.g.shape()
+    calls = count_walks(monkeypatch)
+    verify_witness(w)
+    assert calls == [w.f, w.g]
+    w = _missing_coset_pair(z4)
+    assert w.kind == "missing_coset" and w.f.shape() == w.g.shape()
+    calls.clear()
+    cert = verify_witness(w)
+    assert calls == [w.f]
+    assert cert.span_f_basis == cert.span_g_basis
+
+
+def test_mutated_factor_gets_a_fresh_certificate(z4, p_z2_unbalanced):
+    """One coefficient of g changed: its span is walked, not shared.  A
+    missing_coset g times 2 stays a witness, and its certificate equals the
+    freshly computed one; one coefficient of an alternating g doubled makes
+    f g a non-identity, and verification says so."""
+    w = _missing_coset_pair(z4)
+    (m,) = w.g.monomials
+    g2 = GradedPolynomial(w.g.variables, [(m.coeff + m.coeff, m.order)])
+    pair = dataclasses.replace(w, g=g2)
+    A = build_algebra(pair.presentation)
+    cert = verify_witness(pair, A)
+    value_g = evaluate(g2, A, assignment_elements(A, pair.assignment_g))
+    assert cert.value_g == dict(value_g.terms) != verify_witness(w, A).value_g
+    assert cert.span_f_basis == evaluation_span(pair.f, A).basis()
+    assert cert.span_g_basis == evaluation_span(g2, A).basis()
+
+    w = witness_nonstrong(p_z2_unbalanced)
+    monos = [(m.coeff, m.order) for m in w.g.monomials]
+    monos[7] = (monos[7][0] + monos[7][0], monos[7][1])
+    g2 = GradedPolynomial(w.g.variables, monos)
+    assert g2.shape() != w.f.shape()
+    A = build_algebra(w.presentation)
+    assert not check_identity(polynomials.disjoint_product(w.f, g2), A).identity
+    with pytest.raises(VerificationFailedError, match="span product is nonzero"):
+        verify_witness(dataclasses.replace(w, g=g2), A)

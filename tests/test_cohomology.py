@@ -31,7 +31,12 @@ from gradedpi.algebra import (
     presentations_equivalent,
 )
 from gradedpi.classify import classify
-from gradedpi.errors import BinomialConditionError, NotNormalError, VerificationFailedError
+from gradedpi.errors import (
+    BinomialConditionError,
+    CocycleError,
+    NotNormalError,
+    VerificationFailedError,
+)
 from gradedpi.groups import FiniteGroup
 from gradedpi.scalars import root_of_unity
 
@@ -634,3 +639,34 @@ def test_invariance_builds_the_full_system_only_for_a_failure(p_z3z3_noninvarian
     diff = c.conjugate(g).quotient_exps(c)
     lifted = diff.with_modulus(class_modulus(diff))
     assert obstruction == _full_solve(_full_system(c.subgroup), lifted)[1] is not None
+
+
+def test_built_cocycles_equal_the_validated_constructor():
+    """Tables built by the module's own methods (with_modulus, quotient_exps,
+    conjugate/transport, Coboundary.induced) are not reduced again: each
+    result is a tuple table of ints in [0, N) equal to Cocycle2 on the same
+    entries.  Modulus checks still raise."""
+    rng = random.Random(909)
+    G = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(4))
+    H = G.full_subgroup()
+    n = len(H)
+    c = Cocycle2(H, 4, [[rng.randrange(-9, 9) for _ in range(n)] for _ in range(n)])
+    d = Cocycle2(H, 4, [[rng.randrange(4) for _ in range(n)] for _ in range(n)])
+    lam = tuple(rng.randrange(-20, 20) for _ in range(n))
+    built = [
+        c.with_modulus(12),
+        c.quotient_exps(d),
+        c.conjugate(3),
+        c.transport(5),
+        Coboundary(H, 12, lam).induced(),
+    ]
+    for b in built:
+        assert type(b.exps) is tuple and all(type(row) is tuple for row in b.exps)
+        assert all(type(v) is int and 0 <= v < b.modulus for row in b.exps for v in row)
+        assert Cocycle2(b.subgroup, b.modulus, b.exps) == b
+    assert built[0].exps == tuple(tuple(3 * v for v in row) for row in c.exps)
+    for bad in (0, -4):
+        with pytest.raises(CocycleError, match="positive"):
+            c.with_modulus(bad)
+    with pytest.raises(CocycleError, match="positive"):
+        Coboundary(H, -3, lam).induced()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gradedpi import groups
 from gradedpi.errors import InvalidTableError, NotSubgroupError
 from gradedpi.groups import FiniteGroup, equivalence_classes_tilde
 
@@ -297,3 +298,25 @@ def test_closure_on_generators_matches_the_full_scan():
                     g.subgroup(members)
                 assert str(err.value) == want
         assert found == n_subgroups == len(g.all_subgroups())
+
+
+def test_built_groups_skip_validation_and_equal_validated_ones(monkeypatch):
+    """cyclic and direct_product build group tables by construction and do
+    not validate them again; each equals the group validated from its table."""
+    checked = []
+    validate = groups._validate_table
+    monkeypatch.setattr(groups, "_validate_table", lambda rows: checked.append(rows) or validate(rows))
+    built = [FiniteGroup.cyclic(n) for n in (1, 2, 6, 64)]
+    built.append(FiniteGroup.direct_product(built[1], built[2]))
+    built.append(FiniteGroup.direct_product(built[4], FiniteGroup.dihedral(2)))
+    assert len(checked) == 1  # the dihedral factor
+    for G in built:
+        again = FiniteGroup(G.table, name=G.name, product_factors=G.product_factors)
+        assert again == G and again.name == G.name
+        assert type(G.table) is tuple and all(type(row) is tuple for row in G.table)
+        assert [G.inv(a) for a in G.elements()] == [again.inv(a) for a in again.elements()]
+    assert built[4].product_factors == (built[1], built[2])
+    with pytest.raises(InvalidTableError, match="exceeds"):
+        FiniteGroup.cyclic(65)
+    with pytest.raises(InvalidTableError, match="exceeds"):
+        FiniteGroup.direct_product(built[2], FiniteGroup.cyclic(11))

@@ -1,5 +1,6 @@
 """The identity oracle, good permutations, pure decomposition, paths."""
 
+import gc
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -18,6 +19,7 @@ from gradedpi.errors import (
     OrderMismatchError,
 )
 from gradedpi.groups import FiniteGroup
+from gradedpi import polynomials
 from gradedpi.linalg import Span
 from gradedpi.polynomials import (
     EvaluationTable,
@@ -46,7 +48,12 @@ from gradedpi.polynomials import (
 )
 from gradedpi.scalars import CycScalar, root_of_unity
 
-from conftest import brute_is_identity, klein_nontrivial_cocycle, random_multilinear
+from conftest import (
+    brute_is_identity,
+    count_walks,
+    klein_nontrivial_cocycle,
+    random_multilinear,
+)
 
 
 def one(n=1):
@@ -829,3 +836,145 @@ def test_key_count_matches_brute_force_at_sixteen_basis_elements(k4):
                     }
             zero_keys += len(keys) - len(nonzero)
     assert zero_keys > 0
+
+
+# -- shapes: equal factors share one walk -----------------------------------------
+
+
+def _renamed(f: GradedPolynomial, rename) -> GradedPolynomial:
+    return GradedPolynomial(
+        [GradedVariable(rename(v.vid), v.degree) for v in f.variables],
+        [(m.coeff, tuple(rename(v) for v in m.order)) for m in f.monomials],
+    )
+
+
+def test_shape_is_invariant_under_order_preserving_renaming(p_k4_twisted):
+    """An increasing map of ids keeps the shape, and accumulate_evaluations
+    then returns the same table (keys, values, scale) and the same span."""
+    A = build_algebra(p_k4_twisted)
+    rng = random.Random(23)
+    for _ in range(10):
+        f = random_multilinear(rng, A, rng.randint(1, 4), max_monomials=5)
+        g = _renamed(f, lambda vid: 3 * vid + 40)
+        assert set(g.degree_of).isdisjoint(f.degree_of)
+        assert g.shape() == f.shape()
+        acc_f, acc_g = accumulate_evaluations(f, A), accumulate_evaluations(g, A)
+        assert acc_g == acc_f and acc_g.scale == acc_f.scale
+        assert evaluation_span(g, A).basis() == evaluation_span(f, A).basis()
+
+
+def test_shape_changes_with_one_coefficient_degree_or_order(p_z2_unbalanced):
+    one = CycScalar.one(1)
+    vs = variables_for([0, 1, 0])
+    f = GradedPolynomial(vs, [(one, (1, 2, 3)), (-one, (3, 2, 1))])
+    coeff = GradedPolynomial(vs, [(one + one, (1, 2, 3)), (-one, (3, 2, 1))])
+    degree = GradedPolynomial(variables_for([0, 1, 1]), [(one, (1, 2, 3)), (-one, (3, 2, 1))])
+    order = GradedPolynomial(vs, [(one, (1, 2, 3)), (-one, (2, 3, 1))])
+    for other in (coeff, degree, order):
+        assert other.shape() != f.shape()
+    # A renaming that is not order-preserving moves the ranks.
+    assert _renamed(f, lambda vid: 4 - vid).shape() != f.shape()
+
+
+def test_factor_spans_share_only_equal_shapes(p_z2_unbalanced, monkeypatch):
+    """Equal shapes: one walk, and the span a second walk would give.
+    Unequal shapes or a factored side: both spans computed."""
+    A = build_algebra(p_z2_unbalanced)
+    one = CycScalar.one(1)
+    vs = variables_for([0, 0])
+    f = GradedPolynomial(vs, [(one, (1, 2)), (-one, (2, 1))])
+    g = _renamed(f, lambda vid: vid + 2)
+    g_mutated = GradedPolynomial(g.variables, [(one, (3, 4)), (-one - one, (4, 3))])
+    product = disjoint_product(monomial_polynomial(variables_for([1], 5), one), g)
+    fresh = {id(p): evaluation_span(p, A).basis() for p in (f, g, g_mutated)}
+    calls = count_walks(monkeypatch)
+    s1, s2 = polynomials._factor_spans(f, g, A)
+    assert s1 is s2 and calls == [f]
+    assert s2.basis() == fresh[id(g)]
+    calls.clear()
+    s1, s2 = polynomials._factor_spans(f, g_mutated, A)
+    assert calls == [f, g_mutated]
+    assert (s1.basis(), s2.basis()) == (fresh[id(f)], fresh[id(g_mutated)])
+    assert s1.basis() != s2.basis()
+    calls.clear()
+    polynomials._factor_spans(f, product, A)
+    assert len(calls) == 3
+
+
+def test_factored_counterexample_walks_the_right_factor_once(p_z2_unbalanced, monkeypatch):
+    """x1 [x2, x3] over (e, e, s): the commutator's values lie in the upper
+    M_2 block, so the first two values of x1 (e13, e23) miss every one of
+    them and the right stream is iterated three times.  It is walked once,
+    and the counterexample is the lex-first pair: e31, then e11 and e12."""
+    A = build_algebra(p_z2_unbalanced)
+    one = CycScalar.one(1)
+    left = monomial_polynomial(variables_for([1]), one)
+    right = GradedPolynomial(variables_for([0, 0], 2), [(one, (2, 3)), (-one, (3, 2))])
+    f = disjoint_product(left, right)
+    calls = count_walks(monkeypatch)
+    assign, value = polynomials._factored_counterexample(f, A)
+    assert calls == [left, right]
+    assert assign == {1: (0, 2, 0), 2: (0, 0, 0), 3: (0, 0, 1)}
+    assert value == {(0, 2, 1): one}
+    # The lex-first nonzero (left key, right key) pair, from the two tables.
+    acc_l, acc_r = accumulate_evaluations(left, A), accumulate_evaluations(right, A)
+    pairs = (
+        (kl, kr)
+        for kl in sorted(k for k, b in acc_l.items() if b)
+        for kr in sorted(k for k, b in acc_r.items() if b)
+        if A.mul_vectors(acc_l.value(kl), acc_r.value(kr))
+    )
+    kl, kr = next(pairs)
+    expected = {vid: A.basis[k] for vid, k in zip(left.var_ids(), acc_l.digits(kl))}
+    expected.update({vid: A.basis[k] for vid, k in zip(right.var_ids(), acc_r.digits(kr))})
+    assert assign == expected
+    calls.clear()
+    report = check_identity(f, A)
+    assert (report.counterexample, report.value) == (assign, value)
+    assert calls == [left, right, left, right]
+
+
+def _gcd_presentations() -> list[tuple[Presentation, int]]:
+    """Modulus 12 with every exponent even: the Klein class lifted to 12
+    (entries 0 and 6) and an even coboundary on C6 (entries with gcd 2)."""
+    c2, c6 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(6)
+    k4 = FiniteGroup.direct_product(c2, c2)
+    hk, h6 = k4.full_subgroup(), c6.full_subgroup()
+    klein = klein_nontrivial_cocycle(hk).with_modulus(12)
+    even = Coboundary(h6, 12, (0, 2, 10, 4, 6, 8)).induced()
+    return [
+        (Presentation(k4, hk, klein, (0, 1)), 6),
+        (Presentation(c6, h6, even, (0,)), 2),
+    ]
+
+
+def test_walk_on_reduced_exponents_matches_brute_force_at_modulus_12():
+    """1 < gcd(N, exponents) < N: the walk sums e // g modulo N // g, and its
+    table still holds every chained key with the brute-force value."""
+    rng = random.Random(12)
+    for p, g in _gcd_presentations():
+        A = build_algebra(p)
+        assert gcd(12, *(v for row in A.exp_table for v in row)) == g
+        for _ in range(8):
+            f = _random_twisted_polynomial(rng, A, rng.randint(1, 3))
+            acc = accumulate_evaluations(f, A)
+            brute = dict(_brute_values(f, A))
+            assert {acc.digits(key) for key in acc} == _chained_keys(f, A)
+            for key in acc:
+                assert acc.value(key) == brute[acc.digits(key)]
+            nonzero = {key for key, value in brute.items() if value}
+            assert {acc.digits(key) for key, bucket in acc.items() if bucket} == nonzero
+
+
+def test_table_is_freed_when_the_caller_drops_it(p_k4_twisted):
+    """The walk leaves no reference cycle holding its table: with the cyclic
+    collector off, a dropped table is gone at once."""
+    A = build_algebra(p_k4_twisted)
+    f = random_multilinear(random.Random(4), A, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(accumulate_evaluations(f, A)) > 0
+        assert not any(type(o) is EvaluationTable for o in gc.get_objects())
+    finally:
+        gc.enable()
