@@ -33,6 +33,50 @@ paths are monomial orders with a parity per variable, see grassmann):
   by L.  The power-basis coordinates of an element of Q(zeta_N) are unique, so
   the result is the same canonical scalar that Fraction arithmetic gives.
 
+An alternating polynomial is walked on one key per sign orbit.  Variables a,
+b of one degree form an alternating pair when every monomial's coefficient is
+minus that of its (a b)-swap, so that exchanging the values of a and b
+negates f.  A class is a connected component of the graph of these pairs.
+The transpositions along a connected graph generate the full symmetric group
+of its vertices, and a homomorphism to {1, -1} that sends one transposition
+to -1 is the sign; so permuting the values of a class by s multiplies f by
+sgn(s).  Read a key as its digit tuple, and call it canonical when its digits
+strictly increase, in slot order, across every class.  Then:
+
+- a key that repeats a digit inside a class has value 0: exchanging the two
+  equal digits fixes the key and negates its value;
+- every other key's orbit under the classes' permutations holds exactly one
+  canonical key, the one with each class's digits sorted into the class's
+  slots.  It is the orbit's numerically least key, and every value in the
+  orbit is +-its value.
+
+So every nonzero key has a nonzero canonical key at or below it.
+accumulate_evaluations walks the canonical keys only, each with its full
+value (canonicity is a property of the key, so every monomial's contribution
+to it is walked), and every answer is unchanged:
+
+- check_identity: the least nonzero key and its value are the same;
+- _value_pairs: the first nonzero (left, right) pair is the same, since a
+  pair with a non-canonical side has one on smaller canonical keys whose
+  product differs only in sign;
+- evaluation_span: the basis is the same.  Values are inserted in key order,
+  and a skipped value is +-the value of a smaller key, inserted before it, so
+  it lies in the span and Span.add would leave every row as it is.  By
+  induction the rows after each key are the same with and without the
+  skipped keys;
+- path_vanishes: the same once each row-restricted variable is dropped from
+  its class, since permuting the other members keeps an assignment inside
+  the restricted rows.
+
+The walk enforces canonicity with static bounds per trie edge.  A trie path
+fixes which members of an edge's class are already placed.  The edge's digit
+must exceed that of the nearest placed member before it in the class and
+stay below that of the nearest placed member after it.  These bounds follow
+from the strict chain, and every adjacent pair of the chain is checked when
+its later member is placed.  The neighbours' digits are read off the partial
+key, and they cut the ascending per-row edge list.  The envelope check passes
+no classes and walks every key.
+
 Polynomials built as products on disjoint variables carry their
 factorization, which lets the oracle decide the product through the factors'
 evaluation spans instead of walking the concatenated monomials.  Two factors
@@ -44,7 +88,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, permutations
 from math import gcd, lcm
-from operator import add
+from operator import add, eq, ne, neg
 from types import MappingProxyType
 from typing import Iterator, Optional, Sequence
 
@@ -276,7 +320,8 @@ def alternate(f: GradedPolynomial, var_ids: Sequence[int]) -> GradedPolynomial:
     if len(degs) > 1:
         raise DegreeMismatchError("alternated variables must share one degree")
     base = f.monomials[0]
-    positions = [i for i, v in enumerate(base.order) if v in set(xs)]
+    alternated = set(xs)
+    positions = [i for i, v in enumerate(base.order) if v in alternated]
     if len(positions) != len(xs):
         raise NonMultilinearError("alternation set must be variables of the monomial")
     monos = []
@@ -352,7 +397,9 @@ class EvaluationTable(dict):
     int whose base-radix digits, most significant first, are the width slots'
     digits (decoded by digits).  A vector holds the power-basis coordinates
     over Q(zeta_order) of the exact value times `scale`; keys the walk reached
-    whose value is zero map to the empty _ZERO."""
+    whose value is zero map to the empty _ZERO.  For a polynomial with
+    alternation classes the walk reaches canonical keys only (see the module
+    docstring): the table then holds one key per sign orbit."""
 
     __slots__ = ("order", "scale", "radix", "width")
 
@@ -378,24 +425,84 @@ class EvaluationTable(dict):
         }
 
 
-def _prefix_trie(terms: list, edges: dict) -> tuple:
+def _prefix_trie(terms: list, edges: dict, radix: int, classes=()) -> tuple:
     """Prefix trie over the label paths of (coefficient index, path) terms: a
-    node is a tuple of (edges[label], child) entries, and the child after a
-    path's last label is its coefficient index."""
+    node is a tuple of (edges[label], child, cut) entries, and the child after
+    a path's last label is its coefficient index.
+
+    classes are (labels, slot weights) pairs in slot order.  cut is 0 unless
+    the label is in a class with a member earlier on the path.  Then it is
+    (lower, first, upper, stop), which keeps the edges of a row from
+    first[row][kv // lower % radix] to stop[row][kv // upper % radix]: lower
+    and upper are the slot weights of the nearest members on the path before
+    and after the label in its class, first[row][t] indexes the row's first
+    edge with digit above t and stop[row][t] its first with digit t or more.
+    A side with no member on the path has weight 1 and a table that keeps the
+    whole row."""
     nested: dict = {}
     for ci, path in terms:
         node = nested
         for label in path[:-1]:
             node = node.setdefault(label, {})
         node[path[-1]] = ci
+    # Each class label has a bit in `placed`, the set of class labels on the
+    # path; before and after are the bits of its class's members before and
+    # after it, and weight_of maps a bit's length to its label's slot weight.
+    # The members of a class share their rows' digits (see _walk_paths), so
+    # one set of tables serves the class.
+    member, weight_of = {}, {}
+    for labels, weights in classes:
+        below = []
+        for row in edges[labels[0]]:
+            counts, prev = [], -1
+            for i, digit in enumerate([k // weights[0] for k, _, _ in row] + [radix]):
+                counts += [i] * (digit - prev)
+                prev = digit
+            below.append(counts)  # counts[t]: the row's digits below t, t <= radix
+        tables = (
+            [counts[1:] for counts in below],
+            [counts[:-1] for counts in below],
+            [[0] * radix for _ in below],
+            [[counts[-1]] * radix for counts in below],
+        )
+        start, end = len(weight_of), len(weight_of) + len(labels)
+        for n, (label, weight) in enumerate(zip(labels, weights), start):
+            weight_of[n + 1] = weight
+            before, after = (1 << n) - (1 << start), (1 << end) - (2 << n)
+            member[label] = (1 << n, before, after, tables)
+    cuts = {}
 
-    def freeze(node: dict) -> tuple:
+    def entry(label, child, placed: int) -> tuple:
+        bit, before, after, tables = member[label]
+        if type(child) is not int:
+            child = freeze(child, placed | bit)
+        low, high = placed & before, placed & after
+        if not (low or high):
+            return edges[label], child, 0
+        if (label, low | high) not in cuts:
+            first, stop, whole_first, whole_stop = tables
+            cuts[label, low | high] = (
+                weight_of[low.bit_length()] if low else 1,
+                first if low else whole_first,
+                weight_of[(high & -high).bit_length()] if high else 1,
+                stop if high else whole_stop,
+            )
+        return edges[label], child, cuts[label, low | high]
+
+    def freeze(node: dict, placed: int) -> tuple:
         return tuple(
-            (edges[label], child if type(child) is int else freeze(child))
+            entry(label, child, placed)
+            if label in member
+            else (edges[label], child if type(child) is int else freeze(child, placed), 0)
             for label, child in node.items()
         )
 
-    return freeze(nested)
+    trie = freeze(nested, 0)
+    # freeze holds itself through its closure cell; clearing the cell breaks
+    # that cycle, so the closures and the edge lists they hold are freed at
+    # once, as _walk_paths does for walk.
+    freeze = None
+    return trie
 
 
 def _row_edges(
@@ -432,7 +539,75 @@ def accumulate_evaluations(
         )
     index: dict[CycScalar, int] = {}
     terms = [(index.setdefault(m.coeff, len(index)), m.order) for m in poly.monomials]
-    return _walk_paths(algebra, list(index), terms, edges, nb, d)
+    coeffs = list(index)
+    classes = []
+    for members in _alternation_classes(poly, coeffs, terms):
+        members = [vid for vid in members if not allowed_rows or vid not in allowed_rows]
+        if len(members) > 1:
+            weights = tuple(nb ** (d - 1 - vids.index(vid)) for vid in members)
+            classes.append((tuple(members), weights))
+    return _walk_paths(algebra, coeffs, terms, edges, nb, d, classes)
+
+
+def _alternation_classes(
+    poly: GradedPolynomial, coeffs: list, terms: list
+) -> list[list[int]]:
+    """The alternation classes of poly (see the module docstring), each as
+    its sorted ids; terms are its (index into coeffs, order) pairs.
+
+    Every alternating pair (a, b) maps the first monomial to its (a b)-swap,
+    which is then a monomial with the opposite coefficient, so candidate pairs
+    are read off the monomials that differ from the first in exactly two
+    places and have that coefficient.  A non-alternating polynomial usually
+    has none, and costs one pass.  A pair is checked on every monomial only
+    when it joins two classes: a pair inside a class is alternating by the
+    symmetric-group argument."""
+    if not terms or len(terms) % 2:
+        return []  # an alternating pair pairs up the monomials
+    degree_of = poly.degree_of
+    opposite: dict[tuple[int, int], bool] = {}
+
+    def opposite_coeffs(ci: int, cj: int) -> bool:
+        """coeffs[cj] == -coeffs[ci], compared without building -coeffs[ci]."""
+        if (ci, cj) not in opposite:
+            opposite[ci, cj] = opposite[cj, ci] = all(
+                map(eq, coeffs[cj].coeffs, map(neg, coeffs[ci].coeffs))
+            )
+        return opposite[ci, cj]
+
+    c0, first = terms[0]
+    candidates = []
+    for ci, order in terms[1:]:
+        if sum(map(ne, order, first)) == 2:
+            a, b = (v for v, w in zip(first, order) if v != w)
+            if degree_of[a] == degree_of[b] and opposite_coeffs(c0, ci):
+                candidates.append((a, b))
+    if not candidates:
+        return []
+    at = {order: ci for ci, order in terms}
+    parent = {vid: vid for vid in degree_of}
+
+    def root(vid: int) -> int:
+        while parent[vid] != vid:
+            vid = parent[vid]
+        return vid
+
+    for a, b in candidates:
+        ra, rb = root(a), root(b)
+        if ra == rb:
+            continue
+        for ci, order in terms:
+            swapped = list(order)
+            swapped[order.index(a)], swapped[order.index(b)] = b, a
+            cj = at.get(tuple(swapped))
+            if cj is None or not opposite_coeffs(ci, cj):
+                break
+        else:
+            parent[max(ra, rb)] = min(ra, rb)
+    classes: dict[int, list[int]] = {}
+    for vid in sorted(degree_of):
+        classes.setdefault(root(vid), []).append(vid)
+    return [members for members in classes.values() if len(members) > 1]
 
 
 def _walk_paths(
@@ -442,12 +617,16 @@ def _walk_paths(
     edges: dict,
     radix: int,
     width: int,
+    classes=(),
 ) -> EvaluationTable:
     """The chained-path walk behind accumulate_evaluations and the envelope
     check.  terms are (index into coeffs, label path) pairs, every path
     visiting each of the width key slots once; edges maps a label to, per
     row, the (weighted key digit, H-part, column) of the basis elements it may
-    take there.  A key is the sum of its path's weighted digits."""
+    take there, ascending.  A key is the sum of its path's weighted digits.
+    classes are (labels, slot weights) pairs in slot order, whose labels have
+    the same digits in each row: only the keys whose digits strictly increase
+    across each class are walked."""
     _check_scalar_order(coeffs[0].order if coeffs else None, algebra)
     N = algebra.modulus
     scale = lcm(*(q.denominator for coeff in coeffs for q in coeff.coeffs))
@@ -455,7 +634,7 @@ def _walk_paths(
     if not terms:
         return acc
     m = algebra.presentation.size
-    trie = _prefix_trie(terms, edges)
+    trie = _prefix_trie(terms, edges, radix, classes)
     mul = algebra.mul_table
     # Row 0 is zero: build_algebra validated the cocycle, so it is normalized.
     # Every exponent sum is a multiple of g = gcd(N, table entries), so the
@@ -472,15 +651,23 @@ def _walk_paths(
     def walk(node: tuple, ends: list, col: int, hprod: int, expsum: int, kv: int) -> None:
         mul_row, exp_row = mul[hprod], exps[hprod]
         if type(node[0][1]) is not int:
-            for per_row, child in node:
-                for k, h, c in per_row[col]:
+            for per_row, child, cut in node:
+                row = per_row[col]
+                if cut:
+                    lower, first, upper, stop = cut
+                    row = row[first[col][kv // lower % radix] : stop[col][kv // upper % radix]]
+                for k, h, c in row:
                     walk(child, ends, c, mul_row[h], expsum + exp_row[h], kv + k)
             return
-        for per_row, ci in node:
+        for per_row, ci, cut in node:
             coeff, cached = coeffs[ci], vectors[ci]
             if cached is None:
                 cached = vectors[ci] = [None] * n
-            for k, h, c in per_row[col]:
+            row = per_row[col]
+            if cut:
+                lower, first, upper, stop = cut
+                row = row[first[col][kv // lower % radix] : stop[col][kv // upper % radix]]
+            for k, h, c in row:
                 e = (expsum + exp_row[h]) % n
                 vec = cached[e]
                 if vec is None:

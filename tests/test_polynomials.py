@@ -20,7 +20,7 @@ from gradedpi.errors import (
 )
 from gradedpi.groups import FiniteGroup
 from gradedpi import polynomials
-from gradedpi.linalg import Span
+from gradedpi.linalg import Span, span_of
 from gradedpi.polynomials import (
     EvaluationTable,
     GoodScalarContext,
@@ -976,5 +976,319 @@ def test_table_is_freed_when_the_caller_drops_it(p_k4_twisted):
     try:
         assert len(accumulate_evaluations(f, A)) > 0
         assert not any(type(o) is EvaluationTable for o in gc.get_objects())
+    finally:
+        gc.enable()
+
+
+# -- alternation classes: one key per sign orbit ------------------------------------
+
+
+def _presentations_over_moduli_1_3_4_12() -> list[Presentation]:
+    """Untwisted Z2- and C3-gradings of M_3 and M_4 at modulus 1, then the twisted
+    presentations at moduli 3, 4 and 12."""
+    z2, c3 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(3)
+    e2, e3 = z2.trivial_subgroup(), c3.trivial_subgroup()
+    return [
+        Presentation(z2, e2, Cocycle2.trivial(e2, 1), (0, 0, 1)),
+        Presentation(c3, e3, Cocycle2.trivial(e3, 1), (0, 1, 1, 2)),
+    ] + _presentations_over_moduli_3_4_12()
+
+
+def _slots(f: GradedPolynomial, classes) -> list[list[int]]:
+    ids = f.var_ids()
+    return [[ids.index(vid) for vid in members] for members in classes]
+
+
+def _inversions(digits) -> int:
+    return sum(a > b for i, a in enumerate(digits) for b in digits[i + 1:])
+
+
+def _canonical_form(key: tuple, slots) -> tuple[tuple, int]:
+    """The key with each class's digits sorted into its slots, and the sign
+    of that permutation; the sign is 0 when a class repeats a digit."""
+    out, sign = list(key), 1
+    for ss in slots:
+        digits = [key[s] for s in ss]
+        if len(set(digits)) < len(digits):
+            return key, 0
+        sign *= (-1) ** _inversions(digits)
+        for s, digit in zip(ss, sorted(digits)):
+            out[s] = digit
+    return tuple(out), sign
+
+
+def _assert_canonical_walk(f: GradedPolynomial, A, classes, allowed_rows=None) -> dict:
+    """The table holds exactly the canonical chained keys, each with its
+    brute-force value, and brute force confirms the orbit lemma: a repeated
+    digit in a class gives 0, any other key +-its canonical key's value."""
+    assert polynomials._alternation_classes(f, *_coefficient_terms(f)) == classes
+    restricted = set(allowed_rows or ())
+    slots = _slots(f, [[v for v in c if v not in restricted] for c in classes])
+    brute = dict(_brute_values(f, A))
+    acc = accumulate_evaluations(f, A, allowed_rows=allowed_rows)
+    walked = {acc.digits(key): key for key in acc}
+    assert set(walked) == {
+        key for key in _chained_keys(f, A, allowed_rows) if _canonical_form(key, slots) == (key, 1)
+    }
+    for digits, key in walked.items():
+        assert acc.value(key) == brute[digits]
+    for key, value in brute.items():
+        canon, sign = _canonical_form(key, slots)
+        if sign == 0:
+            assert not value
+        else:
+            assert value == {t: c if sign == 1 else -c for t, c in brute[canon].items()}
+    return brute
+
+
+def _coefficient_terms(f: GradedPolynomial) -> tuple[list, list]:
+    index: dict = {}
+    terms = [(index.setdefault(m.coeff, len(index)), m.order) for m in f.monomials]
+    return list(index), terms
+
+
+def _assert_oracle_answers(f: GradedPolynomial, A, brute: dict) -> None:
+    """check_identity's counterexample and value, and the evaluation span's
+    basis, against the brute-force values in sorted key order."""
+    nonzero = [(key, value) for key, value in sorted(brute.items()) if value]
+    report = check_identity(f, A)
+    assert report.identity == (not nonzero)
+    if nonzero:
+        key, value = nonzero[0]
+        assert report.counterexample == {vid: A.basis[k] for vid, k in zip(f.var_ids(), key)}
+        assert report.value == value
+    expected = span_of(value for _, value in sorted(brute.items()))
+    assert evaluation_span(f, A).basis() == expected.basis()
+
+
+def _same_degree_word(rng, A, degree: int, repeats: int) -> list[int]:
+    """A degree word in which the first `repeats` letters share one degree."""
+    sup = sorted(A.support())
+    shared = rng.choice(sup)
+    word = [shared] * repeats + [rng.choice(sup) for _ in range(degree - repeats)]
+    rng.shuffle(word)
+    return word
+
+
+def _random_coefficient(rng, N: int) -> CycScalar:
+    return _coefficient(N, [(rng.randrange(N), Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 5])))])
+
+
+def _permuted(f: GradedPolynomial, perm: dict) -> GradedPolynomial:
+    """f with the variables' positions renamed by perm, on the same variables."""
+    return GradedPolynomial(
+        f.variables, [(m.coeff, tuple(perm.get(v, v) for v in m.order)) for m in f.monomials]
+    )
+
+
+def test_alternation_of_random_monomials_walks_canonical_keys():
+    """alternate() over 2 or 3 same-degree variables of a random monomial of
+    degree up to 4, at moduli 1, 3, 4 and 12: one class, the canonical
+    chained keys only, and the oracle's answers of a full walk."""
+    rng = random.Random(101)
+    seen = {"identity": 0, "counterexample": 0}
+    for p in _presentations_over_moduli_1_3_4_12():
+        A = build_algebra(p)
+        for _ in range(4):
+            size = rng.randint(2, 3)
+            word = _same_degree_word(rng, A, rng.randint(size, 4), size)
+            shared = max(set(word), key=word.count)
+            variables = variables_for(word)
+            order = [v.vid for v in variables]
+            rng.shuffle(order)
+            base = monomial_polynomial(variables, _random_coefficient(rng, A.modulus), order)
+            xs = rng.sample([v.vid for v in variables if v.degree == shared], size)
+            f = alternate(base, xs)
+            brute = _assert_canonical_walk(f, A, [sorted(xs)])
+            _assert_oracle_answers(f, A, brute)
+            seen["counterexample" if any(brute.values()) else "identity"] += 1
+    assert seen["identity"] > 0 and seen["counterexample"] > 10, seen
+
+
+def test_sums_of_alternations_with_interleaved_class_slots():
+    """Two classes whose slots interleave ({1, 3} and {2, 4}: a sum of
+    alternations over {1, 3} signed by the permutations of {2, 4}), and a sum
+    of two alternations over one class {1, 3, 4} around a free variable."""
+    rng = random.Random(102)
+    checked = 0
+    for p in _presentations_over_moduli_1_3_4_12():
+        A = build_algebra(p)
+        sup = sorted(A.support())
+        a = rng.choice(sup)
+        b = rng.choice([x for x in sup if x != a] or sup)
+        coeff = _random_coefficient(rng, A.modulus)
+        order = [1, 2, 3, 4]
+        rng.shuffle(order)
+        single = alternate(monomial_polynomial(variables_for([a, b, a, b]), coeff, order), [1, 3])
+        double = single - _permuted(single, {2: 4, 4: 2})
+        classes = [[1, 2, 3, 4]] if a == b else [[1, 3], [2, 4]]
+        brute = _assert_canonical_walk(double, A, classes)
+        _assert_oracle_answers(double, A, brute)
+        variables = variables_for([a, b, a, a])
+        first, second = [1, 2, 3, 4], [1, 2, 3, 4]
+        rng.shuffle(first)
+        rng.shuffle(second)
+        two = alternate(monomial_polynomial(variables, coeff, first), [1, 3, 4]) + alternate(
+            monomial_polynomial(variables, _random_coefficient(rng, A.modulus), second), [1, 3, 4]
+        )
+        if two.is_zero():
+            continue
+        brute = _assert_canonical_walk(two, A, [[1, 3, 4]])
+        _assert_oracle_answers(two, A, brute)
+        checked += 1
+    assert checked >= 6
+
+
+def test_polynomial_antisymmetric_in_one_pair_only():
+    """c (x1 x2 x3 - x2 x1 x3) + d (x3 x1 x2 - x3 x2 x1) with x1, x2, x3 of
+    one degree: only (x1 x2) is an alternating pair."""
+    rng = random.Random(103)
+    for p in _presentations_over_moduli_1_3_4_12():
+        A = build_algebra(p)
+        g = rng.choice(sorted(A.support()))
+        c, d = (_random_coefficient(rng, A.modulus) for _ in range(2))
+        f = GradedPolynomial(
+            variables_for([g, g, g]),
+            [(c, (1, 2, 3)), (-c, (2, 1, 3)), (d, (3, 1, 2)), (-d, (3, 2, 1))],
+        )
+        brute = _assert_canonical_walk(f, A, [[1, 2]])
+        _assert_oracle_answers(f, A, brute)
+
+
+def test_factored_counterexample_of_two_alternating_factors():
+    """The product of two alternating factors on disjoint variables: its
+    counterexample and value are those of the lex-first (left key, right key)
+    pair of brute-force values with a nonzero product."""
+    rng = random.Random(104)
+    seen = 0
+    for p in _presentations_over_moduli_1_3_4_12():
+        A = build_algebra(p)
+        factors = []
+        for start in (1, 4):
+            word = _same_degree_word(rng, A, 3, rng.randint(2, 3))
+            shared = max(set(word), key=word.count)
+            variables = variables_for(word, start)
+            xs = [v.vid for v in variables if v.degree == shared][:2]
+            order = [v.vid for v in variables]
+            rng.shuffle(order)
+            factors.append(alternate(monomial_polynomial(variables, one(A.modulus), order), xs))
+        left, right = factors
+        f = disjoint_product(left, right)
+        pairs = (
+            (kl, vl, kr, vr)
+            for kl, vl in sorted(_brute_values(left, A))
+            if vl
+            for kr, vr in sorted(_brute_values(right, A))
+            if vr and A.mul_vectors(vl, vr)
+        )
+        first = next(pairs, None)
+        report = check_identity(f, A)
+        assert report.identity == (first is None)
+        if first is None:
+            continue
+        kl, vl, kr, vr = first
+        assign = {vid: A.basis[k] for vid, k in zip(left.var_ids(), kl)}
+        assign.update({vid: A.basis[k] for vid, k in zip(right.var_ids(), kr)})
+        assert polynomials._factored_counterexample(f, A) == (assign, A.mul_vectors(vl, vr))
+        assert (report.counterexample, report.value) == (assign, A.mul_vectors(vl, vr))
+        seen += 1
+    assert seen >= 4
+
+
+def test_path_vanishes_with_the_lead_variable_in_a_class():
+    """Degrees in H keep an alternation pure.  The lead variable is
+    row-restricted, so it leaves its class: the table holds the keys canonical
+    in the rest of the class, and path_vanishes agrees with brute force."""
+    rng = random.Random(105)
+    checked = vanishing = 0
+    for p in _presentations_over_moduli_1_3_4_12():
+        if p.subgroup == p.group.full_subgroup() or not p.subgroup.is_normal():
+            continue
+        A = build_algebra(p)
+        bs = block_structure(p)
+        members = sorted(p.subgroup.members)
+        for _ in range(3):
+            h = rng.choice(members)
+            variables = variables_for([h, h, h, rng.choice(members)])
+            first = rng.choice([1, 2, 3])
+            others = [v for v in (1, 2, 3) if v != first]
+            xs = sorted([first] + rng.sample(others, rng.randint(1, 2)))
+            rest = others + [4]
+            rng.shuffle(rest)
+            order = [first] + rest
+            f = alternate(monomial_polynomial(variables, _random_coefficient(rng, A.modulus), order), xs)
+            assert is_pure(f, p.subgroup)
+            # alternate() lists the sorted class first, so x_lead's slot
+            # leads with a class member.
+            lead = f.monomials[0].order[0]
+            classes = polynomials._alternation_classes(f, *_coefficient_terms(f))
+            assert classes == [xs]
+            for b in range(bs.k):
+                rows = frozenset(bs.positions[b])
+                brute = _assert_canonical_walk(f, A, classes, {lead: rows})
+                slot = f.var_ids().index(lead)
+                expected = all(
+                    not value for key, value in brute.items() if A.basis[key[slot]][1] in rows
+                )
+                assert path_vanishes(f, A, b) == expected
+                checked += 1
+                vanishing += expected
+    assert 0 < vanishing < checked, (vanishing, checked)
+
+
+def test_near_misses_keep_the_full_table():
+    """No alternation class, so the table is every chained key: a symmetric
+    pair (c, c), an alternation with one perturbed coefficient, a pair
+    (x1 x2) whose swap misses two monomials (whose negated coefficients are
+    missing too), and an antisymmetric pair of unequal degrees."""
+    rng = random.Random(106)
+    cases = 0
+    for p in _presentations_over_moduli_1_3_4_12():
+        A = build_algebra(p)
+        sup = sorted(A.support())
+        g = rng.choice(sup)
+        c = _random_coefficient(rng, A.modulus)
+        symmetric = GradedPolynomial(variables_for([g, g, g]), [(c, (1, 2, 3)), (c, (2, 1, 3))])
+        alternation = alternate(monomial_polynomial(variables_for([g, g, g]), c, (2, 3, 1)), [1, 2, 3])
+        perturbed = GradedPolynomial(
+            alternation.variables,
+            [(m.coeff + m.coeff if i == 3 else m.coeff, m.order) for i, m in enumerate(alternation.monomials)],
+        )
+        missing_swap = GradedPolynomial(
+            variables_for([g, g, g]),
+            [(c, (1, 2, 3)), (-c, (2, 1, 3)), (c + c, (3, 1, 2)), (c + c + c, (1, 3, 2))],
+        )
+        polys = [symmetric, perturbed, missing_swap]
+        if len(sup) > 1:
+            h = rng.choice([x for x in sup if x != g])
+            polys.append(GradedPolynomial(variables_for([g, h, g]), [(c, (1, 2, 3)), (-c, (2, 1, 3))]))
+        for f in polys:
+            assert polynomials._alternation_classes(f, *_coefficient_terms(f)) == []
+            acc = accumulate_evaluations(f, A)
+            assert {acc.digits(key) for key in acc} == _chained_keys(f, A)
+            brute = dict(_brute_values(f, A))
+            for key in acc:
+                assert acc.value(key) == brute[acc.digits(key)]
+            _assert_oracle_answers(f, A, brute)
+            cases += 1
+    assert cases >= 20
+
+
+def test_oracle_leaves_no_garbage_for_the_cyclic_collector(k4):
+    """With the collector off, dropping a table or an identity report leaves
+    nothing unreachable: the walk and the trie builder hold no cycles, with
+    or without alternation classes."""
+    H = k4.full_subgroup()
+    A = build_algebra(Presentation(k4, H, klein_nontrivial_cocycle(H), (0, 1)))
+    f = random_multilinear(random.Random(4), A, 3)
+    g = alternate(monomial_polynomial(variables_for([0, 0, 1]), one(2), (1, 3, 2)), [1, 2])
+    gc.collect()
+    gc.disable()
+    try:
+        for poly in (f, g):
+            assert len(accumulate_evaluations(poly, A)) > 0
+            assert gc.collect() == 0
+            check_identity(poly, A)
+            assert gc.collect() == 0
     finally:
         gc.enable()
