@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import lcm
 from typing import Any, Optional
 
 from .algebra import (
@@ -150,7 +151,7 @@ def parse_coefficient(value: Any, modulus: int, where: str) -> CycScalar:
         if isinstance(value, str) or _is_int(value):
             return CycScalar.from_rational(modulus, _rational(str(value), where))
         if isinstance(value, list):
-            coeffs = [Fraction(0)] * modulus
+            terms = []
             for i, item in enumerate(value):
                 if not (isinstance(item, list) and len(item) == 2):
                     raise DocumentError(f"{where}: expected [power, rational] pairs")
@@ -159,8 +160,12 @@ def parse_coefficient(value: Any, modulus: int, where: str) -> CycScalar:
                     raise DocumentError(
                         f"{where}[{i}]: expected an integer power, got {power!r}"
                     )
-                coeffs[power % modulus] += _rational(str(q), f"{where}[{i}]")
-            return CycScalar.from_poly(modulus, coeffs)
+                terms.append((power % modulus, _rational(str(q), f"{where}[{i}]")))
+            den = lcm(*(q.denominator for _, q in terms))
+            ints = [0] * modulus
+            for power, q in terms:
+                ints[power] += q.numerator * (den // q.denominator)
+            return CycScalar.from_scaled_ints(modulus, ints, den)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"{where}: bad coefficient {value!r} ({exc})") from exc
     raise DocumentError(f"{where}: bad coefficient {value!r}")

@@ -29,9 +29,8 @@ paths are monomial orders with a parity per variable, see grassmann):
   reaches.  Phi_N is monic, so the reduction stays integral: the sums are
   exact integers, and a vector is zero exactly when the value is.
 - Only the values that leave the module (a counterexample's value, span
-  vectors, the witness stream of _value_pairs) become CycScalars, by dividing
-  by L.  The power-basis coordinates of an element of Q(zeta_N) are unique, so
-  the result is the same canonical scalar that Fraction arithmetic gives.
+  vectors, the witness stream of _value_pairs) become CycScalars, which hold
+  the same numerators over L, brought to lowest terms.
 
 An alternating polynomial is walked on one key per sign orbit.  Variables a,
 b of one degree form an alternating pair when every monomial's coefficient is
@@ -570,8 +569,9 @@ def _alternation_classes(
     def opposite_coeffs(ci: int, cj: int) -> bool:
         """coeffs[cj] == -coeffs[ci], compared without building -coeffs[ci]."""
         if (ci, cj) not in opposite:
-            opposite[ci, cj] = opposite[cj, ci] = all(
-                map(eq, coeffs[cj].coeffs, map(neg, coeffs[ci].coeffs))
+            a, b = coeffs[ci], coeffs[cj]
+            opposite[ci, cj] = opposite[cj, ci] = a.den == b.den and all(
+                map(eq, b.nums, map(neg, a.nums))
             )
         return opposite[ci, cj]
 
@@ -629,7 +629,7 @@ def _walk_paths(
     across each class are walked."""
     _check_scalar_order(coeffs[0].order if coeffs else None, algebra)
     N = algebra.modulus
-    scale = lcm(*(q.denominator for coeff in coeffs for q in coeff.coeffs))
+    scale = lcm(*(coeff.den for coeff in coeffs))
     acc = EvaluationTable(N, scale, radix, width)
     if not terms:
         return acc

@@ -1,16 +1,18 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_N).
 
-A scalar is a residue in Q[x]/Phi_N(x) stored as a coefficient vector of
-length phi(N) over exact rationals.  All structure constants and polynomial
-coefficients in the package live here; there is no floating point anywhere,
-so zero tests are exact.
+A scalar is a residue in Q[x]/Phi_N(x): integer numerators over the power
+basis 1, zeta, ..., zeta^(phi(N)-1) and one positive denominator, in lowest
+terms; the identity oracle's walk vectors are the same numerators rescaled.
+All structure constants and polynomial coefficients in the package live
+here; there is no floating point anywhere, so zero tests are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import InexactDivisionError, OrderMismatchError
@@ -54,61 +56,76 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _reduce_mod_phi(order: int, coeffs: list) -> tuple:
-    """Remainder mod Phi_order of Fraction or int coefficients (ascending);
-    int input of length >= phi(order) stays int."""
+def _reduce_mod_phi(order: int, ints: Sequence[int]) -> tuple[int, ...]:
+    """The phi(order) power-basis coordinates of the integer polynomial ints
+    (ascending) mod Phi_order.  Phi_order is monic, so they stay integral."""
     phi = cyclotomic_polynomial(order)
     deg = len(phi) - 1
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[i]
+    ints = list(ints) + [0] * (deg - len(ints))
+    for i in range(len(ints) - 1, deg - 1, -1):
+        c = ints[i]
         if c:
-            for j in range(deg + 1):
-                coeffs[i - deg + j] -= c * phi[j]
-    out = coeffs[:deg]
-    out += [Fraction(0)] * (deg - len(out))
-    return tuple(out)
+            for j in range(deg):  # the x^deg term only clears ints[i], read no more
+                ints[i - deg + j] -= c * phi[j]
+    return tuple(ints[:deg])
 
 
 class CycScalar:
-    """An element of Q(zeta_N) in canonical (fully reduced) form."""
+    """An element of Q(zeta_N) in canonical form: nums / den with nums the
+    power-basis numerators reduced mod Phi_N, den > 0 and gcd(den, *nums) = 1."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
-    def __init__(self, order: int, coeffs: Iterable[Fraction | int]):
-        if order < 1:
-            raise ValueError("order must be positive")
-        vec = [Fraction(c) for c in coeffs]
-        deg = euler_phi(order)
-        if len(vec) != deg:
-            raise ValueError(f"expected {deg} coefficients for order {order}, got {len(vec)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(vec))
+    def __new__(cls, order: int, coeffs: Iterable[Fraction | int]) -> "CycScalar":
+        coeffs = list(coeffs)
+        deg = len(cyclotomic_polynomial(order)) - 1  # refuses order < 1
+        if len(coeffs) != deg:
+            raise ValueError(f"expected {deg} coefficients for order {order}, got {len(coeffs)}")
+        return cls.from_poly(order, coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycScalar is immutable")
 
     @classmethod
+    def from_scaled_ints(cls, order: int, ints: Sequence[int], scale: int) -> "CycScalar":
+        """The canonical constructor: (sum_k ints[k] zeta^k) / scale for
+        integers ints (any length) and scale != 0, reduced mod Phi_order and
+        brought to lowest terms over a positive denominator."""
+        if not scale:
+            raise ZeroDivisionError("cyclotomic scalar with denominator 0")
+        nums = _reduce_mod_phi(order, ints)
+        g = gcd(scale, *nums) if scale > 0 else -gcd(scale, *nums)
+        if g != 1:
+            nums, scale = tuple(c // g for c in nums), scale // g
+        out = object.__new__(cls)
+        object.__setattr__(out, "order", order)
+        object.__setattr__(out, "nums", nums)
+        object.__setattr__(out, "den", scale)
+        return out
+
+    @classmethod
     def from_poly(cls, order: int, coeffs: Iterable[Fraction | int]) -> "CycScalar":
         """Build from an arbitrary-length polynomial in zeta, reducing mod Phi."""
-        return cls(order, _reduce_mod_phi(order, [Fraction(c) for c in coeffs]))
+        coeffs = list(coeffs)
+        den = lcm(*(c.denominator for c in coeffs))
+        return cls.from_scaled_ints(order, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
     @classmethod
     def zero(cls, order: int) -> "CycScalar":
-        return cls(order, [0] * euler_phi(order))
+        return cls.from_scaled_ints(order, (), 1)
 
     @classmethod
     def one(cls, order: int) -> "CycScalar":
-        return cls.from_poly(order, [1])
+        return cls.from_scaled_ints(order, (1,), 1)
 
     @classmethod
     def from_rational(cls, order: int, value: Fraction | int) -> "CycScalar":
-        return cls.from_poly(order, [Fraction(value)])
+        return cls.from_scaled_ints(order, (value.numerator,), value.denominator)
 
-    @classmethod
-    def from_scaled_ints(cls, order: int, ints: Sequence[int], scale: int) -> "CycScalar":
-        """Inverse of scaled_ints: the scalar with power-basis coordinates
-        ints / scale."""
-        return cls(order, [Fraction(c, scale) for c in ints])
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions, for cold callers."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def _check_order(self, other: "CycScalar") -> None:
         if self.order != other.order:
@@ -116,65 +133,85 @@ class CycScalar:
                 f"cyclotomic orders differ: {self.order} vs {other.order}"
             )
 
-    def __add__(self, other: "CycScalar") -> "CycScalar":
+    def _combine(self, other: "CycScalar", op) -> "CycScalar":
+        """self op other for op in (add, sub)."""
         self._check_order(other)
-        return CycScalar(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        a, b = self.den, other.den
+        return CycScalar.from_scaled_ints(
+            self.order, [op(x * b, y * a) for x, y in zip(self.nums, other.nums)], a * b
+        )
+
+    def __add__(self, other: "CycScalar") -> "CycScalar":
+        return self._combine(other, add)
 
     def __sub__(self, other: "CycScalar") -> "CycScalar":
-        self._check_order(other)
-        return CycScalar(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._combine(other, sub)
 
     def __neg__(self) -> "CycScalar":
-        return CycScalar(self.order, [-a for a in self.coeffs])
+        return CycScalar.from_scaled_ints(self.order, tuple(-c for c in self.nums), self.den)
 
     def __mul__(self, other: "CycScalar") -> "CycScalar":
         self._check_order(other)
-        a, b = self.coeffs, other.coeffs
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
+        a, b = self.nums, other.nums
+        prod = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         prod[i + j] += ai * bj
-        return CycScalar(self.order, _reduce_mod_phi(self.order, prod))
+        return CycScalar.from_scaled_ints(self.order, prod, self.den * other.den)
 
     def __truediv__(self, other: "CycScalar") -> "CycScalar":
         self._check_order(other)
         return self * other.invert()
 
     def invert(self) -> "CycScalar":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_N."""
+        """Multiplicative inverse by the extended Euclidean algorithm on
+        integer polynomials, with pseudo-division (Cohen, A Course in
+        Computational Algebraic Number Theory, Alg. 3.1.2)."""
         if not self:
             raise ZeroDivisionError("inverting zero cyclotomic scalar")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        # Invariants: s * self + (...) * phi == r  along the Euclidean run.
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        lead = _poly_trim(r0)
-        if len(lead) != 1:
-            raise ZeroDivisionError("element is a zero divisor (not coprime to Phi_N)")
-        inv_lead = 1 / lead[0]
-        return CycScalar.from_poly(self.order, [c * inv_lead for c in s0])
+        # Invariant: r_i = s_i * nums mod Phi_N.  A step pseudo-divides r0 by
+        # r1, (r0, s0) -> (l r0 - q r1, l s0 - q s1) with an integer l != 0,
+        # and divides the pair by the gcd of its coefficients.  Phi_N is
+        # irreducible, so the last nonzero r is a constant c: nums^-1 = s / c.
+        r0, s0 = list(cyclotomic_polynomial(self.order)), []
+        r1, s1 = list(self.nums), [1]
+        while not r1[-1]:
+            r1.pop()
+        while len(r1) > 1:
+            d, n1 = r1[-1], len(r1)
+            s0 += [0] * (len(r0) - n1 + len(s1) - len(s0))
+            while len(r0) >= n1:
+                g = gcd(r0[-1], d)
+                m, c, k = d // g, r0[-1] // g, len(r0) - n1
+                if m != 1:
+                    r0, s0 = [m * x for x in r0], [m * x for x in s0]
+                for j, y in enumerate(r1):
+                    r0[k + j] -= c * y
+                for j, y in enumerate(s1):
+                    s0[k + j] -= c * y
+                while r0 and not r0[-1]:
+                    r0.pop()
+            if not r0:
+                raise ZeroDivisionError("element is a zero divisor (not coprime to Phi_N)")
+            g = gcd(*r0, *s0)
+            r0, s0, r1, s1 = r1, s1, [x // g for x in r0], [x // g for x in s0]
+        return CycScalar.from_scaled_ints(self.order, [self.den * c for c in s1], r1[0])
 
     def shift_root(self, k: int) -> "CycScalar":
         """Multiply by zeta^k (k taken mod order); cheap special-cased product."""
         k %= self.order
         if k == 0:
             return self
-        shifted = [Fraction(0)] * k + list(self.coeffs)
-        return CycScalar.from_poly(self.order, shifted)
+        return CycScalar.from_scaled_ints(self.order, (0,) * k + self.nums, self.den)
 
     def scaled_ints(self, scale: int, k: int) -> tuple[int, ...]:
         """Power-basis coordinates of scale * self * zeta^k as integers; scale
-        must be a multiple of every coefficient's denominator.  Phi_N is monic,
-        so reducing mod Phi_N keeps the coordinates integral."""
+        must be a multiple of den."""
         k %= self.order
-        ints = [0] * k + [c.numerator * (scale // c.denominator) for c in self.coeffs]
-        return _reduce_mod_phi(self.order, ints)
+        f = scale // self.den
+        return _reduce_mod_phi(self.order, [0] * k + [c * f for c in self.nums])
 
     def __pow__(self, n: int) -> "CycScalar":
         if n < 0:
@@ -189,23 +226,23 @@ class CycScalar:
         return out
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CycScalar):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.nums, self.den))
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("scalar is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def __repr__(self) -> str:
         return f"CycScalar(N={self.order}, {self.pretty()})"
@@ -229,54 +266,7 @@ class CycScalar:
         return out
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    i = len(p)
-    while i > 0 and not p[i - 1]:
-        i -= 1
-    return p[:i]
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        factor = a[-1] / b[-1]
-        q[shift] = factor
-        for i, bi in enumerate(b):
-            a[shift + i] -= factor * bi
-        a = _poly_trim(a)
-    return q, a
-
-
 @lru_cache(maxsize=None)
 def root_of_unity(order: int, k: int) -> CycScalar:
     """zeta_order^k as a canonical CycScalar; k is taken mod order."""
-    k %= order
-    return CycScalar.from_poly(order, [Fraction(0)] * k + [Fraction(1)])
-
-
-def rational(order: int, value) -> CycScalar:
-    """Convenience: a rational number embedded in Q(zeta_order)."""
-    return CycScalar.from_rational(order, Fraction(value))
+    return CycScalar.one(order).shift_root(k)

@@ -326,9 +326,15 @@ def test_envelope_truncation_must_be_an_integer_not_a_bool():
 def test_coefficient_literals_are_capped_before_fraction_reads_them():
     cap = MAX_RATIONAL_DIGITS
     assert parse_coefficient(f"1e{cap - 1}", 1, "c") == CycScalar.from_rational(1, 10 ** (cap - 1))
-    assert parse_coefficient([[1, "-2/5"], [3, 1], [-1, "1/2"]], 4, "c") == CycScalar.from_poly(
-        4, [0, Fraction(-2, 5), 0, Fraction(3, 2)]
-    )
+    high = [0] * 1024
+    high[3], high[700], high[1019] = Fraction(2, 3), Fraction(1, 2), 7
+    for value, modulus, poly in (
+        ([[1, "-2/5"], [3, 1], [-1, "1/2"]], 4, [0, Fraction(-2, 5), 0, Fraction(3, 2)]),
+        ([[700, "2/4"], [3, 1], [3, "-1/3"], [-5, "7"]], 1024, high),
+        ("2/4", 1024, [Fraction(1, 2)]),
+        ([[2, "1/2"], [2, "-1/2"]], 3, []),
+    ):
+        assert parse_coefficient(value, modulus, "c") == CycScalar.from_poly(modulus, poly)
     for bad in (f"1e{cap}", f"1e-{cap}", "9" * (cap + 1), "1e999999999999"):
         with pytest.raises(DocumentError, match="exceeds"):
             parse_coefficient(bad, 1, "c")

@@ -86,6 +86,74 @@ def test_invert_extended_euclid_case():
     assert a.invert() * a == CycScalar.one(3)
 
 
+def _sum_of_roots(order, powers):
+    total = CycScalar.zero(order)
+    for k in powers:
+        total = total + root_of_unity(order, k)
+    return total
+
+
+@pytest.mark.parametrize("order", [64, 128, 256, 1024])
+@pytest.mark.parametrize("powers", [(1, 7, 30), (0, 3, 5, 11, 17)])
+def test_invert_sparse_at_high_modulus(order, powers):
+    a = _sum_of_roots(order, powers)
+    assert a * a.invert() == CycScalar.one(order)
+
+
+@pytest.mark.parametrize("order", [64, 128])
+def test_invert_dense_at_high_modulus(order):
+    a = random_scalar(random.Random(order), order)
+    assert a * a.invert() == CycScalar.one(order)
+
+
+@pytest.mark.parametrize("order", [1, 3, 4, 5, 12])
+def test_invert_matches_sympy(order):
+    x = sympy.Symbol("x")
+    phi = sum(c * x**i for i, c in enumerate(cyclotomic_polynomial(order)))
+    rng = random.Random(order * 7)
+    for _ in range(5):
+        a = random_scalar(rng, order)
+        if not a:
+            continue
+        poly = sum(sympy.Rational(c, a.den) * x**i for i, c in enumerate(a.nums))
+        inv = sympy.Poly(sympy.invert(poly, phi, x), x).all_coeffs()[::-1]
+        expected = [Fraction(int(c.p), int(c.q)) for c in inv]
+        expected += [Fraction(0)] * (euler_phi(order) - len(expected))
+        assert a.invert().coeffs == tuple(expected)
+
+
+def test_canonical_form_is_lowest_terms_over_one_denominator():
+    """__eq__ and __hash__ compare (order, nums, den), so every way of
+    building a value must land on the same numerators and denominator."""
+    target = CycScalar(4, [Fraction(1, 2), Fraction(-1, 3)])
+    built = [
+        CycScalar(4, [Fraction(2, 4), Fraction(-2, 6)]),
+        CycScalar.from_poly(4, [1, Fraction(-1, 3), Fraction(1, 2), 0, 0]),  # z^2 = -1
+        CycScalar.from_scaled_ints(4, [6, -4], 12),
+        CycScalar.from_scaled_ints(4, [-9, 6], -18),
+        CycScalar.from_rational(4, Fraction(1, 6)) * CycScalar(4, [3, -2]),
+        CycScalar.one(4) - CycScalar(4, [Fraction(1, 2), Fraction(1, 3)]),
+    ]
+    for s in built:
+        assert s == target and hash(s) == hash(target)
+        assert (s.nums, s.den) == ((3, -2), 6)
+    negative = (
+        -target,
+        CycScalar.from_rational(4, Fraction(-3, 2)),
+        CycScalar.from_scaled_ints(4, [1, 1], -4),
+    )
+    for s in negative:
+        assert s.den > 0 and s.nums[0] < 0
+    zeros = (
+        CycScalar.zero(4),
+        target - target,
+        CycScalar.from_scaled_ints(4, [0, 0], 7),
+        CycScalar(4, [Fraction(0, 5), 0]),
+    )
+    for s in zeros:
+        assert (s.nums, s.den) == ((0, 0), 1)
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         CycScalar.one(4) / CycScalar.zero(4)
@@ -147,18 +215,36 @@ def test_exact_division_raises_typed_errors():
         _poly_div_exact((1, 0, 1), (-1, 1))
 
 
-def test_library_has_no_assert_statements():
-    """python -O strips assert, so library invariants raise typed errors."""
+def _library_nodes():
+    """(module file name, AST node) for every node of every library module."""
     import ast
     from pathlib import Path
 
     import gradedpi
 
-    package = Path(gradedpi.__file__).parent
+    for path in sorted(Path(gradedpi.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path.name, node
+
+
+def test_library_has_no_assert_statements():
+    """python -O strips assert, so library invariants raise typed errors."""
+    import ast
+
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(package.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Assert)
+        f"{name}:{node.lineno}" for name, node in _library_nodes() if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_scalars_and_cli_import_fractions():
+    """The scalar format stays behind scalars; cli reads rational literals."""
+    import ast
+
+    found = {
+        name
+        for name, node in _library_nodes()
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+    }
+    assert found == {"cli.py", "scalars.py"}
