@@ -236,14 +236,6 @@ class AlgebraElement:
     def __hash__(self):
         return hash((id(self.algebra), tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
-    def homogeneous_degree(self) -> Optional[int]:
-        """The common degree of all terms, or None if mixed; zero element has
-        every degree and reports None as well."""
-        degs = {self.algebra.degree[self.algebra.index[t]] for t in self.terms}
-        if len(degs) == 1:
-            return next(iter(degs))
-        return None
-
     def is_homogeneous_of(self, g: int) -> bool:
         return all(
             self.algebra.degree[self.algebra.index[t]] == g for t in self.terms
@@ -455,10 +447,14 @@ class CrossedProductResult:
         return self.is_crossed_product
 
 
-def is_crossed_product(algebra: GradedAlgebra, verify: bool = True) -> CrossedProductResult:
+def is_crossed_product(algebra: GradedAlgebra) -> CrossedProductResult:
     """Equal coset multiplicities iff every component holds an invertible
     homogeneous element; when they do, an explicit unit and inverse per degree
-    is built and (optionally) verified to multiply to 1 on both sides."""
+    is built and verified to multiply to 1 on both sides.
+
+    The units always exist: with equal multiplicities, each position i of a
+    coset H r is paired with a position j of H r g, and g_i in H r, g_j in
+    H r g give g_i g g_j^-1 in H."""
     p = algebra.presentation
     G = p.group
     cosets = p.cosets()
@@ -492,7 +488,7 @@ def is_crossed_product(algebra: GradedAlgebra, verify: bool = True) -> CrossedPr
                 )
         unit = algebra.element(terms)
         inv = algebra.element(inv_terms)
-        if verify and ((unit * inv != algebra.one()) or (inv * unit != algebra.one())):
+        if unit * inv != algebra.one() or inv * unit != algebra.one():
             raise VerificationFailedError("crossed-product certificate failed to verify")
         certificates[g] = (unit, inv)
     return CrossedProductResult(True, certificates)

@@ -22,7 +22,6 @@ from .algebra import (
     apply_move,
     block_structure,
     build_algebra,
-    is_crossed_product,
     is_graded_division,
     normalize_presentation,
 )
@@ -118,7 +117,9 @@ def classify(p: Presentation, with_witness: bool = False) -> ClassificationRepor
         H_normal=H_normal,
         cosets_equal=cosets_equal,
         class_G_invariant=invariant,
-        crossed_product=bool(is_crossed_product(algebra, verify=False)),
+        # is_crossed_product holds exactly when the multiplicities are equal
+        # (its docstring has the proof).
+        crossed_product=cosets_equal,
         graded_division=is_graded_division(algebra),
         verbally_prime=True,
         strongly_verbally_prime=strongly,

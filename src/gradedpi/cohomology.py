@@ -58,7 +58,7 @@ from .errors import (
     NotNormalError,
     VerificationFailedError,
 )
-from .groups import FiniteGroup, Subgroup, right_generators
+from .groups import Subgroup, right_generators
 from .scalars import CycScalar, root_of_unity
 
 
@@ -602,7 +602,7 @@ def classes_cohomologous(
     return is_trivial_class(c1.with_modulus(n).quotient_exps(c2.with_modulus(n)), system)
 
 
-def is_G_invariant_class(c: Cocycle2, group: FiniteGroup | None = None) -> bool:
+def is_G_invariant_class(c: Cocycle2) -> bool:
     """True iff [g.c] = [c] in H^2(H, F*) for every right-coset representative.
 
     The quotient (g.c)/c is tested for class triviality at the lifted modulus
@@ -610,8 +610,6 @@ def is_G_invariant_class(c: Cocycle2, group: FiniteGroup | None = None) -> bool:
     modulo mu_N-valued coboundaries.  Requires H normal in the ambient group
     (invariance_obstruction checks it).
     """
-    if group is not None and group != c.subgroup.parent:
-        raise NotNormalError("cocycle does not live inside the given group")
     return invariance_obstruction(c) is None
 
 

@@ -17,9 +17,9 @@ are reported.
 One walk serves every caller, the Grassmann envelope check included (its
 paths are monomial orders with a parity per variable, see grassmann):
 
-- The monomial orders form a prefix trie, so a prefix shared by several
-  monomials (a chain of basis choices) is enumerated once; each leaf holds its
-  monomial's coefficient.
+- The monomial orders form a prefix trie, built in one insertion pass, so a
+  prefix shared by several monomials (a chain of basis choices) is
+  enumerated once; each leaf holds its monomial's coefficient.
 - The cocycle is read from one dense G x G exponent table and products from
   the group's Cayley rows.
 - A value is a tuple of phi(N) Python ints: its coordinates over the power
@@ -67,8 +67,9 @@ to it is walked), and every answer is unchanged:
   its class, since permuting the other members keeps an assignment inside
   the restricted rows.
 
-The walk enforces canonicity with static bounds per trie edge.  A trie path
-fixes which members of an edge's class are already placed.  The edge's digit
+The walk enforces canonicity with static bounds per trie edge, fixed when
+the edge is inserted.  A trie path fixes which members of an edge's class
+are already placed.  The edge's digit
 must exceed that of the nearest placed member before it in the class and
 stay below that of the nearest placed member after it.  These bounds follow
 from the strict chain, and every adjacent pair of the chain is checked when
@@ -84,6 +85,7 @@ of the same shape (GradedPolynomial.shape) have one span, from one walk.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, permutations
 from math import gcd, lcm
@@ -194,15 +196,6 @@ class GradedPolynomial:
             tuple(self.degree_of[vid] for vid in ids),
             tuple((m.coeff, tuple(rank[v] for v in m.order)) for m in self.monomials),
         )
-
-    def total_degrees(self, group: FiniteGroup) -> tuple[int, ...]:
-        return tuple(
-            group.product_seq(self.degree_of[v] for v in m.order) for m in self.monomials
-        )
-
-    def homogeneous_degree(self, group: FiniteGroup) -> Optional[int]:
-        degs = set(self.total_degrees(group))
-        return degs.pop() if len(degs) == 1 else None
 
     def scale(self, s: CycScalar) -> "GradedPolynomial":
         return GradedPolynomial(
@@ -424,45 +417,33 @@ class EvaluationTable(dict):
         }
 
 
-def _prefix_trie(terms: list, edges: dict, radix: int, classes=()) -> tuple:
-    """Prefix trie over the label paths of (coefficient index, path) terms: a
-    node is a tuple of (edges[label], child, cut) entries, and the child after
-    a path's last label is its coefficient index.
+def _prefix_trie(terms: list, edges: dict, radix: int, classes=()) -> list:
+    """Prefix trie over the distinct label paths of (coefficient index, path)
+    terms, built in one insertion pass: a node is a list of (edges[label],
+    child, cut) entries, and the child after a path's last label is its
+    coefficient index.
 
     classes are (labels, slot weights) pairs in slot order.  cut is 0 unless
     the label is in a class with a member earlier on the path.  Then it is
     (lower, first, upper, stop), which keeps the edges of a row from
     first[row][kv // lower % radix] to stop[row][kv // upper % radix]: lower
     and upper are the slot weights of the nearest members on the path before
-    and after the label in its class, first[row][t] indexes the row's first
-    edge with digit above t and stop[row][t] its first with digit t or more.
-    A side with no member on the path has weight 1 and a table that keeps the
-    whole row."""
-    nested: dict = {}
-    for ci, path in terms:
-        node = nested
-        for label in path[:-1]:
-            node = node.setdefault(label, {})
-        node[path[-1]] = ci
-    # Each class label has a bit in `placed`, the set of class labels on the
-    # path; before and after are the bits of its class's members before and
-    # after it, and weight_of maps a bit's length to its label's slot weight.
-    # The members of a class share their rows' digits (see _walk_paths), so
-    # one set of tables serves the class.
+    and after the label in its class, first[row][t] counts the row's digits
+    up to t and stop[row][t] those below t.  A side with no member on the
+    path has weight 1 and a table that keeps the whole row."""
+    # Each class label has a bit in `placed`, the set of class labels earlier
+    # on the path; before and after are the bits of its class's members before
+    # and after it, and weight_of maps a bit's length to its label's slot
+    # weight.  The members of a class share their rows' digits (see
+    # _walk_paths), so one set of tables serves the class.
     member, weight_of = {}, {}
     for labels, weights in classes:
-        below = []
-        for row in edges[labels[0]]:
-            counts, prev = [], -1
-            for i, digit in enumerate([k // weights[0] for k, _, _ in row] + [radix]):
-                counts += [i] * (digit - prev)
-                prev = digit
-            below.append(counts)  # counts[t]: the row's digits below t, t <= radix
+        rows = [[k // weights[0] for k, _, _ in row] for row in edges[labels[0]]]
         tables = (
-            [counts[1:] for counts in below],
-            [counts[:-1] for counts in below],
-            [[0] * radix for _ in below],
-            [[counts[-1]] * radix for counts in below],
+            [[bisect_right(digits, t) for t in range(radix)] for digits in rows],
+            [[bisect_left(digits, t) for t in range(radix)] for digits in rows],
+            [[0] * radix for _ in rows],
+            [[len(digits)] * radix for digits in rows],
         )
         start, end = len(weight_of), len(weight_of) + len(labels)
         for n, (label, weight) in enumerate(zip(labels, weights), start):
@@ -471,13 +452,13 @@ def _prefix_trie(terms: list, edges: dict, radix: int, classes=()) -> tuple:
             member[label] = (1 << n, before, after, tables)
     cuts = {}
 
-    def entry(label, child, placed: int) -> tuple:
-        bit, before, after, tables = member[label]
-        if type(child) is not int:
-            child = freeze(child, placed | bit)
+    def cut(label, placed: int):
+        if label not in member:
+            return 0
+        _, before, after, tables = member[label]
         low, high = placed & before, placed & after
         if not (low or high):
-            return edges[label], child, 0
+            return 0
         if (label, low | high) not in cuts:
             first, stop, whole_first, whole_stop = tables
             cuts[label, low | high] = (
@@ -486,21 +467,23 @@ def _prefix_trie(terms: list, edges: dict, radix: int, classes=()) -> tuple:
                 weight_of[(high & -high).bit_length()] if high else 1,
                 stop if high else whole_stop,
             )
-        return edges[label], child, cuts[label, low | high]
+        return cuts[label, low | high]
 
-    def freeze(node: dict, placed: int) -> tuple:
-        return tuple(
-            entry(label, child, placed)
-            if label in member
-            else (edges[label], child if type(child) is int else freeze(child, placed), 0)
-            for label, child in node.items()
-        )
-
-    trie = freeze(nested, 0)
-    # freeze holds itself through its closure cell; clearing the cell breaks
-    # that cycle, so the closures and the edge lists they hold are freed at
-    # once, as _walk_paths does for walk.
-    freeze = None
+    # kids maps a node's labels to their (child node, child kids) pairs; the
+    # kids dicts live only while the paths are inserted.
+    trie: list = []
+    top = (trie, {})
+    for ci, path in terms:
+        (node, kids), placed = top, 0
+        for label in path[:-1]:
+            pair = kids.get(label)
+            if pair is None:
+                pair = kids[label] = ([], {})
+                node.append((edges[label], pair[0], cut(label, placed)))
+            node, kids = pair
+            if label in member:
+                placed |= member[label][0]
+        node.append((edges[path[-1]], ci, cut(path[-1], placed)))
     return trie
 
 
@@ -648,7 +631,7 @@ def _walk_paths(
     # first use.
     vectors: list[Optional[list]] = [None] * len(coeffs)
 
-    def walk(node: tuple, ends: list, col: int, hprod: int, expsum: int, kv: int) -> None:
+    def walk(node: list, ends: list, col: int, hprod: int, expsum: int, kv: int) -> None:
         mul_row, exp_row = mul[hprod], exps[hprod]
         if type(node[0][1]) is not int:
             for per_row, child, cut in node:
@@ -867,9 +850,7 @@ def is_pure(f: GradedPolynomial, H: Subgroup) -> bool:
     return len(pure_components(f, H)) <= 1
 
 
-def good_permutations_of(
-    degrees: Sequence[int], H: Subgroup, limit: Optional[int] = None
-) -> Iterator[tuple[int, ...]]:
+def good_permutations_of(degrees: Sequence[int], H: Subgroup) -> Iterator[tuple[int, ...]]:
     """All sigma with Z_sigma a good permutation of Z (identity included),
     generated by a prefix-coset DFS in lexicographic order."""
     group = H.parent
@@ -883,17 +864,12 @@ def good_permutations_of(
         prefix = group.mul(prefix, t)
         after.append(cosets.coset_of[prefix])
     total = prefix
-    found = 0
     used = [False] * n
     sigma: list[int] = []
 
     def rec(current: int, prod: int) -> Iterator[tuple[int, ...]]:
-        nonlocal found
-        if limit is not None and found >= limit:
-            return
         if len(sigma) == n:
             if prod == total:
-                found += 1
                 yield tuple(sigma)
             return
         for p in range(n):

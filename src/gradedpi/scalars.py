@@ -236,6 +236,11 @@ class CycScalar:
     def __hash__(self) -> int:
         return hash((self.order, self.nums, self.den))
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the canonical constructor: the
+        # default protocol calls __new__ without its arguments.
+        return CycScalar.from_scaled_ints, (self.order, self.nums, self.den)
+
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 

@@ -250,7 +250,7 @@ def test_ac06_crossed_product_both_directions():
     ]
     for p in balanced:
         A = build_algebra(p)
-        res = is_crossed_product(A)  # verify=True multiplies every certificate
+        res = is_crossed_product(A)  # multiplies every certificate
         assert res.is_crossed_product
         target = A.dim // p.group.order
         for g in p.group.elements():

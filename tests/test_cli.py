@@ -1,7 +1,10 @@
 """Document parsing, command dispatch, exit codes, determinism."""
 
+import importlib.util
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -423,3 +426,51 @@ def test_main_end_to_end(tmp_path, capsys):
     # missing file -> exit 2
     assert main(["--input", str(tmp_path / "absent.json"), "--command", "classify"]) == 2
     capsys.readouterr()
+
+
+def _benchmark_tracing():
+    """perfbench/tracing.py, loaded by path: perfbench is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_targets_resolve_and_uninstall():
+    """Every name the benchmark's tracer wraps exists once gradedpi.cli is
+    imported, so deleting or renaming one fails here and not only under the
+    traced benchmark; and uninstall restores every wrapped attribute."""
+    import gradedpi.cli  # noqa: F401  (imports every traced module)
+
+    tracing = _benchmark_tracing()
+    modules = {
+        name: mod
+        for name, mod in sys.modules.items()
+        if name == "gradedpi" or name.startswith("gradedpi.")
+    }
+    methods = {}
+    for t in tracing.TARGETS:
+        home = modules.get(f"gradedpi.{t.module}")
+        assert home is not None, t
+        if "." in t.qual:
+            cls_name, attr = t.qual.split(".")
+            cls = getattr(home, cls_name, None)
+            assert cls is not None and attr in vars(cls), t
+            methods[cls, attr] = vars(cls)[attr]
+        else:
+            assert callable(getattr(home, t.qual, None)), t
+    before = {name: dict(vars(mod)) for name, mod in modules.items()}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        wrapped = list(tracer.installed)
+        assert len(wrapped) >= len(tracing.TARGETS)
+        assert all(vars(owner)[attr] is not original for owner, attr, original in wrapped)
+    finally:
+        tracer.uninstall()
+    for (cls, attr), raw in methods.items():
+        assert vars(cls)[attr] is raw, (cls, attr)
+    for name, mod in modules.items():
+        now = vars(mod)
+        assert all(now[attr] is value for attr, value in before[name].items()), name

@@ -18,6 +18,7 @@ from gradedpi.errors import (
     NotNormalError,
     OrderMismatchError,
 )
+from gradedpi.grassmann import envelope_identity_check
 from gradedpi.groups import FiniteGroup
 from gradedpi import polynomials
 from gradedpi.linalg import Span, span_of
@@ -1292,3 +1293,128 @@ def test_oracle_leaves_no_garbage_for_the_cyclic_collector(k4):
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- the walk's prefix trie -----------------------------------------------------------
+
+
+def _assert_trie(terms, edges, radix, classes, trie) -> int:
+    """One entry per distinct label-path prefix; each term's path ends at its
+    coefficient index; and every cut equals its brute-force recomputation
+    from the labels placed earlier on the entry's path.  Returns the number
+    of entries with a nonzero cut."""
+    label_of = {id(rows): label for label, rows in edges.items()}
+    slot_of = {
+        label: (labels, weights, i)
+        for labels, weights in classes
+        for i, label in enumerate(labels)
+    }
+    seen, leaves, cuts = [], {}, []
+
+    def visit(node: list, prefix: tuple) -> None:
+        for rows, child, cut in node:
+            label = label_of[id(rows)]
+            path = prefix + (label,)
+            seen.append(path)
+            assert cut == _brute_cut(edges, radix, slot_of, prefix, label)
+            if cut:
+                cuts.append(cut)
+            if type(child) is int:
+                leaves[path] = child
+            else:
+                visit(child, path)
+
+    visit(trie, ())
+    prefixes = {tuple(path[:n]) for _, path in terms for n in range(1, len(path) + 1)}
+    assert len(seen) == len(set(seen)) and set(seen) == prefixes
+    assert leaves == {tuple(path): ci for ci, path in terms}
+    return len(cuts)
+
+
+def _brute_cut(edges, radix, slot_of, prefix, label):
+    """0 unless a member of label's class is placed earlier on the path;
+    otherwise the slot weights of the nearest placed members below and above
+    label's slot (1 for a missing side), with the row digit counts <= t
+    below and < t above (the whole row for a missing side)."""
+    if label not in slot_of:
+        return 0
+    labels, weights, i = slot_of[label]
+    placed = [j for j, other in enumerate(labels) if other in prefix]
+    if not placed:
+        return 0
+    below = max((j for j in placed if j < i), default=None)
+    above = min((j for j in placed if j > i), default=None)
+    digits = [[k // weights[i] for k, _, _ in row] for row in edges[label]]
+    first = [
+        [sum(d <= t for d in row) if below is not None else 0 for t in range(radix)]
+        for row in digits
+    ]
+    stop = [
+        [sum(d < t for d in row) if above is not None else len(row) for t in range(radix)]
+        for row in digits
+    ]
+    return (
+        1 if below is None else weights[below],
+        first,
+        1 if above is None else weights[above],
+        stop,
+    )
+
+
+def _built_tries(monkeypatch, run) -> list:
+    """The (terms, edges, radix, classes, trie) of every trie that run builds."""
+    built = []
+    build = polynomials._prefix_trie
+
+    def capture(terms, edges, radix, classes=()):
+        trie = build(terms, edges, radix, classes)
+        built.append((terms, edges, radix, classes, trie))
+        return trie
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polynomials, "_prefix_trie", capture)
+        run()
+    return built
+
+
+def test_prefix_trie_entries_leaves_and_cuts(k4, monkeypatch):
+    """The _chained_keys fixtures without classes (twisted K4, nb = 16, with
+    and without allowed rows) and with them (one class, two interleaved
+    classes, a class around a free variable, a row-restricted member), and
+    one envelope term set."""
+    H = k4.full_subgroup()
+    A = build_algebra(Presentation(k4, H, klein_nontrivial_cocycle(H), (0, 1)))
+    rng = random.Random(16)
+    plain = [random_multilinear(rng, A, 3, max_monomials=6) for _ in range(3)]
+    z2 = FiniteGroup.cyclic(2)
+    e2 = z2.trivial_subgroup()
+    M3 = build_algebra(Presentation(z2, e2, Cocycle2.trivial(e2, 1), (0, 0, 1)))
+    c = one(1)
+    single = alternate(monomial_polynomial(variables_for([0, 1, 0, 1]), c, (3, 1, 4, 2)), [1, 3])
+    alternating = [
+        alternate(monomial_polynomial(variables_for([0, 0, 0]), c, (2, 3, 1)), [1, 2, 3]),
+        single - _permuted(single, {2: 4, 4: 2}),
+        alternate(monomial_polynomial(variables_for([0, 1, 0, 0]), c, (4, 2, 1, 3)), [1, 3, 4]),
+    ]
+    # A Z2 x Z2-graded base whose first factor is the sign.
+    g2 = FiniteGroup.direct_product(z2, z2)
+    e4 = g2.trivial_subgroup()
+    base = build_algebra(Presentation(g2, e4, Cocycle2.trivial(e4, 1), (0, 2)))
+    envelope = GradedPolynomial(
+        variables_for([0, 1, 1]), [(one(1), (1, 2, 3)), (-one(1), (3, 2, 1)), (one(1), (2, 1, 3))]
+    )
+
+    def run():
+        for f in plain:
+            accumulate_evaluations(f, A)
+            accumulate_evaluations(f, A, {f.monomials[0].order[0]: frozenset({1})})
+        for f in alternating:
+            accumulate_evaluations(f, M3)
+        accumulate_evaluations(alternating[0], M3, {1: frozenset({0, 1})})
+        envelope_identity_check(envelope, base, 3)
+
+    built = _built_tries(monkeypatch, run)
+    assert len(built) == 2 * len(plain) + len(alternating) + 2
+    assert sum(1 for *_, classes, _ in built if len(classes) == 2) == 1
+    assert sum(1 for *_, classes, _ in built if classes) == len(alternating) + 1
+    assert sum(_assert_trie(*args) for args in built) > 0

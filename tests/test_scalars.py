@@ -1,5 +1,7 @@
 """Exact cyclotomic arithmetic: construction, field axioms, inversion."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 import sympy
 
 from gradedpi.errors import InexactDivisionError, OrderMismatchError
+from gradedpi.polynomials import GradedPolynomial, disjoint_product, variables_for
 from gradedpi.scalars import (
     CycScalar,
     _poly_div_exact,
@@ -152,6 +155,27 @@ def test_canonical_form_is_lowest_terms_over_one_denominator():
     )
     for s in zeros:
         assert (s.nums, s.den) == ((0, 0), 1)
+
+
+def test_copy_and_pickle_round_trip():
+    """copy, deepcopy and pickle rebuild an equal scalar with an equal hash
+    and the same (nums, den), a non-rational one at N = 12 and zero alike."""
+    for s in (CycScalar(12, [Fraction(1, 2), 0, Fraction(-3, 4), 5]), CycScalar.zero(12)):
+        for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert t == s and hash(t) == hash(s)
+            assert (t.nums, t.den) == (s.nums, s.den)
+
+
+def test_polynomial_with_cyclotomic_coefficients_pickles():
+    """A disjoint product over Q(zeta_12) survives pickling with its
+    coefficients, factors and renaming."""
+    a = CycScalar(12, [Fraction(1, 2), 0, Fraction(-3, 4), 5])
+    f = GradedPolynomial(variables_for([0, 1]), [(a, (1, 2)), (-a * a, (2, 1))])
+    g = disjoint_product(f, f)
+    h = pickle.loads(pickle.dumps(g))
+    assert h == g and h.factors == g.factors and h.renamed == g.renamed
+    for m, n in zip(h.monomials, g.monomials):
+        assert m.order == n.order and (m.coeff.nums, m.coeff.den) == (n.coeff.nums, n.coeff.den)
 
 
 def test_division_by_zero():
