@@ -5,12 +5,18 @@ u_h (x) e_{i,j} in degree g_i^-1 h g_j.  Elements are sparse maps from basis
 triples (h, i, j) to cyclotomic scalars.  The module also implements the
 three presentation moves, deterministic normalization, presentation
 equivalence, crossed-product and graded-division checks.
+
+Normalization conjugates one least-multiplicity coset onto H, the one with
+the least rep, and sorts the canonical coset reps of the entries.  Each
+least-multiplicity coset gives such a normal form; equivalence compares q's
+normal form with each of p's, with no search over the conjugates of p (the
+proof is in presentations_equivalent).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .cohomology import Cocycle2, CoboundarySystem, classes_cohomologous
 from .errors import (
@@ -52,10 +58,6 @@ class Presentation:
     def size(self) -> int:
         return len(self.grading)
 
-    def validate(self) -> "Presentation":
-        self.cocycle.require_valid()
-        return self
-
     def cosets(self) -> CosetDecomposition:
         return self.subgroup.right_cosets()
 
@@ -85,7 +87,7 @@ class GradedAlgebra:
     )
 
     def __init__(self, presentation: Presentation):
-        presentation.validate()
+        presentation.cocycle.require_valid()
         self.presentation = presentation
         H = presentation.subgroup
         G = presentation.group
@@ -305,49 +307,63 @@ def apply_move(p: Presentation, move: Move) -> Presentation:
     raise TypeError(f"unknown move {move!r}")
 
 
-def _canonical_rep_tuple(p: Presentation) -> Presentation:
-    """M2 that replaces every tuple entry by its canonical right-coset rep."""
+def _normal_forms(p: Presentation) -> Iterator[Presentation]:
+    """Yield normal forms of p, one per least-multiplicity coset H r in rep
+    order: M3(r^-1) moves H r onto the identity coset, then every entry is
+    replaced by its canonical coset rep (an M2, since rep(g) g^-1 lies in H)
+    and the entries are sorted by (multiplicity, rep) (an M1).  The identity
+    rep 0 sorts first among the least-multiplicity blocks."""
     G = p.group
-    cosets = p.cosets()
-    hs = tuple(G.mul(cosets.rep_of(g), G.inv(g)) for g in p.grading)
-    return apply_move(p, M2(hs))
+    mults = p.coset_multiplicities()
+    least = min(n for n in mults.values() if n)
+    for r, n in mults.items():
+        if n == least:
+            moved = apply_move(p, M3(G.inv(r)))
+            reps = list(map(moved.cosets().rep_of, moved.grading))
+            grading = sorted(reps, key=lambda x: (reps.count(x), x))
+            yield Presentation(G, moved.subgroup, moved.cocycle, tuple(grading))
 
 
 def normalize_presentation(p: Presentation) -> Presentation:
     """Deterministic normalized form: entries are canonical coset reps grouped
     in blocks, block multiplicities nondecreasing, first block rep = identity.
     Realized as one M3, one M2 and one M1, so the algebra is unchanged up to
-    graded isomorphism."""
-    # Pick the conjugator: representative of a smallest-multiplicity coset.
-    mults = {rep: n for rep, n in p.coset_multiplicities().items() if n > 0}
-    target = min(mults, key=lambda rep: (mults[rep], rep))
-    moved = apply_move(p, M3(p.group.inv(target)))
-    moved = _canonical_rep_tuple(moved)
-    # Sort positions by (multiplicity, rep); identity rep lands first because
-    # its index 0 is minimal among the minimal-multiplicity cosets.
-    mults2 = moved.coset_multiplicities()
-    order = sorted(range(moved.size), key=lambda i: (mults2[moved.grading[i]], moved.grading[i], i))
-    return apply_move(moved, M1(tuple(order)))
+    graded isomorphism.  The conjugator is the least rep of a smallest-
+    multiplicity coset."""
+    return next(_normal_forms(p))
 
 
 def is_normalized(p: Presentation) -> bool:
-    q = normalize_presentation(p)
-    return q.subgroup == p.subgroup and q.grading == p.grading and q.cocycle == p.cocycle
+    return normalize_presentation(p) == p
 
 
 def presentations_equivalent(p: Presentation, q: Presentation) -> bool:
-    """True iff p and q present graded-isomorphic algebras: some conjugation
-    of p matches q after normalization, with cohomologous cocycles.  Every
-    matching conjugate lives on q's subgroup, so its congruence system is
-    diagonalized once, at the first match."""
+    """True iff p and q present graded-isomorphic algebras: some normal form
+    of p has q's normalized subgroup and grading, with a cohomologous cocycle.
+    Every matching normal form lives on q's subgroup, so its congruence
+    system is diagonalized once, at the first match.
+
+    The normal forms of p, one per least-multiplicity coset, stand for the
+    normalizations of every conjugate M3(g) p:
+
+    1. M3(a) M3(b) = M3(ab), with equal tables, so normalize(M3(g) p) is the
+       M2/M1 step applied to M3(t^-1 g) p, where t is the target chosen for
+       M3(g) p.
+    2. M3 keeps coset multiplicities, and the identity coset of M3(x) p is
+       the image of H x^-1.  So x = t^-1 g ranges over r^-1 H for the
+       least-multiplicity reps r.
+    3. For h in H, M3(h) fixes H and every coset H g_i.  It moves c by an
+       inner automorphism, and inner automorphisms act trivially on
+       H^2(H, F*) (Brown, Cohomology of Groups, Prop. II.6.2).  So x = r^-1
+       stands for its whole coset, and the M2/M1 step gives the same
+       subgroup and grading from every x in r^-1 H."""
     if p.group != q.group:
         raise HypothesisError("presentations must share the ambient group")
     if p.size != q.size:
         return False
     nq = normalize_presentation(q)
     system = None
-    for g in p.group.elements():
-        np = normalize_presentation(apply_move(p, M3(g)))
+    for np in _normal_forms(p):
         if np.subgroup != nq.subgroup or np.grading != nq.grading:
             continue
         if system is None:

@@ -25,7 +25,7 @@ from .algebra import (
 )
 from .classify import ClassificationReport, classify, verify_witness
 from .cohomology import Cocycle2
-from .errors import DocumentError, GradedPIError, NoWitnessError
+from .errors import CocycleError, DocumentError, GradedPIError, NoWitnessError
 from .grassmann import envelope_identity_check
 from .groups import FiniteGroup
 from .polynomials import GradedPolynomial, GradedVariable, check_identity
@@ -245,7 +245,6 @@ class SessionDocument:
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
             raise DocumentError("document: expected a JSON object")
-        self.raw = raw
         self.group = parse_group(_need(raw, "group"))
         names = raw.get("names", {})
         if not isinstance(names, dict):
@@ -407,7 +406,15 @@ def _cmd_classify(doc: SessionDocument) -> tuple[str, int]:
     return _emit(lines, machine), 0 if report.strongly_verbally_prime else 1
 
 
+def _require_cocycle(p: Presentation, field: str) -> None:
+    try:
+        p.cocycle.require_valid()
+    except CocycleError as exc:
+        raise DocumentError(f"{field}: {exc}") from exc
+
+
 def _cmd_normalize(doc: SessionDocument) -> tuple[str, int]:
+    _require_cocycle(doc.presentation, "cocycle")
     np = normalize_presentation(doc.presentation)
     machine = {"normalized_presentation": serialize_presentation(np)}
     lines = [
@@ -420,6 +427,8 @@ def _cmd_normalize(doc: SessionDocument) -> tuple[str, int]:
 def _cmd_equivalent(doc: SessionDocument) -> tuple[str, int]:
     if doc.second is None:
         raise DocumentError("second: an 'equivalent' document needs a second presentation")
+    _require_cocycle(doc.presentation, "cocycle")
+    _require_cocycle(doc.second, "second.cocycle")
     verdict = presentations_equivalent(doc.presentation, doc.second)
     return _emit([("equivalent", verdict)], {"equivalent": verdict}), 0 if verdict else 1
 

@@ -14,9 +14,10 @@ The set of a that pass is closed under products (when a and b pass,
 (x ab) y = ((x a) b) y = (x a)(b y) = x (a (b y)) = x ((ab) y)) and holds the
 identity, so it holds every left-nested product of generators, which is
 every element.  On a failure the n^3 scan runs in (a, b, c) order, so the
-error names the first failing triple.  The tables that cyclic and
-direct_product build are group tables with identity 0 by construction and
-are not validated again.
+error names the first failing triple.  The tables that cyclic, dihedral,
+symmetric and direct_product build are group tables with identity 0 by
+construction (rotation r^0 and the sorted identity permutation come first)
+and are not validated again.
 
 A subset S holding the identity is closed under products iff S t is inside S
 for each greedy right generator t of S (right_generators over S): every
@@ -134,7 +135,7 @@ class FiniteGroup:
             return (rb - ra) % n
 
         table = [[mul(a, b) for b in range(size)] for a in range(size)]
-        return cls(table, name=f"D{n}")
+        return cls(table, name=f"D{n}", _trusted=True)
 
     @classmethod
     def symmetric(cls, n: int) -> "FiniteGroup":
@@ -148,7 +149,7 @@ class FiniteGroup:
             return index[tuple(pa[pb[i]] for i in range(n))]
 
         table = [[mul(a, b) for b in range(len(perms))] for a in range(len(perms))]
-        return cls(table, name=f"S{n}")
+        return cls(table, name=f"S{n}", _trusted=True)
 
     @classmethod
     def direct_product(cls, a: "FiniteGroup", b: "FiniteGroup") -> "FiniteGroup":

@@ -9,6 +9,7 @@ from gradedpi.algebra import (
     M2,
     M3,
     Presentation,
+    _normal_forms,
     apply_move,
     block_structure,
     build_algebra,
@@ -19,7 +20,7 @@ from gradedpi.algebra import (
     presentations_equivalent,
     support,
 )
-from gradedpi.cohomology import Cocycle2
+from gradedpi.cohomology import Cocycle2, classes_cohomologous
 from gradedpi.errors import (
     AlgebraMismatchError,
     HypothesisError,
@@ -28,7 +29,7 @@ from gradedpi.errors import (
 from gradedpi.groups import FiniteGroup
 from gradedpi.scalars import CycScalar
 
-from conftest import klein_nontrivial_cocycle
+from conftest import klein_nontrivial_cocycle, z3z3_cocycle
 
 
 def test_group_algebra_components(p_group_algebra_z2):
@@ -251,6 +252,146 @@ def test_equivalence_distinguishes_coset_distribution():
     # (e,e,a) vs (e,e,a^2): no relabeling by left translation makes the
     # multiplicity functions match.
     assert not presentations_equivalent(p, q)
+
+
+def _reference_normalize(p):
+    """Normalization as one M3, one M2 and one M1 through apply_move, with
+    the conjugator min(mults, key=(mult, rep))."""
+    G = p.group
+    mults = {rep: n for rep, n in p.coset_multiplicities().items() if n > 0}
+    target = min(mults, key=lambda rep: (mults[rep], rep))
+    moved = apply_move(p, M3(G.inv(target)))
+    cosets = moved.cosets()
+    moved = apply_move(
+        moved, M2(tuple(G.mul(cosets.rep_of(g), G.inv(g)) for g in moved.grading))
+    )
+    m2 = moved.coset_multiplicities()
+    order = sorted(range(moved.size), key=lambda i: (m2[moved.grading[i]], moved.grading[i], i))
+    return apply_move(moved, M1(tuple(order)))
+
+
+def _reference_equivalent(p, q):
+    """The all-conjugator search: normalize M3(g) p for every g in G."""
+    if p.size != q.size:
+        return False
+    nq = _reference_normalize(q)
+    for g in p.group.elements():
+        np = _reference_normalize(apply_move(p, M3(g)))
+        if (
+            np.subgroup == nq.subgroup
+            and np.grading == nq.grading
+            and classes_cohomologous(np.cocycle, nq.cocycle)
+        ):
+            return True
+    return False
+
+
+def _klein_class(H):
+    """(-1)^(x_b y_a) along e, a, b, ab with a, b the two least non-identity
+    members: a bilinear form that is not symmetric, so a nontrivial class."""
+    G = H.parent
+    a, b = H.members[1], H.members[2]
+    coords = {0: (0, 0), a: (1, 0), b: (0, 1), G.mul(a, b): (1, 1)}
+    return Cocycle2(
+        H, 2, [[coords[x][1] * coords[y][0] for y in H.members] for x in H.members]
+    )
+
+
+def _twisted(c, rng):
+    """c times the coboundary of a random normalized lambda."""
+    H = c.subgroup
+    G = H.parent
+    N = c.modulus
+    lam = {h: (rng.randrange(N) if h else 0) for h in H.members}
+    return Cocycle2(
+        H,
+        N,
+        [
+            [c.exp(x, y) + lam[x] + lam[y] - lam[G.mul(x, y)] for y in H.members]
+            for x in H.members
+        ],
+    )
+
+
+def _classes(H, rng):
+    """One or two cocycles on H, in distinct classes when H is Klein."""
+    G = H.parent
+    if len(H) == 4 and all(G.mul(h, h) == 0 for h in H.members):
+        return [_twisted(Cocycle2.trivial(H, 2), rng), _twisted(_klein_class(H), rng)]
+    return [_twisted(Cocycle2.trivial(H, rng.choice([1, 2, 3, 4])), rng)]
+
+
+def _random_moves(p, rng):
+    q = p
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            sigma = list(range(q.size))
+            rng.shuffle(sigma)
+            q = apply_move(q, M1(tuple(sigma)))
+        elif kind == 1:
+            q = apply_move(q, M2(tuple(rng.choice(q.subgroup.members) for _ in range(q.size))))
+        else:
+            q = apply_move(q, M3(rng.randrange(q.group.order)))
+    return Presentation(q.group, q.subgroup, _twisted(q.cocycle, rng), q.grading)
+
+
+def test_normal_forms_agree_with_the_all_conjugator_search():
+    """Seeded cross-check against the |G| loop: moved (equivalent) pairs,
+    same-grading pairs in different classes, and unrelated pairs, over
+    groups whose subgroups include non-normal ones (D3, D4, S4)."""
+    rng = random.Random(1313)
+    c2 = FiniteGroup.cyclic(2)
+    s4 = FiniteGroup.symmetric(4)
+    groups = [
+        FiniteGroup.dihedral(3),
+        FiniteGroup.dihedral(4),
+        FiniteGroup.direct_product(c2, c2),
+        FiniteGroup.direct_product(c2, FiniteGroup.cyclic(4)),
+        FiniteGroup.cyclic(6),
+    ]
+    cases = [(G, H) for G in groups for H in G.all_subgroups()]
+    for gens in ([1], [6], [3, 8], [1, 6], [7, 16], [3]):
+        cases.append((s4, s4.generated_subgroup(gens)))
+    assert any(not H.is_normal() for G, H in cases if G is s4)
+    verdicts = {"moved": set(), "classes": set(), "unrelated": set()}
+    for G, H in cases * 3:
+        for c in _classes(H, rng):
+            grading = tuple(rng.randrange(G.order) for _ in range(rng.randint(1, 4)))
+            p = Presentation(G, H, c, grading)
+            forms = list(_normal_forms(p))
+            assert normalize_presentation(p) == forms[0] == _reference_normalize(p)
+            assert is_normalized(forms[0]) and len(forms) <= len(H.right_cosets())
+            pairs = [("moved", _random_moves(p, rng))]
+            for other in _classes(H, rng):
+                pairs.append(("classes", Presentation(G, H, other, grading)))
+            K = rng.choice(G.all_subgroups()) if G.order <= 16 else H
+            kgrading = tuple(rng.randrange(G.order) for _ in grading)
+            pairs.append(("unrelated", Presentation(G, K, _classes(K, rng)[0], kgrading)))
+            for kind, q in pairs:
+                want = _reference_equivalent(p, q)
+                assert presentations_equivalent(p, q) == want, (G.name, H, kind)
+                verdicts[kind].add(want)
+    assert verdicts == {"moved": {True}, "classes": {True, False}, "unrelated": {True, False}}
+
+
+def test_second_tie_break_separates_the_swapped_classes(p_z3z3_noninvariant):
+    """On Z3wrZ2 with H = Z3 x Z3 and grading (e, sigma), both cosets have
+    multiplicity 1.  The swap sends class k to class -k, so classes 1 and 2
+    are equivalent only through the second normal form."""
+    p = p_z3z3_noninvariant
+    H = p.subgroup
+    ps = [Presentation(p.group, H, z3z3_cocycle(H, k), p.grading) for k in range(3)]
+    for k1, a in enumerate(ps):
+        for k2, b in enumerate(ps):
+            want = _reference_equivalent(a, b)
+            assert presentations_equivalent(a, b) == want
+            assert want == (k1 == k2 or k1 * k2 == 2)
+    first, second = _normal_forms(ps[1])
+    nq = normalize_presentation(ps[2])
+    assert first.grading == second.grading == nq.grading
+    assert not classes_cohomologous(first.cocycle, nq.cocycle)
+    assert classes_cohomologous(second.cocycle, nq.cocycle)
 
 
 def test_crossed_product_certificates(p_z2_balanced, p_d4_klein, z2):

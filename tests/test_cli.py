@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from gradedpi.cli import (
+    COMMANDS,
     MACHINE_BEGIN,
     MACHINE_END,
     MAX_GRADING,
@@ -308,6 +309,50 @@ def test_bad_document_exits_2_naming_the_field(path, value, field, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert field in captured.err
+
+
+# C2 x C1 with H = C2 and c(e, sigma) = -1: not normalized, so not a cocycle.
+# The polynomial, params and second presentation give every command what it
+# reads before the cocycle.
+INVALID_COCYCLE = {
+    "group": {"construct": "product", "factors": [
+        {"construct": "cyclic", "n": 2}, {"construct": "cyclic", "n": 1}]},
+    "subgroup": [0, 1],
+    "cocycle": {"modulus": 2, "exponents": [[0, 1], [0, 0]]},
+    "grading": [0],
+    "polynomials": {"x": {"variables": ["x1:0"], "monomials": [{"coeff": "1", "order": [1]}]}},
+    "params": {"polynomial": "x", "truncation": 2},
+    "second": {"subgroup": [0], "cocycle": {"modulus": 1, "exponents": [[0]]}, "grading": [0]},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_exits_2_on_an_invalid_cocycle(command, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(INVALID_COCYCLE))
+    assert main(["--input", str(path), "--command", command]) == 2
+    captured = capsys.readouterr()
+    first = "normalization violation at (0, 1): c(e, h) != 1"
+    if command == "validate":
+        assert captured.err == "" and f"violation: {first}" in captured.out
+    else:
+        assert captured.out == "" and first in captured.err
+    if command in ("normalize", "equivalent"):
+        assert captured.err == f"input error: cocycle: {first}\n"
+
+
+def test_equivalent_checks_the_second_cocycle(tmp_path, capsys):
+    doc = json.loads(json.dumps(INVALID_COCYCLE))
+    doc["second"], doc["subgroup"] = {**doc, "grading": [1]}, [0]
+    doc["cocycle"] = {"modulus": 1, "exponents": [[0]]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--input", str(path), "--command", "equivalent"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: second.cocycle: normalization violation at (0, 1): c(e, h) != 1\n"
+    )
 
 
 def test_envelope_truncation_must_be_an_integer_not_a_bool():

@@ -24,9 +24,8 @@ from gradedpi.cohomology import (
 )
 from gradedpi import cohomology
 from gradedpi.algebra import (
-    M3,
     Presentation,
-    apply_move,
+    _normal_forms,
     normalize_presentation,
     presentations_equivalent,
 )
@@ -115,6 +114,50 @@ def test_violations_match_the_naive_triple_loop():
                             inside = a in H and b in H
                             assert table[a][b] == (c.exp(a, b) if inside else 0)
     assert min(kinds.values()) >= 10, kinds
+
+
+def _check_like_violations(c: Cocycle2) -> bool:
+    """require_valid, which checks the identity on generators only, passes
+    exactly when the full scan finds nothing, and otherwise names its first
+    violation."""
+    bad = c.violations()
+    if not bad:
+        assert c.require_valid() is c
+        return True
+    with pytest.raises(CocycleError) as err:
+        c.require_valid()
+    assert str(err.value) == str(bad[0])
+    return False
+
+
+def test_require_valid_on_generators_matches_the_full_scan():
+    """Every normalized table of C3 (mod 3), C4 and C2 x C2 (mod 2), and
+    seeded perturbed coboundaries over S3, D4 (mod 2) and C6 (mod 6),
+    normalization entries included.  A constant shift keeps the identity
+    and breaks only normalization."""
+    c2 = FiniteGroup.cyclic(2)
+    outcomes = []
+    for G, N in ((FiniteGroup.cyclic(3), 3), (FiniteGroup.cyclic(4), 2),
+                 (FiniteGroup.direct_product(c2, c2), 2)):
+        H = G.full_subgroup()
+        n = len(H)
+        for free in product(range(N), repeat=(n - 1) ** 2):
+            exps = [[0] * n] + [[0, *free[i * (n - 1):(i + 1) * (n - 1)]] for i in range(n - 1)]
+            outcomes.append(_check_like_violations(Cocycle2(H, N, exps)))
+    rng = random.Random(61105)
+    for G, N in ((FiniteGroup.symmetric(3), 2), (FiniteGroup.dihedral(4), 2),
+                 (FiniteGroup.cyclic(6), 6)):
+        for H in G.all_subgroups():
+            n = len(H)
+            for _ in range(40):
+                lam = (0,) + tuple(rng.randrange(N) for _ in range(n - 1))
+                shift = rng.randrange(N) if rng.random() < 0.2 else 0
+                exps = [[v + shift for v in r] for r in Coboundary(H, N, lam).induced().exps]
+                for _ in range(rng.randrange(3) if n > 1 else 0):
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    exps[i][j] = (exps[i][j] + rng.randrange(1, N)) % N
+                outcomes.append(_check_like_violations(Cocycle2(H, N, exps)))
+    assert outcomes.count(True) >= 300 and outcomes.count(False) >= 300
 
 
 def _replay_on_identity(row_ops, m):
@@ -308,7 +351,7 @@ def test_classify_solves_invariance_once(p_z3z3_noninvariant, monkeypatch):
 
 def test_one_diagonalization_per_decision(monkeypatch):
     """The relation matrix of H is diagonalized once per decision and reused
-    for every conjugate or coset representative that needs a solve."""
+    for every normal form or coset representative that needs a solve."""
     counts = {"smith": 0, "solve": 0}
     real = {"smith": cohomology.smith_diagonalize, "solve": cohomology.solve_congruences}
 
@@ -327,11 +370,10 @@ def test_one_diagonalization_per_decision(monkeypatch):
     p = Presentation(G, H, klein_nontrivial_cocycle(H), (0, 1))
     q = Presentation(G, H, Cocycle2.trivial(H, 2), (0, 1))
     nq = normalize_presentation(q)
-    matching = 0
-    for g in G.elements():
-        np = normalize_presentation(apply_move(p, M3(g)))
-        matching += np.subgroup == nq.subgroup and np.grading == nq.grading
-    assert matching > 1
+    matching = sum(
+        np.subgroup == nq.subgroup and np.grading == nq.grading for np in _normal_forms(p)
+    )
+    assert matching == 2
     assert not presentations_equivalent(p, q)
     assert counts == {"smith": 1, "solve": matching}
 

@@ -258,6 +258,24 @@ def test_every_zoo_group_constructs_with_few_generators():
             ).order == len(H)
 
 
+def test_unvalidated_constructors_build_group_tables_with_identity_zero():
+    """cyclic, dihedral, symmetric and direct_product skip validation, so
+    every table they build must pass it unchanged."""
+    c2, c4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+    built = [FiniteGroup.cyclic(n) for n in range(1, 65)]
+    built += [FiniteGroup.dihedral(n) for n in range(1, 33)]
+    built += [FiniteGroup.symmetric(n) for n in range(5)]
+    built += [
+        FiniteGroup.direct_product(c2, c2),
+        FiniteGroup.direct_product(c2, FiniteGroup.dihedral(3)),
+        FiniteGroup.direct_product(FiniteGroup.symmetric(3), c4),
+        FiniteGroup.direct_product(FiniteGroup.dihedral(4), c4),
+        FiniteGroup.direct_product(FiniteGroup.direct_product(c2, c2), c4),
+    ]
+    for g in built:
+        assert groups._validate_table(g.table) == 0, g.name
+
+
 def _full_scan_error(g: FiniteGroup, members):
     """The |S|^2 reference: the first inverse or product that leaves the set,
     member by member in index order; None for a subgroup."""
@@ -301,15 +319,17 @@ def test_closure_on_generators_matches_the_full_scan():
 
 
 def test_built_groups_skip_validation_and_equal_validated_ones(monkeypatch):
-    """cyclic and direct_product build group tables by construction and do
-    not validate them again; each equals the group validated from its table."""
+    """cyclic, dihedral, symmetric and direct_product build group tables by
+    construction and do not validate them again; each equals the group
+    validated from its table."""
     checked = []
     validate = groups._validate_table
     monkeypatch.setattr(groups, "_validate_table", lambda rows: checked.append(rows) or validate(rows))
     built = [FiniteGroup.cyclic(n) for n in (1, 2, 6, 64)]
     built.append(FiniteGroup.direct_product(built[1], built[2]))
     built.append(FiniteGroup.direct_product(built[4], FiniteGroup.dihedral(2)))
-    assert len(checked) == 1  # the dihedral factor
+    built += [FiniteGroup.dihedral(4), FiniteGroup.symmetric(0), FiniteGroup.symmetric(4)]
+    assert checked == []
     for G in built:
         again = FiniteGroup(G.table, name=G.name, product_factors=G.product_factors)
         assert again == G and again.name == G.name
