@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from math import lcm
@@ -29,7 +30,7 @@ from .errors import CocycleError, DocumentError, GradedPIError, NoWitnessError
 from .grassmann import envelope_identity_check
 from .groups import FiniteGroup
 from .polynomials import GradedPolynomial, GradedVariable, check_identity
-from .scalars import CycScalar
+from .scalars import CycScalar, euler_phi, power_rows
 
 MACHINE_BEGIN = "--- machine ---"
 MACHINE_END = "--- end machine ---"
@@ -76,7 +77,7 @@ def parse_group(spec: Any, where: str = "group") -> FiniteGroup:
         if not isinstance(table, list):
             raise DocumentError(f"{where}.table: expected a list of rows, got {table!r}")
         for i, row in enumerate(table):
-            if not isinstance(row, list) or not all(_is_int(v) for v in row):
+            if not isinstance(row, list) or not (_exact_ints(row) or all(_is_int(v) for v in row)):
                 raise DocumentError(
                     f"{where}.table[{i}]: expected a list of integers, got {row!r}"
                 )
@@ -117,6 +118,16 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_INT_TYPE = frozenset((int,))
+
+
+def _exact_ints(values: list) -> bool:
+    """True when every entry is exactly an int: a pass at C speed, so the
+    callers' _is_int loop, which accepts the same entries, runs only when
+    it fails."""
+    return set(map(type, values)) <= _INT_TYPE
+
+
 def _resolve_element(value: Any, names: dict[str, int], group: FiniteGroup, where: str) -> int:
     if isinstance(value, str):
         if value not in names:
@@ -127,9 +138,20 @@ def _resolve_element(value: Any, names: dict[str, int], group: FiniteGroup, wher
     return value
 
 
-def _rational(text: str, where: str) -> Fraction:
-    """Fraction(text), refused first when the literal could stand for more
-    than MAX_RATIONAL_DIGITS digits."""
+# A literal that int() reads exactly as Fraction does: ASCII digits, an
+# optional minus and a denominator with no leading zero (so never 0).
+_PLAIN_RATIONAL = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
+
+
+def _rational(text: str, where: str) -> tuple[int, int]:
+    """The numerator and positive denominator of the literal text, not
+    necessarily in lowest terms.  A plain literal of at most
+    MAX_RATIONAL_DIGITS characters is read with int(); any other goes to
+    Fraction, refused first when it could stand for more than
+    MAX_RATIONAL_DIGITS digits."""
+    if len(text) <= MAX_RATIONAL_DIGITS and _PLAIN_RATIONAL.fullmatch(text):
+        num, _, den = text.partition("/")
+        return int(num), int(den) if den else 1
     mantissa, _, exponent = text.lower().partition("e")
     digits = len(text)
     if exponent and digits <= MAX_RATIONAL_DIGITS:
@@ -141,7 +163,8 @@ def _rational(text: str, where: str) -> Fraction:
         raise DocumentError(
             f"{where}: rational literal {text!r} exceeds {MAX_RATIONAL_DIGITS} digits"
         )
-    return Fraction(text)
+    q = Fraction(text)
+    return q.numerator, q.denominator
 
 
 def parse_coefficient(value: Any, modulus: int, where: str) -> CycScalar:
@@ -149,7 +172,8 @@ def parse_coefficient(value: Any, modulus: int, where: str) -> CycScalar:
     lists denoting sums of rational multiples of zeta^power."""
     try:
         if isinstance(value, str) or _is_int(value):
-            return CycScalar.from_rational(modulus, _rational(str(value), where))
+            num, den = _rational(str(value), where)
+            return CycScalar.from_scaled_ints(modulus, (num,), den)
         if isinstance(value, list):
             terms = []
             for i, item in enumerate(value):
@@ -160,12 +184,15 @@ def parse_coefficient(value: Any, modulus: int, where: str) -> CycScalar:
                     raise DocumentError(
                         f"{where}[{i}]: expected an integer power, got {power!r}"
                     )
-                terms.append((power % modulus, _rational(str(q), f"{where}[{i}]")))
-            den = lcm(*(q.denominator for _, q in terms))
-            ints = [0] * modulus
-            for power, q in terms:
-                ints[power] += q.numerator * (den // q.denominator)
-            return CycScalar.from_scaled_ints(modulus, ints, den)
+                terms.append((power % modulus, *_rational(str(q), f"{where}[{i}]")))
+            rows = power_rows(modulus)
+            den = lcm(*(d for _, _, d in terms))
+            vec = [0] * euler_phi(modulus)
+            for power, num, d in terms:
+                f = num * (den // d)
+                for j, c in rows[power]:
+                    vec[j] += f * c
+            return CycScalar.from_scaled_ints(modulus, vec, den)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"{where}: bad coefficient {value!r} ({exc})") from exc
     raise DocumentError(f"{where}: bad coefficient {value!r}")
@@ -200,9 +227,10 @@ def parse_polynomial(
             raise DocumentError(f"{at}: expected an object")
         coeff = parse_coefficient(_need(m, "coeff", at), modulus, f"{at}.coeff")
         order = _need_list(m, "order", at, f"{at}.order")
-        for j, x in enumerate(order):
-            if not _is_int(x):
-                raise DocumentError(f"{at}.order[{j}]: expected a variable id, got {x!r}")
+        if not _exact_ints(order):
+            for j, x in enumerate(order):
+                if not _is_int(x):
+                    raise DocumentError(f"{at}.order[{j}]: expected a variable id, got {x!r}")
         monos.append((coeff, tuple(order)))
     try:
         return GradedPolynomial(variables, monos)
@@ -295,7 +323,7 @@ class SessionDocument:
             )
         exps = _need_list(cspec, "exponents", prefix + "cocycle", f"{prefix}cocycle.exponents")
         for i, row in enumerate(exps):
-            if not isinstance(row, list) or not all(_is_int(v) for v in row):
+            if not isinstance(row, list) or not (_exact_ints(row) or all(_is_int(v) for v in row)):
                 raise DocumentError(
                     f"{prefix}cocycle.exponents[{i}]: expected a list of integers, got {row!r}"
                 )
@@ -331,8 +359,43 @@ class SessionDocument:
 
 def _emit(lines: list[tuple[str, Any]], machine: dict) -> str:
     text = "\n".join(f"{k}: {_fmt(v)}" for k, v in lines)
-    block = json.dumps(machine, indent=2, sort_keys=True)
-    return f"{text}\n{MACHINE_BEGIN}\n{block}\n{MACHINE_END}\n"
+    return f"{text}\n{MACHINE_BEGIN}\n{_json_block(machine)}\n{MACHINE_END}\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_block(value: Any, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for a value built of
+    dict, list, str, int, bool and None, written directly: the json module
+    serves indent=2 only from its pure-Python encoder.  Strings go through
+    the same ASCII escaper, which also refuses a dict key that is not a
+    str.  Any other type, a float or a tuple included, raises TypeError,
+    never a different text."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        body = f",{inner}".join([_json_block(v, inner) for v in value])
+        return f"[{inner}{body}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = f",{inner}".join(
+            [f"{_encode_str(k)}: {_json_block(value[k], inner)}" for k in sorted(value)]
+        )
+        return f"{{{inner}{body}{newline}}}"
+    raise TypeError(f"cannot write {type(value).__name__} {value!r} to a report")
 
 
 def _fmt(v: Any) -> str:
@@ -391,6 +454,7 @@ def _cmd_validate(doc: SessionDocument) -> tuple[str, int]:
 
 
 def _cmd_classify(doc: SessionDocument) -> tuple[str, int]:
+    _require_cocycle(doc.presentation, "cocycle")
     report = classify(doc.presentation)
     flags = report.flags()
     lines = [(k, v) for k, v in flags.items()]
@@ -490,6 +554,7 @@ def emit_witness(report: ClassificationReport) -> dict:
 
 
 def _cmd_witness(doc: SessionDocument) -> tuple[str, int]:
+    _require_cocycle(doc.presentation, "cocycle")
     report = classify(doc.presentation, with_witness=True)
     if report.strongly_verbally_prime:
         return (

@@ -77,7 +77,7 @@ class CocycleViolation:
 class Cocycle2:
     """Exponent table of a normalized 2-cocycle on H with values zeta_N^k."""
 
-    __slots__ = ("subgroup", "modulus", "exps")
+    __slots__ = ("subgroup", "modulus", "exps", "_dense")
 
     def __init__(self, subgroup: Subgroup, modulus: int, exps, *, _reduced=False):
         """_reduced: the caller, a method of this module, computed every entry
@@ -88,12 +88,13 @@ class Cocycle2:
         if _reduced:
             rows = tuple(map(tuple, exps))
         else:
-            rows = tuple(tuple(int(v) % modulus for v in row) for row in exps)
+            rows = tuple([tuple([int(v) % modulus for v in row]) for row in exps])
         if len(rows) != n or any(len(r) != n for r in rows):
             raise CocycleError(f"exponent table must be {n}x{n}")
         self.subgroup = subgroup
         self.modulus = modulus
         self.exps = rows
+        self._dense = None
 
     @classmethod
     def trivial(cls, subgroup: Subgroup, modulus: int = 1) -> "Cocycle2":
@@ -110,17 +111,24 @@ class Cocycle2:
     def value(self, a: int, b: int) -> CycScalar:
         return root_of_unity(self.modulus, self.exp(a, b))
 
-    def exponent_table(self) -> list[list[int]]:
+    def exponent_table(self) -> tuple[tuple[int, ...], ...]:
         """Dense G x G exponent table indexed by parent-group elements: entry
-        [a][b] is exp(a, b) for a, b in H and 0 elsewhere."""
-        H = self.subgroup
-        n = H.parent.order
-        table = [[0] * n for _ in range(n)]
-        for row, a in zip(self.exps, H.members):
-            dense = table[a]
-            for v, b in zip(row, H.members):
-                dense[b] = v
-        return table
+        [a][b] is exp(a, b) for a, b in H and 0 elsewhere.  Built on the
+        first call, with tuple rows, and the same object on every later one."""
+        if self._dense is None:
+            H = self.subgroup
+            n = H.parent.order
+            if len(H) == n:  # H = G, whose members are 0..n-1 in order
+                self._dense = self.exps
+            else:
+                table = [(0,) * n] * n
+                for row, a in zip(self.exps, H.members):
+                    dense = [0] * n
+                    for v, b in zip(row, H.members):
+                        dense[b] = v
+                    table[a] = tuple(dense)
+                self._dense = tuple(table)
+        return self._dense
 
     # -- validation ------------------------------------------------------------
 

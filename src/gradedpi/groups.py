@@ -46,7 +46,7 @@ class FiniteGroup:
     def __init__(self, table, name: str = "G", product_factors=None, *, _trusted=False):
         """_trusted: the caller, a constructor of this class, built the table
         as a group table with identity 0, so it is not validated again."""
-        rows = tuple(tuple(r) for r in table)
+        rows = tuple(map(tuple, table))
         if not _trusted:
             e = _validate_table(rows)
             if e != 0:
@@ -55,7 +55,11 @@ class FiniteGroup:
         self.table = rows
         self.name = name
         self.product_factors = product_factors
-        self._inv = tuple(_inverse_row(rows, a) for a in range(self.order))
+        try:
+            self._inv = tuple([row.index(0) for row in rows])
+        except ValueError:
+            a = next(a for a, row in enumerate(rows) if 0 not in row)
+            raise InvalidTableError(f"element {a} has no inverse") from None
 
     # -- basic operations ---------------------------------------------------
 
@@ -111,7 +115,7 @@ class FiniteGroup:
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
         _check_order(n)
-        table = [[(a + b) % n for b in range(n)] for a in range(n)]
+        table = [tuple(range(a, n)) + tuple(range(a)) for a in range(n)]
         return cls(table, name=f"C{n}", _trusted=True)
 
     @classmethod
@@ -156,11 +160,11 @@ class FiniteGroup:
         """Product group with index (x, y) -> x * |b| + y; factors retained
         so graded machinery can split degrees back into components."""
         nb = b.order
-        size = a.order * nb
-        _check_order(size)
+        _check_order(a.order * nb)
+        # Row (x, y) lists (x x') * |b| + y y' over x' and then y'.
+        scaled = [[v * nb for v in row] for row in a.table]
         table = [
-            [a.mul(x // nb, y // nb) * nb + b.mul(x % nb, y % nb) for y in range(size)]
-            for x in range(size)
+            tuple([p + q for p in row_a for q in row_b]) for row_a in scaled for row_b in b.table
         ]
         return cls(table, name=f"{a.name}x{b.name}", product_factors=(a, b), _trusted=True)
 
@@ -308,13 +312,6 @@ def _relabel(rows, e: int):
         for b in range(n):
             out[sigma[a]][sigma[b]] = sigma[rows[a][b]]
     return tuple(tuple(r) for r in out)
-
-
-def _inverse_row(rows, a: int) -> int:
-    for b in range(len(rows)):
-        if rows[a][b] == 0:
-            return b
-    raise InvalidTableError(f"element {a} has no inverse")
 
 
 class Subgroup:

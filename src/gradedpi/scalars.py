@@ -56,12 +56,36 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+@lru_cache(maxsize=None)
+def power_rows(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row k, for 0 <= k < order, is zeta^k mod Phi_order as the (j, c) pairs
+    of its nonzero power-basis coordinates.  Below phi(order) it is
+    ((k, 1),); above, it is zeta times the row before, whose zeta^phi term
+    is rewritten as -(Phi_order - zeta^phi).  Rows are sparse because a
+    dense table at modulus 1024 would hold half a million entries."""
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    low = [(j, c) for j, c in enumerate(phi[:-1]) if c]
+    rows = [((k, 1),) for k in range(deg)]
+    row = rows[-1]
+    for _ in range(deg, order):
+        top = dict(row).get(deg - 1, 0)
+        shifted = {j + 1: c for j, c in row if j + 1 < deg}
+        for j, c in low:
+            shifted[j] = shifted.get(j, 0) - top * c
+        row = tuple((j, c) for j, c in shifted.items() if c)
+        rows.append(row)
+    return tuple(rows)
+
+
 def _reduce_mod_phi(order: int, ints: Sequence[int]) -> tuple[int, ...]:
     """The phi(order) power-basis coordinates of the integer polynomial ints
     (ascending) mod Phi_order.  Phi_order is monic, so they stay integral."""
     phi = cyclotomic_polynomial(order)
     deg = len(phi) - 1
-    ints = list(ints) + [0] * (deg - len(ints))
+    if len(ints) <= deg:
+        return (*ints, *(0,) * (deg - len(ints)))
+    ints = list(ints)
     for i in range(len(ints) - 1, deg - 1, -1):
         c = ints[i]
         if c:

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from gradedpi.cli import (
     COMMANDS,
@@ -15,6 +17,7 @@ from gradedpi.cli import (
     MAX_GRADING,
     MAX_RATIONAL_DIGITS,
     SessionDocument,
+    _json_block,
     main,
     parse_coefficient,
     parse_polynomial,
@@ -337,7 +340,31 @@ def test_every_command_exits_2_on_an_invalid_cocycle(command, tmp_path, capsys):
         assert captured.err == "" and f"violation: {first}" in captured.out
     else:
         assert captured.out == "" and first in captured.err
-    if command in ("normalize", "equivalent"):
+    if command in ("classify", "normalize", "equivalent", "witness"):
+        assert captured.err == f"input error: cocycle: {first}\n"
+
+
+# The subgroup {0, 3} of D3 is not normal, so classify conjugates it before
+# building anything: the document's element 3 would be 5 in the normal form.
+INVALID_D3_COCYCLE = {
+    "group": {"construct": "dihedral", "n": 3},
+    "subgroup": [0, 3],
+    "cocycle": {"modulus": 2, "exponents": [[0, 1], [0, 0]]},
+    "grading": [1, 2],
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "normalize", "witness"])
+def test_an_invalid_cocycle_is_named_in_the_documents_coordinates(command, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(INVALID_D3_COCYCLE))
+    assert main(["--input", str(path), "--command", command]) == 2
+    captured = capsys.readouterr()
+    first = "normalization violation at (0, 3): c(e, h) != 1"
+    if command == "validate":
+        assert captured.err == "" and f"violation: {first}" in captured.out
+    else:
+        assert captured.out == ""
         assert captured.err == f"input error: cocycle: {first}\n"
 
 
@@ -386,6 +413,116 @@ def test_coefficient_literals_are_capped_before_fraction_reads_them():
     for bad in (f"1e{cap}", f"1e-{cap}", "9" * (cap + 1), "1e999999999999"):
         with pytest.raises(DocumentError, match="exceeds"):
             parse_coefficient(bad, 1, "c")
+
+
+# Literals at the edge of the plain ASCII form that int() reads: signs,
+# spaces, underscores, non-ASCII digits, zero and leading-zero denominators,
+# exponents and decimals, the digit cap, JSON ints and a bool.
+EDGE_LITERALS = [
+    "+1", " 1", "1_0", "\u0661\u0662", "-0", "0/5", "1/05", "1/0", "1/-2", "1e3", "1.5", "",
+    "12/8", "-3/4", "7" * MAX_RATIONAL_DIGITS, "7" * (MAX_RATIONAL_DIGITS + 1),
+    "-" + "7" * (MAX_RATIONAL_DIGITS - 1), "-" + "7" * MAX_RATIONAL_DIGITS,
+    "1/" + "3" * (MAX_RATIONAL_DIGITS - 2), 5, -7, 10 ** (MAX_RATIONAL_DIGITS - 1),
+    10**MAX_RATIONAL_DIGITS, True,
+]
+
+
+def _scalar_or_message(value, modulus):
+    try:
+        return parse_coefficient(value, modulus, "c")
+    except DocumentError as exc:
+        return str(exc)
+
+
+def test_plain_literals_read_with_int_match_the_fraction_path(monkeypatch):
+    import re
+
+    from gradedpi import cli
+
+    values = EDGE_LITERALS + [[[1, v]] for v in EDGE_LITERALS]
+    values += [[[3, v], [-1, "1/6"]] for v in EDGE_LITERALS]
+    for modulus in (1, 4, 12):
+        fast = [_scalar_or_message(v, modulus) for v in values]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_PLAIN_RATIONAL", re.compile("(?!)"))  # never matches
+            slow = [_scalar_or_message(v, modulus) for v in values]
+        assert fast == slow
+        assert sum(isinstance(x, CycScalar) for x in fast) == 3 * 17  # 17 of 24 are valid
+    with monkeypatch.context() as m:  # the plain literals never reach Fraction
+        m.setattr(cli, "Fraction", None)
+        for text in ("-0", "0/5", "12/8", "-3/4", "7" * MAX_RATIONAL_DIGITS, -7):
+            assert parse_coefficient([[1, text]], 4, "c") == parse_coefficient(
+                text, 4, "c"
+            ).shift_root(1)
+
+
+@pytest.mark.parametrize("modulus", [1, 3, 4, 12, 1024])
+def test_power_lists_sum_power_table_rows_like_from_poly(modulus):
+    import random
+
+    rng = random.Random(modulus)
+    for _ in range(40):
+        terms = [
+            [rng.randrange(-2 * modulus, 2 * modulus), f"{rng.randint(-9, 9)}/{rng.randint(1, 6)}"]
+            for _ in range(rng.randint(0, 5))
+        ]
+        poly = [Fraction(0)] * modulus
+        for power, q in terms:
+            poly[power % modulus] += Fraction(q)
+        assert parse_coefficient(terms, modulus, "c") == CycScalar.from_poly(modulus, poly)
+
+
+# Strings json must escape: quotes, backslashes, control characters, non-ASCII
+# letters, a line separator and a character outside the BMP.
+AWKWARD_TEXT = ['"', "\\", "\x00", "\n\t\x1f", "\u00e9", "\u2028", "\U0001f600", "", "a\"b"]
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([-(10**60) - 7, 10**40, -1, 0])
+    | st.text()
+    | st.sampled_from(AWKWARD_TEXT)
+)
+json_keys = st.text(max_size=4) | st.sampled_from(AWKWARD_TEXT)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_keys, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@seed(20261019)
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(json_values)
+def test_report_writer_matches_indented_json_dumps(value):
+    assert _json_block(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_report_writer_refuses_floats_and_non_str_keys():
+    for bad in (1.5, [0, {"a": float("nan")}], {1: 2}, {"a": {None: 0}}, {"a": (1,)}, b"x"):
+        with pytest.raises(TypeError):
+            _json_block(bad)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_report_writer_on_the_readme_sample(command, monkeypatch):
+    from gradedpi import cli
+
+    blocks = []
+    emit = cli._emit
+
+    def spy(lines, machine):
+        blocks.append(json.dumps(machine, indent=2, sort_keys=True))
+        return emit(lines, machine)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    try:
+        text, _ = run(command, README_SAMPLE_WITH_POLYNOMIAL)
+    except DocumentError:  # equivalent and envelope-check need more fields
+        assert command in ("equivalent", "envelope-check") and not blocks
+        return
+    assert blocks and f"{MACHINE_BEGIN}\n{blocks[0]}\n{MACHINE_END}\n" in text
 
 
 def test_max_degree_cap():

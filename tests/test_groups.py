@@ -340,3 +340,35 @@ def test_built_groups_skip_validation_and_equal_validated_ones(monkeypatch):
         FiniteGroup.cyclic(65)
     with pytest.raises(InvalidTableError, match="exceeds"):
         FiniteGroup.direct_product(built[2], FiniteGroup.cyclic(11))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (FiniteGroup.cyclic(2), FiniteGroup.cyclic(6)),
+        (FiniteGroup.dihedral(3), FiniteGroup.cyclic(2)),
+        (FiniteGroup.symmetric(3), FiniteGroup.cyclic(4)),
+        (FiniteGroup.cyclic(4), FiniteGroup.cyclic(4)),
+    ],
+)
+def test_direct_product_rows_equal_the_factor_products(a, b):
+    nb = b.order
+    n = a.order * nb
+    G = FiniteGroup.direct_product(a, b)
+    assert G.table == tuple(
+        tuple(a.mul(x // nb, y // nb) * nb + b.mul(x % nb, y % nb) for y in range(n))
+        for x in range(n)
+    )
+    assert G.name == f"{a.name}x{b.name}" and G.product_factors == (a, b)
+    assert all(G.mul(x, G.inv(x)) == 0 == G.mul(G.inv(x), x) for x in G.elements())
+
+
+def test_inverses_read_from_the_rows():
+    for g in (FiniteGroup.dihedral(5), FiniteGroup.symmetric(4), FiniteGroup.cyclic(7)):
+        assert [g.inv(a) for a in g.elements()] == [
+            next(b for b in g.elements() if g.mul(a, b) == 0) for a in g.elements()
+        ]
+    # A validated table is a Latin square, so only an unvalidated one can
+    # hold a row without the identity.
+    with pytest.raises(InvalidTableError, match=r"^element 1 has no inverse$"):
+        FiniteGroup([[0, 1, 2], [1, 1, 2], [2, 0, 1]], _trusted=True)

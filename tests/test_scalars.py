@@ -13,8 +13,10 @@ from gradedpi.polynomials import GradedPolynomial, disjoint_product, variables_f
 from gradedpi.scalars import (
     CycScalar,
     _poly_div_exact,
+    _reduce_mod_phi,
     cyclotomic_polynomial,
     euler_phi,
+    power_rows,
     root_of_unity,
 )
 
@@ -33,6 +35,47 @@ def test_cyclotomic_polynomial_matches_sympy(n):
         int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs())
     )
     assert cyclotomic_polynomial(n) == expected
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 12, 1024])
+def test_power_rows_are_the_powers_of_zeta_mod_phi(n):
+    x = sympy.Symbol("x")
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+    rows = power_rows(n)
+    assert len(rows) == n and power_rows(n) is rows
+    dense = []
+    for k, row in enumerate(rows):
+        assert len({j for j, _ in row}) == len(row) and all(c for _, c in row)
+        dense.append(_dense_row(row, n))
+        assert dense[k] == _reduce_mod_phi(n, [0] * k + [1])
+    # sympy is slow at modulus 1024: check the rows around phi(n) and a sample.
+    ks = set(range(n)) if n <= 12 else {*range(8), *range(euler_phi(n) - 4, euler_phi(n) + 4)}
+    ks |= set(random.Random(n).sample(range(n), min(n, 12))) | {n - 1}
+    for k in sorted(ks):
+        coeffs = [int(c) for c in reversed(sympy.Poly(x**k, x).rem(phi).all_coeffs())]
+        assert dense[k] == tuple(coeffs + [0] * (euler_phi(n) - len(coeffs))), k
+
+
+def _dense_row(row, n):
+    coords = [0] * euler_phi(n)
+    for j, c in row:
+        coords[j] = c
+    return tuple(coords)
+
+
+def test_power_rows_at_every_small_modulus():
+    # 105 is the least n with a coefficient of Phi_n outside -1..1.
+    for n in [*range(1, 41), 105]:
+        assert [_dense_row(row, n) for row in power_rows(n)] == [
+            _reduce_mod_phi(n, [0] * k + [1]) for k in range(n)
+        ], n
+
+
+def test_reduce_mod_phi_pads_short_inputs_and_reduces_long_ones():
+    assert _reduce_mod_phi(12, ()) == (0, 0, 0, 0)
+    assert _reduce_mod_phi(12, (5, -1)) == (5, -1, 0, 0)
+    assert _reduce_mod_phi(12, (1, 0, 0, 0, 1)) == (0, 0, 1, 0)  # 1 + x^4 = x^2 mod Phi_12
+    assert _reduce_mod_phi(1, (2, 3, 4)) == (9,)
 
 
 def test_i_squared_is_minus_one():
