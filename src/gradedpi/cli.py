@@ -77,7 +77,7 @@ def parse_group(spec: Any, where: str = "group") -> FiniteGroup:
         if not isinstance(table, list):
             raise DocumentError(f"{where}.table: expected a list of rows, got {table!r}")
         for i, row in enumerate(table):
-            if not isinstance(row, list) or not (_exact_ints(row) or all(_is_int(v) for v in row)):
+            if not isinstance(row, list) or not _exact_ints(row):
                 raise DocumentError(
                     f"{where}.table[{i}]: expected a list of integers, got {row!r}"
                 )
@@ -122,9 +122,8 @@ _INT_TYPE = frozenset((int,))
 
 
 def _exact_ints(values: list) -> bool:
-    """True when every entry is exactly an int: a pass at C speed, so the
-    callers' _is_int loop, which accepts the same entries, runs only when
-    it fails."""
+    """True when every entry is exactly an int (so no bool), checked at C
+    speed; json.loads yields no other int type."""
     return set(map(type, values)) <= _INT_TYPE
 
 
@@ -185,13 +184,16 @@ def parse_coefficient(value: Any, modulus: int, where: str) -> CycScalar:
                         f"{where}[{i}]: expected an integer power, got {power!r}"
                     )
                 terms.append((power % modulus, *_rational(str(q), f"{where}[{i}]")))
-            rows = power_rows(modulus)
+            phi = euler_phi(modulus)
             den = lcm(*(d for _, _, d in terms))
-            vec = [0] * euler_phi(modulus)
+            vec = [0] * phi
             for power, num, d in terms:
                 f = num * (den // d)
-                for j, c in rows[power]:
-                    vec[j] += f * c
+                if power < phi:
+                    vec[power] += f
+                else:
+                    for j, c in enumerate(power_rows(modulus)[power - phi]):
+                        vec[j] += f * c
             return CycScalar.from_scaled_ints(modulus, vec, den)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"{where}: bad coefficient {value!r} ({exc})") from exc
@@ -323,7 +325,7 @@ class SessionDocument:
             )
         exps = _need_list(cspec, "exponents", prefix + "cocycle", f"{prefix}cocycle.exponents")
         for i, row in enumerate(exps):
-            if not isinstance(row, list) or not (_exact_ints(row) or all(_is_int(v) for v in row)):
+            if not isinstance(row, list) or not _exact_ints(row):
                 raise DocumentError(
                     f"{prefix}cocycle.exponents[{i}]: expected a list of integers, got {row!r}"
                 )

@@ -56,25 +56,24 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
-def power_rows(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Row k, for 0 <= k < order, is zeta^k mod Phi_order as the (j, c) pairs
-    of its nonzero power-basis coordinates.  Below phi(order) it is
-    ((k, 1),); above, it is zeta times the row before, whose zeta^phi term
-    is rewritten as -(Phi_order - zeta^phi).  Rows are sparse because a
-    dense table at modulus 1024 would hold half a million entries."""
+@lru_cache(maxsize=8)
+def power_rows(order: int) -> tuple[tuple[int, ...], ...]:
+    """Row i is zeta^(phi + i) mod Phi_order, for phi = phi(order) <= phi + i
+    < order, as its phi power-basis coordinates; lower powers are basis
+    vectors and get no row.  Each row is zeta times the one before, whose
+    zeta^phi term is rewritten as -(Phi_order - zeta^phi).  A table holds
+    (order - phi) * phi <= order^2 / 4 entries; eight moduli are kept."""
     phi = cyclotomic_polynomial(order)
     deg = len(phi) - 1
-    low = [(j, c) for j, c in enumerate(phi[:-1]) if c]
-    rows = [((k, 1),) for k in range(deg)]
-    row = rows[-1]
+    low = tuple(-c for c in phi[:-1])
+    rows = []
+    row = low
     for _ in range(deg, order):
-        top = dict(row).get(deg - 1, 0)
-        shifted = {j + 1: c for j, c in row if j + 1 < deg}
-        for j, c in low:
-            shifted[j] = shifted.get(j, 0) - top * c
-        row = tuple((j, c) for j, c in shifted.items() if c)
         rows.append(row)
+        top = row[-1]
+        row = (0, *row[:-1])
+        if top:
+            row = tuple(map(add, row, [top * c for c in low]))
     return tuple(rows)
 
 

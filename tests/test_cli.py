@@ -456,7 +456,7 @@ def test_plain_literals_read_with_int_match_the_fraction_path(monkeypatch):
             ).shift_root(1)
 
 
-@pytest.mark.parametrize("modulus", [1, 3, 4, 12, 1024])
+@pytest.mark.parametrize("modulus", [1, 3, 4, 12, 1001, 1024])
 def test_power_lists_sum_power_table_rows_like_from_poly(modulus):
     import random
 

@@ -738,78 +738,3 @@ def test_exponent_table_is_built_once_with_immutable_rows():
             trivial = Cocycle2.trivial(H, 6)
             algebra = build_algebra(Presentation(G, H, trivial, (0,)))
             assert algebra.exp_table is trivial.exponent_table()
-
-
-def _dense_table_writes(sources: dict[str, str]) -> list[tuple[str, int]]:
-    """(file, line) of every subscript assignment or deletion in the sources
-    (file name -> text) whose target is a dense exponent table or one of its
-    rows: the attribute exp_table or _dense, a call of exponent_table(), a
-    subscript of one of these, or a local name bound to one, by assignment
-    or as a for-loop row."""
-    import ast
-
-    def is_table(node, names) -> bool:
-        while isinstance(node, ast.Subscript):
-            node = node.value
-        if isinstance(node, ast.Call):
-            node = node.func
-            return isinstance(node, ast.Attribute) and node.attr == "exponent_table"
-        return (isinstance(node, ast.Attribute) and node.attr in ("exp_table", "_dense")) or (
-            isinstance(node, ast.Name) and node.id in names
-        )
-
-    def bindings(func):
-        """(target, value) pairs, tuples unpacked pairwise."""
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign):
-                pairs = [(t, node.value) for t in node.targets]
-            elif isinstance(node, (ast.For, ast.comprehension)):
-                pairs = [(node.target, ast.Subscript(node.iter, ast.Constant(0), ast.Load()))]
-            else:
-                continue
-            while pairs:
-                target, value = pairs.pop()
-                if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
-                    pairs += zip(target.elts, value.elts)
-                elif isinstance(target, ast.Name):
-                    yield target.id, value
-
-    found = []
-    for file, text in sources.items():
-        for func in ast.walk(ast.parse(text)):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            names: set[str] = set()
-            size = -1
-            while size != len(names):  # close the set over the bindings
-                size = len(names)
-                names |= {name for name, value in bindings(func) if is_table(value, names)}
-            for node in ast.walk(func):
-                if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
-                    if is_table(node.value, names):
-                        found.append((file, node.lineno))
-    return sorted(found)
-
-
-def test_nothing_in_the_library_writes_into_a_dense_exponent_table():
-    from pathlib import Path
-
-    import gradedpi
-
-    library = {p.name: p.read_text() for p in Path(gradedpi.__file__).parent.glob("*.py")}
-    assert _dense_table_writes(library) == []
-    # The scan finds writes through every route it follows.
-    probe = """
-def f(algebra, c, other):
-    algebra.exp_table[0][1] = 2
-    E = c.exponent_table()
-    del E[0]
-    mul_row, row = other, E[3]
-    row[1] += 1
-    for r in algebra.exp_table:
-        r[0] = 5
-    c._dense[2] = ()
-    fresh = [[0] * 4 for _ in E]
-    fresh[0][0] = 1
-"""
-    assert _dense_table_writes({"probe": probe}) == [("probe", k) for k in (3, 5, 7, 9, 10)]
