@@ -15,7 +15,6 @@ proof is in presentations_equivalent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .cohomology import Cocycle2, CoboundarySystem, classes_cohomologous
@@ -28,31 +27,35 @@ from .errors import (
 )
 from .groups import CosetDecomposition, FiniteGroup, Subgroup
 from .linalg import vec_clean
+from .records import Record
 from .scalars import CycScalar, root_of_unity
 
 Triple = tuple[int, int, int]  # (h, row, col): u_h (x) e_{row, col}, 0-based
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Presentation:
+
+class Presentation(Record):
     """The triple (H, c, g-tuple) defining a graded simple algebra."""
 
-    group: FiniteGroup
-    subgroup: Subgroup
-    cocycle: Cocycle2
-    grading: tuple[int, ...]
+    __slots__ = ("group", "subgroup", "cocycle", "grading")
 
-    def __post_init__(self):
-        if self.subgroup.parent != self.group:
+    def __init__(
+        self, group: FiniteGroup, subgroup: Subgroup, cocycle: Cocycle2, grading: tuple[int, ...]
+    ):
+        if subgroup.parent != group:
             raise NotSubgroupError("subgroup does not live in the presentation group")
-        if self.cocycle.subgroup != self.subgroup:
+        if cocycle.subgroup != subgroup:
             raise CocycleError("cocycle is defined on a different subgroup")
-        if not self.grading:
+        if not grading:
             raise HypothesisError("grading tuple must be nonempty")
-        for g in self.grading:
-            if not (0 <= g < self.group.order):
+        for g in grading:
+            if not (0 <= g < group.order):
                 raise HypothesisError(f"grading entry {g} out of range")
-        object.__setattr__(self, "grading", tuple(self.grading))
+        _set(self, "group", group)
+        _set(self, "subgroup", subgroup)
+        _set(self, "cocycle", cocycle)
+        _set(self, "grading", tuple(grading))
 
     @property
     def size(self) -> int:
@@ -255,25 +258,31 @@ class AlgebraElement:
 # -- moves and normalization -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class M1:
+class M1(Record):
     """Permute the grading tuple: new[i] = old[sigma[i]]."""
 
-    sigma: tuple[int, ...]
+    __slots__ = ("sigma",)
+
+    def __init__(self, sigma: tuple[int, ...]):
+        _set(self, "sigma", sigma)
 
 
-@dataclass(frozen=True)
-class M2:
+class M2(Record):
     """Left-multiply tuple entries by subgroup elements: new[i] = hs[i] * old[i]."""
 
-    hs: tuple[int, ...]
+    __slots__ = ("hs",)
+
+    def __init__(self, hs: tuple[int, ...]):
+        _set(self, "hs", hs)
 
 
-@dataclass(frozen=True)
-class M3:
+class M3(Record):
     """Conjugate the presentation by g: H -> gHg^-1, entries -> g * old[i]."""
 
-    g: int
+    __slots__ = ("g",)
+
+    def __init__(self, g: int):
+        _set(self, "g", g)
 
 
 Move = M1 | M2 | M3
@@ -376,8 +385,7 @@ def presentations_equivalent(p: Presentation, q: Presentation) -> bool:
 # -- block structure (normalized view) ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockStructure:
+class BlockStructure(Record):
     """Grouping of tuple positions into coset blocks for a grouped tuple.
 
     reps[b] is the coset representative of block b, positions[b] the tuple
@@ -385,10 +393,19 @@ class BlockStructure:
     equal_multiplicity is True when all blocks share one size r.
     """
 
-    reps: tuple[int, ...]
-    positions: tuple[tuple[int, ...], ...]
-    block_of: tuple[int, ...]
-    cosets: CosetDecomposition
+    __slots__ = ("reps", "positions", "block_of", "cosets")
+
+    def __init__(
+        self,
+        reps: tuple[int, ...],
+        positions: tuple[tuple[int, ...], ...],
+        block_of: tuple[int, ...],
+        cosets: CosetDecomposition,
+    ):
+        _set(self, "reps", reps)
+        _set(self, "positions", positions)
+        _set(self, "block_of", block_of)
+        _set(self, "cosets", cosets)
 
     @property
     def k(self) -> int:
@@ -452,12 +469,16 @@ def block_structure(p: Presentation) -> BlockStructure:
 # -- crossed product / graded division checks -----------------------------------------
 
 
-@dataclass(frozen=True)
-class CrossedProductResult:
-    is_crossed_product: bool
-    certificates: dict[int, tuple["AlgebraElement", "AlgebraElement"]] = field(
-        default_factory=dict
-    )
+class CrossedProductResult(Record):
+    __slots__ = ("is_crossed_product", "certificates")
+
+    def __init__(
+        self,
+        is_crossed_product: bool,
+        certificates: Optional[dict[int, tuple[AlgebraElement, AlgebraElement]]] = None,
+    ):
+        _set(self, "is_crossed_product", is_crossed_product)
+        _set(self, "certificates", {} if certificates is None else certificates)
 
     def __bool__(self) -> bool:
         return self.is_crossed_product
@@ -516,10 +537,12 @@ def is_graded_division(algebra: GradedAlgebra) -> bool:
     return algebra.presentation.size == 1
 
 
-@dataclass(frozen=True)
-class SupportReport:
-    support: frozenset[int]
-    connected: bool
+class SupportReport(Record):
+    __slots__ = ("support", "connected")
+
+    def __init__(self, support: frozenset[int], connected: bool):
+        _set(self, "support", support)
+        _set(self, "connected", connected)
 
 
 def support(algebra: GradedAlgebra) -> SupportReport:

@@ -12,7 +12,6 @@ scratch and returns an evaluation certificate.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import (
@@ -48,32 +47,71 @@ from .polynomials import (
 from .scalars import CycScalar
 
 
-@dataclass
 class WitnessPair:
     """Two disjoint-variable non-identities whose product is an identity."""
 
-    kind: str  # "unequal_blocks" | "non_normal" | "missing_coset"
-    presentation: Presentation
-    f: GradedPolynomial
-    g: GradedPolynomial
-    assignment_f: dict[int, Triple]
-    assignment_g: dict[int, Triple]
+    __slots__ = ("kind", "presentation", "f", "g", "assignment_f", "assignment_g")
+
+    def __init__(
+        self,
+        kind: str,  # "unequal_blocks" | "non_normal" | "missing_coset"
+        presentation: Presentation,
+        f: GradedPolynomial,
+        g: GradedPolynomial,
+        assignment_f: dict[int, Triple],
+        assignment_g: dict[int, Triple],
+    ):
+        self.kind = kind
+        self.presentation = presentation
+        self.f = f
+        self.g = g
+        self.assignment_f = assignment_f
+        self.assignment_g = assignment_g
 
 
-@dataclass
 class ClassificationReport:
-    presentation: Presentation
-    connected: bool
-    H_normal: bool
-    cosets_equal: bool
-    class_G_invariant: Optional[bool]
-    crossed_product: bool
-    graded_division: bool
-    verbally_prime: bool
-    strongly_verbally_prime: bool
-    division_form_exists: bool
-    invariance_failure: Optional[tuple[int, CoboundaryObstruction]] = None
-    witness: Optional[WitnessPair] = None
+    __slots__ = (
+        "presentation",
+        "connected",
+        "H_normal",
+        "cosets_equal",
+        "class_G_invariant",
+        "crossed_product",
+        "graded_division",
+        "verbally_prime",
+        "strongly_verbally_prime",
+        "division_form_exists",
+        "invariance_failure",
+        "witness",
+    )
+
+    def __init__(
+        self,
+        presentation: Presentation,
+        connected: bool,
+        H_normal: bool,
+        cosets_equal: bool,
+        class_G_invariant: Optional[bool],
+        crossed_product: bool,
+        graded_division: bool,
+        verbally_prime: bool,
+        strongly_verbally_prime: bool,
+        division_form_exists: bool,
+        invariance_failure: Optional[tuple[int, CoboundaryObstruction]] = None,
+        witness: Optional[WitnessPair] = None,
+    ):
+        self.presentation = presentation
+        self.connected = connected
+        self.H_normal = H_normal
+        self.cosets_equal = cosets_equal
+        self.class_G_invariant = class_G_invariant
+        self.crossed_product = crossed_product
+        self.graded_division = graded_division
+        self.verbally_prime = verbally_prime
+        self.strongly_verbally_prime = strongly_verbally_prime
+        self.division_form_exists = division_form_exists
+        self.invariance_failure = invariance_failure
+        self.witness = witness
 
     def flags(self) -> dict[str, object]:
         return {
@@ -149,11 +187,13 @@ def _euler_chain(m: int) -> list[tuple[int, int]]:
     return list(zip(circuit, circuit[1:]))
 
 
-@dataclass
 class _WitnessDraft:
-    poly: GradedPolynomial
-    assignment: dict[int, Triple]
-    x_ids: list[int]
+    __slots__ = ("poly", "assignment", "x_ids")
+
+    def __init__(self, poly: GradedPolynomial, assignment: dict[int, Triple], x_ids: list[int]):
+        self.poly = poly
+        self.assignment = assignment
+        self.x_ids = x_ids
 
 
 MAX_ALTERNATION = 8  # the witness has (sum of block sizes squared)! monomials
@@ -335,16 +375,37 @@ def _tilde_class_witness(np: Presentation) -> WitnessPair:
 # -- verification -----------------------------------------------------------------
 
 
-@dataclass
 class WitnessCertificate:
-    pair: WitnessPair
-    value_f: dict[Triple, CycScalar]
-    value_g: dict[Triple, CycScalar]
-    span_f_basis: list[dict]
-    span_g_basis: list[dict]
-    product_identity: bool
-    span_product_zero: bool
-    span_square_zero: Optional[bool]
+    __slots__ = (
+        "pair",
+        "value_f",
+        "value_g",
+        "span_f_basis",
+        "span_g_basis",
+        "product_identity",
+        "span_product_zero",
+        "span_square_zero",
+    )
+
+    def __init__(
+        self,
+        pair: WitnessPair,
+        value_f: dict[Triple, CycScalar],
+        value_g: dict[Triple, CycScalar],
+        span_f_basis: list[dict],
+        span_g_basis: list[dict],
+        product_identity: bool,
+        span_product_zero: bool,
+        span_square_zero: Optional[bool],
+    ):
+        self.pair = pair
+        self.value_f = value_f
+        self.value_g = value_g
+        self.span_f_basis = span_f_basis
+        self.span_g_basis = span_g_basis
+        self.product_identity = product_identity
+        self.span_product_zero = span_product_zero
+        self.span_square_zero = span_square_zero
 
 
 def verify_witness(
@@ -422,11 +483,13 @@ def separating_product_test(
     return False
 
 
-@dataclass
 class EmpiricalCheck:
-    product_identity: bool
-    f_identity: bool
-    g_identity: bool
+    __slots__ = ("product_identity", "f_identity", "g_identity")
+
+    def __init__(self, product_identity: bool, f_identity: bool, g_identity: bool):
+        self.product_identity = product_identity
+        self.f_identity = f_identity
+        self.g_identity = g_identity
 
     @property
     def consistent(self) -> bool:

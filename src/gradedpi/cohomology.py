@@ -47,7 +47,6 @@ invariance check) never build it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 from math import gcd
 from typing import Iterator, Optional, Sequence
@@ -59,16 +58,22 @@ from .errors import (
     VerificationFailedError,
 )
 from .groups import Subgroup, right_generators
+from .records import Record
 from .scalars import CycScalar, root_of_unity
 
 
-@dataclass(frozen=True)
-class CocycleViolation:
+_set = object.__setattr__
+
+
+class CocycleViolation(Record):
     """Names a failing triple (or normalization element) of a cocycle table."""
 
-    kind: str  # "identity" or "normalization"
-    triple: tuple[int, ...]
-    detail: str
+    __slots__ = ("kind", "triple", "detail")
+
+    def __init__(self, kind: str, triple: tuple[int, ...], detail: str):
+        _set(self, "kind", kind)  # "identity" or "normalization"
+        _set(self, "triple", triple)
+        _set(self, "detail", detail)
 
     def __str__(self) -> str:
         return f"{self.kind} violation at {self.triple}: {self.detail}"
@@ -77,7 +82,7 @@ class CocycleViolation:
 class Cocycle2:
     """Exponent table of a normalized 2-cocycle on H with values zeta_N^k."""
 
-    __slots__ = ("subgroup", "modulus", "exps", "_dense")
+    __slots__ = ("subgroup", "modulus", "exps", "_dense", "_valid")
 
     def __init__(self, subgroup: Subgroup, modulus: int, exps, *, _reduced=False):
         """_reduced: the caller, a method of this module, computed every entry
@@ -95,6 +100,7 @@ class Cocycle2:
         self.modulus = modulus
         self.exps = rows
         self._dense = None
+        self._valid = False  # set by a passed require_valid
 
     @classmethod
     def trivial(cls, subgroup: Subgroup, modulus: int = 1) -> "Cocycle2":
@@ -163,13 +169,18 @@ class Cocycle2:
                                 f"c(a,b)c(ab,d) != c(a,bd)c(b,d) (exponents {lhs} vs {rhs})",
                             )
                         )
+        self._valid = self._valid or not out
         return out
 
     def require_valid(self) -> "Cocycle2":
         """Raise CocycleError naming the first of violations() unless the
-        table is a normalized 2-cocycle."""
-        if not self._is_cocycle():
-            raise CocycleError(str(self.violations()[0]))
+        table is a normalized 2-cocycle.  A pass, or an empty violations(),
+        is recorded and carried to the cocycles that _permuted and
+        with_modulus derive, so each is checked once."""
+        if not self._valid:
+            if not self._is_cocycle():
+                raise CocycleError(str(self.violations()[0]))
+            self._valid = True
         return self
 
     def _is_cocycle(self) -> bool:
@@ -206,12 +217,14 @@ class Cocycle2:
         if new_modulus % self.modulus != 0:
             raise CocycleError("new modulus must be a multiple of the old one")
         f = new_modulus // self.modulus
-        return Cocycle2(
+        out = Cocycle2(
             self.subgroup,
             new_modulus,
             [[v * f for v in row] for row in self.exps],
             _reduced=True,
         )
+        out._valid = self._valid
+        return out
 
     def quotient_exps(self, other: "Cocycle2") -> "Cocycle2":
         """The cocycle c/other (difference of exponent tables)."""
@@ -269,14 +282,17 @@ class Cocycle2:
         )
 
     def _permuted(self, subgroup: Subgroup, local: list[int]) -> "Cocycle2":
-        """The cocycle on subgroup with entry [i][j] = exps[local[i]][local[j]]."""
+        """The cocycle on subgroup with entry [i][j] = exps[local[i]][local[j]].
+        Relabelling H through an isomorphism keeps a cocycle a cocycle."""
         exps = self.exps
-        return Cocycle2(
+        out = Cocycle2(
             subgroup,
             self.modulus,
             [[exps[i][j] for j in local] for i in local],
             _reduced=True,
         )
+        out._valid = self._valid
+        return out
 
     # -- folds and binomials -------------------------------------------------------
 
@@ -307,13 +323,15 @@ class Cocycle2:
         return root_of_unity(self.modulus, self.binomial_alpha_exp(hs, sigma))
 
 
-@dataclass(frozen=True)
-class Coboundary:
+class Coboundary(Record):
     """A map lambda: H -> Z/N witnessing c = d(lambda)."""
 
-    subgroup: Subgroup
-    modulus: int
-    lam: tuple[int, ...]  # indexed by local element order
+    __slots__ = ("subgroup", "modulus", "lam")
+
+    def __init__(self, subgroup: Subgroup, modulus: int, lam: tuple[int, ...]):
+        _set(self, "subgroup", subgroup)
+        _set(self, "modulus", modulus)
+        _set(self, "lam", lam)  # indexed by local element order
 
     def induced(self) -> Cocycle2:
         H = self.subgroup
@@ -330,13 +348,15 @@ class Coboundary:
         )
 
 
-@dataclass(frozen=True)
-class CoboundaryObstruction:
+class CoboundaryObstruction(Record):
     """Why the congruence system d(lambda) = c has no solution mod N."""
 
-    row: int
-    divisor: int
-    residue: int
+    __slots__ = ("row", "divisor", "residue")
+
+    def __init__(self, row: int, divisor: int, residue: int):
+        _set(self, "row", row)
+        _set(self, "divisor", divisor)
+        _set(self, "residue", residue)
 
     def __str__(self) -> str:
         return (
@@ -673,13 +693,15 @@ def invariance_obstruction(
     return None
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(Record):
     """A binomial identity datum: orders hs vs hs∘sigma with scalar alpha."""
 
-    hs: tuple[int, ...]
-    sigma: tuple[int, ...]
-    alpha_exp: int
+    __slots__ = ("hs", "sigma", "alpha_exp")
+
+    def __init__(self, hs: tuple[int, ...], sigma: tuple[int, ...], alpha_exp: int):
+        _set(self, "hs", hs)
+        _set(self, "sigma", sigma)
+        _set(self, "alpha_exp", alpha_exp)
 
 
 def enumerate_binomials(c: Cocycle2, n: int) -> Iterator[Binomial]:

@@ -32,7 +32,6 @@ pattern, negated when its odd variables stand in an odd permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, count
 from typing import Optional
 
@@ -207,10 +206,14 @@ class EnvelopeAlgebra:
         return sign, exp, (merged, self.base.index[triple])
 
 
-@dataclass
 class EnvelopeIdentityReport:
-    identity: bool
-    counterexample: Optional[dict[int, EnvelopeBasisKey]] = None
+    __slots__ = ("identity", "counterexample")
+
+    def __init__(
+        self, identity: bool, counterexample: Optional[dict[int, EnvelopeBasisKey]] = None
+    ):
+        self.identity = identity
+        self.counterexample = counterexample
 
 
 def envelope_identity_check(

@@ -30,10 +30,10 @@ products is a subgroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import InvalidTableError, NotSubgroupError
+from .records import Record
 
 MAX_ORDER = 64
 
@@ -377,8 +377,7 @@ class Subgroup:
         return CosetDecomposition(self)
 
 
-@dataclass(frozen=True)
-class CosetDecomposition:
+class CosetDecomposition(Record):
     """Right cosets Hg with deterministic representatives.
 
     Representatives are the lowest element index in each coset; since the
@@ -387,9 +386,7 @@ class CosetDecomposition:
     in reps.
     """
 
-    subgroup: Subgroup
-    reps: tuple[int, ...]
-    coset_of: tuple[int, ...]
+    __slots__ = ("subgroup", "reps", "coset_of")
 
     def __init__(self, subgroup: Subgroup):
         g = subgroup.parent
@@ -408,6 +405,9 @@ class CosetDecomposition:
         object.__setattr__(self, "subgroup", subgroup)
         object.__setattr__(self, "reps", tuple(reps))
         object.__setattr__(self, "coset_of", tuple(coset_of))
+
+    def __reduce__(self):
+        return CosetDecomposition, (self.subgroup,)
 
     def rep_of(self, a: int) -> int:
         return self.reps[self.coset_of[a]]

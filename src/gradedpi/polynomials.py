@@ -86,7 +86,6 @@ of the same shape (GradedPolynomial.shape) have one span, from one walk.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import chain, permutations
 from math import gcd, lcm
 from operator import add, eq, ne, neg
@@ -113,21 +112,29 @@ from .errors import (
 )
 from .groups import FiniteGroup, Subgroup
 from .linalg import Span, span_of
+from .records import Record
 from .scalars import CycScalar, root_of_unity
 
 Triple = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class GradedVariable:
-    vid: int
-    degree: int
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class GradedMonomial:
-    coeff: CycScalar
-    order: tuple[int, ...]
+class GradedVariable(Record):
+    __slots__ = ("vid", "degree")
+
+    def __init__(self, vid: int, degree: int):
+        _set(self, "vid", vid)
+        _set(self, "degree", degree)
+
+
+class GradedMonomial(Record):
+    __slots__ = ("coeff", "order")
+
+    def __init__(self, coeff: CycScalar, order: tuple[int, ...]):
+        _set(self, "coeff", coeff)
+        _set(self, "order", order)
 
 
 class GradedPolynomial:
@@ -364,11 +371,18 @@ def assignment_elements(
 # -- the oracle ----------------------------------------------------------------
 
 
-@dataclass
 class IdentityReport:
-    identity: bool
-    counterexample: Optional[dict[int, Triple]] = None
-    value: Optional[dict[Triple, CycScalar]] = None
+    __slots__ = ("identity", "counterexample", "value")
+
+    def __init__(
+        self,
+        identity: bool,
+        counterexample: Optional[dict[int, Triple]] = None,
+        value: Optional[dict[Triple, CycScalar]] = None,
+    ):
+        self.identity = identity
+        self.counterexample = counterexample
+        self.value = value
 
 
 def _check_scalar_order(order: Optional[int], algebra: GradedAlgebra) -> None:
@@ -958,10 +972,12 @@ def good_permutation_scalar(
 # -- path machinery ------------------------------------------------------------
 
 
-@dataclass
 class PathReport:
-    vanishing: tuple[bool, ...]
-    holds: bool
+    __slots__ = ("vanishing", "holds")
+
+    def __init__(self, vanishing: tuple[bool, ...], holds: bool):
+        self.vanishing = vanishing
+        self.holds = holds
 
 
 def _first_variable(f: GradedPolynomial) -> int:
@@ -1008,14 +1024,22 @@ def satisfies_path_property(
     return PathReport(pattern, all(pattern) or not any(pattern))
 
 
-@dataclass
 class PathRestriction:
     """The ungraded multilinear polynomial carried by one evaluation path."""
 
-    start_block: int
-    end_block: int
-    r: int
-    terms: tuple[tuple[CycScalar, tuple[int, ...]], ...]  # (gamma * coeff, order)
+    __slots__ = ("start_block", "end_block", "r", "terms")
+
+    def __init__(
+        self,
+        start_block: int,
+        end_block: int,
+        r: int,
+        terms: tuple[tuple[CycScalar, tuple[int, ...]], ...],  # (gamma * coeff, order)
+    ):
+        self.start_block = start_block
+        self.end_block = end_block
+        self.r = r
+        self.terms = terms
 
     def is_identity_of_matrices(self) -> bool:
         if not self.terms:

@@ -1,6 +1,5 @@
 """Classification flags, witness pairs, verification, and the product probes."""
 
-import dataclasses
 import random
 
 import pytest
@@ -8,6 +7,7 @@ import pytest
 from gradedpi import polynomials
 from gradedpi.algebra import Presentation, build_algebra, normalize_presentation
 from gradedpi.classify import (
+    WitnessPair,
     classify,
     separating_product_test,
     strongly_vp_empirical,
@@ -348,7 +348,7 @@ def test_mutated_factor_gets_a_fresh_certificate(z4, p_z2_unbalanced):
     w = _missing_coset_pair(z4)
     (m,) = w.g.monomials
     g2 = GradedPolynomial(w.g.variables, [(m.coeff + m.coeff, m.order)])
-    pair = dataclasses.replace(w, g=g2)
+    pair = WitnessPair(w.kind, w.presentation, w.f, g2, w.assignment_f, w.assignment_g)
     A = build_algebra(pair.presentation)
     cert = verify_witness(pair, A)
     value_g = evaluate(g2, A, assignment_elements(A, pair.assignment_g))
@@ -364,4 +364,4 @@ def test_mutated_factor_gets_a_fresh_certificate(z4, p_z2_unbalanced):
     A = build_algebra(w.presentation)
     assert not check_identity(polynomials.disjoint_product(w.f, g2), A).identity
     with pytest.raises(VerificationFailedError, match="span product is nonzero"):
-        verify_witness(dataclasses.replace(w, g=g2), A)
+        verify_witness(WitnessPair(w.kind, w.presentation, w.f, g2, w.assignment_f, w.assignment_g), A)

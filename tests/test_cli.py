@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +26,7 @@ from gradedpi.cli import (
     serialize_polynomial,
     serialize_presentation,
 )
+from gradedpi.cohomology import Cocycle2
 from gradedpi.errors import DocumentError
 from gradedpi.scalars import CycScalar
 
@@ -656,3 +658,46 @@ def test_benchmark_tracer_targets_resolve_and_uninstall():
     for name, mod in modules.items():
         now = vars(mod)
         assert all(now[attr] is value for attr, value in before[name].items()), name
+
+
+def test_import_loads_no_introspection_modules():
+    """The package uses no dataclasses, so importing it and the CLI loads
+    none of dataclasses and the modules it pulls in.  -S keeps the site
+    hooks, which may preload modules of their own, out of the check."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import gradedpi, gradedpi.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'linecache'}"
+        " & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "command, grading", [("validate", [1, 0]), ("classify", [1, 0]), ("witness", [1, 0, 0])]
+)
+def test_a_valid_cocycle_is_checked_once(command, grading, monkeypatch):
+    """The document's cocycle is checked once, by the generator check or by
+    validate's full scan; the normalized presentation's cocycle is derived
+    from it by transport and is not checked again."""
+    calls = []
+    for name in ("_is_cocycle", "violations"):
+        check = getattr(Cocycle2, name)
+
+        def counted(self, check=check):
+            calls.append(check.__name__)
+            return check(self)
+
+        monkeypatch.setattr(Cocycle2, name, counted)
+    doc = {
+        "group": {"construct": "cyclic", "n": 4},
+        "subgroup": [0, 2],
+        "cocycle": {"modulus": 2, "exponents": [[0, 0], [0, 1]]},
+        "grading": grading,
+    }
+    text, code = run(command, doc)
+    assert code == 0, text
+    assert calls == ["violations" if command == "validate" else "_is_cocycle"]
