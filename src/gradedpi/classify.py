@@ -26,6 +26,7 @@ from .algebra import (
 )
 from .cohomology import CoboundaryObstruction, invariance_obstruction
 from .errors import (
+    AlgebraMismatchError,
     DisconnectedGradingError,
     HypothesisError,
     NonMultilinearError,
@@ -132,7 +133,9 @@ def classify(p: Presentation, with_witness: bool = False) -> ClassificationRepor
 
     The presentation is normalized first; all flags are invariant under the
     presentation moves, and every valid connected presentation yields a graded
-    simple algebra, so verbally_prime is structural.
+    simple algebra, so verbally_prime is structural.  With with_witness, the
+    normal form and the algebra built from it are handed to the witness
+    construction, which neither normalizes nor builds them again.
     """
     np = normalize_presentation(p)
     algebra = build_algebra(np)
@@ -165,7 +168,7 @@ def classify(p: Presentation, with_witness: bool = False) -> ClassificationRepor
         invariance_failure=failure,
     )
     if with_witness and not strongly:
-        report.witness = witness_nonstrong(np)
+        report.witness = _witness_of_normal(np, algebra)
     return report
 
 
@@ -187,21 +190,12 @@ def _euler_chain(m: int) -> list[tuple[int, int]]:
     return list(zip(circuit, circuit[1:]))
 
 
-class _WitnessDraft:
-    __slots__ = ("poly", "assignment", "x_ids")
-
-    def __init__(self, poly: GradedPolynomial, assignment: dict[int, Triple], x_ids: list[int]):
-        self.poly = poly
-        self.assignment = assignment
-        self.x_ids = x_ids
-
-
 MAX_ALTERNATION = 8  # the witness has (sum of block sizes squared)! monomials
 
 
 def _alternating_factor(
     pres: Presentation, bridge_hs: list[int], start_id: int
-) -> _WitnessDraft:
+) -> tuple[GradedPolynomial, dict[int, Triple]]:
     """One alternating factor: per-block frame/chain monomials joined by
     bridges, alternated over the full set of chain variables."""
     bs = block_structure(pres)
@@ -246,7 +240,7 @@ def _alternating_factor(
     base = monomial_polynomial(
         variables, CycScalar.one(pres.cocycle.modulus), tuple(order)
     )
-    return _WitnessDraft(alternate(base, x_ids), assignment, x_ids)
+    return alternate(base, x_ids), assignment
 
 
 def _zero_product_sequence(algebra: GradedAlgebra) -> Optional[tuple[int, ...]]:
@@ -284,12 +278,25 @@ def witness_nonstrong(p: Presentation) -> Optional[WitnessPair]:
     """An explicit witness pair when strongly-verbally-prime fails through
     the coset multiplicities or normality; None when only the cohomology
     class misbehaves (no desk-scale polynomial witness is constructed) or the
-    presentation is strongly verbally prime."""
-    np = normalize_presentation(p)
+    presentation is strongly verbally prime.
+
+    p is normalized here; classify(p, with_witness=True) hands its own normal
+    form and algebra to the same construction instead."""
+    return _witness_of_normal(normalize_presentation(p), None)
+
+
+def _witness_of_normal(
+    np: Presentation, algebra: Optional[GradedAlgebra]
+) -> Optional[WitnessPair]:
+    """witness_nonstrong on a normalized presentation.  algebra, when given,
+    is build_algebra(np); it is built here only for a missing coset, the one
+    construction that reads it."""
     mults = np.coset_multiplicities()
     missing = [rep for rep, n in mults.items() if n == 0]
     if missing:
-        return _missing_coset_witness(np)
+        return _missing_coset_witness(
+            np, algebra if algebra is not None else build_algebra(np)
+        )
     if len(set(mults.values())) != 1:
         return _alternating_witness(np, "unequal_blocks")
     if not np.subgroup.is_normal():
@@ -297,8 +304,7 @@ def witness_nonstrong(p: Presentation) -> Optional[WitnessPair]:
     return None
 
 
-def _missing_coset_witness(np: Presentation) -> WitnessPair:
-    algebra = build_algebra(np)
+def _missing_coset_witness(np: Presentation, algebra: GradedAlgebra) -> WitnessPair:
     word = _zero_product_sequence(algebra)
     if word is None or len(word) < 2:
         raise VerificationFailedError(
@@ -319,15 +325,26 @@ def _missing_coset_witness(np: Presentation) -> WitnessPair:
     return WitnessPair("missing_coset", np, f, g, assign_f, assign_g)
 
 
+def _shifted_pair(
+    kind: str, pres: Presentation, f: GradedPolynomial, assignment_f: dict[int, Triple]
+) -> WitnessPair:
+    """The pair (f, f on shifted ids) for an alternating factor f numbered
+    from 1.  _alternating_factor numbers its variables consecutively from
+    start_id and reads the ids nowhere else, so g and its assignment are what
+    it builds from start_id = 1 + len(f.variables)."""
+    shift = len(f.variables)
+    g = GradedPolynomial(
+        [GradedVariable(v.vid + shift, v.degree) for v in f.variables],
+        [(m.coeff, tuple([vid + shift for vid in m.order])) for m in f.monomials],
+    )
+    assignment_g = {vid + shift: t for vid, t in assignment_f.items()}
+    return WitnessPair(kind, pres, f, g, assignment_f, assignment_g)
+
+
 def _alternating_witness(np: Presentation, kind: str) -> WitnessPair:
     bs = block_structure(np)
     bridges = [0] * (bs.k - 1)
-    draft_f = _alternating_factor(np, bridges, start_id=1)
-    offset = 1 + len(draft_f.poly.variables)
-    draft_g = _alternating_factor(np, bridges, start_id=offset)
-    return WitnessPair(
-        kind, np, draft_f.poly, draft_g.poly, draft_f.assignment, draft_g.assignment
-    )
+    return _shifted_pair(kind, np, *_alternating_factor(np, bridges, start_id=1))
 
 
 def _tilde_class_witness(np: Presentation) -> WitnessPair:
@@ -364,12 +381,7 @@ def _tilde_class_witness(np: Presentation) -> WitnessPair:
             bridges.append(hhat)
         else:
             bridges.append(0)
-    draft_f = _alternating_factor(pres_w, bridges, start_id=1)
-    offset = 1 + len(draft_f.poly.variables)
-    draft_g = _alternating_factor(pres_w, bridges, start_id=offset)
-    return WitnessPair(
-        "non_normal", pres_w, draft_f.poly, draft_g.poly, draft_f.assignment, draft_g.assignment
-    )
+    return _shifted_pair("non_normal", pres_w, *_alternating_factor(pres_w, bridges, start_id=1))
 
 
 # -- verification -----------------------------------------------------------------
@@ -427,7 +439,12 @@ def verify_witness(
     of unequal_blocks and non_normal pairs are one polynomial on shifted
     variable ids, so they always share; a missing_coset pair shares only when
     its vanishing word is (t, t).  Every other obligation is still checked on
-    both factors."""
+    both factors.
+
+    A given algebra must be built from pair.presentation; any other raises
+    AlgebraMismatchError."""
+    if algebra is not None and algebra.presentation != pair.presentation:
+        raise AlgebraMismatchError("the algebra is not built from the pair's presentation")
     A = algebra if algebra is not None else build_algebra(pair.presentation)
     val_f = evaluate(pair.f, A, assignment_elements(A, pair.assignment_f))
     if not val_f:

@@ -373,7 +373,8 @@ def _json_block(value: Any, newline: str = "\n") -> str:
     serves indent=2 only from its pure-Python encoder.  Strings go through
     the same ASCII escaper, which also refuses a dict key that is not a
     str.  Any other type, a float or a tuple included, raises TypeError,
-    never a different text."""
+    never a different text.  A list of exact ints (no bool) is written in
+    one join."""
     if isinstance(value, str):
         return _encode_str(value)
     if value is None:
@@ -388,7 +389,10 @@ def _json_block(value: Any, newline: str = "\n") -> str:
     if isinstance(value, list):
         if not value:
             return "[]"
-        body = f",{inner}".join([_json_block(v, inner) for v in value])
+        if _exact_ints(value):
+            body = f",{inner}".join(map(int.__repr__, value))
+        else:
+            body = f",{inner}".join([_json_block(v, inner) for v in value])
         return f"[{inner}{body}{newline}]"
     if isinstance(value, dict):
         if not value:

@@ -340,7 +340,12 @@ def alternate(f: GradedPolynomial, var_ids: Sequence[int]) -> GradedPolynomial:
 def evaluate(
     f: GradedPolynomial, algebra: GradedAlgebra, assignment: dict[int, AlgebraElement]
 ) -> AlgebraElement:
-    """Sum over monomials of coeff times the ordered product of the images."""
+    """Sum over monomials of coeff times the ordered product of the images.
+
+    Every variable's assignment is checked first, so an unassigned or wrongly
+    graded variable raises even when every monomial vanishes.  A monomial's
+    product stops at its first zero partial product, since 0 * x = 0 leaves
+    the sum unchanged."""
     _check_scalar_order(f.scalar_order, algebra)
     for v in f.variables:
         if v.vid not in assignment:
@@ -354,16 +359,24 @@ def evaluate(
             )
     total = algebra.zero()
     for m in f.monomials:
-        acc = None
-        for vid in m.order:
-            acc = assignment[vid] if acc is None else acc * assignment[vid]
-        total = total + acc.scale(m.coeff)
+        acc = assignment[m.order[0]]
+        for vid in m.order[1:]:
+            acc = acc * assignment[vid]
+            if not acc:
+                break
+        else:
+            total = total + acc.scale(m.coeff)
     return total
 
 
 def assignment_elements(
     algebra: GradedAlgebra, triples: dict[int, Triple]
 ) -> dict[int, AlgebraElement]:
+    """Each variable's basis triple as an element of algebra; raises
+    DegreeMismatchError, naming the variable, for a triple outside its basis."""
+    for vid, t in triples.items():
+        if t not in algebra.index:
+            raise DegreeMismatchError(f"assignment of x{vid}: {t} is not a basis triple")
     one = CycScalar.one(algebra.modulus)
     return {vid: algebra.element({t: one}) for vid, t in triples.items()}
 

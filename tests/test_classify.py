@@ -1,11 +1,12 @@
 """Classification flags, witness pairs, verification, and the product probes."""
 
+import importlib
 import random
 
 import pytest
 
 from gradedpi import polynomials
-from gradedpi.algebra import Presentation, build_algebra, normalize_presentation
+from gradedpi.algebra import Presentation, build_algebra, is_normalized, normalize_presentation
 from gradedpi.classify import (
     WitnessPair,
     classify,
@@ -16,6 +17,8 @@ from gradedpi.classify import (
 )
 from gradedpi.cohomology import Cocycle2
 from gradedpi.errors import (
+    AlgebraMismatchError,
+    DegreeMismatchError,
     DisconnectedGradingError,
     NonMultilinearError,
     VerificationFailedError,
@@ -33,6 +36,9 @@ from gradedpi.polynomials import (
 from gradedpi.scalars import CycScalar
 
 from conftest import count_walks, random_multilinear
+
+# The package exports the function classify under the module's name.
+classify_module = importlib.import_module("gradedpi.classify")
 
 
 def test_flag_implications_on_fixture_zoo(
@@ -365,3 +371,85 @@ def test_mutated_factor_gets_a_fresh_certificate(z4, p_z2_unbalanced):
     assert not check_identity(polynomials.disjoint_product(w.f, g2), A).identity
     with pytest.raises(VerificationFailedError, match="span product is nonzero"):
         verify_witness(WitnessPair(w.kind, w.presentation, w.f, g2, w.assignment_f, w.assignment_g), A)
+
+
+@pytest.mark.parametrize("grading", [(0, 1), (1, 0, 0)])
+def test_verify_witness_refuses_an_algebra_of_another_presentation(z2, grading):
+    """The unequal_blocks pair of (0, 0, 1) lives on its normal form
+    (0, 1, 1).  Over (0, 1) its assignments name triples outside the basis,
+    and over (1, 0, 0) they fit but describe another algebra: both raise.
+    An algebra built from an equal presentation is accepted."""
+    H = z2.trivial_subgroup()
+    w = witness_nonstrong(Presentation(z2, H, Cocycle2.trivial(H, 1), (0, 0, 1)))
+    assert w.kind == "unequal_blocks" and w.presentation.grading == (0, 1, 1)
+    other = build_algebra(Presentation(z2, H, Cocycle2.trivial(H, 1), grading))
+    with pytest.raises(AlgebraMismatchError):
+        verify_witness(w, other)
+    same = build_algebra(Presentation(z2, H, Cocycle2.trivial(H, 1), w.presentation.grading))
+    assert verify_witness(w, same).span_product_zero
+
+
+def test_assignment_elements_names_a_variable_outside_the_basis(z2):
+    H = z2.trivial_subgroup()
+    A = build_algebra(Presentation(z2, H, Cocycle2.trivial(H, 1), (0, 1)))
+    assert assignment_elements(A, {4: (0, 1, 0)})[4] == A.basis_element(A.index[(0, 1, 0)])
+    with pytest.raises(DegreeMismatchError, match=r"x7: \(0, 1, 2\) is not a basis triple"):
+        assignment_elements(A, {4: (0, 1, 0), 7: (0, 1, 2)})
+    with pytest.raises(DegreeMismatchError, match="x2"):
+        assignment_elements(A, {2: (1, 0, 0)})
+
+
+def _witness_presentations(z4, d3, d4):
+    """Presentations off their normal form, of every witness kind."""
+    from conftest import klein_nontrivial_cocycle
+
+    e4 = z4.trivial_subgroup()
+    klein = d4.subgroup([0, 2, 4, 6])
+    reflection = d3.generated_subgroup([3])
+    return [
+        Presentation(z4, e4, Cocycle2.trivial(e4, 1), (1, 0)),  # missing_coset
+        Presentation(z4, e4, Cocycle2.trivial(e4, 1), (2, 1, 0)),  # missing_coset
+        Presentation(d4, klein, klein_nontrivial_cocycle(klein), (1, 0, 1)),  # unequal_blocks
+        Presentation(d3, reflection, Cocycle2.trivial(reflection, 1), (2, 0, 1)),  # non_normal
+        Presentation(d3, reflection, Cocycle2.trivial(reflection, 1), (5, 1, 3)),  # non_normal
+    ]
+
+
+def test_witness_nonstrong_equals_the_classify_witness(z4, d3, d4, p_z2_unbalanced):
+    """witness_nonstrong normalizes p itself; classify hands its normal form
+    to the same construction.  Off the normal form both give one pair."""
+    kinds = set()
+    for p in _witness_presentations(z4, d3, d4) + [p_z2_unbalanced]:
+        assert not is_normalized(p)
+        w = witness_nonstrong(p)
+        v = classify(p, with_witness=True).witness
+        kinds.add(w.kind)
+        assert (w.kind, w.presentation) == (v.kind, v.presentation)
+        for a, b in ((w.f, v.f), (w.g, v.g)):
+            assert (a.variables, a.monomials) == (b.variables, b.monomials)
+        assert list(w.assignment_f.items()) == list(v.assignment_f.items())
+        assert list(w.assignment_g.items()) == list(v.assignment_g.items())
+    assert kinds == {"missing_coset", "unequal_blocks", "non_normal"}
+
+
+@pytest.mark.parametrize("fixture", ["p_z2_unbalanced", "p_d3_reflection"])
+def test_alternating_g_is_f_on_shifted_ids(fixture, request, monkeypatch):
+    """g and its assignment are what _alternating_factor builds from the ids
+    after f's, though the factor is built (and alternated) once."""
+    built = []
+    factor = classify_module._alternating_factor
+
+    def recording(pres, bridges, start_id):
+        built.append((pres, list(bridges), start_id))
+        return factor(pres, bridges, start_id)
+
+    monkeypatch.setattr(classify_module, "_alternating_factor", recording)
+    w = witness_nonstrong(request.getfixturevalue(fixture))
+    assert len(built) == 1
+    pres, bridges, start_id = built[0]
+    assert start_id == 1 and pres == w.presentation
+    g, assignment_g = factor(pres, bridges, start_id=1 + len(w.f.variables))
+    assert (w.g.variables, w.g.monomials) == (g.variables, g.monomials)
+    assert list(w.assignment_g.items()) == list(assignment_g.items())
+    assert w.g.shape() == w.f.shape()
+    assert not set(w.f.degree_of) & set(w.g.degree_of)

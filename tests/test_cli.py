@@ -701,3 +701,77 @@ def test_a_valid_cocycle_is_checked_once(command, grading, monkeypatch):
     text, code = run(command, doc)
     assert code == 0, text
     assert calls == ["violations" if command == "validate" else "_is_cocycle"]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[True, 1], [1, False], [0], [-(10**60)], [[1, 2], [3]], [1, "1"], [1, None], {"a": [1, 2]}],
+)
+def test_report_writer_on_int_lists_and_their_neighbours(value):
+    """A list of exact ints is joined in one pass; a bool, a str or a None
+    among the ints sends the list down the general path."""
+    assert _json_block(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Record every call of fn made through any gradedpi module's global
+    name for it from now on."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "gradedpi" or name.startswith("gradedpi."):
+            for attr in [a for a, v in vars(mod).items() if v is fn]:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+WITNESS_DOCS = {
+    "missing_coset": {
+        "group": {"construct": "cyclic", "n": 4},
+        "subgroup": [0],
+        "cocycle": {"modulus": 1, "exponents": [[0]]},
+        "grading": [0, 1],
+    },
+    "unequal_blocks": {
+        "group": {"construct": "cyclic", "n": 2},
+        "subgroup": [0],
+        "cocycle": {"modulus": 1, "exponents": [[0]]},
+        "grading": [0, 0, 1],
+    },
+    "non_normal": {
+        "group": {"construct": "dihedral", "n": 3},
+        "subgroup": [0, 3],
+        "cocycle": {"modulus": 1, "exponents": [[0, 0], [0, 0]]},
+        "grading": [0, 1, 2],
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WITNESS_DOCS))
+def test_witness_command_normalizes_and_builds_once_each(kind, monkeypatch):
+    """classify hands its normal form and algebra to the witness
+    construction: one normalization, one algebra for classify and the
+    missing-coset search, one more for the independent verification; an
+    alternating g is f on shifted ids, so alternate runs once."""
+    from gradedpi import algebra, polynomials
+
+    normalized = _count_calls(monkeypatch, algebra.normalize_presentation)
+    alternated = _count_calls(monkeypatch, polynomials.alternate)
+    built = []
+    init = algebra.GradedAlgebra.__init__
+
+    def counted_init(self, presentation):
+        built.append(presentation)
+        init(self, presentation)
+
+    monkeypatch.setattr(algebra.GradedAlgebra, "__init__", counted_init)
+    text, code = run("witness", WITNESS_DOCS[kind])
+    assert code == 0, text
+    assert f"witness: {kind}\n" in text
+    assert len(normalized) == 1
+    assert len(built) == 2
+    assert len(alternated) == (0 if kind == "missing_coset" else 1)

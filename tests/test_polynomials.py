@@ -54,6 +54,7 @@ from conftest import (
     count_walks,
     klein_nontrivial_cocycle,
     random_multilinear,
+    random_rational,
 )
 
 
@@ -106,6 +107,66 @@ def test_evaluate_degree_mismatch_names_variable(p_group_algebra_z2):
     f = monomial_polynomial(variables_for([1]), one())
     with pytest.raises(DegreeMismatchError, match="x1"):
         evaluate(f, A, {1: A.basis_element(0)})
+
+
+def _evaluate_without_stop(f, A, assignment):
+    """evaluate's sum with every factor of every monomial multiplied."""
+    total = A.zero()
+    for m in f.monomials:
+        acc = assignment[m.order[0]]
+        for vid in m.order[1:]:
+            acc = acc * assignment[vid]
+        total = total + acc.scale(m.coeff)
+    return total
+
+
+def _random_homogeneous(rng, A, degree: int, terms: int):
+    """A sum of up to `terms` basis elements of one degree with random
+    rational coefficients (possibly zero after merging)."""
+    basis = A.homogeneous_basis(degree)
+    picks = [A.basis[rng.choice(basis)] for _ in range(terms)]
+    value = A.zero()
+    for t in picks:
+        value = value + A.element({t: random_rational(rng, A.modulus)})
+    return value
+
+
+def test_evaluate_stop_at_first_zero_matches_full_products():
+    """evaluate stops a monomial at its first zero partial product; the sum
+    equals the one that multiplies every factor, at moduli 1, 3, 4 and 12,
+    for single-basis and multi-term assignments."""
+    rng = random.Random(1916)
+    first_product_zero = nonzero = 0
+    for p in _presentations_over_moduli_1_3_4_12():
+        A = build_algebra(p)
+        for _ in range(10):
+            f = random_multilinear(rng, A, rng.randint(1, 4), max_monomials=6)
+            for terms in (1, 1, 2, 3):
+                assignment = {
+                    v.vid: _random_homogeneous(rng, A, v.degree, terms) for v in f.variables
+                }
+                value = evaluate(f, A, assignment)
+                assert value == _evaluate_without_stop(f, A, assignment)
+                nonzero += bool(value)
+                first_product_zero += sum(
+                    len(m.order) > 1 and not assignment[m.order[0]] * assignment[m.order[1]]
+                    for m in f.monomials
+                )
+    assert first_product_zero > 100 and nonzero > 100
+
+
+def test_evaluate_checks_every_variable_before_the_products(p_z2_unbalanced):
+    """x1 x2 x3 and x2 x1 x3 vanish at their first product under e11, e22;
+    an unassigned or wrongly graded x3 is still reported."""
+    A = build_algebra(p_z2_unbalanced)  # M_3 graded by (0, 0, 1)
+    f = GradedPolynomial(variables_for([0, 0, 0]), [(one(), (1, 2, 3)), (one(), (2, 1, 3))])
+    base = assignment_elements(A, {1: (0, 0, 0), 2: (0, 1, 1)})
+    assert not evaluate(f, A, {**base, 3: A.basis_element(A.index[(0, 2, 2)])})
+    with pytest.raises(DegreeMismatchError, match="x3 is unassigned"):
+        evaluate(f, A, base)
+    wrong = assignment_elements(A, {3: (0, 0, 2)})  # degree 1
+    with pytest.raises(DegreeMismatchError, match="x3 is not homogeneous"):
+        evaluate(f, A, {**base, **wrong})
 
 
 def test_scalar_order_mismatch(p_k4_twisted):
