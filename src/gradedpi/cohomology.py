@@ -334,17 +334,16 @@ class Coboundary(Record):
         _set(self, "lam", lam)  # indexed by local element order
 
     def induced(self) -> Cocycle2:
-        H = self.subgroup
-        g = H.parent
-        n = len(H)
-        mem = H.members
-
-        def d(i, j):
-            ij = H.local_index(g.mul(mem[i], mem[j]))
-            return (self.lam[i] + self.lam[j] - self.lam[ij]) % self.modulus
-
+        """d(lambda): entry [i][j] is lam_i + lam_j - lam_ij mod N."""
+        lam, N = self.lam, self.modulus
         return Cocycle2(
-            H, self.modulus, [[d(i, j) for j in range(n)] for i in range(n)], _reduced=True
+            self.subgroup,
+            N,
+            [
+                [(li + lam[j] - lam[ij]) % N for j, ij in enumerate(row)]
+                for li, row in zip(lam, self.subgroup.local_table())
+            ],
+            _reduced=True,
         )
 
 
@@ -510,10 +509,8 @@ class CoboundarySystem:
     __slots__ = ("subgroup", "tree", "edges", "coefs", "rows", "smith", "_full")
 
     def __init__(self, subgroup: Subgroup):
-        g = subgroup.parent
-        mem = subgroup.members
-        n = len(mem)
-        mul = [[subgroup.local_index(g.mul(a, b)) for b in mem] for a in mem]
+        mul = subgroup.local_table()
+        n = len(mul)
         gens = right_generators(mul)
         k = len(gens)
         coefs: list[Optional[tuple[int, ...]]] = [None] * n
@@ -582,16 +579,15 @@ class CoboundarySystem:
 
     def _solve_full(self, c: Cocycle2):
         if self._full is None:
-            g = self.subgroup.parent
-            mem = self.subgroup.members
-            n = len(mem)
+            mul = self.subgroup.local_table()
+            n = len(mul)
             rows = []
             for i in range(n):
                 for j in range(n):
                     row = [0] * n
                     row[i] += 1
                     row[j] += 1
-                    row[self.subgroup.local_index(g.mul(mem[i], mem[j]))] -= 1
+                    row[mul[i][j]] -= 1
                     rows.append(row)
             self._full = (rows, smith_diagonalize(rows))
         rows, smith = self._full

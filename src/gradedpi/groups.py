@@ -26,6 +26,21 @@ the identity and are closed under products (S xy = (S x) y lies in S y, so in
 S).  When S is a subgroup there are at most log2 |S| generators, so the test
 costs |S| log2 |S| products instead of |S|^2.  A finite set closed under
 products is a subgroup.
+
+The subgroup generated by a set X is the closure of the identity under right
+multiplication by X (generated_subgroup): the closure is closed under
+products by the argument above, so it is a subgroup, and every subgroup
+holding X holds it.  No inverses are needed, as x^-1 = x^(k-1) for x of
+order k.  The closure walk is the one right_generators makes, so it runs on
+the greedy generators among X, at most log2 of the closure's order.
+
+H is normal in G iff s t s^-1 lies in H for every greedy generator s of G
+and t of H (Subgroup.is_normal): at most log2 |G| log2 |H| conjugations
+instead of |G||H|.  Conjugation by s is a homomorphism, so s H s^-1 is
+generated by the s t s^-1 and lies in H when they do.  The x with
+x H x^-1 inside H hold the identity and are closed under products
+(xy H y^-1 x^-1 lies in x H x^-1), so they hold every product of the
+generators of G, which is every element.
 """
 
 from __future__ import annotations
@@ -91,9 +106,10 @@ class FiniteGroup:
         return all(t[a][b] == t[b][a] for a in self.elements() for b in self.elements())
 
     def element_order(self, a: int) -> int:
+        table = self.table
         n, x = 1, a
         while x != 0:
-            x = self.mul(x, a)
+            x = table[x][a]
             n += 1
         return n
 
@@ -180,17 +196,9 @@ class FiniteGroup:
         return Subgroup(self, tuple(self.elements()))
 
     def generated_subgroup(self, generators) -> "Subgroup":
-        members = {0}
-        frontier = [0]
-        gens = list(generators)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                for y in (self.mul(x, g), self.mul(x, self.inv(g))):
-                    if y not in members:
-                        members.add(y)
-                        frontier.append(y)
-        return Subgroup(self, sorted(members))
+        """The subgroup generated by generators: the closure of the identity
+        under right multiplication by them (module docstring)."""
+        return Subgroup(self, _right_closure(self.table, 0, generators)[1])
 
     def all_subgroups(self) -> list["Subgroup"]:
         """Every subgroup, by brute-force closure over subsets. Order <= 16 only."""
@@ -275,6 +283,12 @@ def right_generators(table, identity: int = 0, elements=None) -> list[int]:
     starting at the identity, does not reach it.  Every element is then a
     left-nested product e s1 s2 ... sk of generators; for a group, or a
     subgroup, there are at most log2 of its order of them."""
+    return _right_closure(table, identity, elements)[0]
+
+
+def _right_closure(table, identity: int, elements) -> tuple[list[int], list[int]]:
+    """(right_generators(table, identity, elements), the closure of the
+    identity under right multiplication by them, in the order reached)."""
     n = len(table)
     reached = [False] * n
     reached[identity] = True
@@ -291,7 +305,7 @@ def right_generators(table, identity: int = 0, elements=None) -> list[int]:
                 if not reached[b]:
                     reached[b] = True
                     members.append(b)
-    return gens
+    return gens, members
 
 
 def _find_identity(rows):
@@ -317,7 +331,7 @@ def _relabel(rows, e: int):
 class Subgroup:
     """A validated subgroup, stored as the sorted tuple of its members."""
 
-    __slots__ = ("parent", "members", "member_set", "_local")
+    __slots__ = ("parent", "members", "member_set", "_local", "_table", "_cosets")
 
     def __init__(self, parent: FiniteGroup, members):
         ms = tuple(sorted(set(members)))
@@ -339,6 +353,14 @@ class Subgroup:
         self.members = ms
         self.member_set = frozenset(ms)
         self._local = {h: i for i, h in enumerate(ms)}
+        self._table = None
+        self._cosets = None
+
+    def __reduce__(self):
+        """copy and pickle rebuild through the constructor, without the
+        cached table and cosets: the cached decomposition refers back to the
+        subgroup, so pickling it with the subgroup's state would recurse."""
+        return Subgroup, (self.parent, self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -348,6 +370,16 @@ class Subgroup:
 
     def local_index(self, h: int) -> int:
         return self._local[h]
+
+    def local_table(self) -> tuple[tuple[int, ...], ...]:
+        """H's multiplication table in local indices: entry [i][j] is the
+        local index of members[i] * members[j].  Built on the first call,
+        and the same object on every later one."""
+        if self._table is None:
+            table, local, ms = self.parent.table, self._local, self.members
+            rows = [table[a] for a in ms]
+            self._table = tuple([tuple([local[row[b]] for b in ms]) for row in rows])
+        return self._table
 
     def __eq__(self, other) -> bool:
         return (
@@ -363,18 +395,31 @@ class Subgroup:
         return f"Subgroup({list(self.members)} of {self.parent.name})"
 
     def is_normal(self) -> bool:
-        g = self.parent
-        return all(
-            g.conj(x, h) in self.member_set for x in g.elements() for h in self.members
-        )
+        """Whether x H x^-1 = H for every x in the parent group, decided on
+        the greedy generators of both (module docstring)."""
+        g, ms = self.parent, self.member_set
+        table = g.table
+        hgens = right_generators(table, 0, self.members)
+        for s in right_generators(table):
+            row_s, si = table[s], g.inv(s)
+            for t in hgens:
+                if table[row_s[t]][si] not in ms:
+                    return False
+        return True
 
     def conjugate(self, g: int) -> "Subgroup":
         """The subgroup g H g^-1."""
-        p = self.parent
-        return Subgroup(p, (p.conj(g, h) for h in self.members))
+        table = self.parent.table
+        row_g, gi = table[g], self.parent.inv(g)
+        return Subgroup(self.parent, [table[row_g[h]][gi] for h in self.members])
 
     def right_cosets(self) -> "CosetDecomposition":
-        return CosetDecomposition(self)
+        """The right cosets of H, built on the first call; the record is
+        immutable, so every later call returns the same one.  It refers back
+        to H, so the pair is freed by the cyclic collector, not at once."""
+        if self._cosets is None:
+            self._cosets = CosetDecomposition(self)
+        return self._cosets
 
 
 class CosetDecomposition(Record):
@@ -389,19 +434,17 @@ class CosetDecomposition(Record):
     __slots__ = ("subgroup", "reps", "coset_of")
 
     def __init__(self, subgroup: Subgroup):
-        g = subgroup.parent
-        seen = [False] * g.order
+        n = subgroup.parent.order
+        rows = [subgroup.parent.table[h] for h in subgroup.members]
         reps = []
-        coset_of = [-1] * g.order
-        for a in g.elements():
-            if seen[a]:
+        coset_of = [-1] * n
+        for a in range(n):
+            if coset_of[a] >= 0:
                 continue
             idx = len(reps)
             reps.append(a)
-            for h in subgroup.members:
-                x = g.mul(h, a)
-                seen[x] = True
-                coset_of[x] = idx
+            for row in rows:
+                coset_of[row[a]] = idx
         object.__setattr__(self, "subgroup", subgroup)
         object.__setattr__(self, "reps", tuple(reps))
         object.__setattr__(self, "coset_of", tuple(coset_of))

@@ -738,3 +738,52 @@ def test_exponent_table_is_built_once_with_immutable_rows():
             trivial = Cocycle2.trivial(H, 6)
             algebra = build_algebra(Presentation(G, H, trivial, (0,)))
             assert algebra.exp_table is trivial.exponent_table()
+
+
+def _nonabelian_subgroups():
+    """S3 < S4 (the permutations fixing 0 come first in S4's sorted order),
+    D4 itself and D4 < D4 x C2."""
+    s4 = FiniteGroup.symmetric(4)
+    d4 = FiniteGroup.dihedral(4)
+    d4c2 = FiniteGroup.direct_product(d4, FiniteGroup.cyclic(2))
+    return [s4.subgroup(range(6)), d4.full_subgroup(), d4c2.subgroup(range(0, 16, 2))]
+
+
+def test_induced_coboundary_reads_the_shared_local_table():
+    """Coboundary.induced against lam_i + lam_j - lam_ij, the product read
+    through local_index and mul, on nonabelian subgroups."""
+    rng = random.Random(1716)
+    for H in _nonabelian_subgroups():
+        g, mem, n = H.parent, H.members, len(H)
+        assert not all(g.mul(a, b) == g.mul(b, a) for a in mem for b in mem)
+        for N in (1, 4, 12):
+            for _ in range(5):
+                lam = tuple(rng.randrange(N) for _ in range(n))
+                want = [
+                    [(lam[i] + lam[j] - lam[H.local_index(g.mul(mem[i], mem[j]))]) % N
+                     for j in range(n)]
+                    for i in range(n)
+                ]
+                assert Coboundary(H, N, lam).induced() == Cocycle2(H, N, want)
+
+
+def test_coboundary_system_on_the_shared_table_equals_one_on_a_hand_made_table(monkeypatch):
+    from gradedpi.groups import Subgroup
+
+    c2, c4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+    subgroups = _nonabelian_subgroups() + [
+        FiniteGroup.cyclic(64).subgroup(range(0, 64, 2)),
+        FiniteGroup.direct_product(FiniteGroup.direct_product(c4, c4), c2).subgroup(range(0, 32, 2)),
+    ]
+    shared = [cohomology.CoboundarySystem(H) for H in subgroups]
+    monkeypatch.setattr(
+        Subgroup,
+        "local_table",
+        lambda H: [[H.local_index(H.parent.mul(a, b)) for b in H.members] for a in H.members],
+    )
+    for H, system in zip(subgroups, shared):
+        hand = cohomology.CoboundarySystem(H)
+        assert (system.tree, system.edges, system.coefs, system.rows) == (
+            hand.tree, hand.edges, hand.coefs, hand.rows
+        )
+        assert system.smith == hand.smith

@@ -372,3 +372,131 @@ def test_inverses_read_from_the_rows():
     # hold a row without the identity.
     with pytest.raises(InvalidTableError, match=r"^element 1 has no inverse$"):
         FiniteGroup([[0, 1, 2], [1, 1, 2], [2, 0, 1]], _trusted=True)
+
+
+def _brute_is_normal(H) -> bool:
+    """The definition: x h x^-1 in H for every x in G and h in H."""
+    g = H.parent
+    return all(g.conj(x, h) in H for x in g.elements() for h in H.members)
+
+
+def _normality_zoo():
+    c2 = FiniteGroup.cyclic(2)
+    return (
+        [FiniteGroup.cyclic(n) for n in range(1, 17)]
+        + [FiniteGroup.dihedral(n) for n in range(1, 9)]
+        + [
+            FiniteGroup.symmetric(3),
+            FiniteGroup.direct_product(c2, c2),
+            FiniteGroup.direct_product(FiniteGroup.cyclic(4), FiniteGroup.cyclic(4)),
+            FiniteGroup.direct_product(c2, FiniteGroup.dihedral(4)),
+            FiniteGroup.direct_product(FiniteGroup.dihedral(3), c2),
+        ]
+    )
+
+
+def test_is_normal_on_generators_matches_the_definition_on_every_small_subgroup():
+    seen = normal = 0
+    for g in _normality_zoo():
+        for H in g.all_subgroups():
+            want = _brute_is_normal(H)
+            assert H.is_normal() == want, (g.name, H.members)
+            seen += 1
+            normal += want
+    assert seen == 203 and 0 < normal < seen
+
+
+def test_is_normal_on_generated_subgroups_of_c64_and_s4():
+    c64 = FiniteGroup.cyclic(64)
+    H = c64.generated_subgroup([2])
+    assert len(H) == 32 and H.is_normal() and _brute_is_normal(H)
+    s4 = FiniteGroup.symmetric(4)
+    verdicts = set()
+    for gens in [(a,) for a in range(24)] + [(a, b) for a in range(1, 24) for b in range(a + 1, 24)]:
+        H = s4.generated_subgroup(gens)
+        want = _brute_is_normal(H)
+        assert H.is_normal() == want, H.members
+        verdicts.add((len(H), want))
+    # The trivial group, V4, A4 and S4 are normal; the cyclic and dihedral
+    # subgroups and S3 are not.
+    assert {(1, True), (4, True), (12, True), (24, True), (2, False), (3, False)} <= verdicts
+    assert (6, False) in verdicts and (8, False) in verdicts
+
+
+def _bfs_generated(g: FiniteGroup, gens) -> tuple[int, ...]:
+    """The reference: breadth-first search multiplying by each generator and
+    its inverse."""
+    members, frontier = {0}, [0]
+    for x in frontier:
+        for s in gens:
+            for y in (g.mul(x, s), g.mul(x, g.inv(s))):
+                if y not in members:
+                    members.add(y)
+                    frontier.append(y)
+    return tuple(sorted(members))
+
+
+def test_generated_subgroup_matches_a_bfs_with_inverses():
+    import random
+
+    rng = random.Random(20161)
+    c2, c4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+    zoo = [
+        FiniteGroup.cyclic(64),
+        FiniteGroup.cyclic(30),
+        FiniteGroup.dihedral(16),
+        FiniteGroup.symmetric(4),
+        FiniteGroup.direct_product(FiniteGroup.direct_product(c4, c4), c2),
+        FiniteGroup.direct_product(FiniteGroup.symmetric(3), c4),
+    ]
+    whole = set()
+    for g in zoo:
+        assert g.generated_subgroup([]).members == (0,)
+        assert g.generated_subgroup(g.elements()).members == tuple(g.elements())
+        for _ in range(40):
+            gens = rng.sample(range(g.order), rng.randint(1, 4))
+            H = g.generated_subgroup(gens)
+            assert H.members == _bfs_generated(g, gens), (g.name, gens)
+            assert H.members == g.generated_subgroup(frozenset(gens)).members
+            whole.add(len(H) == g.order)
+    assert whole == {True, False}
+
+
+def test_local_table_is_the_product_in_local_indices():
+    for g in _ac11_zoo() + [FiniteGroup.symmetric(4), FiniteGroup.cyclic(64)]:
+        subgroups = g.all_subgroups() if g.order <= 16 else [
+            g.generated_subgroup(gens) for gens in ([1], [2], [1, 6], [7, 9])
+        ]
+        for H in subgroups:
+            table = H.local_table()
+            assert table == tuple(
+                tuple(H.local_index(g.mul(a, b)) for b in H.members) for a in H.members
+            )
+            assert H.local_table() is table
+
+
+def test_cosets_and_conjugates_read_from_the_rows():
+    """right_cosets is built once per subgroup and equals a decomposition
+    built from mul; conjugate equals the subgroup of the conj images."""
+    import copy
+    import pickle
+
+    for g in _ac11_zoo() + [FiniteGroup.symmetric(4)]:
+        subgroups = g.all_subgroups() if g.order <= 16 else [
+            g.generated_subgroup(gens) for gens in ([1], [2], [3, 7], [9, 14])
+        ]
+        for H in subgroups:
+            dec = H.right_cosets()
+            assert H.right_cosets() is dec
+            coset_of, reps = {}, []
+            for a in g.elements():
+                if a not in coset_of:
+                    reps.append(a)
+                    for h in H.members:
+                        coset_of[g.mul(h, a)] = len(reps) - 1
+            assert dec.reps == tuple(reps)
+            assert dec.coset_of == tuple(coset_of[a] for a in g.elements())
+            for x in g.elements():
+                assert H.conjugate(x).members == tuple(sorted(g.conj(x, h) for h in H.members))
+            for twin in (copy.deepcopy(H), pickle.loads(pickle.dumps(H))):
+                assert twin == H and twin.right_cosets() == dec
