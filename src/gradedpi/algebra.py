@@ -95,14 +95,11 @@ class GradedAlgebra:
         H = presentation.subgroup
         G = presentation.group
         gs = presentation.grading
-        m = len(gs)
-        basis: list[Triple] = []
-        degree: list[int] = []
-        for h in H.members:
-            for i in range(m):
-                for j in range(m):
-                    basis.append((h, i, j))
-                    degree.append(G.mul(G.mul(G.inv(gs[i]), h), gs[j]))
+        # deg(h, i, j) = g_i^-1 h g_j, read off the Cayley rows of each g_i^-1.
+        table, m = G.table, len(gs)
+        inverse_rows = [table[G.inv(g)] for g in gs]
+        basis = [(h, i, j) for h in H.members for i in range(m) for j in range(m)]
+        degree = [table[row[h]][g] for h in H.members for row in inverse_rows for g in gs]
         self.basis = tuple(basis)
         self.index = {t: k for k, t in enumerate(basis)}
         self.degree = tuple(degree)

@@ -505,6 +505,7 @@ def _cmd_equivalent(doc: SessionDocument) -> tuple[str, int]:
 
 def _cmd_identity(doc: SessionDocument) -> tuple[str, int]:
     poly = doc.polynomial()
+    _require_cocycle(doc.presentation, "cocycle")
     algebra = build_algebra(doc.presentation)
     report = check_identity(poly, algebra)
     lines: list[tuple[str, Any]] = [("identity", report.identity)]
@@ -605,6 +606,7 @@ def _cmd_envelope(doc: SessionDocument) -> tuple[str, int]:
                 f"polynomials: degree of x{v.vid} must index the second factor "
                 f"(0..{factors[1].order - 1})"
             )
+    _require_cocycle(doc.presentation, "cocycle")
     algebra = build_algebra(doc.presentation)
     report = envelope_identity_check(poly, algebra, truncation)
     lines = [("identity", report.identity), ("truncation", truncation)]

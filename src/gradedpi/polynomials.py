@@ -14,8 +14,8 @@ lexicographic order of the digit tuples, so the least nonzero key is the
 lex-first counterexample; EvaluationTable.digits decodes only the keys that
 are reported.
 
-One walk serves every caller, the Grassmann envelope check included (its
-paths are monomial orders with a parity per variable, see grassmann):
+One walk serves every caller, the Grassmann envelope check included (it
+walks the trie of its monomial orders split by parity, see grassmann):
 
 - The monomial orders form a prefix trie, built in one insertion pass, so a
   prefix shared by several monomials (a chain of basis choices) is
@@ -74,8 +74,8 @@ must exceed that of the nearest placed member before it in the class and
 stay below that of the nearest placed member after it.  These bounds follow
 from the strict chain, and every adjacent pair of the chain is checked when
 its later member is placed.  The neighbours' digits are read off the partial
-key, and they cut the ascending per-row edge list.  The envelope check passes
-no classes and walks every key.
+key, and they cut the ascending per-row edge list.  The envelope check builds
+its trie with no classes, so it walks every key.
 
 Polynomials built as products on disjoint variables carry their
 factorization, which lets the oracle decide the product through the factors'
@@ -555,7 +555,7 @@ def accumulate_evaluations(
         if len(members) > 1:
             weights = tuple(nb ** (d - 1 - vids.index(vid)) for vid in members)
             classes.append((tuple(members), weights))
-    return _walk_paths(algebra, coeffs, terms, edges, nb, d, classes)
+    return _walk_paths(algebra, coeffs, _prefix_trie(terms, edges, nb, classes), nb, d)
 
 
 def _alternation_classes(
@@ -621,30 +621,23 @@ def _alternation_classes(
 
 
 def _walk_paths(
-    algebra: GradedAlgebra,
-    coeffs: list[CycScalar],
-    terms: list,
-    edges: dict,
-    radix: int,
-    width: int,
-    classes=(),
+    algebra: GradedAlgebra, coeffs: list[CycScalar], trie: list, radix: int, width: int
 ) -> EvaluationTable:
     """The chained-path walk behind accumulate_evaluations and the envelope
-    check.  terms are (index into coeffs, label path) pairs, every path
-    visiting each of the width key slots once; edges maps a label to, per
-    row, the (weighted key digit, H-part, column) of the basis elements it may
-    take there, ascending.  A key is the sum of its path's weighted digits.
-    classes are (labels, slot weights) pairs in slot order, whose labels have
-    the same digits in each row: only the keys whose digits strictly increase
-    across each class are walked."""
+    check, over a trie in _prefix_trie's form whose leaves index coeffs.  An
+    entry's edges hold, per row, the (weighted key digit, H-part, column) of
+    the basis elements it may take there, ascending; every root-to-leaf path
+    visits each of the width key slots once, and a key is the sum of its
+    path's weighted digits.  The cuts keep only the keys whose digits
+    strictly increase across each alternation class, whose labels have the
+    same digits in each row."""
     _check_scalar_order(coeffs[0].order if coeffs else None, algebra)
     N = algebra.modulus
     scale = lcm(*(coeff.den for coeff in coeffs))
     acc = EvaluationTable(N, scale, radix, width)
-    if not terms:
+    if not trie:
         return acc
     m = algebra.presentation.size
-    trie = _prefix_trie(terms, edges, radix, classes)
     mul = algebra.mul_table
     # Row 0 is zero: build_algebra validated the cocycle, so it is normalized.
     # Every exponent sum is a multiple of g = gcd(N, table entries), so the

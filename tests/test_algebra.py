@@ -99,6 +99,36 @@ def test_degree_multiplicativity_exhaustive(p_d4_klein, p_z2_unbalanced, p_k4_tw
                     assert A.degree[A.index[t]] == G.mul(A.degree[i], A.degree[j])
 
 
+def _involution_subgroup(G: FiniteGroup):
+    return G.subgroup([0, next(a for a in range(1, G.order) if G.mul(a, a) == 0)])
+
+
+@pytest.mark.parametrize(
+    "group, subgroup, grading",
+    [
+        (FiniteGroup.cyclic(64), lambda G: G.subgroup(range(0, 64, 2)), (0, 1, 5, 33)),
+        (FiniteGroup.dihedral(4), _involution_subgroup, (1, 3, 6, 3)),
+        (FiniteGroup.symmetric(3), _involution_subgroup, (1, 2, 4, 5)),
+        (
+            FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
+            lambda G: G.trivial_subgroup(),
+            (0, 2),
+        ),
+    ],
+    ids=["c64>c32", "d4", "s3", "z2xc2-envelope-base"],
+)
+def test_basis_degrees_are_g_i_inverse_h_g_j(group, subgroup, grading):
+    """The degrees read off the Cayley rows equal g_i^-1 h g_j computed with
+    the group's inv and mul, basis element by basis element."""
+    H = subgroup(group)
+    A = build_algebra(Presentation(group, H, Cocycle2.trivial(H, 1), grading))
+    mul, inv = group.mul, group.inv
+    m = len(grading)
+    assert A.basis == tuple((h, i, j) for h in H.members for i in range(m) for j in range(m))
+    assert A.degree == tuple(mul(mul(inv(grading[i]), h), grading[j]) for h, i, j in A.basis)
+    assert len(set(A.degree)) > 1
+
+
 def test_build_algebra_propagates_cocycle_errors(k4):
     from gradedpi.errors import CocycleError
 

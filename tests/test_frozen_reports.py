@@ -1,0 +1,165 @@
+"""Frozen CLI reports: the sha256 of stdout and the exit code of fixed
+documents, recorded once and asserted on every run.
+
+The documents are the README sample under all seven commands and seeded
+identity-check and envelope-check documents over Z2 x C2 and Z2 x C3 bases
+(degrees 1-5, mostly non-identities with counterexamples).  A change that
+should keep every report byte-identical must keep these digests; one that
+changes a report on purpose records the new digest here and says why.
+
+The digests were made with _digests() on the sources before the envelope
+trie was split by parity; print them again with
+
+    cd tests && PYTHONPATH=../src python3 -c \
+        'import test_frozen_reports as t; print(t._digests())'
+"""
+
+import hashlib
+import io
+import json
+import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from gradedpi.cli import COMMANDS, main
+
+README_SAMPLE = {
+    "group": {"construct": "cyclic", "n": 2},
+    "names": {"e": 0, "sigma": 1},
+    "subgroup": [0],
+    "cocycle": {"modulus": 1, "exponents": [[0]]},
+    "grading": [0, 0, "sigma"],
+    "polynomials": {
+        "bin": {
+            "variables": ["x1:sigma", "x2:sigma"],
+            "monomials": [
+                {"coeff": "1", "order": [1, 2]},
+                {"coeff": "-1", "order": [2, 1]},
+            ],
+        }
+    },
+    "params": {"polynomial": "bin"},
+}
+
+
+def _base(rng: random.Random, n: int) -> dict:
+    """A presentation over Z2 x Cn (element s * n + g is (s, g)): the trivial
+    or sign subgroup, or for n = 2 the whole group with the cocycle
+    (-1)^(a_sign b_g), and a grading of two or three entries."""
+    kind = rng.randrange(3 if n == 2 else 2)
+    if kind == 0:
+        subgroup, modulus, exps = [0], 1, [[0]]
+    elif kind == 1:
+        subgroup, modulus, exps = [0, n], rng.choice([1, 2]), [[0, 0], [0, 0]]
+    else:
+        subgroup, modulus = [0, 1, 2, 3], 2
+        exps = [[(a // 2) * (b % 2) for b in range(4)] for a in range(4)]
+    return {
+        "group": {
+            "construct": "product",
+            "factors": [{"construct": "cyclic", "n": 2}, {"construct": "cyclic", "n": n}],
+        },
+        "subgroup": subgroup,
+        "cocycle": {"modulus": modulus, "exponents": exps},
+        "grading": [rng.randrange(2 * n) for _ in range(rng.randint(2, 3))],
+    }
+
+
+def _coeff(rng: random.Random, modulus: int):
+    num, den = rng.choice([1, -1, 2, -3]), rng.choice([1, 1, 2, 3])
+    text = str(num) if den == 1 else f"{num}/{den}"
+    if modulus > 1 and rng.random() < 0.4:
+        return [[0, text], [1, str(rng.choice([1, -1]))]]
+    return text
+
+
+def _seeded(i: int) -> dict:
+    rng = random.Random(f"frozen-report:{i}")
+    n = 2 if i % 2 else 3
+    doc = _base(rng, n)
+    degree = 1 + i % 5
+    # Second-factor parts of g_a^-1 g_b, so that each variable has a nonzero
+    # component to range over.
+    parts = [(b - a) % n for a in doc["grading"] for b in doc["grading"]]
+    orders = [tuple(rng.sample(range(1, degree + 1), degree)) for _ in range(rng.randint(1, 4))]
+    orders = list(dict.fromkeys(orders))
+    doc["polynomials"] = {
+        "f": {
+            "variables": [f"x{v}:{rng.choice(parts)}" for v in range(1, degree + 1)],
+            "monomials": [
+                {"coeff": _coeff(rng, doc["cocycle"]["modulus"]), "order": list(o)}
+                for o in orders
+            ],
+        }
+    }
+    doc["params"] = {"polynomial": "f", "truncation": degree + rng.randrange(2)}
+    return doc
+
+
+DOCUMENTS = [(f"readme-{command}", command, README_SAMPLE) for command in COMMANDS] + [
+    (f"seeded-{i}-{command}", command, _seeded(i))
+    for i in range(16)
+    for command in ("identity-check", "envelope-check")
+]
+
+
+def _digests() -> dict[str, tuple[int, str]]:
+    """Per document: the CLI's exit code and the sha256 of its stdout."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        for name, command, doc in DOCUMENTS:
+            path.write_text(json.dumps(doc))
+            stdout = io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+                code = main(["--input", str(path), "--command", command])
+            out[name] = (code, hashlib.sha256(stdout.getvalue().encode()).hexdigest())
+    return out
+
+
+FROZEN = {
+    "readme-validate": (0, "8a12be56ffb92e07f453023a53914351cfd06763356faea637a5f64e74c297ea"),
+    "readme-classify": (1, "38c793c3a07df2a7d3049e2e6f5d2fd1381e9fdb6aff8a1eb43cf2fa5ac06f6a"),
+    "readme-normalize": (0, "d72a0a28ca1051bf4da07f8c3fe138dcb1b769eb318605170fda8d2f30964723"),
+    "readme-equivalent": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "readme-identity-check": (1, "1d41e387dfb60c15bd823a21b9030be93490a238f917071caf92bbf465f29481"),
+    "readme-witness": (0, "e3579ce812a579be53b9de1bf37d9bdbbdea1314a8825401d0b83873ce915ca7"),
+    "readme-envelope-check": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "seeded-0-identity-check": (0, "44d45a7698bbcb7b240c57aa028076b88c009a5aa886f14112cedd42be87ea35"),
+    "seeded-0-envelope-check": (1, "a176a3cbba355ee74fc8e8e21dd8f26bb758a671128b97327b6211d1b65b7812"),
+    "seeded-1-identity-check": (1, "2396b0509a3b92e7a91bfdede6b13cd90db41253f6fe076f6cd03128b8f335cf"),
+    "seeded-1-envelope-check": (1, "b4c428cfc07b9191755e14b97516ea2d33420dac314db1a5c074588fdd035316"),
+    "seeded-2-identity-check": (1, "a843f63b65eccc9ceb2b35a1c88a3b65efed020632e364fdbdb429705260bd65"),
+    "seeded-2-envelope-check": (1, "ba9e81f722252e7d0dfe1b04ef02912d03664e380fb67dee21d3e74c6aa4095b"),
+    "seeded-3-identity-check": (1, "ac41d18bcb12481c0373001f16b52d7e0b1b195a53654e60180437df88567aaf"),
+    "seeded-3-envelope-check": (1, "4f6bf898c7a4b10f966abbe04665659d2f4e3c0150eb784e14ff98ccd6736ed4"),
+    "seeded-4-identity-check": (0, "44d45a7698bbcb7b240c57aa028076b88c009a5aa886f14112cedd42be87ea35"),
+    "seeded-4-envelope-check": (0, "25b7e0246fcf556994289412488aecba13614ff9b2bb2ed353c8141efb8c788d"),
+    "seeded-5-identity-check": (1, "37cf99b7debee4419943c841fa4cd8b057c9167f76caf181366f21847a79f0f6"),
+    "seeded-5-envelope-check": (1, "8efd3e37b76b0564339de46e65532651cbd40883cc521188ff097dfbbf3cf35b"),
+    "seeded-6-identity-check": (1, "3d6a870b844636951c040ec61c18e0316e844aa3f2bac06c188f0d61abec0f38"),
+    "seeded-6-envelope-check": (1, "6d47130b12769f4d89fc37aa17bb6d514af6a651bea8e9f4b326a30e03ddca48"),
+    "seeded-7-identity-check": (1, "d1b7c7faddea9c0625c4b1f86c4365bb50828c60079ecf28b1547778b8c1e290"),
+    "seeded-7-envelope-check": (1, "b88ada62978b8a355512e0f063f0b9a9ce011545e3bb0aac0754625bea9e70b5"),
+    "seeded-8-identity-check": (1, "7594ec4845c5b2ca54765250bd05fbb2309bff6c81217571a9092f676b00b763"),
+    "seeded-8-envelope-check": (1, "0564d9cd8b5927ee7c2e7be246f7acd48928236d8f463e2e140054b7ec674846"),
+    "seeded-9-identity-check": (1, "328edc38e67055698d8499b8ab662898f2ec5b02f918eb227362288d9408eeaf"),
+    "seeded-9-envelope-check": (1, "ea3eb49cfb28146ca8d4934372e2018b3705c4b4d5fb913cfeb19bada2b590ac"),
+    "seeded-10-identity-check": (0, "44d45a7698bbcb7b240c57aa028076b88c009a5aa886f14112cedd42be87ea35"),
+    "seeded-10-envelope-check": (1, "cc4f532942fd41c6749c27d7323c2b201d302a6cba6ec8b55deb339877c3fe8c"),
+    "seeded-11-identity-check": (1, "3d6a870b844636951c040ec61c18e0316e844aa3f2bac06c188f0d61abec0f38"),
+    "seeded-11-envelope-check": (1, "6d47130b12769f4d89fc37aa17bb6d514af6a651bea8e9f4b326a30e03ddca48"),
+    "seeded-12-identity-check": (0, "44d45a7698bbcb7b240c57aa028076b88c009a5aa886f14112cedd42be87ea35"),
+    "seeded-12-envelope-check": (0, "df73cdc943d13599af6421881ff556f8abf3953a088cf21020aa6e5593f73be8"),
+    "seeded-13-identity-check": (1, "7594ec4845c5b2ca54765250bd05fbb2309bff6c81217571a9092f676b00b763"),
+    "seeded-13-envelope-check": (1, "6a9e2f2faa7937cd50f8533c68b3441412915c68e3a924285c06ab35c77df1ce"),
+    "seeded-14-identity-check": (1, "328edc38e67055698d8499b8ab662898f2ec5b02f918eb227362288d9408eeaf"),
+    "seeded-14-envelope-check": (1, "ea3eb49cfb28146ca8d4934372e2018b3705c4b4d5fb913cfeb19bada2b590ac"),
+    "seeded-15-identity-check": (1, "37cf99b7debee4419943c841fa4cd8b057c9167f76caf181366f21847a79f0f6"),
+    "seeded-15-envelope-check": (1, "8efd3e37b76b0564339de46e65532651cbd40883cc521188ff097dfbbf3cf35b"),
+}
+
+
+def test_reports_match_their_frozen_digests():
+    assert _digests() == FROZEN

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from gradedpi import grassmann, polynomials
 from gradedpi.algebra import Presentation, build_algebra
 from gradedpi.cohomology import Cocycle2
 from gradedpi.errors import (
@@ -427,3 +428,141 @@ def test_envelope_check_rejects_a_degree_outside_the_second_factor():
         f = monomial_polynomial(variables_for([degree]), CycScalar.one(1))
         with pytest.raises(DegreeMismatchError):
             envelope_identity_check(f, A, 1)
+
+
+# -- the parity-split trie ------------------------------------------------------------
+
+
+def _envelope_tries(monkeypatch, f, base, truncation):
+    """The (terms, edges, radix) of every _prefix_trie call that one envelope
+    check makes, and the trie it walks."""
+    built, walked = [], []
+    build, walk = polynomials._prefix_trie, grassmann._walk_paths
+
+    def capture_build(terms, edges, radix, classes=()):
+        built.append((terms, edges, radix))
+        return build(terms, edges, radix, classes)
+
+    def capture_walk(algebra, coeffs, trie, radix, width):
+        walked.append(trie)
+        return walk(algebra, coeffs, trie, radix, width)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polynomials, "_prefix_trie", capture_build)
+        patch.setattr(grassmann, "_walk_paths", capture_walk)
+        envelope_identity_check(f, base, truncation)
+    return built, walked
+
+
+def _expanded_trie(f, edges, radix):
+    """The trie of the 2^d expanded label paths: every monomial once per
+    parity pattern, with labels (vid, parity) and coefficient index 2i, or
+    2i + 1 when its odd variables stand in an odd permutation."""
+    vids = f.var_ids()
+    terms = []
+    for i, mono in enumerate(f.monomials):
+        paths = [((), 0, 0)]  # (label path, odd-slot mask, flips)
+        for vid in mono.order:
+            s = vids.index(vid)
+            paths = [
+                (path + ((vid, p),), odd | p << s, flips + p * (odd >> s).bit_count())
+                for path, odd, flips in paths
+                for p in (0, 1)
+            ]
+        terms += [(2 * i + flips % 2, path) for path, _, flips in paths]
+    labels = {(vid, p): rows[p] for vid, rows in edges.items() for p in (0, 1)}
+    return polynomials._prefix_trie(terms, labels, radix)
+
+
+def _entries(trie, depth=0):
+    """Preorder (depth, edges object, leaf index or None, cut) of every entry."""
+    out = []
+    for rows, child, cut in trie:
+        leaf = type(child) is int
+        out.append((depth, id(rows), child if leaf else None, cut))
+        if not leaf:
+            out += _entries(child, depth + 1)
+    return out
+
+
+def _prefix_sharing_polynomials(rng, base, ng):
+    """A degree-1..6 polynomial with 1..8 monomials whose orders share
+    prefixes of a random base order, per call, with coefficients in
+    Q(zeta_N) for the base's modulus N."""
+    d = rng.randint(1, 6)
+    vs = variables_for([rng.randrange(ng) for _ in range(d)])
+    first = [v.vid for v in vs]
+    rng.shuffle(first)
+    orders = []
+    for _ in range(rng.randint(1, 8)):
+        keep = rng.randrange(d + 1)
+        rest = first[keep:]
+        rng.shuffle(rest)
+        orders.append(tuple(first[:keep] + rest))
+    return GradedPolynomial(vs, [(random_cyclotomic(rng, base.modulus), o) for o in orders])
+
+
+def test_split_trie_equals_the_trie_of_the_expanded_parity_paths(monkeypatch):
+    """Entry by entry and in order, leaf coefficient indices included, the
+    trie the envelope check walks is the one that inserting every monomial
+    once per parity pattern builds; at moduli 1, 3 and 4, and for the zero
+    polynomial."""
+    import random
+
+    rng = random.Random(18)
+    twisted = twisted_envelope_bases()
+    bases = [(base_env_fixture((0, 2)), 2), twisted[1], twisted[0]]
+    shared, degrees = 0, set()
+    for trial in range(60):
+        base, ng = bases[trial % 3]
+        f = _prefix_sharing_polynomials(rng, base, ng)
+        if f.is_zero():
+            continue
+        built, walked = _envelope_tries(monkeypatch, f, base, f.degree)
+        (terms, edges, radix), = built
+        assert _entries(walked[0]) == _entries(_expanded_trie(f, edges, radix))
+        entries = len(_entries(polynomials._prefix_trie(terms, edges, radix)))
+        shared += entries < sum(len(order) for _, order in terms)
+        degrees.add(f.degree)
+    assert shared >= 20 and degrees == set(range(1, 7))
+    zero = GradedPolynomial(variables_for([0, 1]), [])
+    built, walked = _envelope_tries(monkeypatch, zero, bases[0][0], 2)
+    assert [terms for terms, _, _ in built] == [[]] and walked == [[]]
+
+
+def test_an_envelope_check_builds_one_trie_over_its_monomials(monkeypatch):
+    """One _prefix_trie call per check, over exactly one term per monomial:
+    the parity patterns are split off the built trie, not inserted."""
+    A, ng = twisted_envelope_bases()[0]
+    for orders in ([(1, 2, 3)], [(1, 2, 3), (3, 1, 2), (1, 3, 2)]):
+        f = GradedPolynomial(
+            variables_for([0, 1, 1]), [(root_of_unity(4, k), o) for k, o in enumerate(orders)]
+        )
+        built, _ = _envelope_tries(monkeypatch, f, A, 4)
+        assert len(built) == 1 and len(built[0][0]) == len(f.monomials) == len(orders)
+
+
+def test_envelope_check_leaves_no_garbage_for_the_cyclic_collector():
+    """With the collector off, an envelope check leaves nothing unreachable:
+    the parity split, like the trie builder and the walk, holds no cycles."""
+    import gc
+
+    bases = twisted_envelope_bases()
+    A, signal = bases[0][0], bases[2][0]
+    one = CycScalar.one(4)
+    nonidentity = GradedPolynomial(
+        variables_for([0, 1, 1]), [(one, (1, 2, 3)), (root_of_unity(4, 1), (3, 1, 2))]
+    )
+    terms = (((1, 2, 3), 1), ((2, 1, 3), -1), ((3, 1, 2), -1), ((3, 2, 1), 1))
+    commutator = GradedPolynomial(
+        variables_for([0, 0, 0]), [(one if s > 0 else -one, o) for o, s in terms]
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        assert not envelope_identity_check(nonidentity, A, 3).identity
+        assert gc.collect() == 0
+        assert envelope_identity_check(commutator, signal, 4).identity
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
