@@ -39,10 +39,9 @@ from .polynomials import (
     Triple,
     _factor_spans,
     alternate,
-    assignment_elements,
     check_identity,
     disjoint_product,
-    evaluate,
+    evaluate_triples,
     monomial_polynomial,
 )
 from .scalars import CycScalar
@@ -426,6 +425,12 @@ def verify_witness(
     """Check a witness pair from scratch; raises VerificationFailedError on any
     failed obligation (which would indicate a construction bug).
 
+    The canonical values of f and g are computed on their basis triples by
+    evaluate_triples, which sums cocycle exponents as integers instead of
+    multiplying elements; it returns what evaluate returns on the triples'
+    elements, and evaluate stays the general reference that the tests check
+    it against.
+
     f and g use disjoint variables, so every value of f*g is a value of f times
     a value of g, and f*g is an identity exactly when every product of a span_f
     basis vector with a span_g basis vector vanishes.  That span check is the
@@ -446,10 +451,10 @@ def verify_witness(
     if algebra is not None and algebra.presentation != pair.presentation:
         raise AlgebraMismatchError("the algebra is not built from the pair's presentation")
     A = algebra if algebra is not None else build_algebra(pair.presentation)
-    val_f = evaluate(pair.f, A, assignment_elements(A, pair.assignment_f))
+    val_f = evaluate_triples(pair.f, A, pair.assignment_f)
     if not val_f:
         raise VerificationFailedError("canonical evaluation of f vanished")
-    val_g = evaluate(pair.g, A, assignment_elements(A, pair.assignment_g))
+    val_g = evaluate_triples(pair.g, A, pair.assignment_g)
     if not val_g:
         raise VerificationFailedError("canonical evaluation of g vanished")
     span_f, span_g = _factor_spans(pair.f, pair.g, A)

@@ -242,7 +242,9 @@ def parse_polynomial(
 
 def serialize_coefficient(c: CycScalar) -> Any:
     if c.is_rational():
-        return str(c.as_rational())
+        # Canonical: num / den in lowest terms with den > 0, as Fraction prints it.
+        num = c.nums[0]
+        return str(num) if c.den == 1 else f"{num}/{c.den}"
     return [[i, str(q)] for i, q in enumerate(c.coeffs) if q]
 
 

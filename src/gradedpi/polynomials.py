@@ -323,13 +323,13 @@ def alternate(f: GradedPolynomial, var_ids: Sequence[int]) -> GradedPolynomial:
     positions = [i for i, v in enumerate(base.order) if v in alternated]
     if len(positions) != len(xs):
         raise NonMultilinearError("alternation set must be variables of the monomial")
+    negated = -base.coeff
     monos = []
     for perm in permutations(range(len(xs))):
         order = list(base.order)
         for slot, p in enumerate(perm):
             order[positions[slot]] = xs[p]
-        sign = _parity(perm)
-        coeff = base.coeff if sign == 1 else -base.coeff
+        coeff = base.coeff if _parity(perm) == 1 else negated
         monos.append((coeff, tuple(order)))
     return GradedPolynomial(f.variables, monos)
 
@@ -369,14 +369,56 @@ def evaluate(
     return total
 
 
+def evaluate_triples(
+    f: GradedPolynomial, algebra: GradedAlgebra, triples: dict[int, Triple]
+) -> AlgebraElement:
+    """evaluate(f, algebra, assignment_elements(algebra, triples)), with the
+    same errors in the same order, computed on the triples themselves.  A
+    product of basis triples is zero at the first column/row mismatch and
+    otherwise zeta^e times one triple, where e sums the cocycle exponents of
+    the left-to-right H-products, so each monomial adds coeff * zeta^e at its
+    end triple."""
+    _check_basis_triples(algebra, triples)
+    _check_scalar_order(f.scalar_order, algebra)
+    degree, index = algebra.degree, algebra.index
+    for v in f.variables:
+        if v.vid not in triples:
+            raise DegreeMismatchError(f"variable x{v.vid} is unassigned")
+        if degree[index[triples[v.vid]]] != v.degree:
+            raise DegreeMismatchError(
+                f"assignment of x{v.vid} is not homogeneous of degree {v.degree}"
+            )
+    mul, exps = algebra.mul_table, algebra.exp_table
+    total: dict[Triple, CycScalar] = {}
+    for m in f.monomials:
+        order = m.order
+        h, row, col = triples[order[0]]
+        e = 0
+        for vid in order[1:]:
+            b, r, c = triples[vid]
+            if r != col:
+                break
+            e += exps[h][b]
+            h, col = mul[h][b], c
+        else:
+            t = (h, row, col)
+            value = m.coeff.shift_root(e)
+            total[t] = total[t] + value if t in total else value
+    return algebra.element(total)
+
+
+def _check_basis_triples(algebra: GradedAlgebra, triples: dict[int, Triple]) -> None:
+    for vid, t in triples.items():
+        if t not in algebra.index:
+            raise DegreeMismatchError(f"assignment of x{vid}: {t} is not a basis triple")
+
+
 def assignment_elements(
     algebra: GradedAlgebra, triples: dict[int, Triple]
 ) -> dict[int, AlgebraElement]:
     """Each variable's basis triple as an element of algebra; raises
     DegreeMismatchError, naming the variable, for a triple outside its basis."""
-    for vid, t in triples.items():
-        if t not in algebra.index:
-            raise DegreeMismatchError(f"assignment of x{vid}: {t} is not a basis triple")
+    _check_basis_triples(algebra, triples)
     one = CycScalar.one(algebra.modulus)
     return {vid: algebra.element({t: one}) for vid, t in triples.items()}
 

@@ -171,7 +171,13 @@ class CycScalar:
         return self._combine(other, sub)
 
     def __neg__(self) -> "CycScalar":
-        return CycScalar.from_scaled_ints(self.order, tuple(-c for c in self.nums), self.den)
+        # Negating the numerators keeps them reduced, their gcd with den at 1
+        # and den > 0: the result is canonical as it stands.
+        out = object.__new__(CycScalar)
+        object.__setattr__(out, "order", self.order)
+        object.__setattr__(out, "nums", tuple([-c for c in self.nums]))
+        object.__setattr__(out, "den", self.den)
+        return out
 
     def __mul__(self, other: "CycScalar") -> "CycScalar":
         self._check_order(other)

@@ -23,6 +23,7 @@ from gradedpi.cli import (
     parse_coefficient,
     parse_polynomial,
     run,
+    serialize_coefficient,
     serialize_polynomial,
     serialize_presentation,
 )
@@ -549,6 +550,24 @@ def test_polynomial_round_trip(p_k4_twisted):
         spec = serialize_polynomial(f)
         back = parse_polynomial(spec, names, A.group, A.modulus, "roundtrip")
         assert back == f
+
+
+def test_serialize_coefficient_writes_rationals_as_fraction_does():
+    """A rational coefficient prints byte for byte as str(Fraction): an
+    integer without a denominator, negative and zero included, and num/den
+    in lowest terms otherwise; a non-rational one lists its nonzero
+    power-basis coordinates."""
+    import random
+
+    rng = random.Random(31)
+    values = [Fraction(0), Fraction(-1), Fraction(7), Fraction(-6, 4), Fraction(10, 15)]
+    values += [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(40)]
+    for order in (1, 3, 4, 12):
+        for q in values:
+            c = CycScalar.from_rational(order, q)
+            assert serialize_coefficient(c) == str(Fraction(c.nums[0], c.den)) == str(q)
+    c = CycScalar(3, [Fraction(-1, 2), Fraction(2, 3)])
+    assert serialize_coefficient(c) == [[0, "-1/2"], [1, "2/3"]]
 
 
 def test_emit_witness_function():

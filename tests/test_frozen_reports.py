@@ -1,14 +1,19 @@
 """Frozen CLI reports: the sha256 of stdout and the exit code of fixed
 documents, recorded once and asserted on every run.
 
-The documents are the README sample under all seven commands and seeded
+The documents are the README sample under all seven commands, seeded
 identity-check and envelope-check documents over Z2 x C2 and Z2 x C3 bases
-(degrees 1-5, mostly non-identities with counterexamples).  A change that
-should keep every report byte-identical must keep these digests; one that
-changes a report on purpose records the new digest here and says why.
+(degrees 1-5, mostly non-identities with counterexamples), and witness
+documents: the missing_coset and non_normal kinds (unequal_blocks is
+readme-witness), the (Z3 x Z3):Z2 invariance obstruction, a strongly
+verbally prime "none", and A4 witnesses over a modulus-3 cocycle whose
+printed values are not rational.  A change that should keep every
+report byte-identical must keep these digests; one that changes a report on
+purpose records the new digest here and says why.
 
-The digests were made with _digests() on the sources before the envelope
-trie was split by parity; print them again with
+The seeded digests were made with _digests() on the sources before the
+envelope trie was split by parity, the witness digests on the sources before
+witness values were computed on basis triples; print them again with
 
     cd tests && PYTHONPATH=../src python3 -c \
         'import test_frozen_reports as t; print(t._digests())'
@@ -19,6 +24,7 @@ import io
 import json
 import random
 import tempfile
+from itertools import permutations
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -97,11 +103,73 @@ def _seeded(i: int) -> dict:
     return doc
 
 
-DOCUMENTS = [(f"readme-{command}", command, README_SAMPLE) for command in COMMANDS] + [
-    (f"seeded-{i}-{command}", command, _seeded(i))
-    for i in range(16)
-    for command in ("identity-check", "envelope-check")
-]
+def _table_group(elements: list, mul) -> dict:
+    index = {x: i for i, x in enumerate(elements)}
+    return {"table": [[index[mul(a, b)] for b in elements] for a in elements]}
+
+
+def _z3z3_swap() -> dict:
+    """(Z3 x Z3):Z2 swapping the coordinates; element ((a * 3) + b) * 2 + q
+    is (a, b, q), so Z3 x Z3 is the even elements."""
+
+    def mul(x, y):
+        (a1, b1, q1), (a2, b2, q2) = x, y
+        if q1:
+            a2, b2 = b2, a2
+        return ((a1 + a2) % 3, (b1 + b2) % 3, (q1 + q2) % 2)
+
+    return _table_group([(x // 6, x // 2 % 3, x % 2) for x in range(18)], mul)
+
+
+def _a4() -> dict:
+    """The even permutations of 0..3 in lexicographic order; element 4 is
+    (1 2 0 3) and generates the non-normal subgroup [0, 4, 6]."""
+    def inversions(p):
+        return sum(a > b for i, a in enumerate(p) for b in p[i + 1 :])
+
+    even = [p for p in permutations(range(4)) if inversions(p) % 2 == 0]
+    return _table_group(even, lambda a, b: tuple(a[k] for k in b))
+
+
+def _witness_doc(group: dict, subgroup: list, modulus: int, exps: list, grading: list) -> dict:
+    return {
+        "group": group,
+        "subgroup": subgroup,
+        "cocycle": {"modulus": modulus, "exponents": exps},
+        "grading": grading,
+    }
+
+
+S3 = {"construct": "dihedral", "n": 3}
+
+# A coboundary on the C3 subgroup [0, 4, 6] of A4 with values zeta_3^k.
+A4_COBOUNDARY = [[0, 0, 0], [0, 2, 1], [0, 1, 2]]
+
+WITNESS_DOCUMENTS = {
+    "non_normal-S3": _witness_doc(S3, [0, 3], 1, [[0, 0], [0, 0]], [0, 1, 2]),
+    "non_normal-S3-mod3": _witness_doc(S3, [0, 3], 3, [[0, 0], [0, 1]], [0, 1, 2]),
+    "missing_coset-C4": _witness_doc({"construct": "cyclic", "n": 4}, [0], 1, [[0]], [0, 1]),
+    "invariance-Z3wrZ2": _witness_doc(
+        _z3z3_swap(),
+        list(range(0, 18, 2)),
+        3,
+        [[(a // 2 % 3) * (b // 6) % 3 for b in range(0, 18, 2)] for a in range(0, 18, 2)],
+        [0, 1],
+    ),
+    "strong-none-C2": _witness_doc({"construct": "cyclic", "n": 2}, [0], 1, [[0]], [0, 1]),
+    "non_normal-A4-mod3": _witness_doc(_a4(), [0, 4, 6], 3, A4_COBOUNDARY, [0, 1, 2, 9]),
+    "missing_coset-A4-mod3": _witness_doc(_a4(), [0, 4, 6], 3, A4_COBOUNDARY, [0, 1, 2, 3]),
+}
+
+DOCUMENTS = (
+    [(f"readme-{command}", command, README_SAMPLE) for command in COMMANDS]
+    + [
+        (f"seeded-{i}-{command}", command, _seeded(i))
+        for i in range(16)
+        for command in ("identity-check", "envelope-check")
+    ]
+    + [(f"witness-{name}", "witness", doc) for name, doc in WITNESS_DOCUMENTS.items()]
+)
 
 
 def _digests() -> dict[str, tuple[int, str]]:
@@ -158,6 +226,13 @@ FROZEN = {
     "seeded-14-envelope-check": (1, "ea3eb49cfb28146ca8d4934372e2018b3705c4b4d5fb913cfeb19bada2b590ac"),
     "seeded-15-identity-check": (1, "37cf99b7debee4419943c841fa4cd8b057c9167f76caf181366f21847a79f0f6"),
     "seeded-15-envelope-check": (1, "8efd3e37b76b0564339de46e65532651cbd40883cc521188ff097dfbbf3cf35b"),
+    "witness-non_normal-S3": (0, "6106bd9c292681a7fda056440ef4749e1a67c4fcc26309e44f65c5c414e049bd"),
+    "witness-non_normal-S3-mod3": (0, "ebb21ecd06adb3e9fa9f6546f25d008c61852a9f2dedd2a8603ec6415ae24f09"),
+    "witness-missing_coset-C4": (0, "f6f1d3180dfb41223348e9a7c4425eff60bc48642670f9597316503c90302f82"),
+    "witness-invariance-Z3wrZ2": (0, "39e4706bc5c34ac8340b402dc98c7198d9d987e47391a3caebc6f4b7c249ef1b"),
+    "witness-strong-none-C2": (1, "743e2ceb83fe502a441240d41a58a808a961f6eb259291577bdf696612f4a62e"),
+    "witness-non_normal-A4-mod3": (0, "001660cad6ded5a168adc646ab63d8603d1720c69bd2a5ca8531a109a05ae14a"),
+    "witness-missing_coset-A4-mod3": (0, "3ad87fcb9721e27fefea77bfab4ef65afa56eceb1cc01d718261448a03cd6b6a"),
 }
 
 

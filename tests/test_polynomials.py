@@ -13,6 +13,7 @@ from gradedpi.algebra import Presentation, block_structure, build_algebra
 from gradedpi.cohomology import Coboundary, Cocycle2, enumerate_binomials
 from gradedpi.errors import (
     DegreeMismatchError,
+    GradedPIError,
     HypothesisError,
     NonMultilinearError,
     NotNormalError,
@@ -33,6 +34,7 @@ from gradedpi.polynomials import (
     check_identity,
     disjoint_product,
     evaluate,
+    evaluate_triples,
     evaluation_span,
     good_binomial,
     good_permutation_scalar,
@@ -167,6 +169,134 @@ def test_evaluate_checks_every_variable_before_the_products(p_z2_unbalanced):
     wrong = assignment_elements(A, {3: (0, 0, 2)})  # degree 1
     with pytest.raises(DegreeMismatchError, match="x3 is not homogeneous"):
         evaluate(f, A, {**base, **wrong})
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and text of the package error it raised."""
+    try:
+        return fn(*args)
+    except GradedPIError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_value(f, A, triples):
+    return evaluate(f, A, assignment_elements(A, triples))
+
+
+def _chained_triples(rng, A, f) -> dict:
+    """Basis triples of the right degrees, chained row-to-column along one
+    monomial where the basis allows it, so that monomial's product is
+    usually nonzero (the zero polynomial chains its variables in id order)."""
+    order = rng.choice(f.monomials).order if f.monomials else f.var_ids()
+    triples, col = {}, rng.randrange(A.presentation.size)
+    for vid in order:
+        degree = f.degree_of[vid]
+        pool = A.basis_by_degree_and_row(degree, col) or A.homogeneous_basis(degree)
+        triples[vid] = A.basis[rng.choice(pool)]
+        col = triples[vid][2]
+    return triples
+
+
+def _random_alternating(rng, A) -> GradedPolynomial:
+    """A twisted monomial of 2-4 degree-0 variables and up to two others,
+    alternated over the degree-0 ones."""
+    alternated = rng.randint(2, 4)
+    degrees = [0] * alternated + [rng.choice(sorted(A.support())) for _ in range(rng.randint(0, 2))]
+    variables = variables_for(degrees)
+    order = tuple(rng.sample([v.vid for v in variables], len(variables)))
+    rational = Fraction(rng.choice([-2, 1, 3]), rng.choice([1, 2]))
+    coeff = _coefficient(A.modulus, [(rng.randrange(A.modulus), rational)])
+    return alternate(monomial_polynomial(variables, coeff, order), range(1, alternated + 1))
+
+
+def test_evaluate_triples_matches_evaluate_on_basis_assignments():
+    """The basis-triple kernel against evaluate on the triples' elements, term
+    for term: seeded twisted polynomials and alternate() outputs, over H
+    trivial and not, at moduli 1, 3, 4 and 12 (the Klein class at N = 4 and
+    the bilinear class at N = 12 are not symmetric, so an exponent read as
+    c(b, a) instead of c(a, b) shows).  Assignments are random or chained
+    along a monomial; some vanish in every monomial, some cancel to zero."""
+    rng = random.Random(1919)
+    d3 = FiniteGroup.dihedral(3)
+    reflection = d3.generated_subgroup([3])
+    c3 = FiniteGroup.cyclic(3)
+    e3 = c3.trivial_subgroup()
+    presentations = _presentations_over_moduli_1_3_4_12() + [
+        Presentation(d3, reflection, Cocycle2.trivial(reflection, 1), (0, 1, 2)),
+        Presentation(c3, e3, Cocycle2.trivial(e3, 12), (0, 1, 2)),
+    ]
+    seen = {"nonzero": 0, "vanished": 0, "cancelled": 0}
+    for p in presentations:
+        A = build_algebra(p)
+        polys = [_random_twisted_polynomial(rng, A, rng.randint(1, 4)) for _ in range(6)]
+        polys += [_random_alternating(rng, A) for _ in range(3)]
+        for f in polys:
+            for i in range(16):
+                if i % 2:
+                    triples = _chained_triples(rng, A, f)
+                else:
+                    triples = {
+                        v.vid: A.basis[rng.choice(A.homogeneous_basis(v.degree))]
+                        for v in f.variables
+                    }
+                value = evaluate_triples(f, A, triples)
+                assert value == _reference_value(f, A, triples)
+                monomials = [GradedPolynomial(f.variables, [m]) for m in f.monomials]
+                if value:
+                    seen["nonzero"] += 1
+                elif any(evaluate_triples(mono, A, triples) for mono in monomials):
+                    seen["cancelled"] += 1
+                else:
+                    seen["vanished"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_evaluate_triples_cancellation_and_vanishing(p_k4_twisted, p_z2_unbalanced):
+    """x1 x2 + x2 x1 at two Klein units whose cocycle values are 1 and -1
+    cancels to zero, as does an alternation at a repeated triple; x1 x2 +
+    x2 x1 at two off-diagonal units in one row vanishes monomial by
+    monomial."""
+    A = build_algebra(p_k4_twisted)
+    a, b = p_k4_twisted.subgroup.members[1:3]
+    assert A.exp_table[a][b] != A.exp_table[b][a]
+    f = GradedPolynomial(variables_for([a, b]), [(one(2), (1, 2)), (one(2), (2, 1))])
+    triples = {1: (a, 0, 0), 2: (b, 0, 0)}
+    assert evaluate_triples(GradedPolynomial(f.variables, [f.monomials[0]]), A, triples)
+    assert evaluate_triples(f, A, triples) == _reference_value(f, A, triples) == A.zero()
+
+    B = build_algebra(p_z2_unbalanced)  # M_3 graded by (0, 0, 1)
+    alt = alternate(monomial_polynomial(variables_for([0, 0, 0]), one()), [1, 2, 3])
+    triples = {1: (0, 0, 1), 2: (0, 0, 1), 3: (0, 1, 0)}
+    assert evaluate_triples(alt, B, triples) == _reference_value(alt, B, triples) == B.zero()
+    g = GradedPolynomial(variables_for([0, 0]), [(one(), (1, 2)), (one(), (2, 1))])
+    triples = {1: (0, 0, 1), 2: (0, 0, 1)}
+    assert evaluate_triples(g, B, triples) == _reference_value(g, B, triples) == B.zero()
+
+
+def test_evaluate_triples_raises_what_evaluate_raises_in_its_order(p_z2_unbalanced):
+    """Every assigned triple is checked against the basis first (a variable
+    outside f included), then the scalar order, then f's variables in order:
+    unassigned, or of the wrong degree.  Type and message match evaluate on
+    assignment_elements."""
+    A = build_algebra(p_z2_unbalanced)  # M_3 graded by (0, 0, 1)
+    f = GradedPolynomial(variables_for([0, 1]), [(one(), (1, 2)), (one(), (2, 1))])
+    f3 = GradedPolynomial(variables_for([0, 1]), [(one(3), (1, 2))])
+    degree, order = DegreeMismatchError, OrderMismatchError
+    cases = [
+        (f, {1: (0, 0, 0), 2: (0, 0, 2), 7: (0, 3, 0)}, degree, r"x7: \(0, 3, 0\) is not a basis"),
+        (f3, {1: (1, 0, 0)}, degree, r"x1: \(1, 0, 0\) is not a basis triple"),
+        (f3, {1: (0, 0, 2)}, order, r"Q\(zeta_3\) but the algebra uses order 1"),
+        (f, {2: (0, 0, 0)}, degree, "variable x1 is unassigned"),
+        (f, {1: (0, 0, 2)}, degree, "assignment of x1 is not homogeneous of degree 0"),
+        (f, {1: (0, 0, 1)}, degree, "variable x2 is unassigned"),
+        (f, {1: (0, 0, 1), 2: (0, 0, 0)}, degree, "x2 is not homogeneous of degree 1"),
+    ]
+    for poly, triples, error, message in cases:
+        with pytest.raises(error, match=message):
+            evaluate_triples(poly, A, triples)
+        got = _outcome(evaluate_triples, poly, A, triples)
+        assert got == _outcome(_reference_value, poly, A, triples)
+    assert evaluate_triples(f, A, {1: (0, 0, 1), 2: (0, 1, 2)}) == A.element({(0, 0, 2): one()})
 
 
 def test_scalar_order_mismatch(p_k4_twisted):

@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -190,6 +191,21 @@ def test_canonical_form_is_lowest_terms_over_one_denominator():
     )
     for s in zeros:
         assert (s.nums, s.den) == ((0, 0), 1)
+
+
+@pytest.mark.parametrize("order", [*range(1, 13), 1024])
+def test_negation_is_the_canonical_negation(order):
+    """-c keeps c's denominator and negates its numerators: it equals the
+    canonical constructor's result field for field, and -(-c) == c."""
+    rng = random.Random(order * 13)
+    scalars = [CycScalar.zero(order), CycScalar.one(order), root_of_unity(order, order - 1)]
+    scalars += [random_scalar(rng, order) for _ in range(6)]
+    for c in scalars:
+        n = -c
+        built = CycScalar.from_scaled_ints(order, [-x for x in c.nums], c.den)
+        assert (n.order, n.nums, n.den) == (built.order, built.nums, built.den)
+        assert type(n.nums) is tuple and n.den > 0 and gcd(n.den, *n.nums) == 1
+        assert -n == c and hash(-n) == hash(c)
 
 
 def test_copy_and_pickle_round_trip():
