@@ -304,11 +304,9 @@ def apply_move(p: Presentation, move: Move) -> Presentation:
         )
     if isinstance(move, M3):
         g = move.g
+        cocycle = p.cocycle.transport(g)
         return Presentation(
-            G,
-            p.subgroup.conjugate(g),
-            p.cocycle.transport(g),
-            tuple(G.mul(g, x) for x in p.grading),
+            G, cocycle.subgroup, cocycle, tuple(G.mul(g, x) for x in p.grading)
         )
     raise TypeError(f"unknown move {move!r}")
 
@@ -347,7 +345,8 @@ def presentations_equivalent(p: Presentation, q: Presentation) -> bool:
     """True iff p and q present graded-isomorphic algebras: some normal form
     of p has q's normalized subgroup and grading, with a cohomologous cocycle.
     Every matching normal form lives on q's subgroup, so its congruence
-    system is diagonalized once, at the first match.
+    system is diagonalized once, at the first match.  Each distinct cocycle
+    table is tried once: a repeated one has already answered False.
 
     The normal forms of p, one per least-multiplicity coset, stand for the
     normalizations of every conjugate M3(g) p:
@@ -369,9 +368,13 @@ def presentations_equivalent(p: Presentation, q: Presentation) -> bool:
         return False
     nq = normalize_presentation(q)
     system = None
+    tried = set()
     for np in _normal_forms(p):
         if np.subgroup != nq.subgroup or np.grading != nq.grading:
             continue
+        if np.cocycle.exps in tried:
+            continue
+        tried.add(np.cocycle.exps)
         if system is None:
             system = CoboundarySystem(nq.subgroup)
         if classes_cohomologous(np.cocycle, nq.cocycle, system):

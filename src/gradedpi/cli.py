@@ -441,8 +441,9 @@ def run(command: str, document: dict, max_degree: Optional[int] = None) -> tuple
 
 
 def _cmd_validate(doc: SessionDocument) -> tuple[str, int]:
-    violations = doc.presentation.cocycle.violations()
-    if violations:
+    cocycle = doc.presentation.cocycle
+    if not cocycle.is_valid():
+        violations = cocycle.violations()
         first = violations[0]
         text = _emit(
             [("valid", False), ("violation", str(first))],

@@ -43,6 +43,14 @@ coboundary_or_obstruction or trivial_class_obstruction must return an
 obstruction.  The yes/no decisions (is_coboundary, is_trivial_class,
 classes_cohomologous, and so presentation equivalence and a passing
 invariance check) never build it.
+
+A yes/no decision whose quotient is the zero table makes no solve at all:
+classes_cohomologous answers True for two equal tables at one modulus, and
+invariance_obstruction passes over a representative g with g.c = c, whose
+quotient is d(0).  presentations_equivalent tries each distinct normal-form
+table once, as a repeated table has already failed.  The witnesses that
+is_coboundary and coboundary_or_obstruction return always come from a
+solve.
 """
 
 from __future__ import annotations
@@ -172,15 +180,20 @@ class Cocycle2:
         self._valid = self._valid or not out
         return out
 
+    def is_valid(self) -> bool:
+        """Whether the table is a normalized 2-cocycle, by the generator check
+        _is_cocycle.  A pass, or an empty violations(), is recorded and
+        carried to the cocycles that _permuted and with_modulus derive, so
+        each is checked once."""
+        if not self._valid:
+            self._valid = self._is_cocycle()
+        return self._valid
+
     def require_valid(self) -> "Cocycle2":
         """Raise CocycleError naming the first of violations() unless the
-        table is a normalized 2-cocycle.  A pass, or an empty violations(),
-        is recorded and carried to the cocycles that _permuted and
-        with_modulus derive, so each is checked once."""
-        if not self._valid:
-            if not self._is_cocycle():
-                raise CocycleError(str(self.violations()[0]))
-            self._valid = True
+        table is a normalized 2-cocycle (is_valid)."""
+        if not self.is_valid():
+            raise CocycleError(str(self.violations()[0]))
         return self
 
     def _is_cocycle(self) -> bool:
@@ -272,7 +285,8 @@ class Cocycle2:
 
     def transport(self, g: int) -> "Cocycle2":
         """Move the cocycle to the conjugate subgroup gHg^-1 (the M3 transport):
-        c'(g h1 g^-1, g h2 g^-1) = c(h1, h2)."""
+        c'(g h1 g^-1, g h2 g^-1) = c(h1, h2).  When g normalizes H and fixes
+        each of its members, this is the cocycle itself (see _permuted)."""
         H = self.subgroup
         table = H.parent.table
         new_sub = H.conjugate(g)
@@ -283,7 +297,11 @@ class Cocycle2:
 
     def _permuted(self, subgroup: Subgroup, local: list[int]) -> "Cocycle2":
         """The cocycle on subgroup with entry [i][j] = exps[local[i]][local[j]].
-        Relabelling H through an isomorphism keeps a cocycle a cocycle."""
+        Relabelling H through an isomorphism keeps a cocycle a cocycle.  On
+        its own subgroup under the identity relabelling that is self, which
+        is returned as it is."""
+        if subgroup is self.subgroup and local == list(range(len(local))):
+            return self
         exps = self.exps
         out = Cocycle2(
             subgroup,
@@ -650,6 +668,8 @@ def classes_cohomologous(
     """
     if c1.subgroup != c2.subgroup:
         raise CocycleError("cocycles live on different subgroups")
+    if c1.modulus == c2.modulus and c1.exps == c2.exps:
+        return True  # the quotient is d(0)
     n = c1.modulus * c2.modulus // gcd(c1.modulus, c2.modulus)
     return is_trivial_class(c1.with_modulus(n).quotient_exps(c2.with_modulus(n)), system)
 
@@ -669,20 +689,22 @@ def invariance_obstruction(
     c: Cocycle2,
 ) -> Optional[tuple[int, CoboundaryObstruction]]:
     """The first failing coset representative with its congruence obstruction,
-    or None when the class is G-invariant.  The reduced congruence system of
-    H is diagonalized once, at the first non-trivial representative; a
-    failing representative diagonalizes the full system once more, for its
-    certificate."""
+    or None when the class is G-invariant.  A representative g with
+    g.c = c as tables is passed over, as (g.c)/c = d(0).  The reduced
+    congruence system of H is diagonalized once, at the first representative
+    that needs a solve; a failing representative diagonalizes the full system
+    once more, for its certificate."""
     H = c.subgroup
     if not H.is_normal():
         raise NotNormalError("subgroup is not normal; the G-action is undefined")
     system = None
     for g in H.right_cosets().reps:
-        if g == 0:
+        moved = c.conjugate(g)
+        if moved.exps == c.exps:
             continue
         if system is None:
             system = CoboundarySystem(H)
-        diff = c.conjugate(g).quotient_exps(c)
+        diff = moved.quotient_exps(c)
         wit, obstruction = trivial_class_obstruction(diff, system)
         if wit is None:
             return g, obstruction

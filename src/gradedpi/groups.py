@@ -408,10 +408,15 @@ class Subgroup:
         return True
 
     def conjugate(self, g: int) -> "Subgroup":
-        """The subgroup g H g^-1."""
+        """The subgroup g H g^-1; H itself, with its cached local table and
+        cosets, when g normalizes H.  Conjugation is injective, so the image
+        is H as soon as it lies inside H."""
         table = self.parent.table
         row_g, gi = table[g], self.parent.inv(g)
-        return Subgroup(self.parent, [table[row_g[h]][gi] for h in self.members])
+        image = [table[row_g[h]][gi] for h in self.members]
+        if self.member_set.issuperset(image):
+            return self
+        return Subgroup(self.parent, image)
 
     def right_cosets(self) -> "CosetDecomposition":
         """The right cosets of H, built on the first call; the record is

@@ -698,9 +698,10 @@ def test_import_loads_no_introspection_modules():
     "command, grading", [("validate", [1, 0]), ("classify", [1, 0]), ("witness", [1, 0, 0])]
 )
 def test_a_valid_cocycle_is_checked_once(command, grading, monkeypatch):
-    """The document's cocycle is checked once, by the generator check or by
-    validate's full scan; the normalized presentation's cocycle is derived
-    from it by transport and is not checked again."""
+    """The document's cocycle is checked once, by the generator check, also
+    under validate, whose full scan lists violations only for an invalid
+    table; the normalized presentation's cocycle is derived from it by
+    transport and is not checked again."""
     calls = []
     for name in ("_is_cocycle", "violations"):
         check = getattr(Cocycle2, name)
@@ -718,7 +719,35 @@ def test_a_valid_cocycle_is_checked_once(command, grading, monkeypatch):
     }
     text, code = run(command, doc)
     assert code == 0, text
-    assert calls == ["violations" if command == "validate" else "_is_cocycle"]
+    assert calls == ["_is_cocycle"]
+
+
+def test_validate_lists_violations_only_for_an_invalid_table(monkeypatch):
+    """An invalid table fails the generator check and then gets one full
+    scan, whose every violation the report lists."""
+    calls = []
+    for name in ("_is_cocycle", "violations"):
+        check = getattr(Cocycle2, name)
+
+        def counted(self, check=check):
+            calls.append(check.__name__)
+            return check(self)
+
+        monkeypatch.setattr(Cocycle2, name, counted)
+    doc = {
+        "group": {"construct": "cyclic", "n": 4},
+        "subgroup": [0, 1, 2, 3],
+        "cocycle": {"modulus": 4, "exponents": [[0] * 4, [0, 1, 0, 0], [0] * 4, [0] * 4]},
+        "grading": [0],
+    }
+    text, code = run("validate", doc)
+    assert code == 2 and calls == ["_is_cocycle", "violations"]
+    listed = json.loads(text.split(MACHINE_BEGIN)[1].split(MACHINE_END)[0])
+    from gradedpi.groups import FiniteGroup
+
+    H = FiniteGroup.cyclic(4).full_subgroup()
+    want = Cocycle2(H, 4, doc["cocycle"]["exponents"]).violations()
+    assert listed["violations"] == [str(v) for v in want] and len(want) > 1
 
 
 @pytest.mark.parametrize(

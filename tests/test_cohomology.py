@@ -36,10 +36,10 @@ from gradedpi.errors import (
     NotNormalError,
     VerificationFailedError,
 )
-from gradedpi.groups import FiniteGroup
+from gradedpi.groups import CosetDecomposition, FiniteGroup, Subgroup
 from gradedpi.scalars import root_of_unity
 
-from conftest import brute_coboundary, klein_nontrivial_cocycle
+from conftest import brute_coboundary, klein_nontrivial_cocycle, z3z3_cocycle
 
 
 def test_trivial_cocycle_validates(k4):
@@ -351,7 +351,10 @@ def test_classify_solves_invariance_once(p_z3z3_noninvariant, monkeypatch):
 
 def test_one_diagonalization_per_decision(monkeypatch):
     """The relation matrix of H is diagonalized once per decision and reused
-    for every normal form or coset representative that needs a solve."""
+    for every normal form or coset representative that needs a solve.  A
+    normal-form table already tried, and a representative that fixes the
+    table, need none: K4's two matching normal forms share one table, and
+    every conjugate of a cocycle on a central subgroup is the cocycle."""
     counts = {"smith": 0, "solve": 0}
     real = {"smith": cohomology.smith_diagonalize, "solve": cohomology.solve_congruences}
 
@@ -374,8 +377,10 @@ def test_one_diagonalization_per_decision(monkeypatch):
         np.subgroup == nq.subgroup and np.grading == nq.grading for np in _normal_forms(p)
     )
     assert matching == 2
+    tables = {np.cocycle.exps for np in _normal_forms(p) if np.subgroup == nq.subgroup}
+    assert len(tables) == 1
     assert not presentations_equivalent(p, q)
-    assert counts == {"smith": 1, "solve": matching}
+    assert counts == {"smith": 1, "solve": 1}
 
     c4 = FiniteGroup.cyclic(4)
     G = FiniteGroup.direct_product(FiniteGroup.direct_product(c2, c2), c4)
@@ -384,7 +389,21 @@ def test_one_diagonalization_per_decision(monkeypatch):
     assert H.is_normal() and len(reps) >= 2
     counts["smith"] = counts["solve"] = 0
     assert invariance_obstruction(klein_nontrivial_cocycle(H)) is None
-    assert counts == {"smith": 1, "solve": len(reps)}
+    assert counts == {"smith": 0, "solve": 0}
+
+    # The Klein four subgroup of S4 is normal, and S4 permutes its three
+    # involutions, so most conjugates of its cocycle are other tables (of
+    # the one non-trivial class).
+    s4 = FiniteGroup.symmetric(4)
+    klein = [p for p in permutations(range(4)) if all(p[p[i]] == i != p[i] for i in range(4))]
+    perms = sorted(permutations(range(4)))
+    H = s4.subgroup([0] + [perms.index(p) for p in klein])
+    c = klein_nontrivial_cocycle(H)
+    moved = [g for g in H.right_cosets().reps if c.conjugate(g).exps != c.exps]
+    assert H.is_normal() and len(moved) >= 2
+    counts["smith"] = counts["solve"] = 0
+    assert invariance_obstruction(c) is None
+    assert counts == {"smith": 1, "solve": len(moved)}
 
 
 def test_bad_solver_witness_raises_typed_error(k4, monkeypatch):
@@ -653,7 +672,8 @@ def test_reduced_decision_matches_the_full_system_on_the_zoo(monkeypatch):
 
 
 def test_invariance_builds_the_full_system_only_for_a_failure(p_z3z3_noninvariant, monkeypatch):
-    """A passing invariance decision diagonalizes one (reduced) system; a
+    """A passing invariance decision diagonalizes one (reduced) system when
+    some g.c differs from c as a table, and none when every one equals c; a
     failing one a second, full system for its certificate, which is the
     full system's own obstruction."""
     calls = []
@@ -665,15 +685,16 @@ def test_invariance_builds_the_full_system_only_for_a_failure(p_z3z3_noninvarian
 
     monkeypatch.setattr(cohomology, "smith_diagonalize", counting)
     rng = random.Random(77)
-    passed = 0
+    passed = {0: 0, 1: 0}
     for H, c, is_cocycle in _zoo_inputs(rng):
         if not is_cocycle or H == H.parent.full_subgroup() or not H.is_normal():
             continue
         calls.clear()
         assert invariance_obstruction(c) is None
-        assert len(calls) == 1
-        passed += 1
-    assert passed > 50
+        moved = any(c.conjugate(g).exps != c.exps for g in H.right_cosets().reps)
+        assert len(calls) == int(moved)
+        passed[moved] += 1
+    assert passed[0] > 50 and passed[1] > 30, passed
     c = p_z3z3_noninvariant.cocycle
     calls.clear()
     g, obstruction = invariance_obstruction(c)
@@ -681,6 +702,151 @@ def test_invariance_builds_the_full_system_only_for_a_failure(p_z3z3_noninvarian
     diff = c.conjugate(g).quotient_exps(c)
     lifted = diff.with_modulus(class_modulus(diff))
     assert obstruction == _full_solve(_full_system(c.subgroup), lifted)[1] is not None
+
+
+def _ref_conjugate(c: Cocycle2, g: int) -> list[list[int]]:
+    """The table of g.c by hand: entry [i][j] is c(g h_i g^-1, g h_j g^-1)."""
+    H, G = c.subgroup, c.subgroup.parent
+    local = [H.local_index(G.conj(g, h)) for h in H.members]
+    return [[c.exps[a][b] for b in local] for a in local]
+
+
+def _ref_decide(H, N: int, exps, certify: bool = False):
+    """[exps] = 1 in H^2(H, F*), always through CoboundarySystem(H).decide at
+    the lifted modulus."""
+    c = Cocycle2(H, N, exps)
+    return cohomology.CoboundarySystem(H).decide(c.with_modulus(class_modulus(c)), certify)
+
+
+def _ref_invariance(c: Cocycle2):
+    H = c.subgroup
+    for g in H.right_cosets().reps[1:]:
+        moved = _ref_conjugate(c, g)
+        diff = [[x - y for x, y in zip(mr, cr)] for mr, cr in zip(moved, c.exps)]
+        wit, obstruction = _ref_decide(H, c.modulus, diff, certify=True)
+        if wit is None:
+            return g, obstruction
+    return None
+
+
+def _ref_cohomologous(c1: Cocycle2, c2: Cocycle2) -> bool:
+    n = c1.modulus * c2.modulus // gcd(c1.modulus, c2.modulus)
+    f1, f2 = n // c1.modulus, n // c2.modulus
+    diff = [[f1 * x - f2 * y for x, y in zip(r1, r2)] for r1, r2 in zip(c1.exps, c2.exps)]
+    return _ref_decide(c1.subgroup, n, diff)[0] is not None
+
+
+def _ref_move(c: Cocycle2, g: int) -> Cocycle2:
+    """M3(g) on the cocycle: a fresh Subgroup gHg^-1 and the table moved onto it."""
+    H, G = c.subgroup, c.subgroup.parent
+    K = Subgroup(G, [G.conj(g, h) for h in H.members])
+    back = [H.local_index(G.conj(G.inv(g), k)) for k in K.members]
+    return Cocycle2(K, c.modulus, [[c.exps[a][b] for b in back] for a in back])
+
+
+def _ref_normal_forms(p: Presentation):
+    G, cosets = p.group, CosetDecomposition(p.subgroup)
+    mults = dict.fromkeys(cosets.reps, 0)
+    for x in p.grading:
+        mults[cosets.rep_of(x)] += 1
+    least = min(n for n in mults.values() if n)
+    for r, n in mults.items():
+        if n == least:
+            g = G.inv(r)
+            moved = _ref_move(p.cocycle, g)
+            reps = [CosetDecomposition(moved.subgroup).rep_of(G.mul(g, x)) for x in p.grading]
+            yield moved, tuple(sorted(reps, key=lambda x: (reps.count(x), x)))
+
+
+def _ref_equivalent(p: Presentation, q: Presentation) -> bool:
+    if p.size != q.size:
+        return False
+    cq, gq = next(_ref_normal_forms(q))
+    return any(
+        c.subgroup == cq.subgroup and g == gq and _ref_cohomologous(c, cq)
+        for c, g in _ref_normal_forms(p)
+    )
+
+
+def _shortcut_inputs(rng, z3z3):
+    """_zoo_inputs (every zoo group has order at most 8), and on (Z3 x Z3):Z2
+    the classes zeta_3^(k b1 a2) on its normal Z3 x Z3, twisted by
+    coboundaries, and cocycles on a non-normal order-2 subgroup; and
+    coboundaries on S3 < S4, where some conjugates meet S3 in more than
+    the identity without being S3."""
+    yield from _zoo_inputs(rng)
+    S3 = _nonabelian_subgroups()[0]
+    for N in (1, 2, 6):
+        lam = (0,) + tuple(rng.randrange(N) for _ in range(5))
+        yield S3, Coboundary(S3, N, lam).induced(), True
+    H = z3z3.subgroup([x for x in z3z3.elements() if x % 2 == 0])
+    for k in range(3):
+        yield H, z3z3_cocycle(H, k), True
+        lam = (0,) + tuple(rng.randrange(3) for _ in range(8))
+        d = Coboundary(H, 3, lam).induced().exps
+        twisted = [[x + y for x, y in zip(r, s)] for r, s in zip(z3z3_cocycle(H, k).exps, d)]
+        yield H, Cocycle2(H, 3, twisted), True
+    K = z3z3.generated_subgroup([1])
+    for N in (1, 2, 6):
+        yield K, Cocycle2(K, N, [[0, 0], [0, N - 1]]), True
+
+
+def test_shortcut_decisions_match_a_reference_that_solves_every_quotient(z3z3_swap_group):
+    """invariance_obstruction, classes_cohomologous and presentations_equivalent
+    against references that decide every quotient through
+    CoboundarySystem(H).decide, with fresh subgroups and hand-moved tables;
+    and conjugation returns its input exactly when it fixes it: H for a g
+    that normalizes H, c for a g that fixes each member of H."""
+    rng = random.Random(2020)
+    previous = {}
+    seen = dict.fromkeys(("invariant", "not invariant", "cohomologous", "not cohomologous",
+                          "equivalent", "not equivalent", "H moved", "c moved", "c fixed"), 0)
+    for H, c, _ in _shortcut_inputs(rng, z3z3_swap_group):
+        G = H.parent
+        for g in G.elements():
+            image = [G.conj(g, h) for h in H.members]
+            normalizes = set(image) == H.member_set
+            K = H.conjugate(g)
+            assert (K is H) == normalizes
+            seen["H moved"] += not normalizes
+            if not normalizes:
+                assert K == _ref_move(c, g).subgroup
+                assert c.transport(g) == _ref_move(c, g)
+                continue
+            fixes = image == list(H.members)
+            conjugated, transported = c.conjugate(g), c.transport(g)
+            assert (conjugated is c) == (transported is c) == fixes
+            assert conjugated.exps == tuple(map(tuple, _ref_conjugate(c, g)))
+            assert transported == _ref_move(c, g)
+            seen["c fixed" if fixes else "c moved"] += 1
+        if H.is_normal():
+            got, want = invariance_obstruction(c), _ref_invariance(c)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0] == want[0] and str(got[1]) == str(want[1])
+            seen["invariant" if got is None else "not invariant"] += 1
+        others = [c, previous.get(H, c)]
+        lam = tuple(rng.randrange(c.modulus) for _ in range(len(H)))
+        others.append(c.quotient_exps(Coboundary(H, c.modulus, lam).induced()))
+        for other in others:
+            verdict = classes_cohomologous(c, other)
+            assert verdict == _ref_cohomologous(c, other)
+            seen["cohomologous" if verdict else "not cohomologous"] += 1
+        grading = tuple(rng.randrange(G.order) for _ in range(rng.randint(1, 3)))
+        p = Presentation(G, H, c, grading)
+        for other in others[1:]:
+            g = rng.randrange(G.order)
+            moved = _ref_move(other, g)
+            K = moved.subgroup
+            hs = [rng.choice(K.members) for _ in grading]
+            entries = [G.mul(h, G.mul(g, x)) for h, x in zip(hs, grading)]
+            rng.shuffle(entries)
+            q = Presentation(G, K, moved, tuple(entries))
+            verdict = presentations_equivalent(p, q)
+            assert verdict == _ref_equivalent(p, q)
+            seen["equivalent" if verdict else "not equivalent"] += 1
+        previous[H] = c
+    assert min(seen.values()) >= 10, seen
 
 
 def test_built_cocycles_equal_the_validated_constructor():

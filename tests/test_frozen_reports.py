@@ -7,13 +7,19 @@ identity-check and envelope-check documents over Z2 x C2 and Z2 x C3 bases
 documents: the missing_coset and non_normal kinds (unequal_blocks is
 readme-witness), the (Z3 x Z3):Z2 invariance obstruction, a strongly
 verbally prime "none", and A4 witnesses over a modulus-3 cocycle whose
-printed values are not rational.  A change that should keep every
+printed values are not rational.  Cohomology documents cover classify on
+C64 > C32 and on (Z3 x Z3):Z2, equivalent on C4 x C4 x C2 (a non-trivial
+class against the trivial one, and a moved pair with a coboundary twist),
+normalize and equivalent on D4 over the non-normal subgroup [0, 4], and
+validate on a table that is no cocycle.  A change that should keep every
 report byte-identical must keep these digests; one that changes a report on
 purpose records the new digest here and says why.
 
 The seeded digests were made with _digests() on the sources before the
 envelope trie was split by parity, the witness digests on the sources before
-witness values were computed on basis triples; print them again with
+witness values were computed on basis triples, the cohomology digests on
+the sources before conjugations that fix H returned their input; print them
+again with
 
     cd tests && PYTHONPATH=../src python3 -c \
         'import test_frozen_reports as t; print(t._digests())'
@@ -29,6 +35,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from gradedpi.cli import COMMANDS, main
+from gradedpi.groups import FiniteGroup
 
 README_SAMPLE = {
     "group": {"construct": "cyclic", "n": 2},
@@ -161,6 +168,100 @@ WITNESS_DOCUMENTS = {
     "missing_coset-A4-mod3": _witness_doc(_a4(), [0, 4, 6], 3, A4_COBOUNDARY, [0, 1, 2, 3]),
 }
 
+
+
+def _c64_coboundary() -> dict:
+    """C64 > C32 (the even elements) with a modulus-2 coboundary d(lambda)
+    and one entry in each coset: strongly verbally prime."""
+    rng = random.Random("frozen-report:C64")
+    H = list(range(0, 64, 2))
+    lam = {h: (rng.randrange(2) if h else 0) for h in H}
+    exps = [[(lam[a] + lam[b] - lam[(a + b) % 64]) % 2 for b in H] for a in H]
+    return _witness_doc({"construct": "cyclic", "n": 64}, H, 2, exps, [6, 41])
+
+
+# C4 x C4 x C2, element ((a * 4) + b) * 2 + q; H = C4 x C4 is the even elements.
+C4C4C2 = {
+    "construct": "product",
+    "factors": [
+        {"construct": "product", "factors": [{"construct": "cyclic", "n": 4}] * 2},
+        {"construct": "cyclic", "n": 2},
+    ],
+}
+C4C4 = list(range(0, 32, 2))
+
+
+def _c4c4c2_add(x: int, y: int) -> int:
+    a, b, q = (x // 8 + y // 8) % 4, (x // 2 + y // 2) % 4, (x + y) % 2
+    return (a * 4 + b) * 2 + q
+
+
+def _bilinear(k: int) -> list:
+    """zeta_4^(k a_x b_y) on C4 x C4: a non-trivial class for k != 0."""
+    return [[k * (x // 8) * (y // 2 % 4) % 4 for y in C4C4] for x in C4C4]
+
+
+def _second(doc: dict, subgroup: list, exps: list, grading: list) -> dict:
+    doc = dict(doc)
+    doc["second"] = {
+        "subgroup": subgroup,
+        "cocycle": {"modulus": doc["cocycle"]["modulus"], "exponents": exps},
+        "grading": grading,
+    }
+    return doc
+
+
+def _bilinear_vs_trivial() -> dict:
+    doc = _witness_doc(C4C4C2, C4C4, 4, _bilinear(3), [0, 13])
+    return _second(doc, C4C4, _bilinear(0), [0, 13])
+
+
+def _moved_c4c4c2() -> dict:
+    """An equivalent pair: the second is the first under M3(9), an M2 by
+    (6, 20), a swap (M1), and a coboundary twist of its cocycle."""
+    first = _bilinear(1)
+    lam = {h: (3 * h + h // 8) % 4 for h in C4C4}
+    twisted = [
+        [(v + lam[x] + lam[y] - lam[_c4c4c2_add(x, y)]) % 4 for v, y in zip(row, C4C4)]
+        for row, x in zip(first, C4C4)
+    ]
+    grading = [2, 13]
+    moved = [_c4c4c2_add(h, _c4c4c2_add(9, x)) for h, x in zip((6, 20), grading)]
+    doc = _witness_doc(C4C4C2, C4C4, 4, first, grading)
+    return _second(doc, C4C4, twisted, moved[::-1])
+
+
+D4 = {"construct": "dihedral", "n": 4}
+
+
+def _d4_non_normal() -> dict:
+    """D4 (rotations 0..3, reflections s r^i at 4..7) over the non-normal
+    subgroup [0, 4] with c(s, s) = -1; the second presentation is the first
+    under M3(r), which moves H to [0, 6], an M2 and an M1, so conjugation
+    builds new subgroups."""
+    G = FiniteGroup.dihedral(4)
+    exps = [[0, 0], [0, 1]]
+    grading = [3, 5, 2]
+    moved = [G.mul(h, G.mul(1, x)) for h, x in zip((6, 0, 6), grading)]
+    doc = _witness_doc(D4, [0, 4], 2, exps, grading)
+    return _second(doc, [G.conj(1, 0), G.conj(1, 4)], exps, [moved[2], moved[0], moved[1]])
+
+
+COHOMOLOGY_DOCUMENTS = [
+    ("classify-C64", "classify", _c64_coboundary()),
+    ("classify-Z3wrZ2", "classify", WITNESS_DOCUMENTS["invariance-Z3wrZ2"]),
+    ("equivalent-bilinear-vs-trivial", "equivalent", _bilinear_vs_trivial()),
+    ("equivalent-moved-C4C4C2", "equivalent", _moved_c4c4c2()),
+    ("normalize-D4-non-normal", "normalize", _d4_non_normal()),
+    ("equivalent-D4-non-normal", "equivalent", _d4_non_normal()),
+    (
+        "validate-invalid-C4",
+        "validate",
+        _witness_doc({"construct": "cyclic", "n": 4}, [0, 1, 2, 3], 4,
+                     [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], [0]),
+    ),
+]
+
 DOCUMENTS = (
     [(f"readme-{command}", command, README_SAMPLE) for command in COMMANDS]
     + [
@@ -169,6 +270,7 @@ DOCUMENTS = (
         for command in ("identity-check", "envelope-check")
     ]
     + [(f"witness-{name}", "witness", doc) for name, doc in WITNESS_DOCUMENTS.items()]
+    + [(f"cohomology-{name}", command, doc) for name, command, doc in COHOMOLOGY_DOCUMENTS]
 )
 
 
@@ -233,6 +335,13 @@ FROZEN = {
     "witness-strong-none-C2": (1, "743e2ceb83fe502a441240d41a58a808a961f6eb259291577bdf696612f4a62e"),
     "witness-non_normal-A4-mod3": (0, "001660cad6ded5a168adc646ab63d8603d1720c69bd2a5ca8531a109a05ae14a"),
     "witness-missing_coset-A4-mod3": (0, "3ad87fcb9721e27fefea77bfab4ef65afa56eceb1cc01d718261448a03cd6b6a"),
+    "cohomology-classify-C64": (0, "96a7ea0ef7f4fbb3f5f26313bc84643203bcf717031909a4861119b665f23f00"),
+    "cohomology-classify-Z3wrZ2": (1, "00c774b278daf7b637c577d93a370a46c4810b82a9db38896a2ce23acac82a71"),
+    "cohomology-equivalent-bilinear-vs-trivial": (1, "9ed59c3c060acacd249fda01b09664732f6546a64bebfda97e4295d829c5ddb5"),
+    "cohomology-equivalent-moved-C4C4C2": (0, "f647dc819f78b31daf3c85ece20a27f4bbfe9d5ac1b218164924826ba73ec43e"),
+    "cohomology-normalize-D4-non-normal": (0, "af43e88b86a905e3d4ddaabc1c88e7dfe7c61a8d57aae59f60db18c4f672eb33"),
+    "cohomology-equivalent-D4-non-normal": (0, "f647dc819f78b31daf3c85ece20a27f4bbfe9d5ac1b218164924826ba73ec43e"),
+    "cohomology-validate-invalid-C4": (2, "4198fab8cffa350003a36f0b78c4613367ad167e7b1b384dea588444766ab592"),
 }
 
 
