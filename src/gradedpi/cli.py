@@ -25,7 +25,7 @@ from .algebra import (
     support,
 )
 from .classify import ClassificationReport, classify, verify_witness
-from .cohomology import Cocycle2
+from .cohomology import CoboundaryObstruction, Cocycle2
 from .errors import CocycleError, DocumentError, GradedPIError, NoWitnessError
 from .grassmann import envelope_identity_check
 from .groups import FiniteGroup
@@ -271,6 +271,12 @@ def serialize_presentation(p: Presentation) -> dict:
     }
 
 
+def serialize_obstruction(ob: CoboundaryObstruction) -> dict:
+    """The 2-chain as [a, b, y(a, b)] triples, with its modulus and the value
+    sum y(a,b) e(a,b) (cohomology.CoboundaryObstruction)."""
+    return {"modulus": ob.modulus, "chain": [list(t) for t in ob.chain], "value": ob.value}
+
+
 class SessionDocument:
     """Validated session document; all cross-references resolved."""
 
@@ -474,7 +480,7 @@ def _cmd_classify(doc: SessionDocument) -> tuple[str, int]:
         lines.append(("invariance_failure_rep", g))
         machine["invariance_failure"] = {
             "coset_representative": g,
-            "obstruction": str(obstruction),
+            "obstruction": serialize_obstruction(obstruction),
         }
     return _emit(lines, machine), 0 if report.strongly_verbally_prime else 1
 
@@ -538,7 +544,7 @@ def emit_witness(report: ClassificationReport) -> dict:
             "certificate": {
                 "kind": "invariance_obstruction",
                 "coset_representative": g,
-                "obstruction": str(obstruction),
+                "obstruction": serialize_obstruction(obstruction),
             },
         }
     pair = report.witness
@@ -580,7 +586,7 @@ def _cmd_witness(doc: SessionDocument) -> tuple[str, int]:
         lines = [
             ("witness", "algebraic-certificate"),
             ("failing_representative", cert["coset_representative"]),
-            ("obstruction", cert["obstruction"]),
+            ("obstruction", report.invariance_failure[1]),
         ]
         return _emit(lines, machine), 0
     lines = [

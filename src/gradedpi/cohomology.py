@@ -33,16 +33,23 @@ so delta(a, .) is constant, equal to delta(a, e).  The identity at b = e,
     delta(a, e) + delta(a, d) = delta(a, d) + delta(e, d),
 gives delta(a, e) = delta(e, d) = delta(e, e) = 0.  So delta = 0 and c = d(lambda).
 A table that is not a cocycle can pass the reduced system with a lambda that
-does not induce it; every witness is checked against c, and such a table is
-answered from the full system.
+does not induce it; every witness is checked against c.
 
-The full |H|^2 x |H| system is otherwise needed only for a printed
-certificate: the CoboundaryObstruction names a row of its diagonalization.
-A CoboundarySystem builds it lazily, at most once, when
-coboundary_or_obstruction or trivial_class_obstruction must return an
-obstruction.  The yes/no decisions (is_coboundary, is_trivial_class,
-classes_cohomologous, and so presentation equivalence and a passing
-invariance check) never build it.
+A "no" carries a 2-chain (CoboundaryObstruction): weights y(a, b) on pairs
+of H and a modulus m dividing N with, for every k in H,
+    sum y(a,b) ([a = k] + [b = k] - [ab = k]) = 0 mod m,   sum y(a,b) c(a,b) != 0 mod m.
+Sound: the first says sum y d(lambda) = 0 mod m for every lambda.  Complete:
+by the integer Farkas lemma (Schrijver, Theory of Linear and Integer
+Programming, 1986, Cor. 4.1a) one exists whenever the congruences have no
+solution.  The failing diagonal row r of the reduced system gives
+m = gcd(d_r, N) and weights z (row r of U) on the non-tree edges; walking the
+tree backwards moves the weight left on each lambda(as) onto its edge (a, s),
+and (e, e) takes what is left on lambda(e).  A table that breaks the identity
+at (a, b, d) gets (a,b) + (ab,d) - (a,bd) - (b,d) mod N, with no solve.  Both
+sums are checked before a certificate is returned.  The non-invariant class
+of (Z3 x Z3):Z2 (witness, classify) gets "mod 9, y(2,6) = -1, y(6,2) = 1" on
+e = (g.c)/c at g = 1, lifted to class_modulus 9: 2 and 6 commute, so each k
+cancels, and e(6,2) - e(2,6) = 6 mod 9.
 
 A yes/no decision whose quotient is the zero table makes no solve at all:
 classes_cohomologous answers True for two equal tables at one modulus, and
@@ -165,18 +172,11 @@ class Cocycle2:
             row_a, mul_a = E[a], mul[a]
             for b in members:
                 row_b, row_ab, mul_b = E[b], E[mul_a[b]], mul[b]
-                exp_ab = row_a[b]
                 for d in members:
-                    lhs = exp_ab + row_ab[d]
-                    rhs = row_a[mul_b[d]] + row_b[d]
+                    lhs, rhs = row_a[b] + row_ab[d], row_a[mul_b[d]] + row_b[d]
                     if (lhs - rhs) % N != 0:
-                        out.append(
-                            CocycleViolation(
-                                "identity",
-                                (a, b, d),
-                                f"c(a,b)c(ab,d) != c(a,bd)c(b,d) (exponents {lhs} vs {rhs})",
-                            )
-                        )
+                        detail = f"c(a,b)c(ab,d) != c(a,bd)c(b,d) (exponents {lhs} vs {rhs})"
+                        out.append(CocycleViolation("identity", (a, b, d), detail))
         self._valid = self._valid or not out
         return out
 
@@ -230,12 +230,8 @@ class Cocycle2:
         if new_modulus % self.modulus != 0:
             raise CocycleError("new modulus must be a multiple of the old one")
         f = new_modulus // self.modulus
-        out = Cocycle2(
-            self.subgroup,
-            new_modulus,
-            [[v * f for v in row] for row in self.exps],
-            _reduced=True,
-        )
+        rows = [[v * f for v in row] for row in self.exps]
+        out = Cocycle2(self.subgroup, new_modulus, rows, _reduced=True)
         out._valid = self._valid
         return out
 
@@ -243,16 +239,9 @@ class Cocycle2:
         """The cocycle c/other (difference of exponent tables)."""
         if self.subgroup != other.subgroup or self.modulus != other.modulus:
             raise CocycleError("quotient requires the same subgroup and modulus")
-        n = len(self.subgroup)
-        return Cocycle2(
-            self.subgroup,
-            self.modulus,
-            [
-                [(self.exps[i][j] - other.exps[i][j]) % self.modulus for j in range(n)]
-                for i in range(n)
-            ],
-            _reduced=True,
-        )
+        N = self.modulus
+        rows = [[(x - y) % N for x, y in zip(r, q)] for r, q in zip(self.exps, other.exps)]
+        return Cocycle2(self.subgroup, N, rows, _reduced=True)
 
     def __eq__(self, other) -> bool:
         return (
@@ -303,12 +292,8 @@ class Cocycle2:
         if subgroup is self.subgroup and local == list(range(len(local))):
             return self
         exps = self.exps
-        out = Cocycle2(
-            subgroup,
-            self.modulus,
-            [[exps[i][j] for j in local] for i in local],
-            _reduced=True,
-        )
+        rows = [[exps[i][j] for j in local] for i in local]
+        out = Cocycle2(subgroup, self.modulus, rows, _reduced=True)
         out._valid = self._valid
         return out
 
@@ -366,19 +351,34 @@ class Coboundary(Record):
 
 
 class CoboundaryObstruction(Record):
-    """Why the congruence system d(lambda) = c has no solution mod N."""
+    """Why d(lambda) = c has no solution mod N: a 2-chain y mod m (module
+    docstring) as the sorted (a, b, y(a, b)), y(a, b) != 0, in parent-group
+    elements, and value = sum y(a,b) c(a,b) mod m."""
 
-    __slots__ = ("row", "divisor", "residue")
+    __slots__ = ("modulus", "chain", "value")
 
-    def __init__(self, row: int, divisor: int, residue: int):
-        _set(self, "row", row)
-        _set(self, "divisor", divisor)
-        _set(self, "residue", residue)
+    def __init__(self, modulus: int, chain: tuple[tuple[int, int, int], ...], value: int):
+        _set(self, "modulus", modulus)
+        _set(self, "chain", chain)
+        _set(self, "value", value)
+
+    def certifies(self, c: Cocycle2) -> bool:
+        """Both checks against the table c: y annihilates every coboundary
+        mod m, and sum y(a,b) c(a,b) is value, which is not 0 mod m."""
+        m, mul = self.modulus, c.subgroup.parent.table
+        boundary = dict.fromkeys(c.subgroup.members, 0)
+        for a, b, w in self.chain:
+            boundary[a] += w
+            boundary[b] += w
+            boundary[mul[a][b]] -= w
+        total = sum(w * c.exp(a, b) for a, b, w in self.chain)
+        return all(v % m == 0 for v in boundary.values()) and total % m == self.value % m != 0
 
     def __str__(self) -> str:
+        weights = ", ".join(f"y({a},{b}) = {w}" for a, b, w in self.chain)
         return (
-            f"diagonalized congruence row {self.row}: "
-            f"{self.divisor} does not divide residue {self.residue}"
+            f"mod {self.modulus}, {weights}: sum y(a,b) d(lambda)(a,b) = 0 for every "
+            f"lambda, sum y(a,b) e(a,b) = {self.value}"
         )
 
 
@@ -395,7 +395,8 @@ def smith_diagonalize(matrix: Sequence[Sequence[int]]) -> SmithForm:
     diagonal.  U is not formed: it is the product of the recorded row
     operations, each (i1, i2, a, b, c, d) replacing (row i1, row i2) by
     (a*row i1 + b*row i2, c*row i1 + d*row i2) with ad - bc = +-1;
-    solve_congruences replays them on its right-hand side.  Divisibility
+    solve_congruences replays them on its right-hand side, and transposed in
+    reverse order for a row of U.  Divisibility
     chaining of the classical Smith form is not enforced; it is not needed to
     solve diagonal congruences.
     """
@@ -417,15 +418,7 @@ def smith_diagonalize(matrix: Sequence[Sequence[int]]) -> SmithForm:
                 row[j1], row[j2] = a * row[j1] + b * row[j2], c * row[j1] + d * row[j2]
 
     for t in range(min(m, n)):
-        # Find a pivot.
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+        pivot = next(((i, j) for i in range(t, m) for j in range(t, n) if D[i][j]), None)
         if pivot is None:
             break
         pi, pj = pivot
@@ -434,31 +427,27 @@ def smith_diagonalize(matrix: Sequence[Sequence[int]]) -> SmithForm:
         if pj != t:
             col_combine(t, pj, 0, 1, 1, 0)
         # Clear row and column t; gcd steps may reintroduce entries, iterate.
-        while True:
+        dirty = True
+        while dirty:
             dirty = False
             for i in range(t + 1, m):
-                if D[i][t] != 0:
-                    a, b = D[t][t], D[i][t]
-                    if b % a == 0:
-                        q = b // a
-                        row_combine(t, i, 1, 0, -q, 1)
-                    else:
-                        x, y, g = _xgcd(a, b)
-                        row_combine(t, i, x, y, -(b // g), a // g)
+                if D[i][t]:
+                    row_combine(t, i, *_clearing(D[t][t], D[i][t]))
                     dirty = True
             for j in range(t + 1, n):
-                if D[t][j] != 0:
-                    a, b = D[t][t], D[t][j]
-                    if b % a == 0:
-                        q = b // a
-                        col_combine(t, j, 1, 0, -q, 1)
-                    else:
-                        x, y, g = _xgcd(a, b)
-                        col_combine(t, j, x, y, -(b // g), a // g)
+                if D[t][j]:
+                    col_combine(t, j, *_clearing(D[t][t], D[t][j]))
                     dirty = True
-            if not dirty:
-                break
     return D, row_ops, V
+
+
+def _clearing(a: int, b: int) -> tuple[int, int, int, int]:
+    """(x, y, u, v), xv - yu = 1, taking (a, b) to (x a + y b, u a + v b) =
+    (g, 0) for g = gcd(a, b) up to sign; (a, 0) when a divides b."""
+    if b % a == 0:
+        return 1, 0, -(b // a), 1
+    x, y, g = _xgcd(a, b)
+    return x, y, -(b // g), a // g
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -477,9 +466,10 @@ def solve_congruences(
     rhs: Sequence[int],
     modulus: int,
     smith: Optional[SmithForm] = None,
-) -> tuple[Optional[list[int]], Optional[CoboundaryObstruction]]:
+) -> tuple[Optional[list[int]], Optional[tuple[int, list[int]]]]:
     """Solve M x = rhs (mod modulus) over the integers; returns (solution, None)
-    or (None, obstruction).
+    or (None, (g, z)) with z M = 0 and z rhs != 0 (mod g), g | modulus: z is
+    row r of U for the first failing diagonal row r, g = gcd(d_r, modulus).
 
     smith is smith_diagonalize(matrix); pass it to solve several right-hand
     sides or moduli against one matrix without diagonalizing it again.
@@ -494,16 +484,16 @@ def solve_congruences(
     y = [0] * n
     for i in range(m):
         d = D[i][i] if i < n else 0
-        if d == 0:
-            if c[i] != 0:
-                return None, CoboundaryObstruction(i, modulus, c[i])
-            continue
         g = gcd(d, modulus)
         if c[i] % g != 0:
-            return None, CoboundaryObstruction(i, g, c[i] % g)
-        dd, mm, cc = d // g, modulus // g, c[i] // g
-        inv = _xgcd(dd, mm)[0] % mm if mm > 1 else 0
-        y[i] = (cc * inv) % modulus if mm > 1 else 0
+            z = [0] * m
+            z[i] = 1
+            for i1, i2, a, b, u, v in reversed(row_ops):
+                z[i1], z[i2] = (a * z[i1] + u * z[i2]) % g, (b * z[i1] + v * z[i2]) % g
+            return None, (g, z)
+        if d:
+            mm = modulus // g
+            y[i] = c[i] // g * (_xgcd(d // g, mm)[0] % mm) % modulus
     x = [sum(V[i][k] * y[k] for k in range(n)) % modulus for i in range(n)]
     return x, None
 
@@ -517,14 +507,12 @@ class CoboundarySystem:
     Decisions solve the reduced system on a generating set (see the module
     docstring): one row per non-tree edge (a, s), reading
     lambda(a) + lambda(s) - lambda(as) through each element's coefficients in
-    the unknowns u_s.  Row (i, j) of the full relation matrix reads
-    lambda_i + lambda_j - lambda_ij in local element order; it is built and
-    diagonalized on the first call that needs an obstruction.  Neither matrix
-    depends on the cocycle or its modulus, so one system serves every solve
-    on H within a decision.  All indices are local.
+    the unknowns u_s.  The matrix depends neither on the cocycle nor on its
+    modulus, so one system serves every solve on H within a decision.  All
+    indices are local.
     """
 
-    __slots__ = ("subgroup", "tree", "edges", "coefs", "rows", "smith", "_full")
+    __slots__ = ("subgroup", "tree", "edges", "coefs", "rows", "smith")
 
     def __init__(self, subgroup: Subgroup):
         mul = subgroup.local_table()
@@ -555,32 +543,13 @@ class CoboundarySystem:
         self.coefs = coefs
         self.rows = rows
         self.smith = smith_diagonalize(rows)
-        self._full: Optional[tuple[list[list[int]], SmithForm]] = None
 
-    def decide(
-        self, c: Cocycle2, certify: bool = False
-    ) -> tuple[Optional[Coboundary], Optional[CoboundaryObstruction]]:
-        """(witness, None) when c = d(lambda) mod N, else (None, obstruction).
-
-        The obstruction is that of the full system; it is None when certify
-        is false and the reduced system alone shows c is no coboundary.
-        """
+    def decide(self, c: Cocycle2) -> tuple[Optional[Coboundary], Optional[CoboundaryObstruction]]:
+        """(witness, None) when c = d(lambda) mod N, else (None, obstruction);
+        an obstruction that fails its own checks raises
+        VerificationFailedError."""
         if c.subgroup != self.subgroup:
             raise CocycleError("cocycle lives on another subgroup than the system")
-        lam = self._solve_reduced(c)
-        if lam is not None:
-            wit = Coboundary(c.subgroup, c.modulus, lam)
-            if wit.induced() == c:
-                return wit, None
-        elif not certify:
-            return None, None
-        # A certificate, or a table that is not a cocycle: ask the full system.
-        sol, obstruction = self._solve_full(c)
-        if sol is not None:
-            raise VerificationFailedError("congruence solver returned a bad witness")
-        return None, obstruction
-
-    def _solve_reduced(self, c: Cocycle2) -> Optional[tuple[int, ...]]:
         N = c.modulus
         x = c.exps
         kappa = [0] * len(self.coefs)  # the tree constants; kappa(s) = 0 on gens
@@ -588,29 +557,62 @@ class CoboundarySystem:
         for b, a, s in self.tree:
             kappa[b] = (kappa[a] - x[a][s]) % N
         rhs = [x[a][s] - kappa[a] + kappa[b] for a, s, b in self.edges]
-        u, _ = solve_congruences(self.rows, rhs, N, self.smith)
+        u, farkas = solve_congruences(self.rows, rhs, N, self.smith)
         if u is None:
-            return None
-        return tuple(
-            (k + sum(f * v for f, v in zip(coef, u))) % N for k, coef in zip(kappa, self.coefs)
-        )
+            obstruction = self._chain(c, *farkas)
+        else:
+            lam = tuple(
+                (k + sum(f * v for f, v in zip(coef, u))) % N
+                for k, coef in zip(kappa, self.coefs)
+            )
+            wit = Coboundary(c.subgroup, N, lam)
+            if wit.induced() == c:
+                return wit, None
+            obstruction = _identity_obstruction(c)  # c is no cocycle
+        if not obstruction.certifies(c):
+            raise VerificationFailedError("coboundary obstruction fails its checks")
+        return None, obstruction
 
-    def _solve_full(self, c: Cocycle2):
-        if self._full is None:
-            mul = self.subgroup.local_table()
-            n = len(mul)
-            rows = []
-            for i in range(n):
-                for j in range(n):
-                    row = [0] * n
-                    row[i] += 1
-                    row[j] += 1
-                    row[mul[i][j]] -= 1
-                    rows.append(row)
-            self._full = (rows, smith_diagonalize(rows))
-        rows, smith = self._full
-        rhs = [v for row in c.exps for v in row]
-        return solve_congruences(rows, rhs, c.modulus, smith)
+    def _chain(self, c: Cocycle2, m: int, z: list[int]) -> CoboundaryObstruction:
+        """The 2-chain of the row weights z: z on the non-tree edges, then
+        each tree edge (a, s), latest first, takes the weight left on
+        lambda(as), and (e, e) cancels what is left on lambda(e)."""
+        weight = [0] * len(self.coefs)  # of lambda(h) in sum y(a,b) d(lambda)(a,b)
+        chain = {}
+        for (a, s, b), w in zip(self.edges, z):
+            chain[a, s] = w
+            weight[a] += w
+            weight[s] += w
+            weight[b] -= w
+        for b, a, s in reversed(self.tree):
+            w = chain[a, s] = weight[b]
+            weight[a] += w
+            weight[s] += w
+        chain[0, 0] = -weight[0]
+        ms = self.subgroup.members
+        return _obstruction(c, m, (((ms[a], ms[b]), w) for (a, b), w in chain.items()))
+
+
+def _identity_obstruction(c: Cocycle2) -> CoboundaryObstruction:
+    """(a,b) + (ab,d) - (a,bd) - (b,d) at modulus N for the first triple
+    where c breaks the cocycle identity."""
+    broken = [v.triple for v in c.violations() if v.kind == "identity"]
+    if not broken:
+        raise VerificationFailedError("congruence solver returned a bad witness")
+    a, b, d = broken[0]
+    mul = c.subgroup.parent.table
+    terms = (((a, b), 1), ((mul[a][b], d), 1), ((a, mul[b][d]), -1), ((b, d), -1))
+    return _obstruction(c, c.modulus, terms)
+
+
+def _obstruction(c: Cocycle2, m: int, terms) -> CoboundaryObstruction:
+    """The record of the weights w of the terms ((a, b), w), summed per pair
+    and reduced into (-m/2, m/2]."""
+    chain: dict[tuple[int, int], int] = {}
+    for pair, w in terms:
+        chain[pair] = (chain.get(pair, 0) + w) % m
+    out = tuple(sorted((a, b, w - m if 2 * w > m else w) for (a, b), w in chain.items() if w))
+    return CoboundaryObstruction(m, out, sum(w * c.exp(a, b) for a, b, w in out) % m)
 
 
 def is_coboundary(c: Cocycle2) -> Optional[Coboundary]:
@@ -622,8 +624,8 @@ def coboundary_or_obstruction(
     c: Cocycle2, system: Optional[CoboundarySystem] = None
 ) -> tuple[Optional[Coboundary], Optional[CoboundaryObstruction]]:
     """Decide c = d(lambda) mod N; system, when given, is that of c's subgroup.
-    A negative answer carries the full system's obstruction."""
-    return (system or CoboundarySystem(c.subgroup)).decide(c, certify=True)
+    A negative answer carries a checked 2-chain obstruction."""
+    return (system or CoboundarySystem(c.subgroup)).decide(c)
 
 
 def subgroup_exponent(H: Subgroup) -> int:
@@ -692,8 +694,7 @@ def invariance_obstruction(
     or None when the class is G-invariant.  A representative g with
     g.c = c as tables is passed over, as (g.c)/c = d(0).  The reduced
     congruence system of H is diagonalized once, at the first representative
-    that needs a solve; a failing representative diagonalizes the full system
-    once more, for its certificate."""
+    that needs a solve."""
     H = c.subgroup
     if not H.is_normal():
         raise NotNormalError("subgroup is not normal; the G-action is undefined")

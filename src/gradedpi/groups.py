@@ -358,8 +358,7 @@ class Subgroup:
 
     def __reduce__(self):
         """copy and pickle rebuild through the constructor, without the
-        cached table and cosets: the cached decomposition refers back to the
-        subgroup, so pickling it with the subgroup's state would recurse."""
+        cached table and cosets."""
         return Subgroup, (self.parent, self.members)
 
     def __len__(self) -> int:
@@ -420,15 +419,24 @@ class Subgroup:
 
     def right_cosets(self) -> "CosetDecomposition":
         """The right cosets of H, built on the first call; the record is
-        immutable, so every later call returns the same one.  It refers back
-        to H, so the pair is freed by the cyclic collector, not at once."""
+        immutable, so every later call returns the same one."""
         if self._cosets is None:
-            self._cosets = CosetDecomposition(self)
+            n = self.parent.order
+            rows = [self.parent.table[h] for h in self.members]
+            reps = []
+            coset_of = [-1] * n
+            for a in range(n):
+                if coset_of[a] < 0:
+                    for row in rows:
+                        coset_of[row[a]] = len(reps)
+                    reps.append(a)
+            self._cosets = CosetDecomposition(tuple(reps), tuple(coset_of))
         return self._cosets
 
 
 class CosetDecomposition(Record):
-    """Right cosets Hg with deterministic representatives.
+    """Right cosets Hg with deterministic representatives
+    (Subgroup.right_cosets).
 
     Representatives are the lowest element index in each coset; since the
     identity is index 0 the coset H itself is always rep index 0.  coset_of
@@ -436,26 +444,11 @@ class CosetDecomposition(Record):
     in reps.
     """
 
-    __slots__ = ("subgroup", "reps", "coset_of")
+    __slots__ = ("reps", "coset_of")
 
-    def __init__(self, subgroup: Subgroup):
-        n = subgroup.parent.order
-        rows = [subgroup.parent.table[h] for h in subgroup.members]
-        reps = []
-        coset_of = [-1] * n
-        for a in range(n):
-            if coset_of[a] >= 0:
-                continue
-            idx = len(reps)
-            reps.append(a)
-            for row in rows:
-                coset_of[row[a]] = idx
-        object.__setattr__(self, "subgroup", subgroup)
-        object.__setattr__(self, "reps", tuple(reps))
-        object.__setattr__(self, "coset_of", tuple(coset_of))
-
-    def __reduce__(self):
-        return CosetDecomposition, (self.subgroup,)
+    def __init__(self, reps: tuple[int, ...], coset_of: tuple[int, ...]):
+        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "coset_of", coset_of)
 
     def rep_of(self, a: int) -> int:
         return self.reps[self.coset_of[a]]

@@ -36,7 +36,7 @@ from gradedpi.errors import (
     NotNormalError,
     VerificationFailedError,
 )
-from gradedpi.groups import CosetDecomposition, FiniteGroup, Subgroup
+from gradedpi.groups import FiniteGroup, Subgroup
 from gradedpi.scalars import root_of_unity
 
 from conftest import brute_coboundary, klein_nontrivial_cocycle, z3z3_cocycle
@@ -211,8 +211,10 @@ def _det(M):
 
 def test_solve_congruences_random():
     """One factorization serves several right-hand sides and moduli; every
-    solution satisfies its system, and for up to 3 unknowns an obstruction
-    comes back only when brute force over (Z/N)^n finds no solution."""
+    solution satisfies its system, every obstruction is row weights that
+    annihilate the matrix but not the right-hand side mod a divisor of N, and
+    for up to 3 unknowns an obstruction comes back only when brute force over
+    (Z/N)^n finds no solution."""
     rng = random.Random(5)
     for _ in range(40):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
@@ -233,6 +235,10 @@ def test_solve_congruences_random():
                     )
                     continue
                 assert rhs is not solvable and obstruction is not None
+                g, z = obstruction  # z A = 0 and z rhs != 0 mod g: no solution
+                assert N % g == 0 and g > 1 and len(z) == m
+                assert all(sum(z[i] * A[i][j] for i in range(m)) % g == 0 for j in range(n))
+                assert sum(z[i] * rhs[i] for i in range(m)) % g != 0
                 if n <= 3:
                     assert not any(
                         all(sum(A[i][j] * y[j] for j in range(n)) % N == rhs[i] for i in range(m))
@@ -626,61 +632,95 @@ def _zoo_inputs(rng):
                 yield H, broken, not any(v.kind == "identity" for v in broken.violations())
 
 
+def _assert_certifies(obstruction, table: Cocycle2) -> None:
+    """Both checks of a 2-chain certificate against table, by hand in the
+    parent group: for every k in H, sum y(a,b) ([a=k] + [b=k] - [ab=k]) is
+    0 mod m, so y annihilates every coboundary; and sum y(a,b) e(a,b) is
+    the recorded value, not 0 mod m.  The chain is sorted, on pairs of H,
+    with nonzero weights in (-m/2, m/2], and m divides the table's modulus."""
+    H, G = table.subgroup, table.subgroup.parent
+    m, chain = obstruction.modulus, obstruction.chain
+    assert m > 1 and table.modulus % m == 0
+    assert list(chain) == sorted(chain)
+    assert all(a in H and b in H and -m < 2 * w <= m and w for a, b, w in chain)
+    for k in H.members:
+        assert sum(w * ((a == k) + (b == k) - (G.mul(a, b) == k)) for a, b, w in chain) % m == 0
+    pairing = sum(w * table.exps[H.local_index(a)][H.local_index(b)] for a, b, w in chain)
+    assert pairing % m == obstruction.value != 0
+
+
 def test_reduced_decision_matches_the_full_system_on_the_zoo(monkeypatch):
     """The generating-set system against the full relation matrix, at the
-    given modulus and at the lifted one: same verdicts, the same obstruction
-    whenever one is returned, and the full matrix diagonalized only for a
-    certificate or a table that is not a cocycle."""
+    given modulus and at the lifted one: the same verdicts; one
+    diagonalization per decision, of fewer than |H|^2 rows, for every table,
+    broken ones included; and a witness that induces the table, or a 2-chain
+    that passes both checks by hand.  A broken table that passes the reduced
+    system is certified by its violated identity, with no second solve."""
     rng = random.Random(1212)
-    smith_calls = []
+    smith_rows = []
+    identity_certificates = []
     real_smith = cohomology.smith_diagonalize
+    real_identity = cohomology._identity_obstruction
 
     def counting(*args):
-        smith_calls.append(len(args[0]))
+        smith_rows.append(len(args[0]))
         return real_smith(*args)
 
+    def spying(c):
+        identity_certificates.append(c)
+        return real_identity(c)
+
     monkeypatch.setattr(cohomology, "smith_diagonalize", counting)
+    monkeypatch.setattr(cohomology, "_identity_obstruction", spying)
     seen = dict.fromkeys(
-        ("coboundary", "cocycle, no coboundary", "non-trivial class", "broken", "trivial H"), 0
+        ("coboundary", "cocycle, no coboundary", "non-trivial class", "broken",
+         "broken, identity certificate", "trivial H"),
+        0,
     )
     fulls = {}
     for H, c, is_cocycle in _zoo_inputs(rng):
         full = fulls.setdefault(H, _full_system(H))
         seen["trivial H"] += len(H) == 1
         lifted = c.with_modulus(class_modulus(c))
-        for table, decide in (
-            (c, lambda: is_coboundary(c) is not None),
-            (lifted, lambda: is_trivial_class(c)),
+        for table, yes_no, certified in (
+            (c, lambda: is_coboundary(c) is not None, lambda: coboundary_or_obstruction(c)),
+            (lifted, lambda: is_trivial_class(c), lambda: trivial_class_obstruction(c)),
         ):
-            sol, obstruction = _full_solve(full, table)
-            smith_calls.clear()
-            assert decide() == (sol is not None)
-            if is_cocycle:  # one reduced system, never the |H|^2 full rows
-                assert len(smith_calls) == 1 and smith_calls[0] < len(H) ** 2
-            wit, got = coboundary_or_obstruction(table)
-            assert got == obstruction and str(got) == str(obstruction)
-            if wit is not None:
+            solvable = _full_solve(full, table)[0] is not None
+            smith_rows.clear()
+            identity_certificates.clear()
+            assert yes_no() == solvable
+            wit, obstruction = certified()
+            assert len(smith_rows) == 2 and max(smith_rows) < len(H) ** 2
+            assert (wit is None) == (obstruction is not None) == (not solvable)
+            if solvable:
                 assert wit.induced() == table
+            else:
+                _assert_certifies(obstruction, table)
+            assert not identity_certificates or not is_cocycle
             if not is_cocycle:
                 seen["broken"] += table is c
+                seen["broken, identity certificate"] += bool(identity_certificates)
             elif table is c:
-                seen["coboundary" if sol is not None else "cocycle, no coboundary"] += 1
+                seen["coboundary" if solvable else "cocycle, no coboundary"] += 1
             else:
-                seen["non-trivial class"] += sol is None
-        assert trivial_class_obstruction(c)[1] == _full_solve(full, lifted)[1]
+                seen["non-trivial class"] += not solvable
     assert min(seen.values()) >= 10, seen
 
 
-def test_invariance_builds_the_full_system_only_for_a_failure(p_z3z3_noninvariant, monkeypatch):
-    """A passing invariance decision diagonalizes one (reduced) system when
-    some g.c differs from c as a table, and none when every one equals c; a
-    failing one a second, full system for its certificate, which is the
-    full system's own obstruction."""
-    calls = []
+def test_invariance_diagonalizes_one_reduced_system_and_certifies_a_failure(
+    p_z3z3_noninvariant, monkeypatch
+):
+    """An invariance decision diagonalizes one reduced system when some g.c
+    differs from c as a table, and none when every one equals c.  A failing
+    one makes no other diagonalization for its certificate, which passes both
+    checks by hand on the lifted quotient: on (Z3 x Z3):Z2 it is the
+    commutator pairing y(6,2) = 1, y(2,6) = -1 mod 9."""
+    rows = []
     real_smith = cohomology.smith_diagonalize
 
     def counting(*args):
-        calls.append(1)
+        rows.append(len(args[0]))
         return real_smith(*args)
 
     monkeypatch.setattr(cohomology, "smith_diagonalize", counting)
@@ -689,19 +729,33 @@ def test_invariance_builds_the_full_system_only_for_a_failure(p_z3z3_noninvarian
     for H, c, is_cocycle in _zoo_inputs(rng):
         if not is_cocycle or H == H.parent.full_subgroup() or not H.is_normal():
             continue
-        calls.clear()
+        rows.clear()
         assert invariance_obstruction(c) is None
         moved = any(c.conjugate(g).exps != c.exps for g in H.right_cosets().reps)
-        assert len(calls) == int(moved)
+        assert len(rows) == int(moved)
         passed[moved] += 1
     assert passed[0] > 50 and passed[1] > 30, passed
     c = p_z3z3_noninvariant.cocycle
-    calls.clear()
+    rows.clear()
     g, obstruction = invariance_obstruction(c)
-    assert len(calls) == 2
+    assert len(rows) == 1 and rows[0] < len(c.subgroup) ** 2
     diff = c.conjugate(g).quotient_exps(c)
     lifted = diff.with_modulus(class_modulus(diff))
-    assert obstruction == _full_solve(_full_system(c.subgroup), lifted)[1] is not None
+    assert _full_solve(_full_system(c.subgroup), lifted)[0] is None
+    _assert_certifies(obstruction, lifted)
+    assert (g, obstruction.modulus, obstruction.chain) == (1, 9, ((2, 6, -1), (6, 2, 1)))
+    assert (lifted.exp(6, 2) - lifted.exp(2, 6)) % 9 == obstruction.value == 6
+
+
+def test_a_certificate_that_fails_its_checks_raises_typed_error(k4, monkeypatch):
+    """decide checks every certificate before it returns one."""
+    c = klein_nontrivial_cocycle(k4.full_subgroup())
+    assert coboundary_or_obstruction(c)[1].certifies(c)
+    monkeypatch.setattr(
+        cohomology, "_obstruction", lambda c, m, chain: cohomology.CoboundaryObstruction(2, (), 1)
+    )
+    with pytest.raises(VerificationFailedError):
+        coboundary_or_obstruction(c)
 
 
 def _ref_conjugate(c: Cocycle2, g: int) -> list[list[int]]:
@@ -711,11 +765,11 @@ def _ref_conjugate(c: Cocycle2, g: int) -> list[list[int]]:
     return [[c.exps[a][b] for b in local] for a in local]
 
 
-def _ref_decide(H, N: int, exps, certify: bool = False):
+def _ref_decide(H, N: int, exps):
     """[exps] = 1 in H^2(H, F*), always through CoboundarySystem(H).decide at
     the lifted modulus."""
     c = Cocycle2(H, N, exps)
-    return cohomology.CoboundarySystem(H).decide(c.with_modulus(class_modulus(c)), certify)
+    return cohomology.CoboundarySystem(H).decide(c.with_modulus(class_modulus(c)))
 
 
 def _ref_invariance(c: Cocycle2):
@@ -723,7 +777,7 @@ def _ref_invariance(c: Cocycle2):
     for g in H.right_cosets().reps[1:]:
         moved = _ref_conjugate(c, g)
         diff = [[x - y for x, y in zip(mr, cr)] for mr, cr in zip(moved, c.exps)]
-        wit, obstruction = _ref_decide(H, c.modulus, diff, certify=True)
+        wit, obstruction = _ref_decide(H, c.modulus, diff)
         if wit is None:
             return g, obstruction
     return None
@@ -745,7 +799,7 @@ def _ref_move(c: Cocycle2, g: int) -> Cocycle2:
 
 
 def _ref_normal_forms(p: Presentation):
-    G, cosets = p.group, CosetDecomposition(p.subgroup)
+    G, cosets = p.group, p.subgroup.right_cosets()
     mults = dict.fromkeys(cosets.reps, 0)
     for x in p.grading:
         mults[cosets.rep_of(x)] += 1
@@ -754,7 +808,7 @@ def _ref_normal_forms(p: Presentation):
         if n == least:
             g = G.inv(r)
             moved = _ref_move(p.cocycle, g)
-            reps = [CosetDecomposition(moved.subgroup).rep_of(G.mul(g, x)) for x in p.grading]
+            reps = [moved.subgroup.right_cosets().rep_of(G.mul(g, x)) for x in p.grading]
             yield moved, tuple(sorted(reps, key=lambda x: (reps.count(x), x)))
 
 
@@ -823,7 +877,9 @@ def test_shortcut_decisions_match_a_reference_that_solves_every_quotient(z3z3_sw
             got, want = invariance_obstruction(c), _ref_invariance(c)
             assert (got is None) == (want is None)
             if got is not None:
-                assert got[0] == want[0] and str(got[1]) == str(want[1])
+                assert got == want
+                diff = c.conjugate(got[0]).quotient_exps(c)
+                _assert_certifies(got[1], diff.with_modulus(class_modulus(diff)))
             seen["invariant" if got is None else "not invariant"] += 1
         others = [c, previous.get(H, c)]
         lam = tuple(rng.randrange(c.modulus) for _ in range(len(H)))

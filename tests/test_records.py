@@ -49,11 +49,10 @@ def _samples():
         (CocycleViolation, ("kind", "triple", "detail"),
          lambda: CocycleViolation("identity", (0, 2, 2), "c(a,b)c(ab,d) != c(a,bd)c(b,d)")),
         (Coboundary, ("subgroup", "modulus", "lam"), lambda: Coboundary(H, 2, (0, 1))),
-        (CoboundaryObstruction, ("row", "divisor", "residue"),
-         lambda: CoboundaryObstruction(0, 2, 1)),
+        (CoboundaryObstruction, ("modulus", "chain", "value"),
+         lambda: CoboundaryObstruction(2, ((0, 2, 1),), 1)),
         (Binomial, ("hs", "sigma", "alpha_exp"), lambda: Binomial((2, 2), (1, 0), 0)),
-        (CosetDecomposition, ("subgroup", "reps", "coset_of"),
-         lambda: CosetDecomposition(G.subgroup([0, 2]))),
+        (CosetDecomposition, ("reps", "coset_of"), lambda: G.subgroup([0, 2]).right_cosets()),
         (GradedVariable, ("vid", "degree"), lambda: GradedVariable(0, 1)),
         (GradedMonomial, ("coeff", "order"), lambda: GradedMonomial(CycScalar.one(3), (1, 0))),
     ]
@@ -107,7 +106,9 @@ def test_repr_literals():
     assert repr(M3(1)) == "M3(g=1)"
     assert repr(M1((1, 0))) == "M1(sigma=(1, 0))"
     assert repr(GradedVariable(0, 1)) == "GradedVariable(vid=0, degree=1)"
-    assert repr(CoboundaryObstruction(0, 2, 1)) == "CoboundaryObstruction(row=0, divisor=2, residue=1)"
+    assert repr(CoboundaryObstruction(2, ((0, 2, 1),), 1)) == (
+        "CoboundaryObstruction(modulus=2, chain=((0, 2, 1),), value=1)"
+    )
 
 
 @pytest.mark.parametrize("cls, fields, make", SAMPLES, ids=IDS)
