@@ -14,6 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Any, Optional
 
@@ -45,8 +46,9 @@ MAX_MODULUS = 1024
 MAX_GRADING = 16
 
 # Most digits a rational literal in a coefficient may stand for, counting its
-# decimal exponent ("1e999999" stands for a million digits).  Checked before
-# Fraction reads the literal.
+# decimal exponent ("1e999999" stands for a million digits), and most digits
+# of an element index in a variable's degree.  Checked before Fraction or
+# int() reads the literal.
 MAX_RATIONAL_DIGITS = 100
 
 COMMANDS = (
@@ -208,19 +210,20 @@ def parse_polynomial(
     raw_vars = _need_list(spec, "variables", where, f"{where}.variables")
     variables = []
     for i, v in enumerate(raw_vars):
+        at = f"{where}.variables[{i}]"
         if not isinstance(v, str) or ":" not in v or not v.startswith("x"):
-            raise DocumentError(
-                f"{where}.variables[{i}]: expected 'x<id>:<element>', got {v!r}"
-            )
+            raise DocumentError(f"{at}: expected 'x<id>:<element>', got {v!r}")
         head, _, tail = v.partition(":")
         try:
             vid = int(head[1:])
         except ValueError as exc:
-            raise DocumentError(f"{where}.variables[{i}]: bad id in {v!r}") from exc
+            raise DocumentError(f"{at}: bad id in {v!r}") from exc
         tail_value: Any = tail
-        if tail.lstrip("-").isdigit():
+        if tail.isascii() and tail.removeprefix("-").isdigit():  # -?[0-9]+; else an alias
+            if len(tail) > MAX_RATIONAL_DIGITS:
+                raise DocumentError(f"{at}: element index exceeds {MAX_RATIONAL_DIGITS} digits")
             tail_value = int(tail)
-        degree = _resolve_element(tail_value, names, group, f"{where}.variables[{i}]")
+        degree = _resolve_element(tail_value, names, group, at)
         variables.append(GradedVariable(vid, degree))
     monos = []
     for i, m in enumerate(_need_list(spec, "monomials", where, f"{where}.monomials")):
@@ -628,7 +631,9 @@ def _cmd_envelope(doc: SessionDocument) -> tuple[str, int]:
     return _emit(lines, machine), 0 if report.identity else 1
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built once: an ArgumentParser holds reference cycles."""
     parser = argparse.ArgumentParser(
         prog="gradedpi",
         description="Graded simple algebras from presentations: validation, "
@@ -637,18 +642,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--input", required=True, help="path to a JSON session document")
     parser.add_argument("--command", required=True, choices=COMMANDS)
     parser.add_argument("--threads", type=int, help="accepted and ignored; the oracle is serial")
-    parser.add_argument(
-        "--max-degree", type=int, default=None, help="cap on identity-oracle degree"
-    )
-    args = parser.parse_args(argv)
+    parser.add_argument("--max-degree", type=int, help="cap on identity-oracle degree")
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             document = json.load(fh)
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as exc:
         print(f"input error: invalid JSON at line {exc.lineno}: {exc.msg}", file=sys.stderr)
+        return 2
+    except (OSError, RecursionError, ValueError) as exc:
+        # No file; nesting past the recursion limit, non-UTF-8 bytes or an
+        # integer past int()'s digit limit.
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     try:
         text, code = run(args.command, document, max_degree=args.max_degree)

@@ -24,12 +24,14 @@ n >= d already detects every nonzero f*_eps(a); a truncated envelope is a
 subalgebra of the full one, so it has no nonzero value the full envelope
 lacks.  The verdict at any n >= d is therefore that of the full envelope.
 
-envelope_identity_check runs the identity oracle's walk once.  It builds the
-prefix trie of the monomial orders and splits each entry in two: the variable
-as even, on the base elements of degree (0, g), then as odd, on those of
-degree (1, g).  A leaf holds the negated coefficient when the odd variables
-on its path stand in an odd permutation.  This is, entry for entry and in
-order, the trie of every monomial inserted once per parity pattern.
+envelope_identity_check runs the identity oracle's walk once, over the
+oracle's prefix trie of the monomial orders.  It gives each variable two
+edge alternatives, and the trie builder makes an entry for each: the
+variable as even, on the base elements of degree (0, g), then as odd, on
+those of degree (1, g).  A leaf holds the negated coefficient when the odd
+variables on its path stand in an odd permutation.  This is, entry for
+entry and in order, the trie of every monomial inserted once per parity
+pattern.
 """
 
 from __future__ import annotations
@@ -219,22 +221,6 @@ class EnvelopeIdentityReport:
         self.counterexample = counterexample
 
 
-def _split_parity(node: list, odd: int, flips: int) -> list:
-    """Split each entry ((even edges, odd edges, slot), child, 0) of a trie of
-    monomial orders into its even entry and then its odd one.  odd masks the
-    odd slots above node; an odd variable flips the sign once per odd
-    later-id variable before it, and a leaf ci becomes ci + flips % 2."""
-    out = []
-    for (even_rows, odd_rows, s), child, _ in node:
-        odd_flips = flips + (odd >> s).bit_count()
-        if type(child) is int:
-            out += ((even_rows, child + flips % 2, 0), (odd_rows, child + odd_flips % 2, 0))
-        else:
-            out.append((even_rows, _split_parity(child, odd, flips), 0))
-            out.append((odd_rows, _split_parity(child, odd | 1 << s, odd_flips), 0))
-    return out
-
-
 def envelope_identity_check(
     f: GradedPolynomial, base: GradedAlgebra, truncation: int
 ) -> EnvelopeIdentityReport:
@@ -258,19 +244,20 @@ def envelope_identity_check(
     vids = f.var_ids()
     nb, d = len(base.basis), len(vids)
     # Slot s holds digit parity * nb + k with weight (2 nb)^(d-1-s): numeric
-    # key order is the per-variable (parity, index) order.
+    # key order is the per-variable (parity, index) order.  An odd edge's bit
+    # marks its slot, for the sign of the odd variables' permutation.
     edges = {}
     for s, vid in enumerate(vids):
         g = f.degree_of[vid]
         if not 0 <= g < ng:
             raise DegreeMismatchError(f"x{vid}: degree {g} is not in the second factor")
         weight = (2 * nb) ** (d - 1 - s)
-        edges[vid] = (_row_edges(base, g, weight), _row_edges(base, ng + g, weight, nb), s)
+        even, odd = _row_edges(base, g, weight), _row_edges(base, ng + g, weight, nb)
+        edges[vid] = ((even, 0), (odd, 1 << s))
     # Monomial i is coefficient 2i, and its negation is 2i + 1.
     coeffs = [c for mono in f.monomials for c in (mono.coeff, -mono.coeff)]
     terms = [(2 * i, mono.order) for i, mono in enumerate(f.monomials)]
-    trie = _split_parity(polynomials._prefix_trie(terms, edges, 2 * nb), 0, 0)
-    acc = _walk_paths(base, coeffs, trie, 2 * nb, d)
+    acc = _walk_paths(base, coeffs, polynomials._prefix_trie(terms, edges, 2 * nb), 2 * nb, d)
     key = min((key for key, bucket in acc.items() if bucket), default=None)
     if key is None:
         return EnvelopeIdentityReport(True)

@@ -15,11 +15,12 @@ lex-first counterexample; EvaluationTable.digits decodes only the keys that
 are reported.
 
 One walk serves every caller, the Grassmann envelope check included (it
-walks the trie of its monomial orders split by parity, see grassmann):
+gives each variable an even and an odd alternative, see grassmann):
 
-- The monomial orders form a prefix trie, built in one insertion pass, so a
-  prefix shared by several monomials (a chain of basis choices) is
-  enumerated once; each leaf holds its monomial's coefficient.
+- The monomial orders form a prefix trie, so a prefix shared by several
+  monomials (a chain of basis choices) is enumerated once; each leaf holds
+  its monomial's coefficient.  One descent over the trie of the label paths
+  makes every entry, with its cut and its parity.
 - The cocycle is read from one dense G x G exponent table and products from
   the group's Cayley rows.
 - A value is a tuple of phi(N) Python ints: its coordinates over the power
@@ -63,19 +64,23 @@ to it is walked), and every answer is unchanged:
   it lies in the span and Span.add would leave every row as it is.  By
   induction the rows after each key are the same with and without the
   skipped keys;
-- path_vanishes: the same once each row-restricted variable is dropped from
-  its class, since permuting the other members keeps an assignment inside
-  the restricted rows.
+- path_vanishes and satisfies_path_property: block b vanishes iff no value
+  triple (h, r, c) of the table has its row r in block b.  f is pure and H
+  normal, so in every monomial the prefix before the leading variable has
+  its degree in H, and a chain of that degree starts and ends in one block:
+  every monomial with a nonzero chain on an assignment starts in the leading
+  variable's block.  A skipped key's value is 0 or +-that of its orbit's
+  canonical key, so the canonical keys carry every surviving triple.
 
 The walk enforces canonicity with static bounds per trie edge, fixed when
-the edge is inserted.  A trie path fixes which members of an edge's class
-are already placed.  The edge's digit
-must exceed that of the nearest placed member before it in the class and
-stay below that of the nearest placed member after it.  These bounds follow
-from the strict chain, and every adjacent pair of the chain is checked when
-its later member is placed.  The neighbours' digits are read off the partial
-key, and they cut the ascending per-row edge list.  The envelope check builds
-its trie with no classes, so it walks every key.
+the entry is made.  A trie path fixes which members of an edge's
+class are already placed.  The edge's digit must exceed that of the nearest
+placed member before it in the class and stay below that of the nearest
+placed member after it.  These bounds follow from the strict chain, and
+every adjacent pair of the chain is checked when its later member is placed.
+The neighbours' digits are read off the partial key, and they cut the
+ascending per-row edge list.  The envelope check builds its trie with no
+classes, so it walks every key.
 
 Polynomials built as products on disjoint variables carry their
 factorization, which lets the oracle decide the product through the factors'
@@ -487,10 +492,14 @@ class EvaluationTable(dict):
 
 
 def _prefix_trie(terms: list, edges: dict, radix: int, classes=()) -> list:
-    """Prefix trie over the distinct label paths of (coefficient index, path)
-    terms, built in one insertion pass: a node is a list of (edges[label],
-    child, cut) entries, and the child after a path's last label is its
-    coefficient index.
+    """The walk trie of (coefficient index, label path) terms, made in one
+    descent over the trie of their label paths.  edges maps each label to its
+    ordered alternatives (rows, bit): the oracle's one, (rows, 0), or the
+    envelope's even (rows, 0) then odd (rows, 1 << slot).  A node is a list of
+    (rows, child, cut) entries, per label in first-insertion order and per
+    alternative, each made with its cut and parity.  The child after a path's
+    last label is its coefficient index plus the parity of the inversions
+    among the bits on the path.
 
     classes are (labels, slot weights) pairs in slot order.  cut is 0 unless
     the label is in a class with a member earlier on the path.  Then it is
@@ -507,7 +516,7 @@ def _prefix_trie(terms: list, edges: dict, radix: int, classes=()) -> list:
     # _walk_paths), so one set of tables serves the class.
     member, weight_of = {}, {}
     for labels, weights in classes:
-        rows = [[k // weights[0] for k, _, _ in row] for row in edges[labels[0]]]
+        rows = [[k // weights[0] for k, _, _ in row] for row in edges[labels[0]][0][0]]
         tables = (
             [[bisect_right(digits, t) for t in range(radix)] for digits in rows],
             [[bisect_left(digits, t) for t in range(radix)] for digits in rows],
@@ -521,82 +530,83 @@ def _prefix_trie(terms: list, edges: dict, radix: int, classes=()) -> list:
             member[label] = (1 << n, before, after, tables)
     cuts = {}
 
-    def cut(label, placed: int):
-        if label not in member:
-            return 0
-        _, before, after, tables = member[label]
+    def cut(label, placed: int) -> tuple:
+        """A class label's cut after the labels placed, and placed with it."""
+        bit, before, after, tables = member[label]
         low, high = placed & before, placed & after
         if not (low or high):
-            return 0
-        if (label, low | high) not in cuts:
+            return 0, placed | bit
+        key = label, low | high
+        entry_cut = cuts.get(key)
+        if entry_cut is None:
             first, stop, whole_first, whole_stop = tables
-            cuts[label, low | high] = (
+            entry_cut = cuts[key] = (
                 weight_of[low.bit_length()] if low else 1,
                 first if low else whole_first,
                 weight_of[(high & -high).bit_length()] if high else 1,
                 stop if high else whole_stop,
             )
-        return cuts[label, low | high]
+        return entry_cut, placed | bit
 
-    # kids maps a node's labels to their (child node, child kids) pairs; the
-    # kids dicts live only while the paths are inserted.
-    trie: list = []
-    top = (trie, {})
+    # The label trie maps a label to its child node, or to the term's index.
+    top: dict = {}
     for ci, path in terms:
-        (node, kids), placed = top, 0
+        node = top
         for label in path[:-1]:
-            pair = kids.get(label)
-            if pair is None:
-                pair = kids[label] = ([], {})
-                node.append((edges[label], pair[0], cut(label, placed)))
-            node, kids = pair
+            node = node.setdefault(label, {})
+        node[path[-1]] = ci
+
+    # odd holds the bits on the path and sign the parity of their inversions;
+    # a new bit b is inverted with each held bit above it, the bits of odd & -b.
+    def descend(node: dict, placed: int, odd: int, sign: int) -> list:
+        out = []
+        for label, child in node.items():
+            entry_cut, below = 0, placed
             if label in member:
-                placed |= member[label][0]
-        node.append((edges[path[-1]], ci, cut(path[-1], placed)))
+                entry_cut, below = cut(label, placed)
+            if type(child) is int:
+                for rows, bit in edges[label]:
+                    flip = sign ^ (odd & -bit).bit_count() & 1 if bit else sign
+                    out.append((rows, child + flip, entry_cut))
+                continue
+            for rows, bit in edges[label]:
+                flip = sign ^ (odd & -bit).bit_count() & 1 if bit else sign
+                out.append((rows, descend(child, below, odd | bit, flip), entry_cut))
+        return out
+
+    trie = descend(top, 0, 0, 0)
+    descend = None  # break the closure's cycle through its own cell
     return trie
 
 
-def _row_edges(
-    algebra: GradedAlgebra, g: int, weight: int, offset: int = 0, rows=None
-) -> list[tuple]:
+def _row_edges(algebra: GradedAlgebra, g: int, weight: int, offset: int = 0) -> list[tuple]:
     """Per row: the ((offset + basis index) * weight, H-part, column) of the
-    degree-g basis elements there; none in a row outside the set rows."""
+    degree-g basis elements there."""
     basis = algebra.basis
     return [
         tuple(
             ((offset + k) * weight, basis[k][0], basis[k][2])
             for k in algebra.basis_by_degree_and_row(g, row)
         )
-        if rows is None or row in rows
-        else ()
         for row in range(algebra.presentation.size)
     ]
 
 
-def accumulate_evaluations(
-    poly: GradedPolynomial,
-    algebra: GradedAlgebra,
-    allowed_rows: Optional[dict[int, frozenset[int]]] = None,
-) -> EvaluationTable:
+def accumulate_evaluations(poly: GradedPolynomial, algebra: GradedAlgebra) -> EvaluationTable:
     """Assignment table of poly over the homogeneous basis assignments whose
     chained matrix units have a nonzero product (see EvaluationTable)."""
     vids = poly.var_ids()
     nb, d = len(algebra.basis), len(vids)
-    edges = {}
+    weight, edges = {}, {}
     for i, vid in enumerate(vids):
-        restrict = allowed_rows.get(vid) if allowed_rows else None
-        edges[vid] = _row_edges(
-            algebra, poly.degree_of[vid], nb ** (d - 1 - i), rows=restrict
-        )
+        weight[vid] = nb ** (d - 1 - i)
+        edges[vid] = ((_row_edges(algebra, poly.degree_of[vid], weight[vid]), 0),)
     index: dict[CycScalar, int] = {}
     terms = [(index.setdefault(m.coeff, len(index)), m.order) for m in poly.monomials]
     coeffs = list(index)
     classes = []
     for members in _alternation_classes(poly, coeffs, terms):
-        members = [vid for vid in members if not allowed_rows or vid not in allowed_rows]
-        if len(members) > 1:
-            weights = tuple(nb ** (d - 1 - vids.index(vid)) for vid in members)
-            classes.append((tuple(members), weights))
+        classes.append((tuple(members), tuple(weight[vid] for vid in members)))
     return _walk_paths(algebra, coeffs, _prefix_trie(terms, edges, nb, classes), nb, d)
 
 
@@ -1028,28 +1038,21 @@ class PathReport:
         self.holds = holds
 
 
-def _first_variable(f: GradedPolynomial) -> int:
-    if not f.monomials:
+def _vanishing_pattern(f: GradedPolynomial, algebra: GradedAlgebra) -> tuple[bool, ...]:
+    """Per block b, whether no value triple (h, r, c) in f's table has its
+    row r in block b (see the module docstring)."""
+    bs = _path_block_structure(f, algebra)
+    if f.is_zero():
         raise HypothesisError("zero polynomial has no leading monomial")
-    return f.monomials[0].order[0]
+    acc = accumulate_evaluations(f, algebra)
+    live = {bs.block_of[r] for bucket in acc.values() for _, r, _ in bucket}
+    return tuple(b not in live for b in range(bs.k))
 
 
-def _path_rows(
-    f: GradedPolynomial, algebra: GradedAlgebra, start_block: int, bs: BlockStructure
-) -> dict[int, frozenset[int]]:
-    lead = _first_variable(f)
-    return {lead: frozenset(bs.positions[start_block])}
-
-
-def path_vanishes(
-    f: GradedPolynomial, algebra: GradedAlgebra, start_block: int
-) -> bool:
+def path_vanishes(f: GradedPolynomial, algebra: GradedAlgebra, start_block: int) -> bool:
     """True iff f vanishes on all basis evaluations whose leading variable is
     rooted in the given e-block row range."""
-    bs = _path_block_structure(f, algebra)
-    allowed = _path_rows(f, algebra, start_block, bs)
-    acc = accumulate_evaluations(f, algebra, allowed_rows=allowed)
-    return not any(acc.values())
+    return _vanishing_pattern(f, algebra)[start_block]
 
 
 def _path_block_structure(f: GradedPolynomial, algebra: GradedAlgebra) -> BlockStructure:
@@ -1062,13 +1065,10 @@ def _path_block_structure(f: GradedPolynomial, algebra: GradedAlgebra) -> BlockS
     return bs
 
 
-def satisfies_path_property(
-    f: GradedPolynomial, algebra: GradedAlgebra
-) -> PathReport:
-    """Vanishing pattern over all starting blocks; the property holds when the
-    polynomial vanishes on every path or on none."""
-    bs = _path_block_structure(f, algebra)
-    pattern = tuple(path_vanishes(f, algebra, b) for b in range(bs.k))
+def satisfies_path_property(f: GradedPolynomial, algebra: GradedAlgebra) -> PathReport:
+    """Vanishing pattern over all starting blocks, from one walk; the
+    property holds when the polynomial vanishes on every path or on none."""
+    pattern = _vanishing_pattern(f, algebra)
     return PathReport(pattern, all(pattern) or not any(pattern))
 
 

@@ -300,6 +300,9 @@ README_SAMPLE_WITH_POLYNOMIAL = {
         (("grading",), [0] * (MAX_GRADING + 1), "grading"),
         (("second",), {"subgroup": [0], "cocycle": {"modulus": 1, "exponents": [[0]]},
                        "grading": [0] * (MAX_GRADING + 1)}, "second.grading"),
+        (("polynomials", "bin", "variables", 0), "x1:\u00b2", "polynomials.bin.variables[0]"),
+        (("polynomials", "bin", "variables", 0), "x1:--1", "polynomials.bin.variables[0]"),
+        (("polynomials", "bin", "variables", 0), "x1:\u0663", "polynomials.bin.variables[0]"),
     ],
 )
 def test_bad_document_exits_2_naming_the_field(path, value, field, tmp_path, capsys):
@@ -612,6 +615,40 @@ def test_threads_flag_is_accepted_and_ignored(tmp_path, capsys):
     plain = capsys.readouterr().out
     assert main(args + ["--threads", "4"]) == code
     assert capsys.readouterr().out == plain
+
+
+def test_variable_degrees_read_only_ascii_indices():
+    """A degree is an element index only when it is ASCII -?[0-9]+; any other
+    text, digits of other scripts included, is an alias."""
+    from gradedpi.groups import FiniteGroup
+
+    group = FiniteGroup.cyclic(5)
+
+    def degrees(*variables):
+        spec = {"variables": list(variables), "monomials": []}
+        return parse_polynomial(spec, {"s": 1}, group, 1, "p").degree_of
+
+    assert degrees("x1:3", "x2:s", "x3:-0", "x4:04") == {1: 3, 2: 1, 3: 0, 4: 4}
+    for tail in ("\u00b2", "--1", "\u0663", "+1", " 1", "1 "):
+        with pytest.raises(DocumentError, match="variables\\[0\\]: unknown element alias"):
+            degrees(f"x1:{tail}")
+    with pytest.raises(DocumentError, match="variables\\[0\\]: element -1 out of range"):
+        degrees("x1:-1")
+    with pytest.raises(DocumentError, match="variables\\[0\\]: element index exceeds"):
+        degrees("x1:" + "0" * (MAX_RATIONAL_DIGITS + 1))
+
+
+def test_main_maps_undecodable_documents_to_input_errors(tmp_path, capsys):
+    """JSON nested past the decoder's recursion limit, bytes that are not
+    UTF-8, and an integer past int()'s digit limit exit 2 with an input
+    error, not a traceback."""
+    path = tmp_path / "doc.json"
+    deep, latin1, long_int = b"[" * 5000 + b"]" * 5000, b'{"a": "\xff"}', b"[" + b"1" * 5000 + b"]"
+    for data in (deep, latin1, long_int):
+        path.write_bytes(data)
+        assert main(["--input", str(path), "--command", "validate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: ")
 
 
 def test_main_end_to_end(tmp_path, capsys):

@@ -470,7 +470,7 @@ def _expanded_trie(f, edges, radix):
                 for p in (0, 1)
             ]
         terms += [(2 * i + flips % 2, path) for path, _, flips in paths]
-    labels = {(vid, p): rows[p] for vid, rows in edges.items() for p in (0, 1)}
+    labels = {(vid, p): ((alts[p][0], 0),) for vid, alts in edges.items() for p in (0, 1)}
     return polynomials._prefix_trie(terms, labels, radix)
 
 
@@ -521,7 +521,8 @@ def test_split_trie_equals_the_trie_of_the_expanded_parity_paths(monkeypatch):
         built, walked = _envelope_tries(monkeypatch, f, base, f.degree)
         (terms, edges, radix), = built
         assert _entries(walked[0]) == _entries(_expanded_trie(f, edges, radix))
-        entries = len(_entries(polynomials._prefix_trie(terms, edges, radix)))
+        evens = {vid: alts[:1] for vid, alts in edges.items()}
+        entries = len(_entries(polynomials._prefix_trie(terms, evens, radix)))
         shared += entries < sum(len(order) for _, order in terms)
         degrees.add(f.degree)
     assert shared >= 20 and degrees == set(range(1, 7))
@@ -532,7 +533,8 @@ def test_split_trie_equals_the_trie_of_the_expanded_parity_paths(monkeypatch):
 
 def test_an_envelope_check_builds_one_trie_over_its_monomials(monkeypatch):
     """One _prefix_trie call per check, over exactly one term per monomial:
-    the parity patterns are split off the built trie, not inserted."""
+    the builder makes the parity alternatives' entries; no parity pattern is
+    inserted as a path."""
     A, ng = twisted_envelope_bases()[0]
     for orders in ([(1, 2, 3)], [(1, 2, 3), (3, 1, 2), (1, 3, 2)]):
         f = GradedPolynomial(
@@ -544,7 +546,8 @@ def test_an_envelope_check_builds_one_trie_over_its_monomials(monkeypatch):
 
 def test_envelope_check_leaves_no_garbage_for_the_cyclic_collector():
     """With the collector off, an envelope check leaves nothing unreachable:
-    the parity split, like the trie builder and the walk, holds no cycles."""
+    the trie builder, which makes the parity entries, and the walk hold no
+    cycles."""
     import gc
 
     bases = twisted_envelope_bases()

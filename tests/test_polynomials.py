@@ -862,6 +862,32 @@ def test_path_requires_pure_input(p_z2_balanced):
         satisfies_path_property(mixed, A)
 
 
+def test_the_path_pattern_is_read_off_one_walk(monkeypatch):
+    """satisfies_path_property decides all k = 3 blocks from one
+    accumulate_evaluations call, and each block's verdict is path_vanishes':
+    the e-degree commutator lives on the 2 x 2 block only."""
+    z3 = FiniteGroup.cyclic(3)
+    e = z3.trivial_subgroup()
+    A = build_algebra(Presentation(z3, e, Cocycle2.trivial(e, 1), (0, 0, 1, 2)))
+    f = commutator([0, 0], 1)
+    pattern = tuple(path_vanishes(f, A, b) for b in range(3))
+    assert pattern == (False, True, True)
+    calls = count_walks(monkeypatch)
+    report = satisfies_path_property(f, A)
+    assert calls == [f]
+    assert report.vanishing == pattern and not report.holds
+
+
+def test_path_machinery_refuses_the_zero_polynomial(p_z2_balanced):
+    A = build_algebra(p_z2_balanced)
+    zero = GradedPolynomial(variables_for([0, 0]), [])
+    for b in (0, 1):
+        with pytest.raises(HypothesisError):
+            path_vanishes(zero, A, b)
+    with pytest.raises(HypothesisError):
+        satisfies_path_property(zero, A)
+
+
 def test_binomial_completeness_degree_three(p_k4_twisted):
     """Every multilinear identity of F^cH in degree <= 3 with fixed H-degrees
     lies in the span of the binomial identities: solve for all identity
@@ -967,7 +993,7 @@ def test_envelope_key_radix_orders_by_parity_then_index():
             assert [keys[k] for k in sorted(keys)] == sorted(pairs)
 
 
-def _chained_keys(f: GradedPolynomial, A, allowed_rows=None) -> set[tuple]:
+def _chained_keys(f: GradedPolynomial, A) -> set[tuple]:
     """Every assignment (basis indices in sorted id order) whose matrix units
     chain in the order of some monomial, by brute force over all of them."""
     vids = f.var_ids()
@@ -975,10 +1001,6 @@ def _chained_keys(f: GradedPolynomial, A, allowed_rows=None) -> set[tuple]:
     keys = set()
     for key in iproduct(*pools):
         triple = {vid: A.basis[k] for vid, k in zip(vids, key)}
-        if allowed_rows and any(
-            triple[vid][1] not in rows for vid, rows in allowed_rows.items()
-        ):
-            continue
         for m in f.monomials:
             units = [triple[vid] for vid in m.order]
             if all(a[2] == b[1] for a, b in zip(units, units[1:])):
@@ -990,8 +1012,8 @@ def _chained_keys(f: GradedPolynomial, A, allowed_rows=None) -> set[tuple]:
 def test_key_count_matches_brute_force_at_sixteen_basis_elements(k4):
     """Twisted K4 with two tuple entries (nb = 16), degree 3: the table holds
     exactly the chained assignments, with the brute-force nonzero ones and
-    lex-first counterexample, with and without allowed rows.  Keys merged by
-    a wrong weight would shrink the table."""
+    lex-first counterexample.  Keys merged by a wrong weight would shrink the
+    table."""
     H = k4.full_subgroup()
     A = build_algebra(Presentation(k4, H, klein_nontrivial_cocycle(H), (0, 1)))
     assert len(A.basis) == 16
@@ -999,34 +1021,31 @@ def test_key_count_matches_brute_force_at_sixteen_basis_elements(k4):
     zero_keys = 0
     for _ in range(12):
         f = random_multilinear(rng, A, 3, max_monomials=6)
-        for lead_rows in (None, frozenset({0}), frozenset({1})):
-            allowed = {f.monomials[0].order[0]: lead_rows} if lead_rows else None
-            acc = accumulate_evaluations(f, A, allowed_rows=allowed)
-            keys = _chained_keys(f, A, allowed)
-            nonzero = sorted(
-                key
-                for key in keys
-                if evaluate(
-                    f, A, assignment_elements(
-                        A, {vid: A.basis[k] for vid, k in zip(f.var_ids(), key)}
-                    )
+        acc = accumulate_evaluations(f, A)
+        keys = _chained_keys(f, A)
+        nonzero = sorted(
+            key
+            for key in keys
+            if evaluate(
+                f, A, assignment_elements(
+                    A, {vid: A.basis[k] for vid, k in zip(f.var_ids(), key)}
                 )
             )
-            assert len(acc) == len(keys)
-            assert {acc.digits(key) for key in acc} == keys
-            assert sum(1 for bucket in acc.values() if bucket) == len(nonzero)
-            first = min((key for key, bucket in acc.items() if bucket), default=None)
-            assert (first is None) == (not nonzero)
-            if nonzero:
-                assert acc.digits(first) == nonzero[0]
-            if lead_rows is None:
-                report = check_identity(f, A)
-                assert report.identity == (not nonzero)
-                if nonzero:
-                    assert report.counterexample == {
-                        vid: A.basis[k] for vid, k in zip(f.var_ids(), nonzero[0])
-                    }
-            zero_keys += len(keys) - len(nonzero)
+        )
+        assert len(acc) == len(keys)
+        assert {acc.digits(key) for key in acc} == keys
+        assert sum(1 for bucket in acc.values() if bucket) == len(nonzero)
+        first = min((key for key, bucket in acc.items() if bucket), default=None)
+        assert (first is None) == (not nonzero)
+        if nonzero:
+            assert acc.digits(first) == nonzero[0]
+        report = check_identity(f, A)
+        assert report.identity == (not nonzero)
+        if nonzero:
+            assert report.counterexample == {
+                vid: A.basis[k] for vid, k in zip(f.var_ids(), nonzero[0])
+            }
+        zero_keys += len(keys) - len(nonzero)
     assert zero_keys > 0
 
 
@@ -1209,18 +1228,17 @@ def _canonical_form(key: tuple, slots) -> tuple[tuple, int]:
     return tuple(out), sign
 
 
-def _assert_canonical_walk(f: GradedPolynomial, A, classes, allowed_rows=None) -> dict:
+def _assert_canonical_walk(f: GradedPolynomial, A, classes) -> dict:
     """The table holds exactly the canonical chained keys, each with its
     brute-force value, and brute force confirms the orbit lemma: a repeated
     digit in a class gives 0, any other key +-its canonical key's value."""
     assert polynomials._alternation_classes(f, *_coefficient_terms(f)) == classes
-    restricted = set(allowed_rows or ())
-    slots = _slots(f, [[v for v in c if v not in restricted] for c in classes])
+    slots = _slots(f, classes)
     brute = dict(_brute_values(f, A))
-    acc = accumulate_evaluations(f, A, allowed_rows=allowed_rows)
+    acc = accumulate_evaluations(f, A)
     walked = {acc.digits(key): key for key in acc}
     assert set(walked) == {
-        key for key in _chained_keys(f, A, allowed_rows) if _canonical_form(key, slots) == (key, 1)
+        key for key in _chained_keys(f, A) if _canonical_form(key, slots) == (key, 1)
     }
     for digits, key in walked.items():
         assert acc.value(key) == brute[digits]
@@ -1388,9 +1406,10 @@ def test_factored_counterexample_of_two_alternating_factors():
 
 
 def test_path_vanishes_with_the_lead_variable_in_a_class():
-    """Degrees in H keep an alternation pure.  The lead variable is
-    row-restricted, so it leaves its class: the table holds the keys canonical
-    in the rest of the class, and path_vanishes agrees with brute force."""
+    """Degrees in H keep an alternation pure.  The lead variable stays in its
+    class: the table holds the canonical keys only, and path_vanishes, which
+    reads the rows of their value triples, agrees with brute force on the
+    lead variable's rows."""
     rng = random.Random(105)
     checked = vanishing = 0
     for p in _presentations_over_moduli_1_3_4_12():
@@ -1415,9 +1434,9 @@ def test_path_vanishes_with_the_lead_variable_in_a_class():
             lead = f.monomials[0].order[0]
             classes = polynomials._alternation_classes(f, *_coefficient_terms(f))
             assert classes == [xs]
+            brute = _assert_canonical_walk(f, A, classes)
             for b in range(bs.k):
                 rows = frozenset(bs.positions[b])
-                brute = _assert_canonical_walk(f, A, classes, {lead: rows})
                 slot = f.var_ids().index(lead)
                 expected = all(
                     not value for key, value in brute.items() if A.basis[key[slot]][1] in rows
@@ -1490,11 +1509,12 @@ def test_oracle_leaves_no_garbage_for_the_cyclic_collector(k4):
 
 
 def _assert_trie(terms, edges, radix, classes, trie) -> int:
-    """One entry per distinct label-path prefix; each term's path ends at its
-    coefficient index; and every cut equals its brute-force recomputation
-    from the labels placed earlier on the entry's path.  Returns the number
-    of entries with a nonzero cut."""
-    label_of = {id(rows): label for label, rows in edges.items()}
+    """One entry per distinct prefix of a term's path with an alternative
+    (label, bit) per label; each such path ends at its coefficient index
+    plus the parity of the inversions among its nonzero bits; and every cut
+    equals its brute-force recomputation from the labels placed earlier on
+    the entry's path.  Returns the number of entries with a nonzero cut."""
+    label_of = {id(rows): (label, bit) for label, alts in edges.items() for rows, bit in alts}
     slot_of = {
         label: (labels, weights, i)
         for labels, weights in classes
@@ -1504,10 +1524,10 @@ def _assert_trie(terms, edges, radix, classes, trie) -> int:
 
     def visit(node: list, prefix: tuple) -> None:
         for rows, child, cut in node:
-            label = label_of[id(rows)]
-            path = prefix + (label,)
+            label, bit = label_of[id(rows)]
+            path = prefix + ((label, bit),)
             seen.append(path)
-            assert cut == _brute_cut(edges, radix, slot_of, prefix, label)
+            assert cut == _brute_cut(edges, radix, slot_of, [x for x, _ in prefix], label)
             if cut:
                 cuts.append(cut)
             if type(child) is int:
@@ -1516,9 +1536,16 @@ def _assert_trie(terms, edges, radix, classes, trie) -> int:
                 visit(child, path)
 
     visit(trie, ())
-    prefixes = {tuple(path[:n]) for _, path in terms for n in range(1, len(path) + 1)}
+    paths = {
+        tuple(zip(path, bits)): ci
+        for ci, path in terms
+        for bits in iproduct(*([bit for _, bit in edges[label]] for label in path))
+    }
+    prefixes = {path[:n] for path in paths for n in range(1, len(path) + 1)}
     assert len(seen) == len(set(seen)) and set(seen) == prefixes
-    assert leaves == {tuple(path): ci for ci, path in terms}
+    assert leaves == {
+        path: ci + _inversions([bit for _, bit in path if bit]) % 2 for path, ci in paths.items()
+    }
     return len(cuts)
 
 
@@ -1535,7 +1562,7 @@ def _brute_cut(edges, radix, slot_of, prefix, label):
         return 0
     below = max((j for j in placed if j < i), default=None)
     above = min((j for j in placed if j > i), default=None)
-    digits = [[k // weights[i] for k, _, _ in row] for row in edges[label]]
+    digits = [[k // weights[i] for k, _, _ in row] for row in edges[label][0][0]]
     first = [
         [sum(d <= t for d in row) if below is not None else 0 for t in range(radix)]
         for row in digits
@@ -1569,10 +1596,10 @@ def _built_tries(monkeypatch, run) -> list:
 
 
 def test_prefix_trie_entries_leaves_and_cuts(k4, monkeypatch):
-    """The _chained_keys fixtures without classes (twisted K4, nb = 16, with
-    and without allowed rows) and with them (one class, two interleaved
-    classes, a class around a free variable, a row-restricted member), and
-    one envelope term set."""
+    """The _chained_keys fixtures without classes (twisted K4, nb = 16) and
+    with them (one class, two interleaved classes, a class around a free
+    variable), and one envelope term set, whose labels have an even and an
+    odd alternative."""
     H = k4.full_subgroup()
     A = build_algebra(Presentation(k4, H, klein_nontrivial_cocycle(H), (0, 1)))
     rng = random.Random(16)
@@ -1598,14 +1625,12 @@ def test_prefix_trie_entries_leaves_and_cuts(k4, monkeypatch):
     def run():
         for f in plain:
             accumulate_evaluations(f, A)
-            accumulate_evaluations(f, A, {f.monomials[0].order[0]: frozenset({1})})
         for f in alternating:
             accumulate_evaluations(f, M3)
-        accumulate_evaluations(alternating[0], M3, {1: frozenset({0, 1})})
         envelope_identity_check(envelope, base, 3)
 
     built = _built_tries(monkeypatch, run)
-    assert len(built) == 2 * len(plain) + len(alternating) + 2
+    assert len(built) == len(plain) + len(alternating) + 1
     assert sum(1 for *_, classes, _ in built if len(classes) == 2) == 1
-    assert sum(1 for *_, classes, _ in built if classes) == len(alternating) + 1
+    assert sum(1 for *_, classes, _ in built if classes) == len(alternating)
     assert sum(_assert_trie(*args) for args in built) > 0
