@@ -202,6 +202,15 @@ def parse_coefficient(value: Any, modulus: int, where: str) -> CycScalar:
     raise DocumentError(f"{where}: bad coefficient {value!r}")
 
 
+def _plain_int(text: str, at: str, what: str) -> Optional[int]:
+    """int(text) for ASCII -?[0-9]+ (refused past MAX_RATIONAL_DIGITS characters), else None."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        return None
+    if len(text) > MAX_RATIONAL_DIGITS:
+        raise DocumentError(f"{at}: {what} exceeds {MAX_RATIONAL_DIGITS} digits")
+    return int(text)
+
+
 def parse_polynomial(
     spec: Any, names: dict[str, int], group: FiniteGroup, modulus: int, where: str
 ) -> GradedPolynomial:
@@ -214,16 +223,11 @@ def parse_polynomial(
         if not isinstance(v, str) or ":" not in v or not v.startswith("x"):
             raise DocumentError(f"{at}: expected 'x<id>:<element>', got {v!r}")
         head, _, tail = v.partition(":")
-        try:
-            vid = int(head[1:])
-        except ValueError as exc:
-            raise DocumentError(f"{at}: bad id in {v!r}") from exc
-        tail_value: Any = tail
-        if tail.isascii() and tail.removeprefix("-").isdigit():  # -?[0-9]+; else an alias
-            if len(tail) > MAX_RATIONAL_DIGITS:
-                raise DocumentError(f"{at}: element index exceeds {MAX_RATIONAL_DIGITS} digits")
-            tail_value = int(tail)
-        degree = _resolve_element(tail_value, names, group, at)
+        vid = _plain_int(head[1:], at, "variable id")
+        if vid is None:
+            raise DocumentError(f"{at}: bad id in {v!r}")
+        index = _plain_int(tail, at, "element index")  # None for an alias
+        degree = _resolve_element(tail if index is None else index, names, group, at)
         variables.append(GradedVariable(vid, degree))
     monos = []
     for i, m in enumerate(_need_list(spec, "monomials", where, f"{where}.monomials")):

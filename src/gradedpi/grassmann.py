@@ -24,14 +24,14 @@ n >= d already detects every nonzero f*_eps(a); a truncated envelope is a
 subalgebra of the full one, so it has no nonzero value the full envelope
 lacks.  The verdict at any n >= d is therefore that of the full envelope.
 
-envelope_identity_check runs the identity oracle's walk once, over the
-oracle's prefix trie of the monomial orders.  It gives each variable two
-edge alternatives, and the trie builder makes an entry for each: the
-variable as even, on the base elements of degree (0, g), then as odd, on
-those of degree (1, g).  A leaf holds the negated coefficient when the odd
-variables on its path stand in an odd permutation.  This is, entry for
-entry and in order, the trie of every monomial inserted once per parity
-pattern.
+envelope_identity_check runs the identity oracle's walk once, built by
+polynomials.evaluation_table over the oracle's prefix trie of the monomial
+orders.  Each variable has two alternatives, and the trie builder makes an
+entry for each: the variable as even, on the base elements of degree (0, g),
+then as odd, on those of degree (1, g).  A leaf holds the negated
+coefficient's index (index ^ 1) when the odd variables on its path stand in
+an odd permutation.  This is, entry for entry and in order, the trie of
+every monomial inserted once per parity pattern.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ from __future__ import annotations
 from itertools import combinations, count
 from typing import Optional
 
-from . import polynomials
 from .algebra import GradedAlgebra
 from .errors import DegreeMismatchError, FactorizationError, TruncationError
-from .polynomials import GradedPolynomial, _row_edges, _walk_paths
+from .polynomials import GradedPolynomial, evaluation_table
 from .scalars import CycScalar
 
 
@@ -241,27 +240,18 @@ def envelope_identity_check(
             f"truncation {truncation} is below the polynomial degree {f.degree}"
         )
     ng = _sign_split(base)[1].order
-    vids = f.var_ids()
-    nb, d = len(base.basis), len(vids)
-    # Slot s holds digit parity * nb + k with weight (2 nb)^(d-1-s): numeric
-    # key order is the per-variable (parity, index) order.  An odd edge's bit
-    # marks its slot, for the sign of the odd variables' permutation.
-    edges = {}
-    for s, vid in enumerate(vids):
-        g = f.degree_of[vid]
+    degrees = {}
+    for vid, g in sorted(f.degree_of.items()):
         if not 0 <= g < ng:
             raise DegreeMismatchError(f"x{vid}: degree {g} is not in the second factor")
-        weight = (2 * nb) ** (d - 1 - s)
-        even, odd = _row_edges(base, g, weight), _row_edges(base, ng + g, weight, nb)
-        edges[vid] = ((even, 0), (odd, 1 << s))
-    # Monomial i is coefficient 2i, and its negation is 2i + 1.
-    coeffs = [c for mono in f.monomials for c in (mono.coeff, -mono.coeff)]
-    terms = [(2 * i, mono.order) for i, mono in enumerate(f.monomials)]
-    acc = _walk_paths(base, coeffs, polynomials._prefix_trie(terms, edges, 2 * nb), 2 * nb, d)
+        degrees[vid] = (g, ng + g)
+    # A key digit is parity * nb + k, so numeric key order is the per-variable
+    # (parity, index) order.
+    acc = evaluation_table(f, base, degrees)
     key = min((key for key, bucket in acc.items() if bucket), default=None)
     if key is None:
         return EnvelopeIdentityReport(True)
     odd_rank = count(1)
-    pairs = (divmod(digit, nb) for digit in acc.digits(key))
-    assign = {vid: ((next(odd_rank),) if odd else (), k) for vid, (odd, k) in zip(vids, pairs)}
+    pairs = (divmod(digit, len(base.basis)) for digit in acc.digits(key))
+    assign = {vid: ((next(odd_rank),) if odd else (), k) for vid, (odd, k) in zip(degrees, pairs)}
     return EnvelopeIdentityReport(False, assign)

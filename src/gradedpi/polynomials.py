@@ -14,13 +14,16 @@ lexicographic order of the digit tuples, so the least nonzero key is the
 lex-first counterexample; EvaluationTable.digits decodes only the keys that
 are reported.
 
-One walk serves every caller, the Grassmann envelope check included (it
-gives each variable an even and an odd alternative, see grassmann):
+One walk serves every caller, the Grassmann envelope check included, and
+evaluation_table builds its inputs.  A variable takes a alternatives, each the
+basis of one degree (the envelope's even and odd parts, see grassmann);
+alternative j adds j * nb to the basis index, so digits have radix a * nb.
+Coefficient c has index 2k and -c has 2k + 1: index i negates to i ^ 1.
 
 - The monomial orders form a prefix trie, so a prefix shared by several
   monomials (a chain of basis choices) is enumerated once; each leaf holds
-  its monomial's coefficient.  One descent over the trie of the label paths
-  makes every entry, with its cut and its parity.
+  its monomial's coefficient index.  One descent over the trie of the label
+  paths makes every entry, with its cut and its parity.
 - The cocycle is read from one dense G x G exponent table and products from
   the group's Cayley rows.
 - A value is a tuple of phi(N) Python ints: its coordinates over the power
@@ -79,8 +82,8 @@ placed member before it in the class and stay below that of the nearest
 placed member after it.  These bounds follow from the strict chain, and
 every adjacent pair of the chain is checked when its later member is placed.
 The neighbours' digits are read off the partial key, and they cut the
-ascending per-row edge list.  The envelope check builds its trie with no
-classes, so it walks every key.
+ascending per-row edge list.  Classes are built only when every variable
+has one alternative, so the envelope check walks every key.
 
 Polynomials built as products on disjoint variables carry their
 factorization, which lets the oracle decide the product through the factors'
@@ -93,7 +96,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import chain, permutations
 from math import gcd, lcm
-from operator import add, eq, ne, neg
+from operator import add, ne, neg
 from types import MappingProxyType
 from typing import Iterator, Optional, Sequence
 
@@ -498,8 +501,8 @@ def _prefix_trie(terms: list, edges: dict, radix: int, classes=()) -> list:
     envelope's even (rows, 0) then odd (rows, 1 << slot).  A node is a list of
     (rows, child, cut) entries, per label in first-insertion order and per
     alternative, each made with its cut and parity.  The child after a path's
-    last label is its coefficient index plus the parity of the inversions
-    among the bits on the path.
+    last label is its coefficient index, or that of its negation (index ^ 1)
+    when the bits on the path have an odd number of inversions.
 
     classes are (labels, slot weights) pairs in slot order.  cut is 0 unless
     the label is in a class with a member earlier on the path.  Then it is
@@ -567,7 +570,7 @@ def _prefix_trie(terms: list, edges: dict, radix: int, classes=()) -> list:
             if type(child) is int:
                 for rows, bit in edges[label]:
                     flip = sign ^ (odd & -bit).bit_count() & 1 if bit else sign
-                    out.append((rows, child + flip, entry_cut))
+                    out.append((rows, child ^ flip, entry_cut))
                 continue
             for rows, bit in edges[label]:
                 flip = sign ^ (odd & -bit).bit_count() & 1 if bit else sign
@@ -579,42 +582,60 @@ def _prefix_trie(terms: list, edges: dict, radix: int, classes=()) -> list:
     return trie
 
 
-def _row_edges(algebra: GradedAlgebra, g: int, weight: int, offset: int = 0) -> list[tuple]:
-    """Per row: the ((offset + basis index) * weight, H-part, column) of the
-    degree-g basis elements there."""
-    basis = algebra.basis
-    return [
-        tuple(
-            ((offset + k) * weight, basis[k][0], basis[k][2])
-            for k in algebra.basis_by_degree_and_row(g, row)
-        )
-        for row in range(algebra.presentation.size)
-    ]
-
-
 def accumulate_evaluations(poly: GradedPolynomial, algebra: GradedAlgebra) -> EvaluationTable:
     """Assignment table of poly over the homogeneous basis assignments whose
     chained matrix units have a nonzero product (see EvaluationTable)."""
+    return evaluation_table(poly, algebra, {vid: (g,) for vid, g in poly.degree_of.items()})
+
+
+def evaluation_table(
+    poly: GradedPolynomial, algebra: GradedAlgebra, degrees: dict[int, tuple[int, ...]]
+) -> EvaluationTable:
+    """The walk's table of poly when variable vid takes, as alternative j, the
+    basis elements of degree degrees[vid][j] (see the module docstring).  The
+    envelope check calls it directly, so accumulate_evaluations counts the
+    oracle's walks only."""
     vids = poly.var_ids()
-    nb, d = len(algebra.basis), len(vids)
+    basis, by_row, size = algebra.basis, algebra.basis_by_degree_and_row, algebra.presentation.size
+    nb, d = len(basis), len(vids)
+    radix = nb * max(map(len, degrees.values()), default=1)
     weight, edges = {}, {}
-    for i, vid in enumerate(vids):
-        weight[vid] = nb ** (d - 1 - i)
-        edges[vid] = ((_row_edges(algebra, poly.degree_of[vid], weight[vid]), 0),)
-    index: dict[CycScalar, int] = {}
-    terms = [(index.setdefault(m.coeff, len(index)), m.order) for m in poly.monomials]
-    coeffs = list(index)
+    for s, vid in enumerate(vids):
+        w = weight[vid] = radix ** (d - 1 - s)
+        edges[vid] = alternatives = []
+        for j, g in enumerate(degrees[vid]):
+            # Per row: the ((j nb + basis index) * w, H-part, column) of the
+            # degree-g basis elements there.
+            rows = [
+                tuple(((j * nb + k) * w, basis[k][0], basis[k][2]) for k in by_row(g, row))
+                for row in range(size)
+            ]
+            alternatives.append((rows, j << s))
+    # Keyed by (nums, den), as poly has one order; a -c not in poly stays None.
+    index: dict[tuple, int] = {}
+    coeffs: list[Optional[CycScalar]] = []
+    terms = []
+    for m in poly.monomials:
+        c = m.coeff
+        key = c.nums, c.den
+        ci = index.get(key)
+        if ci is None:
+            ci = index[key] = len(coeffs)
+            index[tuple(map(neg, c.nums)), c.den] = ci + 1
+            coeffs += (None, None)
+        coeffs[ci] = c
+        terms.append((ci, m.order))
     classes = []
-    for members in _alternation_classes(poly, coeffs, terms):
-        classes.append((tuple(members), tuple(weight[vid] for vid in members)))
-    return _walk_paths(algebra, coeffs, _prefix_trie(terms, edges, nb, classes), nb, d)
+    if radix == nb:  # classes need one alternative per variable
+        for members in _alternation_classes(poly, terms):
+            classes.append((tuple(members), tuple(weight[vid] for vid in members)))
+    return _walk_paths(algebra, coeffs, _prefix_trie(terms, edges, radix, classes), radix, d)
 
 
-def _alternation_classes(
-    poly: GradedPolynomial, coeffs: list, terms: list
-) -> list[list[int]]:
+def _alternation_classes(poly: GradedPolynomial, terms: list) -> list[list[int]]:
     """The alternation classes of poly (see the module docstring), each as
-    its sorted ids; terms are its (index into coeffs, order) pairs.
+    its sorted ids; terms are its (coefficient index, order) pairs, where the
+    negation of index i is i ^ 1.
 
     Every alternating pair (a, b) maps the first monomial to its (a b)-swap,
     which is then a monomial with the opposite coefficient, so candidate pairs
@@ -626,23 +647,12 @@ def _alternation_classes(
     if not terms or len(terms) % 2:
         return []  # an alternating pair pairs up the monomials
     degree_of = poly.degree_of
-    opposite: dict[tuple[int, int], bool] = {}
-
-    def opposite_coeffs(ci: int, cj: int) -> bool:
-        """coeffs[cj] == -coeffs[ci], compared without building -coeffs[ci]."""
-        if (ci, cj) not in opposite:
-            a, b = coeffs[ci], coeffs[cj]
-            opposite[ci, cj] = opposite[cj, ci] = a.den == b.den and all(
-                map(eq, b.nums, map(neg, a.nums))
-            )
-        return opposite[ci, cj]
-
     c0, first = terms[0]
     candidates = []
     for ci, order in terms[1:]:
         if sum(map(ne, order, first)) == 2:
             a, b = (v for v, w in zip(first, order) if v != w)
-            if degree_of[a] == degree_of[b] and opposite_coeffs(c0, ci):
+            if degree_of[a] == degree_of[b] and ci == c0 ^ 1:
                 candidates.append((a, b))
     if not candidates:
         return []
@@ -661,8 +671,7 @@ def _alternation_classes(
         for ci, order in terms:
             swapped = list(order)
             swapped[order.index(a)], swapped[order.index(b)] = b, a
-            cj = at.get(tuple(swapped))
-            if cj is None or not opposite_coeffs(ci, cj):
+            if at.get(tuple(swapped)) != ci ^ 1:
                 break
         else:
             parent[max(ra, rb)] = min(ra, rb)
@@ -673,10 +682,11 @@ def _alternation_classes(
 
 
 def _walk_paths(
-    algebra: GradedAlgebra, coeffs: list[CycScalar], trie: list, radix: int, width: int
+    algebra: GradedAlgebra, coeffs: list[Optional[CycScalar]], trie: list, radix: int, width: int
 ) -> EvaluationTable:
     """The chained-path walk behind accumulate_evaluations and the envelope
-    check, over a trie in _prefix_trie's form whose leaves index coeffs.  An
+    check, over a trie in _prefix_trie's form whose leaves index coeffs (-c
+    at i ^ 1 when c is at i; a None is built when a leaf first reaches it).  An
     entry's edges hold, per row, the (weighted key digit, H-part, column) of
     the basis elements it may take there, ascending; every root-to-leaf path
     visits each of the width key slots once, and a key is the sum of its
@@ -685,7 +695,7 @@ def _walk_paths(
     same digits in each row."""
     _check_scalar_order(coeffs[0].order if coeffs else None, algebra)
     N = algebra.modulus
-    scale = lcm(*(coeff.den for coeff in coeffs))
+    scale = lcm(*(coeff.den for coeff in coeffs[::2]))  # -c has the den of c
     acc = EvaluationTable(N, scale, radix, width)
     if not trie:
         return acc
@@ -718,6 +728,8 @@ def _walk_paths(
             coeff, cached = coeffs[ci], vectors[ci]
             if cached is None:
                 cached = vectors[ci] = [None] * n
+                if coeff is None:
+                    coeff = coeffs[ci] = -coeffs[ci ^ 1]
             row = per_row[col]
             if cut:
                 lower, first, upper, stop = cut
@@ -870,24 +882,16 @@ def _factored_counterexample(f: GradedPolynomial, algebra: GradedAlgebra):
 # -- good permutations, pure polynomials -----------------------------------------
 
 
-def _prefix_cosets(
-    order: Sequence[int], degree_of: dict[int, int], group: FiniteGroup, cosets
-) -> dict[int, int]:
-    """Map vid -> coset index of the product of degrees up to and including it."""
-    out = {}
-    prefix = 0
-    for vid in order:
-        prefix = group.mul(prefix, degree_of[vid])
-        out[vid] = cosets.coset_of[prefix]
-    return out
-
-
 def monomial_signature(
     order: Sequence[int], degree_of: dict[int, int], group: FiniteGroup, cosets
 ) -> tuple:
-    total = group.product_seq(degree_of[v] for v in order)
-    pc = _prefix_cosets(order, degree_of, group, cosets)
-    return (total,) + tuple(pc[v] for v in sorted(pc))
+    """The total degree, then per variable in id order the coset index of the
+    product of the degrees up to and including it."""
+    prefix, coset_at = 0, {}
+    for vid in order:
+        prefix = group.mul(prefix, degree_of[vid])
+        coset_at[vid] = cosets.coset_of[prefix]
+    return (prefix,) + tuple(coset_at[v] for v in sorted(coset_at))
 
 
 def is_good_permutation(

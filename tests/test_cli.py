@@ -303,6 +303,14 @@ README_SAMPLE_WITH_POLYNOMIAL = {
         (("polynomials", "bin", "variables", 0), "x1:\u00b2", "polynomials.bin.variables[0]"),
         (("polynomials", "bin", "variables", 0), "x1:--1", "polynomials.bin.variables[0]"),
         (("polynomials", "bin", "variables", 0), "x1:\u0663", "polynomials.bin.variables[0]"),
+        (("polynomials", "bin", "variables", 0), "x1_0:sigma", "polynomials.bin.variables[0]"),
+        (("polynomials", "bin", "variables", 0), "x\u0663:sigma", "polynomials.bin.variables[0]"),
+        (("polynomials", "bin", "variables", 0), "x 1:sigma", "polynomials.bin.variables[0]"),
+        (("polynomials", "bin", "variables", 1), "x+2:sigma", "polynomials.bin.variables[1]"),
+        (("polynomials", "bin", "variables", 0), "x:sigma", "polynomials.bin.variables[0]"),
+        (("polynomials", "bin", "variables", 0), "x--1:sigma", "polynomials.bin.variables[0]"),
+        (("polynomials", "bin", "variables", 0), "x" + "1" * (MAX_RATIONAL_DIGITS + 1) + ":sigma",
+         "polynomials.bin.variables[0]"),
     ],
 )
 def test_bad_document_exits_2_naming_the_field(path, value, field, tmp_path, capsys):

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from gradedpi import grassmann, polynomials
+from gradedpi import polynomials
 from gradedpi.algebra import Presentation, build_algebra
 from gradedpi.cohomology import Cocycle2
 from gradedpi.errors import (
@@ -391,6 +391,26 @@ def test_envelope_check_matches_brute_force_at_moduli_3_and_4():
             assert brute_envelope_identity(f, A, n)
             identities += 1
     assert identities == 4 and nonidentities >= 20
+    # Coefficients from a pool {a, -a, b}: monomials repeat a coefficient or
+    # carry opposite ones, so several share one index pair.
+    shared = 0
+    for trial in range(24):
+        A, ng = bases[trial % 2]
+        vs = variables_for([rng.randrange(ng) for _ in range(rng.randint(2, 3))])
+        orders = list(permutations(v.vid for v in vs))
+        a, b = (random_cyclotomic(rng, A.modulus) for _ in range(2))
+        pool = (a, -a, b)
+        f = GradedPolynomial(
+            vs, [(rng.choice(pool), o) for o in rng.sample(orders, k=rng.randint(2, len(orders)))]
+        )
+        n = f.degree + trial % 2
+        report = envelope_identity_check(f, A, n)
+        assert report.identity == brute_envelope_identity(f, A, n)
+        assert report.counterexample == first_nonzero_envelope_key(f, A, n)
+        coeffs = [m.coeff for m in f.monomials]
+        pairs = {frozenset((c, -c)) for c in coeffs}
+        shared += not report.identity and len(pairs) < len(coeffs)
+    assert shared >= 12
 
 
 def test_envelope_check_makes_no_cocycle_or_scalar_calls(monkeypatch):
@@ -435,43 +455,43 @@ def test_envelope_check_rejects_a_degree_outside_the_second_factor():
 
 def _envelope_tries(monkeypatch, f, base, truncation):
     """The (terms, edges, radix) of every _prefix_trie call that one envelope
-    check makes, and the trie it walks."""
+    check makes, and the (coefficients, trie) it walks."""
     built, walked = [], []
-    build, walk = polynomials._prefix_trie, grassmann._walk_paths
+    build, walk = polynomials._prefix_trie, polynomials._walk_paths
 
     def capture_build(terms, edges, radix, classes=()):
         built.append((terms, edges, radix))
         return build(terms, edges, radix, classes)
 
     def capture_walk(algebra, coeffs, trie, radix, width):
-        walked.append(trie)
+        walked.append((coeffs, trie))
         return walk(algebra, coeffs, trie, radix, width)
 
     with monkeypatch.context() as patch:
         patch.setattr(polynomials, "_prefix_trie", capture_build)
-        patch.setattr(grassmann, "_walk_paths", capture_walk)
+        patch.setattr(polynomials, "_walk_paths", capture_walk)
         envelope_identity_check(f, base, truncation)
     return built, walked
 
 
-def _expanded_trie(f, edges, radix):
-    """The trie of the 2^d expanded label paths: every monomial once per
-    parity pattern, with labels (vid, parity) and coefficient index 2i, or
-    2i + 1 when its odd variables stand in an odd permutation."""
+def _expanded_trie(f, terms, edges, radix):
+    """The trie of the 2^d expanded label paths: every term (ci, order) once
+    per parity pattern, with labels (vid, parity) and coefficient index ci,
+    or ci ^ 1 when its odd variables stand in an odd permutation."""
     vids = f.var_ids()
-    terms = []
-    for i, mono in enumerate(f.monomials):
+    expanded = []
+    for ci, order in terms:
         paths = [((), 0, 0)]  # (label path, odd-slot mask, flips)
-        for vid in mono.order:
+        for vid in order:
             s = vids.index(vid)
             paths = [
                 (path + ((vid, p),), odd | p << s, flips + p * (odd >> s).bit_count())
                 for path, odd, flips in paths
                 for p in (0, 1)
             ]
-        terms += [(2 * i + flips % 2, path) for path, _, flips in paths]
+        expanded += [(ci ^ flips % 2, path) for path, _, flips in paths]
     labels = {(vid, p): ((alts[p][0], 0),) for vid, alts in edges.items() for p in (0, 1)}
-    return polynomials._prefix_trie(terms, labels, radix)
+    return polynomials._prefix_trie(expanded, labels, radix)
 
 
 def _entries(trie, depth=0):
@@ -520,7 +540,7 @@ def test_split_trie_equals_the_trie_of_the_expanded_parity_paths(monkeypatch):
             continue
         built, walked = _envelope_tries(monkeypatch, f, base, f.degree)
         (terms, edges, radix), = built
-        assert _entries(walked[0]) == _entries(_expanded_trie(f, edges, radix))
+        assert _entries(walked[0][1]) == _entries(_expanded_trie(f, terms, edges, radix))
         evens = {vid: alts[:1] for vid, alts in edges.items()}
         entries = len(_entries(polynomials._prefix_trie(terms, evens, radix)))
         shared += entries < sum(len(order) for _, order in terms)
@@ -528,20 +548,36 @@ def test_split_trie_equals_the_trie_of_the_expanded_parity_paths(monkeypatch):
     assert shared >= 20 and degrees == set(range(1, 7))
     zero = GradedPolynomial(variables_for([0, 1]), [])
     built, walked = _envelope_tries(monkeypatch, zero, bases[0][0], 2)
-    assert [terms for terms, _, _ in built] == [[]] and walked == [[]]
+    assert [terms for terms, _, _ in built] == [[]] and walked == [([], [])]
 
 
 def test_an_envelope_check_builds_one_trie_over_its_monomials(monkeypatch):
     """One _prefix_trie call per check, over exactly one term per monomial:
     the builder makes the parity alternatives' entries; no parity pattern is
-    inserted as a path."""
+    inserted as a path.  The walk's coefficients are one (c, -c) pair per
+    distinct coefficient up to sign (1, i, -1, -i make two pairs); a -c that
+    is no coefficient of f is built when a leaf first reaches it."""
     A, ng = twisted_envelope_bases()[0]
-    for orders in ([(1, 2, 3)], [(1, 2, 3), (3, 1, 2), (1, 3, 2)]):
+    built_partners = 0
+    for orders in (
+        [(1, 2, 3)],
+        [(1, 2, 3), (3, 1, 2), (1, 3, 2)],
+        [(1, 2, 3), (3, 1, 2), (1, 3, 2), (2, 1, 3)],
+    ):
         f = GradedPolynomial(
             variables_for([0, 1, 1]), [(root_of_unity(4, k), o) for k, o in enumerate(orders)]
         )
-        built, _ = _envelope_tries(monkeypatch, f, A, 4)
+        f_coeffs = [m.coeff for m in f.monomials]
+        built, walked = _envelope_tries(monkeypatch, f, A, 4)
         assert len(built) == 1 and len(built[0][0]) == len(f.monomials) == len(orders)
+        (coeffs, _), = walked
+        pairs = {frozenset((c, -c)) for c in coeffs[::2]}
+        assert len(coeffs) == 2 * len(pairs)
+        assert pairs == {frozenset((m.coeff, -m.coeff)) for m in f.monomials}
+        partners = coeffs[1::2]
+        assert all(c is None or c == -coeffs[2 * k] for k, c in enumerate(partners))
+        built_partners += sum(c is not None and c not in f_coeffs for c in partners)
+    assert built_partners > 0
 
 
 def test_envelope_check_leaves_no_garbage_for_the_cyclic_collector():

@@ -1232,7 +1232,7 @@ def _assert_canonical_walk(f: GradedPolynomial, A, classes) -> dict:
     """The table holds exactly the canonical chained keys, each with its
     brute-force value, and brute force confirms the orbit lemma: a repeated
     digit in a class gives 0, any other key +-its canonical key's value."""
-    assert polynomials._alternation_classes(f, *_coefficient_terms(f)) == classes
+    assert polynomials._alternation_classes(f, _coefficient_terms(f)) == classes
     slots = _slots(f, classes)
     brute = dict(_brute_values(f, A))
     acc = accumulate_evaluations(f, A)
@@ -1251,10 +1251,14 @@ def _assert_canonical_walk(f: GradedPolynomial, A, classes) -> dict:
     return brute
 
 
-def _coefficient_terms(f: GradedPolynomial) -> tuple[list, list]:
+def _coefficient_terms(f: GradedPolynomial) -> list:
+    """f's (coefficient index, order) terms: each distinct coefficient c has
+    index 2k and -c has 2k + 1."""
     index: dict = {}
-    terms = [(index.setdefault(m.coeff, len(index)), m.order) for m in f.monomials]
-    return list(index), terms
+    for m in f.monomials:
+        if m.coeff not in index:
+            index[m.coeff], index[-m.coeff] = len(index), len(index) + 1
+    return [(index[m.coeff], m.order) for m in f.monomials]
 
 
 def _assert_oracle_answers(f: GradedPolynomial, A, brute: dict) -> None:
@@ -1312,6 +1316,15 @@ def test_alternation_of_random_monomials_walks_canonical_keys():
             brute = _assert_canonical_walk(f, A, [sorted(xs)])
             _assert_oracle_answers(f, A, brute)
             seen["counterexample" if any(brute.values()) else "identity"] += 1
+            # -f, read off f's index with every index i as i ^ 1: the first
+            # monomial carries the odd member of its pair.
+            negated = [(ci ^ 1, order) for ci, order in _coefficient_terms(f)]
+            assert negated[0][0] == 1
+            assert polynomials._alternation_classes(-f, negated) == [sorted(xs)]
+            acc, negated_acc = accumulate_evaluations(f, A), accumulate_evaluations(-f, A)
+            assert list(negated_acc) == list(acc)
+            for key in acc:
+                assert negated_acc.value(key) == {t: -c for t, c in acc.value(key).items()}
     assert seen["identity"] > 0 and seen["counterexample"] > 10, seen
 
 
@@ -1432,7 +1445,7 @@ def test_path_vanishes_with_the_lead_variable_in_a_class():
             # alternate() lists the sorted class first, so x_lead's slot
             # leads with a class member.
             lead = f.monomials[0].order[0]
-            classes = polynomials._alternation_classes(f, *_coefficient_terms(f))
+            classes = polynomials._alternation_classes(f, _coefficient_terms(f))
             assert classes == [xs]
             brute = _assert_canonical_walk(f, A, classes)
             for b in range(bs.k):
@@ -1474,7 +1487,7 @@ def test_near_misses_keep_the_full_table():
             h = rng.choice([x for x in sup if x != g])
             polys.append(GradedPolynomial(variables_for([g, h, g]), [(c, (1, 2, 3)), (-c, (2, 1, 3))]))
         for f in polys:
-            assert polynomials._alternation_classes(f, *_coefficient_terms(f)) == []
+            assert polynomials._alternation_classes(f, _coefficient_terms(f)) == []
             acc = accumulate_evaluations(f, A)
             assert {acc.digits(key) for key in acc} == _chained_keys(f, A)
             brute = dict(_brute_values(f, A))
@@ -1510,8 +1523,8 @@ def test_oracle_leaves_no_garbage_for_the_cyclic_collector(k4):
 
 def _assert_trie(terms, edges, radix, classes, trie) -> int:
     """One entry per distinct prefix of a term's path with an alternative
-    (label, bit) per label; each such path ends at its coefficient index
-    plus the parity of the inversions among its nonzero bits; and every cut
+    (label, bit) per label; each such path ends at its coefficient index,
+    xor the parity of the inversions among its nonzero bits; and every cut
     equals its brute-force recomputation from the labels placed earlier on
     the entry's path.  Returns the number of entries with a nonzero cut."""
     label_of = {id(rows): (label, bit) for label, alts in edges.items() for rows, bit in alts}
@@ -1544,7 +1557,7 @@ def _assert_trie(terms, edges, radix, classes, trie) -> int:
     prefixes = {path[:n] for path in paths for n in range(1, len(path) + 1)}
     assert len(seen) == len(set(seen)) and set(seen) == prefixes
     assert leaves == {
-        path: ci + _inversions([bit for _, bit in path if bit]) % 2 for path, ci in paths.items()
+        path: ci ^ _inversions([bit for _, bit in path if bit]) % 2 for path, ci in paths.items()
     }
     return len(cuts)
 
