@@ -23,9 +23,9 @@ Coefficient c has index 2k and -c has 2k + 1: index i negates to i ^ 1.
 - The monomial orders form a prefix trie, so a prefix shared by several
   monomials (a chain of basis choices) is enumerated once; each leaf holds
   its monomial's coefficient index.  One descent over the trie of the label
-  paths makes every entry, with its cut and its parity.
+  paths makes every entry, with its parity.
 - The cocycle is read from one dense G x G exponent table and products from
-  the group's Cayley rows.
+  the group's Cayley rows; every H-product of a chain lies in H.
 - A value is a tuple of phi(N) Python ints: its coordinates over the power
   basis 1, zeta, ..., zeta^(phi(N)-1) of Q(zeta_N), times the lcm L of all
   coefficient denominators.  A leaf adds the precomputed L * coeff * zeta^e,
@@ -36,27 +36,31 @@ Coefficient c has index 2k and -c has 2k + 1: index i negates to i ^ 1.
   vectors, the witness stream of _value_pairs) become CycScalars, which hold
   the same numerators over L, brought to lowest terms.
 
-An alternating polynomial is walked on one key per sign orbit.  Variables a,
+An alternating polynomial is walked on one monomial per orbit.  Variables a,
 b of one degree form an alternating pair when every monomial's coefficient is
-minus that of its (a b)-swap, so that exchanging the values of a and b
-negates f.  A class is a connected component of the graph of these pairs.
-The transpositions along a connected graph generate the full symmetric group
-of its vertices, and a homomorphism to {1, -1} that sends one transposition
-to -1 is the sign; so permuting the values of a class by s multiplies f by
-sgn(s).  Read a key as its digit tuple, and call it canonical when its digits
-strictly increase, in slot order, across every class.  Then:
+minus that of its (a b)-swap.  A class is a connected component of the graph
+of these pairs.  The transpositions along a connected graph generate the full
+symmetric group of its vertices, and a homomorphism to {1, -1} that sends one
+transposition to -1 is the sign; so for s in the product S of the classes'
+symmetric groups, m o s (m with each id v replaced by s(v)) has sgn(s) times
+the coefficient of m.  Read a key as its digit tuple, and call it canonical
+when its digits strictly increase, in slot order, across every class.  Let
+m_r, with coefficient c_r, run over one monomial per S-orbit of the
+monomials.  As (m o s)(K0) = m(K0 o s), a key K0 has the value
 
-- a key that repeats a digit inside a class has value 0: exchanging the two
-  equal digits fixes the key and negates its value;
-- every other key's orbit under the classes' permutations holds exactly one
-  canonical key, the one with each class's digits sorted into the class's
-  slots.  It is the orbit's numerically least key, and every value in the
-  orbit is +-its value.
+    f(K0) = sum_r c_r sum_(s in S) sgn(s) m_r(K0 o s).
 
-So every nonzero key has a nonzero canonical key at or below it.
-accumulate_evaluations walks the canonical keys only, each with its full
-value (canonicity is a property of the key, so every monomial's contribution
-to it is walked), and every answer is unchanged:
+So a key that repeats a digit inside a class has value 0 (exchanging the two
+equal digits fixes it and negates its value), and any other key K0 o s has
+the value sgn(s) f(K0) for the one canonical K0 of its orbit, the orbit's
+numerically least key.  accumulate_evaluations keeps the canonical keys only,
+each with its full value: it walks only the m_r whose class members stand in
+ascending id order, on the chained keys K with distinct digits in each
+class, and adds c_r m_r(K), negated when sorting each class's digits into
+its slots is odd, at the sorted key.  K0 is reached iff some monomial chains
+on it, since m_r o s chains on K0 iff m_r chains on K0 o s, so the table
+holds the keys, zero-valued ones included, that a walk of every monomial
+keeps.  Every answer is that of a walk of every key:
 
 - check_identity: the least nonzero key and its value are the same;
 - _value_pairs: the first nonzero (left, right) pair is the same, since a
@@ -75,15 +79,8 @@ to it is walked), and every answer is unchanged:
   variable's block.  A skipped key's value is 0 or +-that of its orbit's
   canonical key, so the canonical keys carry every surviving triple.
 
-The walk enforces canonicity with static bounds per trie edge, fixed when
-the entry is made.  A trie path fixes which members of an edge's
-class are already placed.  The edge's digit must exceed that of the nearest
-placed member before it in the class and stay below that of the nearest
-placed member after it.  These bounds follow from the strict chain, and
-every adjacent pair of the chain is checked when its later member is placed.
-The neighbours' digits are read off the partial key, and they cut the
-ascending per-row edge list.  Classes are built only when every variable
-has one alternative, so the envelope check walks every key.
+Classes are built only when every variable has one alternative, so the
+envelope check walks every key of every monomial.
 
 Polynomials built as products on disjoint variables carry their
 factorization, which lets the oracle decide the product through the factors'
@@ -93,7 +90,6 @@ of the same shape (GradedPolynomial.shape) have one span, from one walk.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from itertools import chain, permutations
 from math import gcd, lcm
 from operator import add, ne, neg
@@ -494,63 +490,15 @@ class EvaluationTable(dict):
         }
 
 
-def _prefix_trie(terms: list, edges: dict, radix: int, classes=()) -> list:
+def _prefix_trie(terms: list, edges: dict) -> list:
     """The walk trie of (coefficient index, label path) terms, made in one
     descent over the trie of their label paths.  edges maps each label to its
     ordered alternatives (rows, bit): the oracle's one, (rows, 0), or the
     envelope's even (rows, 0) then odd (rows, 1 << slot).  A node is a list of
-    (rows, child, cut) entries, per label in first-insertion order and per
-    alternative, each made with its cut and parity.  The child after a path's
-    last label is its coefficient index, or that of its negation (index ^ 1)
-    when the bits on the path have an odd number of inversions.
-
-    classes are (labels, slot weights) pairs in slot order.  cut is 0 unless
-    the label is in a class with a member earlier on the path.  Then it is
-    (lower, first, upper, stop), which keeps the edges of a row from
-    first[row][kv // lower % radix] to stop[row][kv // upper % radix]: lower
-    and upper are the slot weights of the nearest members on the path before
-    and after the label in its class, first[row][t] counts the row's digits
-    up to t and stop[row][t] those below t.  A side with no member on the
-    path has weight 1 and a table that keeps the whole row."""
-    # Each class label has a bit in `placed`, the set of class labels earlier
-    # on the path; before and after are the bits of its class's members before
-    # and after it, and weight_of maps a bit's length to its label's slot
-    # weight.  The members of a class share their rows' digits (see
-    # _walk_paths), so one set of tables serves the class.
-    member, weight_of = {}, {}
-    for labels, weights in classes:
-        rows = [[k // weights[0] for k, _, _ in row] for row in edges[labels[0]][0][0]]
-        tables = (
-            [[bisect_right(digits, t) for t in range(radix)] for digits in rows],
-            [[bisect_left(digits, t) for t in range(radix)] for digits in rows],
-            [[0] * radix for _ in rows],
-            [[len(digits)] * radix for digits in rows],
-        )
-        start, end = len(weight_of), len(weight_of) + len(labels)
-        for n, (label, weight) in enumerate(zip(labels, weights), start):
-            weight_of[n + 1] = weight
-            before, after = (1 << n) - (1 << start), (1 << end) - (2 << n)
-            member[label] = (1 << n, before, after, tables)
-    cuts = {}
-
-    def cut(label, placed: int) -> tuple:
-        """A class label's cut after the labels placed, and placed with it."""
-        bit, before, after, tables = member[label]
-        low, high = placed & before, placed & after
-        if not (low or high):
-            return 0, placed | bit
-        key = label, low | high
-        entry_cut = cuts.get(key)
-        if entry_cut is None:
-            first, stop, whole_first, whole_stop = tables
-            entry_cut = cuts[key] = (
-                weight_of[low.bit_length()] if low else 1,
-                first if low else whole_first,
-                weight_of[(high & -high).bit_length()] if high else 1,
-                stop if high else whole_stop,
-            )
-        return entry_cut, placed | bit
-
+    (rows, child) entries, per label in first-insertion order and per
+    alternative, each made with its parity.  The child after a path's last
+    label is its coefficient index, or that of its negation (index ^ 1) when
+    the bits on the path have an odd number of inversions."""
     # The label trie maps a label to its child node, or to the term's index.
     top: dict = {}
     for ci, path in terms:
@@ -561,23 +509,16 @@ def _prefix_trie(terms: list, edges: dict, radix: int, classes=()) -> list:
 
     # odd holds the bits on the path and sign the parity of their inversions;
     # a new bit b is inverted with each held bit above it, the bits of odd & -b.
-    def descend(node: dict, placed: int, odd: int, sign: int) -> list:
+    def descend(node: dict, odd: int, sign: int) -> list:
         out = []
         for label, child in node.items():
-            entry_cut, below = 0, placed
-            if label in member:
-                entry_cut, below = cut(label, placed)
-            if type(child) is int:
-                for rows, bit in edges[label]:
-                    flip = sign ^ (odd & -bit).bit_count() & 1 if bit else sign
-                    out.append((rows, child ^ flip, entry_cut))
-                continue
+            leaf = type(child) is int
             for rows, bit in edges[label]:
                 flip = sign ^ (odd & -bit).bit_count() & 1 if bit else sign
-                out.append((rows, descend(child, below, odd | bit, flip), entry_cut))
+                out.append((rows, child ^ flip if leaf else descend(child, odd | bit, flip)))
         return out
 
-    trie = descend(top, 0, 0, 0)
+    trie = descend(top, 0, 0)
     descend = None  # break the closure's cycle through its own cell
     return trie
 
@@ -625,11 +566,29 @@ def evaluation_table(
             coeffs += (None, None)
         coeffs[ci] = c
         terms.append((ci, m.order))
-    classes = []
-    if radix == nb:  # classes need one alternative per variable
-        for members in _alternation_classes(poly, terms):
-            classes.append((tuple(members), tuple(weight[vid] for vid in members)))
-    return _walk_paths(algebra, coeffs, _prefix_trie(terms, edges, radix, classes), radix, d)
+    # Classes need one alternative per variable.
+    classes = _alternation_classes(poly, terms) if radix == nb else []
+    for j, members in enumerate(classes):
+        # One term per orbit: the monomial with its members in ascending id
+        # order.  A member's edges per row are (H-part, column, (class, basis
+        # index) bit, the class's bits above it); _walk_paths adds its digit.
+        member = frozenset(members).__contains__
+        terms = [term for term in terms if list(filter(member, term[1])) == members]
+        for vid in members:
+            rows = [
+                tuple(
+                    (basis[k][0], basis[k][2], 1 << j * nb + k, ((1 << nb) - (2 << k)) << j * nb)
+                    for k in by_row(poly.degree_of[vid], row)
+                )
+                for row in range(size)
+            ]
+            edges[vid] = [(rows, 0)]
+    if any(order[-1] in members for members in classes for _, order in terms):
+        # Paths end off the classes: a last step by u_e (x) e_cc keeps key and value.
+        terms = [(ci, order + (None,)) for ci, order in terms]
+        edges[None] = [([((0, 0, c),) for c in range(size)], 0)]
+    trie = _prefix_trie(terms, edges)
+    return _walk_paths(algebra, coeffs, trie, radix, d, [weight[v] for c in classes for v in c])
 
 
 def _alternation_classes(poly: GradedPolynomial, terms: list) -> list[list[int]]:
@@ -682,17 +641,25 @@ def _alternation_classes(poly: GradedPolynomial, terms: list) -> list[list[int]]
 
 
 def _walk_paths(
-    algebra: GradedAlgebra, coeffs: list[Optional[CycScalar]], trie: list, radix: int, width: int
+    algebra: GradedAlgebra,
+    coeffs: list[Optional[CycScalar]],
+    trie: list,
+    radix: int,
+    width: int,
+    member_weights: Sequence[int] = (),
 ) -> EvaluationTable:
     """The chained-path walk behind accumulate_evaluations and the envelope
     check, over a trie in _prefix_trie's form whose leaves index coeffs (-c
     at i ^ 1 when c is at i; a None is built when a leaf first reaches it).  An
     entry's edges hold, per row, the (weighted key digit, H-part, column) of
-    the basis elements it may take there, ascending; every root-to-leaf path
-    visits each of the width key slots once, and a key is the sum of its
-    path's weighted digits.  The cuts keep only the keys whose digits
-    strictly increase across each alternation class, whose labels have the
-    same digits in each row."""
+    the basis elements it may take there; every root-to-leaf path visits each
+    of the width key slots once, and a key is the sum of its path's weighted
+    digits.
+
+    member_weights holds the slot weights of the class members, class by class
+    in slot order; the trie then holds one term per orbit, a member's edges
+    hold (H-part, column, bit, above), and paths end off the classes (see
+    evaluation_table and the module docstring)."""
     _check_scalar_order(coeffs[0].order if coeffs else None, algebra)
     N = algebra.modulus
     scale = lcm(*(coeff.den for coeff in coeffs[::2]))  # -c has the den of c
@@ -702,10 +669,10 @@ def _walk_paths(
     m = algebra.presentation.size
     mul = algebra.mul_table
     # Row 0 is zero: build_algebra validated the cocycle, so it is normalized.
-    # Every exponent sum is a multiple of g = gcd(N, table entries), so the
-    # walk sums e // g modulo N // g and multiplies by g only on first use.
+    # Every exponent sum is a multiple of g = gcd(N, cocycle exponents), so
+    # the walk sums e // g modulo N // g and multiplies by g only on first use.
     exps = algebra.exp_table
-    g = gcd(N, *chain.from_iterable(exps))
+    g = gcd(N, *chain.from_iterable(algebra.presentation.cocycle.exps))
     if g > 1:
         exps = [[v // g for v in row] for row in exps]
     n = N // g
@@ -716,25 +683,17 @@ def _walk_paths(
     def walk(node: list, ends: list, col: int, hprod: int, expsum: int, kv: int) -> None:
         mul_row, exp_row = mul[hprod], exps[hprod]
         if type(node[0][1]) is not int:
-            for per_row, child, cut in node:
-                row = per_row[col]
-                if cut:
-                    lower, first, upper, stop = cut
-                    row = row[first[col][kv // lower % radix] : stop[col][kv // upper % radix]]
-                for k, h, c in row:
+            for per_row, child in node:
+                for k, h, c in per_row[col]:
                     walk(child, ends, c, mul_row[h], expsum + exp_row[h], kv + k)
             return
-        for per_row, ci, cut in node:
+        for per_row, ci in node:
             coeff, cached = coeffs[ci], vectors[ci]
             if cached is None:
                 cached = vectors[ci] = [None] * n
                 if coeff is None:
                     coeff = coeffs[ci] = -coeffs[ci ^ 1]
-            row = per_row[col]
-            if cut:
-                lower, first, upper, stop = cut
-                row = row[first[col][kv // lower % radix] : stop[col][kv // upper % radix]]
-            for k, h, c in row:
+            for k, h, c in per_row[col]:
                 e = (expsum + exp_row[h]) % n
                 vec = cached[e]
                 if vec is None:
@@ -757,15 +716,56 @@ def _walk_paths(
                 else:
                     acc[key] = _ZERO
 
+    # orbit walks a class trie.  used holds the (class, digit) bits on the
+    # path, so a repeated digit is cut where it is placed; members are placed
+    # in slot order, so flip, the parity of the inversions within classes,
+    # gains the placed digits above the new one (used & above).  kv sums the
+    # other slots' weighted digits.  At a leaf's parent, walk adds the leaves,
+    # negated if flip, at kv plus used's digits ascending per class.
+    parts: dict[int, int] = {}
+    negated: dict[int, list] = {}
+
+    def orbit(
+        node: list, ends: list, col: int, hprod: int, expsum: int, kv: int, used: int, flip: int
+    ) -> None:
+        if type(node[0][1]) is int:
+            part = parts.get(used)
+            if part is None:
+                digits = [p % radix for p in range(used.bit_length()) if used >> p & 1]
+                part = parts[used] = sum(t * w for t, w in zip(digits, member_weights))
+            if flip:
+                node = negated.get(id(node)) or negated.setdefault(
+                    id(node), [(per_row, ci ^ 1) for per_row, ci in node]
+                )
+            walk(node, ends, col, hprod, expsum, kv + part)
+            return
+        mul_row, exp_row = mul[hprod], exps[hprod]
+        for per_row, child in node:
+            row = per_row[col]
+            if row and len(row[0]) == 4:
+                for h, c, bit, above in row:
+                    if not used & bit:
+                        odd = flip ^ (used & above).bit_count() & 1
+                        orbit(child, ends, c, mul_row[h], expsum + exp_row[h], kv, used | bit, odd)
+            else:
+                for k, h, c in row:
+                    orbit(child, ends, c, mul_row[h], expsum + exp_row[h], kv + k, used, flip)
+
     # A chain starting in row r is a walk from the identity with column r; its
-    # value triples (h, r, col) are ends[h][col], one object shared by all keys.
+    # value triples (h, r, col) are ends[h][col], one object shared by all
+    # keys.  Every H-product of the walk is in H, so only H's rows are built.
+    ends = [None] * len(mul)
     for r in range(m):
-        ends = [[(h, r, c) for c in range(m)] for h in range(len(mul))]
-        walk(trie, ends, r, 0, 0, 0)
-    # walk holds itself through its closure cell.  Clearing the cell breaks
-    # that cycle, so the table is freed when the caller drops it, not at the
-    # next full collection.
-    walk = None
+        for h in algebra.presentation.subgroup.members:
+            ends[h] = [(h, r, c) for c in range(m)]
+        if member_weights:
+            orbit(trie, ends, r, 0, 0, 0, 0, 0)
+        else:
+            walk(trie, ends, r, 0, 0, 0)
+    # walk and orbit hold themselves through their closure cells.  Clearing
+    # the cells breaks those cycles, so the table is freed when the caller
+    # drops it, not at the next full collection.
+    walk = orbit = None
     return acc
 
 

@@ -454,18 +454,19 @@ def test_envelope_check_rejects_a_degree_outside_the_second_factor():
 
 
 def _envelope_tries(monkeypatch, f, base, truncation):
-    """The (terms, edges, radix) of every _prefix_trie call that one envelope
-    check makes, and the (coefficients, trie) it walks."""
+    """The (terms, edges) of every _prefix_trie call that one envelope check
+    makes, and the (coefficients, trie) it walks."""
     built, walked = [], []
     build, walk = polynomials._prefix_trie, polynomials._walk_paths
 
-    def capture_build(terms, edges, radix, classes=()):
-        built.append((terms, edges, radix))
-        return build(terms, edges, radix, classes)
+    def capture_build(terms, edges):
+        built.append((terms, edges))
+        return build(terms, edges)
 
-    def capture_walk(algebra, coeffs, trie, radix, width):
+    def capture_walk(algebra, coeffs, trie, radix, width, member_weights=()):
+        assert not member_weights
         walked.append((coeffs, trie))
-        return walk(algebra, coeffs, trie, radix, width)
+        return walk(algebra, coeffs, trie, radix, width, member_weights)
 
     with monkeypatch.context() as patch:
         patch.setattr(polynomials, "_prefix_trie", capture_build)
@@ -474,7 +475,7 @@ def _envelope_tries(monkeypatch, f, base, truncation):
     return built, walked
 
 
-def _expanded_trie(f, terms, edges, radix):
+def _expanded_trie(f, terms, edges):
     """The trie of the 2^d expanded label paths: every term (ci, order) once
     per parity pattern, with labels (vid, parity) and coefficient index ci,
     or ci ^ 1 when its odd variables stand in an odd permutation."""
@@ -491,15 +492,15 @@ def _expanded_trie(f, terms, edges, radix):
             ]
         expanded += [(ci ^ flips % 2, path) for path, _, flips in paths]
     labels = {(vid, p): ((alts[p][0], 0),) for vid, alts in edges.items() for p in (0, 1)}
-    return polynomials._prefix_trie(expanded, labels, radix)
+    return polynomials._prefix_trie(expanded, labels)
 
 
 def _entries(trie, depth=0):
-    """Preorder (depth, edges object, leaf index or None, cut) of every entry."""
+    """Preorder (depth, edges object, leaf index or None) of every entry."""
     out = []
-    for rows, child, cut in trie:
+    for rows, child in trie:
         leaf = type(child) is int
-        out.append((depth, id(rows), child if leaf else None, cut))
+        out.append((depth, id(rows), child if leaf else None))
         if not leaf:
             out += _entries(child, depth + 1)
     return out
@@ -539,16 +540,16 @@ def test_split_trie_equals_the_trie_of_the_expanded_parity_paths(monkeypatch):
         if f.is_zero():
             continue
         built, walked = _envelope_tries(monkeypatch, f, base, f.degree)
-        (terms, edges, radix), = built
-        assert _entries(walked[0][1]) == _entries(_expanded_trie(f, terms, edges, radix))
+        (terms, edges), = built
+        assert _entries(walked[0][1]) == _entries(_expanded_trie(f, terms, edges))
         evens = {vid: alts[:1] for vid, alts in edges.items()}
-        entries = len(_entries(polynomials._prefix_trie(terms, evens, radix)))
+        entries = len(_entries(polynomials._prefix_trie(terms, evens)))
         shared += entries < sum(len(order) for _, order in terms)
         degrees.add(f.degree)
     assert shared >= 20 and degrees == set(range(1, 7))
     zero = GradedPolynomial(variables_for([0, 1]), [])
     built, walked = _envelope_tries(monkeypatch, zero, bases[0][0], 2)
-    assert [terms for terms, _, _ in built] == [[]] and walked == [([], [])]
+    assert [terms for terms, _ in built] == [[]] and walked == [([], [])]
 
 
 def test_an_envelope_check_builds_one_trie_over_its_monomials(monkeypatch):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 from itertools import product as iproduct
-from math import gcd
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -1498,6 +1498,64 @@ def test_near_misses_keep_the_full_table():
     assert cases >= 20
 
 
+def _capelli_shaped(path: str, x_degree: int, y_degree: int, coeff: CycScalar, x_least: bool):
+    """The alternation over its x's of the monomial spelled by path (a word
+    in x and y, the x's apart), numbered in order with the x's first or the
+    y's first, and the sorted ids of its x's."""
+    xs = [i for i, v in enumerate(path) if v == "x"]
+    ys = [i for i, v in enumerate(path) if v == "y"]
+    positions = xs + ys if x_least else ys + xs
+    ids = {i: vid for vid, i in enumerate(positions, start=1)}
+    degrees = [x_degree if path[i] == "x" else y_degree for i in positions]
+    order = [ids[i] for i in range(len(path))]
+    monomial = monomial_polynomial(variables_for(degrees), coeff, order)
+    members = sorted(ids[i] for i in xs)
+    return alternate(monomial, members), members
+
+
+def test_capelli_shaped_tables_match_brute_force():
+    """Alternations whose members are separated by free variables, as in the
+    Capelli polynomials: over ungraded M_2, c_3 without its last y (ending on
+    a member, a y least) and without its first y (an x least), and over the
+    C2-graded M_2(F^c C2) at moduli 1 and 4, in both id orders.  The table
+    holds the canonical chained keys with their brute-force values."""
+    c1, c2 = FiniteGroup.cyclic(1), FiniteGroup.cyclic(2)
+    e1, h2 = c1.trivial_subgroup(), c2.full_subgroup()
+    m2 = build_algebra(Presentation(c1, e1, Cocycle2.trivial(e1, 1), (0, 0)))
+    cases = [
+        (m2, _capelli_shaped("yxyxyx", 0, 0, one(1), x_least=False)),
+        (m2, _capelli_shaped("xyxyxy", 0, 0, one(1), x_least=True)),
+    ]
+    twisted = Coboundary(h2, 4, (0, 1)).induced()
+    assert twisted.exps[1][1] == 2  # c(u, u) = zeta_4^2 = -1
+    untwisted = Cocycle2.trivial(h2, 1)
+    for cocycle, coeff in ((untwisted, one(1)), (twisted, _coefficient(4, [(1, "2/3")]))):
+        A = build_algebra(Presentation(c2, h2, cocycle, (0, 0)))
+        for x_least in (True, False):
+            cases.append((A, _capelli_shaped("xyxyx", 1, 0, coeff, x_least)))
+    nonzero = 0
+    for A, (f, members) in cases:
+        assert len(f.monomials) == 6
+        brute = _assert_canonical_walk(f, A, [members])
+        _assert_oracle_answers(f, A, brute)
+        nonzero += any(brute.values())
+    assert nonzero >= 4
+
+
+def test_an_alternation_over_five_walks_one_term(monkeypatch):
+    """x y x y x y x y x alternated over its five x's has 120 monomials, one
+    orbit, and one walked term."""
+    c1 = FiniteGroup.cyclic(1)
+    e1 = c1.trivial_subgroup()
+    m2 = build_algebra(Presentation(c1, e1, Cocycle2.trivial(e1, 1), (0, 0)))
+    f, _ = _capelli_shaped("xyxyxyxyx", 0, 0, one(1), x_least=True)
+    assert len(f.monomials) == 120
+    built = _built_tries(monkeypatch, lambda: accumulate_evaluations(f, m2))
+    (terms, _, _), = built
+    assert len(terms) == 1
+    _assert_orbit_representatives(f, terms)
+
+
 def test_oracle_leaves_no_garbage_for_the_cyclic_collector(k4):
     """With the collector off, dropping a table or an identity report leaves
     nothing unreachable: the walk and the trie builder hold no cycles, with
@@ -1521,28 +1579,17 @@ def test_oracle_leaves_no_garbage_for_the_cyclic_collector(k4):
 # -- the walk's prefix trie -----------------------------------------------------------
 
 
-def _assert_trie(terms, edges, radix, classes, trie) -> int:
+def _assert_trie(terms, edges, trie) -> None:
     """One entry per distinct prefix of a term's path with an alternative
     (label, bit) per label; each such path ends at its coefficient index,
-    xor the parity of the inversions among its nonzero bits; and every cut
-    equals its brute-force recomputation from the labels placed earlier on
-    the entry's path.  Returns the number of entries with a nonzero cut."""
+    xor the parity of the inversions among its nonzero bits."""
     label_of = {id(rows): (label, bit) for label, alts in edges.items() for rows, bit in alts}
-    slot_of = {
-        label: (labels, weights, i)
-        for labels, weights in classes
-        for i, label in enumerate(labels)
-    }
-    seen, leaves, cuts = [], {}, []
+    seen, leaves = [], {}
 
     def visit(node: list, prefix: tuple) -> None:
-        for rows, child, cut in node:
-            label, bit = label_of[id(rows)]
-            path = prefix + ((label, bit),)
+        for rows, child in node:
+            path = prefix + (label_of[id(rows)],)
             seen.append(path)
-            assert cut == _brute_cut(edges, radix, slot_of, [x for x, _ in prefix], label)
-            if cut:
-                cuts.append(cut)
             if type(child) is int:
                 leaves[path] = child
             else:
@@ -1559,47 +1606,33 @@ def _assert_trie(terms, edges, radix, classes, trie) -> int:
     assert leaves == {
         path: ci ^ _inversions([bit for _, bit in path if bit]) % 2 for path, ci in paths.items()
     }
-    return len(cuts)
 
 
-def _brute_cut(edges, radix, slot_of, prefix, label):
-    """0 unless a member of label's class is placed earlier on the path;
-    otherwise the slot weights of the nearest placed members below and above
-    label's slot (1 for a missing side), with the row digit counts <= t
-    below and < t above (the whole row for a missing side)."""
-    if label not in slot_of:
-        return 0
-    labels, weights, i = slot_of[label]
-    placed = [j for j, other in enumerate(labels) if other in prefix]
-    if not placed:
-        return 0
-    below = max((j for j in placed if j < i), default=None)
-    above = min((j for j in placed if j > i), default=None)
-    digits = [[k // weights[i] for k, _, _ in row] for row in edges[label][0][0]]
-    first = [
-        [sum(d <= t for d in row) if below is not None else 0 for t in range(radix)]
-        for row in digits
-    ]
-    stop = [
-        [sum(d < t for d in row) if above is not None else len(row) for t in range(radix)]
-        for row in digits
-    ]
-    return (
-        1 if below is None else weights[below],
-        first,
-        1 if above is None else weights[above],
-        stop,
-    )
+def _assert_orbit_representatives(f: GradedPolynomial, terms) -> None:
+    """The walked terms are one monomial per orbit of f's classes, each with
+    every class's members in ascending id order along the path; a path that
+    would end on a member ends on the extra label None instead."""
+    classes = polynomials._alternation_classes(f, _coefficient_terms(f))
+    orbit = prod(factorial(len(members)) for members in classes)
+    assert len(terms) * orbit == len(f.monomials)
+    ends_on_member = any(m.order[-1] in members for m in f.monomials for members in classes)
+    orders = {m.order for m in f.monomials}
+    for _, path in terms:
+        order = path[:-1] if ends_on_member else path
+        assert path[-1] is None if ends_on_member else None not in path
+        assert order in orders
+        for members in classes:
+            assert [vid for vid in order if vid in members] == members
 
 
 def _built_tries(monkeypatch, run) -> list:
-    """The (terms, edges, radix, classes, trie) of every trie that run builds."""
+    """The (terms, edges, trie) of every trie that run builds."""
     built = []
     build = polynomials._prefix_trie
 
-    def capture(terms, edges, radix, classes=()):
-        trie = build(terms, edges, radix, classes)
-        built.append((terms, edges, radix, classes, trie))
+    def capture(terms, edges):
+        trie = build(terms, edges)
+        built.append((terms, edges, trie))
         return trie
 
     with monkeypatch.context() as patch:
@@ -1608,11 +1641,12 @@ def _built_tries(monkeypatch, run) -> list:
     return built
 
 
-def test_prefix_trie_entries_leaves_and_cuts(k4, monkeypatch):
+def test_prefix_trie_entries_leaves_and_orbit_representatives(k4, monkeypatch):
     """The _chained_keys fixtures without classes (twisted K4, nb = 16) and
     with them (one class, two interleaved classes, a class around a free
     variable), and one envelope term set, whose labels have an even and an
-    odd alternative."""
+    odd alternative.  A polynomial with classes is walked on one monomial per
+    orbit."""
     H = k4.full_subgroup()
     A = build_algebra(Presentation(k4, H, klein_nontrivial_cocycle(H), (0, 1)))
     rng = random.Random(16)
@@ -1644,6 +1678,11 @@ def test_prefix_trie_entries_leaves_and_cuts(k4, monkeypatch):
 
     built = _built_tries(monkeypatch, run)
     assert len(built) == len(plain) + len(alternating) + 1
-    assert sum(1 for *_, classes, _ in built if len(classes) == 2) == 1
-    assert sum(1 for *_, classes, _ in built if classes) == len(alternating)
-    assert sum(_assert_trie(*args) for args in built) > 0
+    classes = [polynomials._alternation_classes(f, _coefficient_terms(f)) for f in alternating]
+    assert [len(c) for c in classes] == [1, 2, 1]
+    for terms, edges, trie in built:
+        _assert_trie(terms, edges, trie)
+    for f, (terms, _, _) in zip(plain + alternating, built):
+        _assert_orbit_representatives(f, terms)
+    # The class of 3 fills the monomial, so its paths end on None.
+    assert built[len(plain)][0][0][1][-1] is None
