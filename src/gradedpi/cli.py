@@ -51,17 +51,6 @@ MAX_GRADING = 16
 # int() reads the literal.
 MAX_RATIONAL_DIGITS = 100
 
-COMMANDS = (
-    "validate",
-    "classify",
-    "normalize",
-    "equivalent",
-    "identity-check",
-    "witness",
-    "envelope-check",
-)
-
-
 # -- document parsing -----------------------------------------------------------
 
 
@@ -429,7 +418,8 @@ def _fmt(v: Any) -> str:
 
 def run(command: str, document: dict, max_degree: Optional[int] = None) -> tuple[str, int]:
     """Execute a command against a raw document; returns (report text, exit code)."""
-    if command not in COMMANDS:
+    handler = _HANDLERS.get(command)
+    if handler is None:
         raise DocumentError(f"unknown command '{command}'")
     doc = SessionDocument(document)
     if max_degree is not None:
@@ -438,19 +428,7 @@ def run(command: str, document: dict, max_degree: Optional[int] = None) -> tuple
                 raise DocumentError(
                     f"polynomials.{name}: degree {poly.degree} exceeds --max-degree {max_degree}"
                 )
-    if command == "validate":
-        return _cmd_validate(doc)
-    if command == "classify":
-        return _cmd_classify(doc)
-    if command == "normalize":
-        return _cmd_normalize(doc)
-    if command == "equivalent":
-        return _cmd_equivalent(doc)
-    if command == "identity-check":
-        return _cmd_identity(doc)
-    if command == "witness":
-        return _cmd_witness(doc)
-    return _cmd_envelope(doc)
+    return handler(doc)
 
 
 def _cmd_validate(doc: SessionDocument) -> tuple[str, int]:
@@ -633,6 +611,19 @@ def _cmd_envelope(doc: SessionDocument) -> tuple[str, int]:
             for vid, key in sorted(report.counterexample.items())
         }
     return _emit(lines, machine), 0 if report.identity else 1
+
+
+# Each command's handler, in the order --help lists the commands.
+_HANDLERS = {
+    "validate": _cmd_validate,
+    "classify": _cmd_classify,
+    "normalize": _cmd_normalize,
+    "equivalent": _cmd_equivalent,
+    "identity-check": _cmd_identity,
+    "witness": _cmd_witness,
+    "envelope-check": _cmd_envelope,
+}
+COMMANDS = tuple(_HANDLERS)
 
 
 @cache

@@ -45,7 +45,7 @@ generators of G, which is every element.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .errors import InvalidTableError, NotSubgroupError
 from .records import Record
@@ -207,8 +207,6 @@ class FiniteGroup:
         found = set()
         n = self.order
         divisors = [d for d in range(1, n + 1) if n % d == 0]
-        from itertools import combinations
-
         rest = [x for x in range(1, n)]
         for d in divisors:
             for extra in combinations(rest, d - 1):
@@ -347,8 +345,6 @@ class Subgroup:
                 for b in ms:
                     if parent.mul(a, b) not in ms:
                         raise NotSubgroupError(f"product {a}*{b} leaves the set")
-        if parent.order % len(ms) != 0:
-            raise NotSubgroupError("Lagrange violation (cannot happen for closed sets)")
         self.parent = parent
         self.members = ms
         self.member_set = frozenset(ms)

@@ -80,7 +80,9 @@ keeps.  Every answer is that of a walk of every key:
   canonical key, so the canonical keys carry every surviving triple.
 
 Classes are built only when every variable has one alternative, so the
-envelope check walks every key of every monomial.
+envelope check walks every key of every monomial.  One walker runs both
+kinds of trie: it holds the placed (class, digit) bits and the sort's parity
+as closure state, which only a class member's entry sets and restores.
 
 Polynomials built as products on disjoint variables carry their
 factorization, which lets the oracle decide the product through the factors'
@@ -105,7 +107,7 @@ from .algebra import (
     build_algebra,
     is_normalized,
 )
-from .cohomology import is_G_invariant_class
+from .cohomology import Cocycle2, is_G_invariant_class
 from .errors import (
     DegreeMismatchError,
     HypothesisError,
@@ -570,16 +572,17 @@ def evaluation_table(
     classes = _alternation_classes(poly, terms) if radix == nb else []
     for j, members in enumerate(classes):
         # One term per orbit: the monomial with its members in ascending id
-        # order.  A member's edges per row are (H-part, column, (class, basis
-        # index) bit, the class's bits above it); _walk_paths adds its digit.
+        # order.  A member's edges per row are a list (a free label's are a
+        # tuple) of (H-part, column, (class, basis index) bit, the class's
+        # bits above it); _walk_paths adds its digit.
         member = frozenset(members).__contains__
         terms = [term for term in terms if list(filter(member, term[1])) == members]
         for vid in members:
             rows = [
-                tuple(
+                [
                     (basis[k][0], basis[k][2], 1 << j * nb + k, ((1 << nb) - (2 << k)) << j * nb)
                     for k in by_row(poly.degree_of[vid], row)
-                )
+                ]
                 for row in range(size)
             ]
             edges[vid] = [(rows, 0)]
@@ -657,9 +660,9 @@ def _walk_paths(
     digits.
 
     member_weights holds the slot weights of the class members, class by class
-    in slot order; the trie then holds one term per orbit, a member's edges
-    hold (H-part, column, bit, above), and paths end off the classes (see
-    evaluation_table and the module docstring)."""
+    in slot order; the trie then holds one term per orbit, a member's row of
+    edges is a list of (H-part, column, bit, above), and paths end off the
+    classes (see evaluation_table and the module docstring)."""
     _check_scalar_order(coeffs[0].order if coeffs else None, algebra)
     N = algebra.modulus
     scale = lcm(*(coeff.den for coeff in coeffs[::2]))  # -c has the den of c
@@ -679,15 +682,41 @@ def _walk_paths(
     # Per coefficient, L * coeff * zeta^(g e) by reduced exponent e, filled on
     # first use.
     vectors: list[Optional[list]] = [None] * len(coeffs)
+    # Class state: used holds the (class, digit) bits on the path, so a
+    # repeated digit is cut where it is placed; members are placed in slot
+    # order, so flip, the parity of the inversions within classes, gains the
+    # placed digits above the new one (used & above).  kv sums the other
+    # slots' weighted digits.  At a leaf's parent the key adds used's digits
+    # ascending per class, memoized in parts, and each leaf index is ci ^ flip.
+    used = flip = 0
+    parts: dict[int, int] = {}
 
     def walk(node: list, ends: list, col: int, hprod: int, expsum: int, kv: int) -> None:
+        nonlocal used, flip
         mul_row, exp_row = mul[hprod], exps[hprod]
         if type(node[0][1]) is not int:
             for per_row, child in node:
-                for k, h, c in per_row[col]:
-                    walk(child, ends, c, mul_row[h], expsum + exp_row[h], kv + k)
+                row = per_row[col]
+                if type(row) is list:
+                    # A member entry restores the state its edges set.
+                    held, odd = used, flip
+                    for h, c, bit, above in row:
+                        if not held & bit:
+                            used, flip = held | bit, odd ^ (held & above).bit_count() & 1
+                            walk(child, ends, c, mul_row[h], expsum + exp_row[h], kv)
+                    used, flip = held, odd
+                else:
+                    for k, h, c in row:
+                        walk(child, ends, c, mul_row[h], expsum + exp_row[h], kv + k)
             return
+        if used:
+            part = parts.get(used)
+            if part is None:
+                digits = [p % radix for p in range(used.bit_length()) if used >> p & 1]
+                part = parts[used] = sum(t * w for t, w in zip(digits, member_weights))
+            kv += part
         for per_row, ci in node:
+            ci ^= flip
             coeff, cached = coeffs[ci], vectors[ci]
             if cached is None:
                 cached = vectors[ci] = [None] * n
@@ -716,41 +745,6 @@ def _walk_paths(
                 else:
                     acc[key] = _ZERO
 
-    # orbit walks a class trie.  used holds the (class, digit) bits on the
-    # path, so a repeated digit is cut where it is placed; members are placed
-    # in slot order, so flip, the parity of the inversions within classes,
-    # gains the placed digits above the new one (used & above).  kv sums the
-    # other slots' weighted digits.  At a leaf's parent, walk adds the leaves,
-    # negated if flip, at kv plus used's digits ascending per class.
-    parts: dict[int, int] = {}
-    negated: dict[int, list] = {}
-
-    def orbit(
-        node: list, ends: list, col: int, hprod: int, expsum: int, kv: int, used: int, flip: int
-    ) -> None:
-        if type(node[0][1]) is int:
-            part = parts.get(used)
-            if part is None:
-                digits = [p % radix for p in range(used.bit_length()) if used >> p & 1]
-                part = parts[used] = sum(t * w for t, w in zip(digits, member_weights))
-            if flip:
-                node = negated.get(id(node)) or negated.setdefault(
-                    id(node), [(per_row, ci ^ 1) for per_row, ci in node]
-                )
-            walk(node, ends, col, hprod, expsum, kv + part)
-            return
-        mul_row, exp_row = mul[hprod], exps[hprod]
-        for per_row, child in node:
-            row = per_row[col]
-            if row and len(row[0]) == 4:
-                for h, c, bit, above in row:
-                    if not used & bit:
-                        odd = flip ^ (used & above).bit_count() & 1
-                        orbit(child, ends, c, mul_row[h], expsum + exp_row[h], kv, used | bit, odd)
-            else:
-                for k, h, c in row:
-                    orbit(child, ends, c, mul_row[h], expsum + exp_row[h], kv + k, used, flip)
-
     # A chain starting in row r is a walk from the identity with column r; its
     # value triples (h, r, col) are ends[h][col], one object shared by all
     # keys.  Every H-product of the walk is in H, so only H's rows are built.
@@ -758,14 +752,11 @@ def _walk_paths(
     for r in range(m):
         for h in algebra.presentation.subgroup.members:
             ends[h] = [(h, r, c) for c in range(m)]
-        if member_weights:
-            orbit(trie, ends, r, 0, 0, 0, 0, 0)
-        else:
-            walk(trie, ends, r, 0, 0, 0)
-    # walk and orbit hold themselves through their closure cells.  Clearing
-    # the cells breaks those cycles, so the table is freed when the caller
-    # drops it, not at the next full collection.
-    walk = orbit = None
+        walk(trie, ends, r, 0, 0, 0)
+    # walk holds itself through its closure cell.  Clearing the cell breaks
+    # that cycle, so the table is freed when the caller drops it, not at the
+    # next full collection.
+    walk = None
     return acc
 
 
@@ -1114,8 +1105,6 @@ _MATRIX_ALGEBRAS: dict[tuple[int, int], GradedAlgebra] = {}
 def _matrix_algebra(r: int, modulus: int) -> GradedAlgebra:
     key = (r, modulus)
     if key not in _MATRIX_ALGEBRAS:
-        from .cohomology import Cocycle2
-
         trivial = FiniteGroup.cyclic(1)
         sub = trivial.full_subgroup()
         pres = Presentation(trivial, sub, Cocycle2.trivial(sub, modulus), (0,) * r)

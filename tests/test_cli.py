@@ -1,5 +1,6 @@
 """Document parsing, command dispatch, exit codes, determinism."""
 
+import ast
 import importlib.util
 import json
 import subprocess
@@ -206,6 +207,16 @@ def test_schema_errors_name_fields():
         run("classify", doc_z2(["tau", 1]))
     with pytest.raises(DocumentError, match="polynomial"):
         run("identity-check", doc_z2([0, 1]))
+
+
+def test_an_unknown_command_is_refused_before_the_document_is_read():
+    """An empty document would fail on its missing group; the command is
+    checked first."""
+    with pytest.raises(DocumentError, match="unknown command 'bogus'"):
+        run("bogus", {})
+    assert COMMANDS == (
+        "validate", "classify", "normalize", "equivalent", "identity-check", "witness", "envelope-check"
+    )
 
 
 README_SAMPLE = {
@@ -737,6 +748,22 @@ def test_import_loads_no_introspection_modules():
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_no_module_imports_inside_a_function():
+    """Every import of the package is at module level: no function or method
+    of src/gradedpi holds an import or from-import statement."""
+    src = Path(__file__).resolve().parents[1] / "src" / "gradedpi"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{inner.lineno}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                ]
+    assert found == []
 
 
 @pytest.mark.parametrize(

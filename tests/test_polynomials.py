@@ -1556,6 +1556,33 @@ def test_an_alternation_over_five_walks_one_term(monkeypatch):
     _assert_orbit_representatives(f, terms)
 
 
+def test_class_state_is_restored_between_sibling_entries(monkeypatch):
+    """Two orbits, x4 x1 x2 x3 and x4 x1 x3 x2, of an alternation over the
+    degree-1 variables, below a free x4: after x4 x1 the trie holds a class
+    member's entry then a free one (class {1, 2}), or a free one then a
+    member's (class {1, 3}).  The walk sets the class state on a member's
+    edges, so a later sibling, or x4's next edge, sees it only if it is not
+    restored.  Over the C2-graded M_2(F^c C2) at moduli 1 and 4."""
+    c2 = FiniteGroup.cyclic(2)
+    h2 = c2.full_subgroup()
+    twisted = Coboundary(h2, 4, (0, 1)).induced()
+    seen = set()
+    for cocycle, coeff in ((Cocycle2.trivial(h2, 1), one(1)), (twisted, _coefficient(4, [(1, "2/3")]))):
+        A = build_algebra(Presentation(c2, h2, cocycle, (0, 0)))
+        for members in ([1, 2], [1, 3]):
+            variables = variables_for([int(vid in members) for vid in (1, 2, 3, 4)])
+            f = alternate(monomial_polynomial(variables, coeff, (4, 1, 2, 3)), members) + alternate(
+                monomial_polynomial(variables, coeff + coeff, (4, 1, 3, 2)), members
+            )
+            (_, _, trie), = _built_tries(monkeypatch, lambda: accumulate_evaluations(f, A))
+            (_, below_x1), = trie[0][1]
+            seen.add(tuple(type(per_row[0]) is list for per_row, _ in below_x1))
+            brute = _assert_canonical_walk(f, A, [members])
+            _assert_oracle_answers(f, A, brute)
+            assert any(brute.values())
+    assert seen == {(True, False), (False, True)}
+
+
 def test_oracle_leaves_no_garbage_for_the_cyclic_collector(k4):
     """With the collector off, dropping a table or an identity report leaves
     nothing unreachable: the walk and the trie builder hold no cycles, with
