@@ -25,7 +25,7 @@ from .errors import (
     NotSubgroupError,
     VerificationFailedError,
 )
-from .groups import CosetDecomposition, FiniteGroup, Subgroup
+from .groups import CosetDecomposition, FiniteGroup, Subgroup, coset_steps
 from .linalg import vec_clean
 from .records import Record
 from .scalars import CycScalar, root_of_unity
@@ -425,14 +425,6 @@ class BlockStructure(Record):
             raise HypothesisError("blocks have unequal multiplicities")
         return len(self.positions[0])
 
-    def block_of_element(self, g: int) -> Optional[int]:
-        """Block whose coset contains g, or None when that coset is unrepresented."""
-        rep = self.cosets.rep_of(g)
-        try:
-            return self.reps.index(rep)
-        except ValueError:
-            return None
-
 
 def block_structure(p: Presentation) -> BlockStructure:
     """Blocks of a tuple whose entries are grouped canonical coset reps.
@@ -495,22 +487,20 @@ def is_crossed_product(algebra: GradedAlgebra) -> CrossedProductResult:
     p = algebra.presentation
     G = p.group
     cosets = p.cosets()
-    mults = p.coset_multiplicities()
-    if len(set(mults.values())) != 1:
-        return CrossedProductResult(False)
-    # Positions per coset, in tuple order.
-    pos_by_coset: dict[int, list[int]] = {rep: [] for rep in cosets.reps}
+    # Positions per coset index, in tuple order.
+    pos_by_coset: list[list[int]] = [[] for _ in cosets.reps]
     for i, g in enumerate(p.grading):
-        pos_by_coset[cosets.rep_of(g)].append(i)
+        pos_by_coset[cosets.coset_of[g]].append(i)
+    if len({len(pos) for pos in pos_by_coset}) != 1:
+        return CrossedProductResult(False)
+    steps = coset_steps(p.subgroup)
     one = CycScalar.one(algebra.modulus)
     certificates = {}
     for g in G.elements():
         terms: dict[Triple, CycScalar] = {}
         inv_terms: dict[Triple, CycScalar] = {}
-        for rep in cosets.reps:
-            src = pos_by_coset[rep]
-            dst_rep = cosets.rep_of(G.mul(rep, g))
-            dst = pos_by_coset[dst_rep]
+        for src, row in zip(pos_by_coset, steps):
+            dst = pos_by_coset[row[g][1]]  # the coset H r g
             for i, j in zip(src, dst):
                 # h with g_i^-1 h g_j = g, i.e. h = g_i g g_j^-1 (in H).
                 h = G.mul(G.mul(p.grading[i], g), G.inv(p.grading[j]))

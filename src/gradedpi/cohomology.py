@@ -70,6 +70,7 @@ from .errors import (
     BinomialConditionError,
     CocycleError,
     NotNormalError,
+    NotSubgroupError,
     VerificationFailedError,
 )
 from .groups import Subgroup, right_generators
@@ -300,14 +301,19 @@ class Cocycle2:
     # -- folds and binomials -------------------------------------------------------
 
     def product_exp(self, hs: Sequence[int]) -> int:
-        """Exponent of c(h1,...,hn) defined by u_h1 ... u_hn = c(hs) u_(h1...hn):
-        left fold accumulating exps[prefix][next]."""
-        g = self.subgroup.parent
+        """Exponent of c(h1,...,hn) defined by u_h1 ... u_hn = c(hs) u_(h1...hn): a
+        left fold over the rows of exponent_table() and of the Cayley table.  A
+        factor outside H, which those rows read as 0, raises NotSubgroupError."""
+        H = self.subgroup
+        if not H.member_set.issuperset(hs):
+            bad = next(h for h in hs if h not in H)
+            raise NotSubgroupError(f"factor {bad} is not in the subgroup")
+        E, table = self.exponent_table(), H.parent.table
         total = 0
         prefix = 0
         for h in hs:
-            total += self.exp(prefix, h)
-            prefix = g.mul(prefix, h)
+            total += E[prefix][h]
+            prefix = table[prefix][h]
         return total % self.modulus
 
     def binomial_alpha_exp(self, hs: Sequence[int], sigma: Sequence[int]) -> int:

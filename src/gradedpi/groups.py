@@ -453,6 +453,18 @@ class CosetDecomposition(Record):
         return len(self.reps)
 
 
+def coset_steps(H: Subgroup) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The right-coset step table of H: steps[i][t] = (h, j) with
+    r_i t = h r_j, h in H, over the representatives r of H.right_cosets().
+    Built on each call; a caller that steps often holds the table."""
+    G, cosets = H.parent, H.right_cosets()
+    table, coset_of, reps = G.table, cosets.coset_of, cosets.reps
+    back = [G.inv(r) for r in reps]
+    return tuple(
+        [tuple([(table[x][back[coset_of[x]]], coset_of[x]) for x in table[r]]) for r in reps]
+    )
+
+
 def equivalence_classes_tilde(H: Subgroup, cosets: CosetDecomposition) -> list[list[int]]:
     """Partition of the coset representatives under g_i ~ g_j iff
     g_i^-1 H g_j meets H.  Classes come out sorted by (size, smallest rep);

@@ -116,7 +116,7 @@ from .errors import (
     OrderMismatchError,
     VerificationFailedError,
 )
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, coset_steps
 from .linalg import Span, span_of
 from .records import Record
 from .scalars import CycScalar, root_of_unity
@@ -873,15 +873,14 @@ def _factored_counterexample(f: GradedPolynomial, algebra: GradedAlgebra):
 # -- good permutations, pure polynomials -----------------------------------------
 
 
-def monomial_signature(
-    order: Sequence[int], degree_of: dict[int, int], group: FiniteGroup, cosets
-) -> tuple:
-    """The total degree, then per variable in id order the coset index of the
-    product of the degrees up to and including it."""
+def monomial_signature(order: Sequence[int], degree_of, H: Subgroup) -> tuple:
+    """The total degree, then per variable in id order the right-H-coset index
+    of the degree product up to and including it (degree_of: a dict or a word)."""
+    table, coset_of = H.parent.table, H.right_cosets().coset_of
     prefix, coset_at = 0, {}
     for vid in order:
-        prefix = group.mul(prefix, degree_of[vid])
-        coset_at[vid] = cosets.coset_of[prefix]
+        prefix = table[prefix][degree_of[vid]]
+        coset_at[vid] = coset_of[prefix]
     return (prefix,) + tuple(coset_at[v] for v in sorted(coset_at))
 
 
@@ -890,23 +889,19 @@ def is_good_permutation(
 ) -> bool:
     """True iff the two monomial orders have equal total degree and matching
     right-H-coset prefix products at every variable."""
-    group = H.parent
-    cosets = H.right_cosets()
     if frozenset(order_a) != frozenset(order_b):
         return False
-    return monomial_signature(order_a, f.degree_of, group, cosets) == monomial_signature(
-        order_b, f.degree_of, group, cosets
+    return monomial_signature(order_a, f.degree_of, H) == monomial_signature(
+        order_b, f.degree_of, H
     )
 
 
 def pure_components(f: GradedPolynomial, H: Subgroup) -> list[GradedPolynomial]:
     """Partition of the monomials into good-permutation classes (an equivalence
     relation: classes are exactly the signature fibers)."""
-    group = H.parent
-    cosets = H.right_cosets()
     buckets: dict[tuple, list[GradedMonomial]] = {}
     for m in f.monomials:
-        sig = monomial_signature(m.order, f.degree_of, group, cosets)
+        sig = monomial_signature(m.order, f.degree_of, H)
         buckets.setdefault(sig, []).append(m)
     return [
         GradedPolynomial(f.variables, buckets[sig]) for sig in sorted(buckets)
@@ -919,16 +914,17 @@ def is_pure(f: GradedPolynomial, H: Subgroup) -> bool:
 
 def good_permutations_of(degrees: Sequence[int], H: Subgroup) -> Iterator[tuple[int, ...]]:
     """All sigma with Z_sigma a good permutation of Z (identity included),
-    generated by a prefix-coset DFS in lexicographic order."""
-    group = H.parent
+    generated by a prefix-coset DFS in lexicographic order: at each depth it
+    scans only the positions that leave the current coset in the word."""
+    table = H.parent.table
     cosets = H.right_cosets()
     n = len(degrees)
-    entering = []
+    leaving: list[list[int]] = [[] for _ in cosets.reps]
     after = []
     prefix = 0
-    for t in degrees:
-        entering.append(cosets.coset_of[prefix])
-        prefix = group.mul(prefix, t)
+    for p, t in enumerate(degrees):
+        leaving[cosets.coset_of[prefix]].append(p)
+        prefix = table[prefix][t]
         after.append(cosets.coset_of[prefix])
     total = prefix
     used = [False] * n
@@ -939,16 +935,16 @@ def good_permutations_of(degrees: Sequence[int], H: Subgroup) -> Iterator[tuple[
             if prod == total:
                 yield tuple(sigma)
             return
-        for p in range(n):
-            if used[p] or entering[p] != current:
+        for p in leaving[current]:
+            if used[p]:
                 continue
             used[p] = True
             sigma.append(p)
-            yield from rec(after[p], group.mul(prod, degrees[p]))
+            yield from rec(after[p], table[prod][degrees[p]])
             sigma.pop()
             used[p] = False
 
-    yield from rec(cosets.coset_of[0], 0)
+    yield from rec(0, 0)
 
 
 def good_binomial(
@@ -982,21 +978,18 @@ class GoodScalarContext:
         if not is_G_invariant_class(presentation.cocycle):
             raise HypothesisError("cohomology class is not G-invariant")
         self.presentation = presentation
-        self.group = presentation.group
-        self.H = H
-        self.cosets = H.right_cosets()
         self.cocycle = presentation.cocycle
+        self.steps = coset_steps(H)
 
     def transversal_walk(self, degrees: Sequence[int]) -> list[int]:
-        """The H-elements f_i = [t_1...t_(i-1)] t_i [t_1...t_i]^-1."""
-        G = self.group
-        rep = 0
+        """The H-elements f_i = [t_1...t_(i-1)] t_i [t_1...t_i]^-1, [g] the
+        representative of Hg: one coset_steps step per letter, from H."""
+        steps = self.steps
+        i = 0
         out = []
         for t in degrees:
-            nxt = self.cosets.rep_of(G.mul(rep, t))
-            f = G.mul(G.mul(rep, t), G.inv(nxt))
+            f, i = steps[i][t]
             out.append(f)
-            rep = nxt
         return out
 
     def scalar_exp(self, degrees: Sequence[int], sigma: Sequence[int]) -> int:
@@ -1013,11 +1006,13 @@ def good_permutation_scalar(
     degrees: Sequence[int], sigma: Sequence[int], presentation: Presentation
 ) -> CycScalar:
     """The scalar s with Z - s * Z_sigma a graded identity of the presented
-    algebra, for sigma a good permutation of the degree word."""
+    algebra, for sigma a good permutation of the degree word: a permutation
+    whose monomial signature is the identity order's."""
     ctx = GoodScalarContext(presentation)
-    if tuple(sigma) not in set(
-        good_permutations_of(degrees, presentation.subgroup)
-    ):
+    H, n = presentation.subgroup, len(degrees)
+    if sorted(sigma) != list(range(n)) or monomial_signature(
+        sigma, degrees, H
+    ) != monomial_signature(range(n), degrees, H):
         raise HypothesisError("sigma is not a good permutation of the degree word")
     return ctx.scalar(degrees, sigma)
 
@@ -1087,11 +1082,6 @@ class PathRestriction:
     def is_identity_of_matrices(self) -> bool:
         if not self.terms:
             return True
-        if self.r == 1:
-            total = None
-            for c, _ in self.terms:
-                total = c if total is None else total + c
-            return not total
         algebra = _matrix_algebra(self.r, self.terms[0][0].order)
         ids = sorted({v for _, order in self.terms for v in order})
         variables = tuple(GradedVariable(vid, 0) for vid in ids)
@@ -1117,28 +1107,28 @@ def path_restriction(
 ) -> PathRestriction:
     """Follow the forced block walk from start_block through every monomial,
     collecting the twisted-group-algebra scalar; requires equal block
-    multiplicities so the result lives over one matrix size."""
+    multiplicities so the result lives over one matrix size.  Each letter is
+    one coset_steps step; a coset index maps to a block by its representative."""
     bs = _path_block_structure(f, algebra)
     if not bs.equal_multiplicity:
         raise HypothesisError("path restriction requires equal block multiplicities")
     p = algebra.presentation
-    G = p.group
+    steps = coset_steps(p.subgroup)
     c = p.cocycle
+    start = bs.cosets.coset_of[bs.reps[start_block]]
     end = None
     terms = []
     for m in f.monomials:
-        b = start_block
+        i = start
         hs = []
         for vid in m.order:
-            t = f.degree_of[vid]
-            nxt = bs.block_of_element(G.mul(bs.reps[b], t))
-            h = G.mul(G.mul(bs.reps[b], t), G.inv(bs.reps[nxt]))
+            h, i = steps[i][f.degree_of[vid]]
             hs.append(h)
-            b = nxt
         if end is None:
-            end = b
-        elif end != b:
+            end = i
+        elif end != i:
             raise HypothesisError("monomials of a pure polynomial must share end blocks")
         gamma = root_of_unity(c.modulus, c.product_exp(hs))
         terms.append((gamma * m.coeff, m.order))
-    return PathRestriction(start_block, end if end is not None else start_block, bs.r, tuple(terms))
+    end_block = start_block if end is None else bs.reps.index(bs.cosets.reps[end])
+    return PathRestriction(start_block, end_block, bs.r, tuple(terms))

@@ -34,6 +34,7 @@ from gradedpi.errors import (
     BinomialConditionError,
     CocycleError,
     NotNormalError,
+    NotSubgroupError,
     VerificationFailedError,
 )
 from gradedpi.groups import FiniteGroup, Subgroup
@@ -433,6 +434,20 @@ def test_product_scalar_fold(k4):
     assert Cocycle2.trivial(H, 2).product_exp([1, 2, 3]) == 0
     # u_a u_b = - u_b u_a for a = (1,0) -> index 2, b = (0,1) -> index 1
     assert (c.product_exp([2, 1]) - c.product_exp([1, 2])) % 2 == 1
+
+
+def test_product_fold_refuses_a_factor_outside_the_subgroup(d4):
+    """The fold reads dense G x G rows, where a factor outside H would read
+    as 0; it is refused by name instead."""
+    klein = d4.subgroup([0, 2, 4, 6])
+    for c in (Cocycle2.trivial(klein, 2), klein_nontrivial_cocycle(klein)):
+        with pytest.raises(NotSubgroupError, match="factor 1 "):
+            c.product_exp([1])
+        with pytest.raises(NotSubgroupError, match="factor 3 "):
+            c.product_exp([2, 4, 3, 6])
+        with pytest.raises(NotSubgroupError, match="factor 5 "):
+            c.binomial_alpha_exp((5,), (0,))
+        assert c.product_exp([2, 4, 6]) == (c.exp(2, 4) + c.exp(d4.mul(2, 4), 6)) % 2
 
 
 def test_binomial_alpha_examples(k4):

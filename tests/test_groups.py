@@ -4,7 +4,7 @@ import pytest
 
 from gradedpi import groups
 from gradedpi.errors import InvalidTableError, NotSubgroupError
-from gradedpi.groups import FiniteGroup, equivalence_classes_tilde
+from gradedpi.groups import FiniteGroup, coset_steps, equivalence_classes_tilde
 
 
 def brute_center(g: FiniteGroup):
@@ -130,6 +130,29 @@ def test_right_cosets_deterministic():
     # trivial subgroup of Z3: every element its own coset
     z3 = FiniteGroup.cyclic(3)
     assert z3.trivial_subgroup().right_cosets().reps == (0, 1, 2)
+
+
+def test_coset_steps_match_their_definition():
+    """steps[i][t] = (h, j) with h in H and r_i t = h r_j, for every coset
+    index i and element t, on normal and non-normal subgroups."""
+    d4, s3 = FiniteGroup.dihedral(4), FiniteGroup.symmetric(3)
+    cases = [
+        d4.subgroup(range(4)),  # rotations
+        d4.subgroup([0, 2, 4, 6]),  # Klein
+        d4.subgroup([0, 4]),  # a reflection, not normal
+        next(H for H in s3.all_subgroups() if len(H) == 2),
+    ]
+    assert not cases[2].is_normal() and not cases[3].is_normal()
+    for H in cases:
+        g, reps = H.parent, H.right_cosets().reps
+        steps = coset_steps(H)
+        assert len(steps) == len(reps)
+        for i, row in enumerate(steps):
+            assert len(row) == g.order
+            for t, (h, j) in enumerate(row):
+                assert h in H
+                assert g.mul(reps[i], t) == g.mul(h, reps[j])
+        assert coset_steps(H) == steps
 
 
 def test_tilde_classes_examples():

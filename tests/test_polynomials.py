@@ -729,6 +729,26 @@ def test_not_good_permutation_rejected(p_d4_klein):
         good_permutation_scalar((1, 0), (1, 0), p_d4_klein)
 
 
+def test_good_scalar_decides_goodness_without_the_permutation_list(p_k4_twisted, monkeypatch):
+    """A length-10 word over H = G: every permutation is good, and the scalar
+    comes from two monomial signatures, not from the 10! good permutations."""
+    calls = []
+    monkeypatch.setattr(
+        polynomials, "good_permutations_of", lambda *a: calls.append(a) or iter(())
+    )
+    p = p_k4_twisted
+    degrees = (1, 2, 3, 1, 2, 3, 1, 2, 3, 2)
+    sigma = tuple(reversed(range(10)))
+    s = good_permutation_scalar(degrees, sigma, p)
+    # H = G has one coset, so the walk's H-elements are the degrees themselves
+    assert s == p.cocycle.binomial_alpha(degrees, sigma)
+    assert s == GoodScalarContext(p).scalar(degrees, sigma)
+    for bad in ((0, 0) + sigma[2:], sigma[1:], sigma + (10,), (0, 1, 2, 3, 4, 5, 6, 7, 8, 10)):
+        with pytest.raises(HypothesisError):
+            good_permutation_scalar(degrees, bad, p)
+    assert calls == []
+
+
 # -- paths ------------------------------------------------------------------------
 
 
@@ -784,10 +804,11 @@ def test_path_restriction_r1_scalars(p_z2_balanced):
 def test_path_restriction_matches_vanishing(p_d4_klein, p_z2_balanced, d4):
     """Equal-multiplicity fixtures (including multiplicity 2 with a nontrivial
     cocycle): the matrix-reduction verdict agrees with the direct restricted
-    enumeration on every block."""
+    enumeration on every block, r = 1 non-identities among them."""
     from conftest import klein_nontrivial_cocycle
 
     rng = random.Random(606)
+    seen = set()
     klein = d4.subgroup([0, 2, 4, 6])
     p_r2 = Presentation(d4, klein, klein_nontrivial_cocycle(klein), (0, 0, 1, 1))
     for p in (p_z2_balanced, p_d4_klein, p_r2):
@@ -815,10 +836,12 @@ def test_path_restriction_matches_vanishing(p_d4_klein, p_z2_balanced, d4):
                 continue
             bs_k = len(set(p.cosets().reps))
             for b in range(bs_k):
-                assert path_restriction(f, A, b).is_identity_of_matrices() == path_vanishes(
-                    f, A, b
-                )
+                restriction = path_restriction(f, A, b)
+                verdict = restriction.is_identity_of_matrices()
+                assert verdict == path_vanishes(f, A, b)
+                seen.add((restriction.r, verdict))
             done += 1
+    assert {(1, True), (1, False)} <= seen
 
 
 def test_path_restriction_r2_uses_matrix_oracle():
