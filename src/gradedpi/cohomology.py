@@ -126,9 +126,14 @@ class Cocycle2:
     # -- lookup ----------------------------------------------------------------
 
     def exp(self, a: int, b: int) -> int:
-        """Exponent of c(a, b) for parent-group elements a, b of H."""
+        """Exponent of c(a, b) for parent-group elements a, b of H; an element
+        outside H raises NotSubgroupError."""
         H = self.subgroup
-        return self.exps[H.local_index(a)][H.local_index(b)]
+        try:
+            return self.exps[H.local_index(a)][H.local_index(b)]
+        except KeyError:
+            bad = b if a in H else a
+            raise NotSubgroupError(f"element {bad} is not in the subgroup") from None
 
     def value(self, a: int, b: int) -> CycScalar:
         return root_of_unity(self.modulus, self.exp(a, b))
@@ -317,16 +322,24 @@ class Cocycle2:
         return total % self.modulus
 
     def binomial_alpha_exp(self, hs: Sequence[int], sigma: Sequence[int]) -> int:
-        """Exponent of alpha_(hs, sigma) = c(hs)/c(hs_sigma); requires the two
-        orders to have equal products in H."""
+        """Exponent of alpha_(hs, sigma) = c(hs)/c(hs_sigma).  sigma must be a
+        permutation of the positions of hs and the two orders must have equal
+        products (BinomialConditionError); a factor outside H raises
+        NotSubgroupError.  The inputs are checked before any product."""
         g = self.subgroup.parent
         hs = tuple(hs)
+        n = len(hs)
+        if len(sigma) != n or set(sigma) != set(range(n)):
+            raise BinomialConditionError(
+                f"sigma={tuple(sigma)} is not a permutation of the {n} positions"
+            )
+        exp = self.product_exp(hs)  # NotSubgroupError for a factor outside H
         permuted = tuple(hs[s] for s in sigma)
         if g.product_seq(hs) != g.product_seq(permuted):
             raise BinomialConditionError(
                 f"products differ for hs={hs}, sigma={tuple(sigma)}"
             )
-        return (self.product_exp(hs) - self.product_exp(permuted)) % self.modulus
+        return (exp - self.product_exp(permuted)) % self.modulus
 
     def binomial_alpha(self, hs: Sequence[int], sigma: Sequence[int]) -> CycScalar:
         return root_of_unity(self.modulus, self.binomial_alpha_exp(hs, sigma))

@@ -31,7 +31,8 @@ class CocycleError(GradedPIError):
 
 
 class BinomialConditionError(GradedPIError):
-    """The two monomial orders of a binomial have different products in H."""
+    """A binomial's sigma is not a permutation of its positions, or its two
+    monomial orders have different products in H."""
 
 
 class AlgebraMismatchError(GradedPIError):

@@ -14,9 +14,11 @@ lexicographic order of the digit tuples, so the least nonzero key is the
 lex-first counterexample; EvaluationTable.digits decodes only the keys that
 are reported.
 
-One walk serves every caller, the Grassmann envelope check included, and
-evaluation_table builds its inputs.  A variable takes a alternatives, each the
-basis of one degree (the envelope's even and odd parts, see grassmann);
+One walk serves every caller, the Grassmann envelope check included.  It
+reads the algebra and a WalkPlan from evaluation_table: the coefficients,
+walked terms, label edges, alternation classes, trie, key radix and width,
+and the class members' slot weights.  A variable takes a alternatives, each
+the basis of one degree (the envelope's even and odd parts, see grassmann);
 alternative j adds j * nb to the basis index, so digits have radix a * nb.
 Coefficient c has index 2k and -c has 2k + 1: index i negates to i ^ 1.
 
@@ -321,14 +323,14 @@ def alternate(f: GradedPolynomial, var_ids: Sequence[int]) -> GradedPolynomial:
     if len(f.monomials) != 1:
         raise NonMultilinearError("alternation expects a single-monomial polynomial")
     xs = sorted(var_ids)
-    degs = {f.degree_of[v] for v in xs}
-    if len(degs) > 1:
-        raise DegreeMismatchError("alternated variables must share one degree")
     base = f.monomials[0]
     alternated = set(xs)
     positions = [i for i, v in enumerate(base.order) if v in alternated]
     if len(positions) != len(xs):
         raise NonMultilinearError("alternation set must be variables of the monomial")
+    degs = {f.degree_of[v] for v in xs}
+    if len(degs) > 1:
+        raise DegreeMismatchError("alternated variables must share one degree")
     negated = -base.coeff
     monos = []
     for perm in permutations(range(len(xs))):
@@ -535,63 +537,85 @@ def evaluation_table(
     poly: GradedPolynomial, algebra: GradedAlgebra, degrees: dict[int, tuple[int, ...]]
 ) -> EvaluationTable:
     """The walk's table of poly when variable vid takes, as alternative j, the
-    basis elements of degree degrees[vid][j] (see the module docstring).  The
-    envelope check calls it directly, so accumulate_evaluations counts the
-    oracle's walks only."""
-    vids = poly.var_ids()
-    basis, by_row, size = algebra.basis, algebra.basis_by_degree_and_row, algebra.presentation.size
-    nb, d = len(basis), len(vids)
-    radix = nb * max(map(len, degrees.values()), default=1)
-    weight, edges = {}, {}
-    for s, vid in enumerate(vids):
-        w = weight[vid] = radix ** (d - 1 - s)
-        edges[vid] = alternatives = []
-        for j, g in enumerate(degrees[vid]):
-            # Per row: the ((j nb + basis index) * w, H-part, column) of the
-            # degree-g basis elements there.
-            rows = [
-                tuple(((j * nb + k) * w, basis[k][0], basis[k][2]) for k in by_row(g, row))
-                for row in range(size)
-            ]
-            alternatives.append((rows, j << s))
-    # Keyed by (nums, den), as poly has one order; a -c not in poly stays None.
-    index: dict[tuple, int] = {}
-    coeffs: list[Optional[CycScalar]] = []
-    terms = []
-    for m in poly.monomials:
-        c = m.coeff
-        key = c.nums, c.den
-        ci = index.get(key)
-        if ci is None:
-            ci = index[key] = len(coeffs)
-            index[tuple(map(neg, c.nums)), c.den] = ci + 1
-            coeffs += (None, None)
-        coeffs[ci] = c
-        terms.append((ci, m.order))
-    # Classes need one alternative per variable.
-    classes = _alternation_classes(poly, terms) if radix == nb else []
-    for j, members in enumerate(classes):
-        # One term per orbit: the monomial with its members in ascending id
-        # order.  A member's edges per row are a list (a free label's are a
-        # tuple) of (H-part, column, (class, basis index) bit, the class's
-        # bits above it); _walk_paths adds its digit.
-        member = frozenset(members).__contains__
-        terms = [term for term in terms if list(filter(member, term[1])) == members]
-        for vid in members:
-            rows = [
-                [
-                    (basis[k][0], basis[k][2], 1 << j * nb + k, ((1 << nb) - (2 << k)) << j * nb)
-                    for k in by_row(poly.degree_of[vid], row)
+    basis elements of degree degrees[vid][j] (see WalkPlan); a degree outside
+    the algebra's group raises DegreeMismatchError.  The envelope check calls
+    it directly, so accumulate_evaluations counts the oracle's walks only."""
+    return _walk_paths(WalkPlan(poly, algebra, degrees), algebra)
+
+
+class WalkPlan:
+    """Every input of one walk, built from evaluation_table's arguments; the
+    walk reads only its plan and the algebra:
+    - coeffs: c at index 2k and -c at 2k + 1, None until a leaf first reaches
+      a -c that is not itself a coefficient (the walk fills it in);
+    - terms: the walked (coefficient index, label path) pairs, one monomial
+      per orbit; edges: each label's alternatives, as _prefix_trie reads them;
+      trie: _prefix_trie(terms, edges);
+    - classes: the alternation classes, each as its sorted ids, and
+      member_weights: their members' slot weights, class by class;
+    - radix and width: a key's digit radix and its number of slots."""
+
+    __slots__ = ("coeffs", "terms", "edges", "classes", "trie", "radix", "width", "member_weights")
+
+    def __init__(self, poly: GradedPolynomial, algebra: GradedAlgebra, degrees: dict) -> None:
+        vids = poly.var_ids()
+        basis, by_row = algebra.basis, algebra.basis_by_degree_and_row
+        size, order = algebra.presentation.size, algebra.presentation.group.order
+        nb, d = len(basis), len(vids)
+        radix = nb * max(map(len, degrees.values()), default=1)
+        weight, edges = {}, {}
+        for s, vid in enumerate(vids):
+            w = weight[vid] = radix ** (d - 1 - s)
+            edges[vid] = alternatives = []
+            for j, g in enumerate(degrees[vid]):
+                if not 0 <= g < order:
+                    raise DegreeMismatchError(f"x{vid}: degree {g} is not an element of the group")
+                # Per row: the ((j nb + basis index) * w, H-part, column) of the
+                # degree-g basis elements there.
+                rows = [
+                    tuple(((j * nb + k) * w, basis[k][0], basis[k][2]) for k in by_row(g, row))
+                    for row in range(size)
                 ]
-                for row in range(size)
-            ]
-            edges[vid] = [(rows, 0)]
-    if any(order[-1] in members for members in classes for _, order in terms):
-        # Paths end off the classes: a last step by u_e (x) e_cc keeps key and value.
-        terms = [(ci, order + (None,)) for ci, order in terms]
-        edges[None] = [([((0, 0, c),) for c in range(size)], 0)]
-    trie = _prefix_trie(terms, edges)
-    return _walk_paths(algebra, coeffs, trie, radix, d, [weight[v] for c in classes for v in c])
+                alternatives.append((rows, j << s))
+        # Keyed by (nums, den), as poly has one order; a -c not in poly stays None.
+        index: dict[tuple, int] = {}
+        coeffs: list[Optional[CycScalar]] = []
+        terms = []
+        for m in poly.monomials:
+            c = m.coeff
+            key = c.nums, c.den
+            ci = index.get(key)
+            if ci is None:
+                ci = index[key] = len(coeffs)
+                index[tuple(map(neg, c.nums)), c.den] = ci + 1
+                coeffs += (None, None)
+            coeffs[ci] = c
+            terms.append((ci, m.order))
+        # Classes need one alternative per variable.
+        classes = _alternation_classes(poly, terms) if radix == nb else []
+        for j, members in enumerate(classes):
+            # One term per orbit: the monomial with its members in ascending id
+            # order.  A member's edges per row are a list (a free label's are a
+            # tuple) of (H-part, column, (class, basis index) bit, the class's
+            # bits above it); _walk_paths adds its digit.
+            member = frozenset(members).__contains__
+            terms = [term for term in terms if list(filter(member, term[1])) == members]
+            for vid in members:
+                rows = [
+                    [
+                        (basis[k][0], basis[k][2], 1 << j * nb + k, (1 << nb) - (2 << k) << j * nb)
+                        for k in by_row(poly.degree_of[vid], row)
+                    ]
+                    for row in range(size)
+                ]
+                edges[vid] = [(rows, 0)]
+        if any(order[-1] in members for members in classes for _, order in terms):
+            # Paths end off the classes: a last step by u_e (x) e_cc keeps key and value.
+            terms = [(ci, order + (None,)) for ci, order in terms]
+            edges[None] = [([((0, 0, c),) for c in range(size)], 0)]
+        self.coeffs, self.terms, self.edges, self.classes = coeffs, terms, edges, classes
+        self.trie, self.radix, self.width = _prefix_trie(terms, edges), radix, d
+        self.member_weights = [weight[v] for c in classes for v in c]
 
 
 def _alternation_classes(poly: GradedPolynomial, terms: list) -> list[list[int]]:
@@ -643,31 +667,19 @@ def _alternation_classes(poly: GradedPolynomial, terms: list) -> list[list[int]]
     return [members for members in classes.values() if len(members) > 1]
 
 
-def _walk_paths(
-    algebra: GradedAlgebra,
-    coeffs: list[Optional[CycScalar]],
-    trie: list,
-    radix: int,
-    width: int,
-    member_weights: Sequence[int] = (),
-) -> EvaluationTable:
+def _walk_paths(plan: WalkPlan, algebra: GradedAlgebra) -> EvaluationTable:
     """The chained-path walk behind accumulate_evaluations and the envelope
-    check, over a trie in _prefix_trie's form whose leaves index coeffs (-c
-    at i ^ 1 when c is at i; a None is built when a leaf first reaches it).  An
-    entry's edges hold, per row, the (weighted key digit, H-part, column) of
-    the basis elements it may take there; every root-to-leaf path visits each
-    of the width key slots once, and a key is the sum of its path's weighted
-    digits.
-
-    member_weights holds the slot weights of the class members, class by class
-    in slot order; the trie then holds one term per orbit, a member's row of
-    edges is a list of (H-part, column, bit, above), and paths end off the
-    classes (see evaluation_table and the module docstring)."""
+    check: it runs plan over algebra.  A free entry's edges hold, per row, the
+    (weighted key digit, H-part, column) of the basis elements it may take
+    there, and a class member's a list of (H-part, column, bit, above); every
+    root-to-leaf path visits each of the width key slots once, and a key is
+    the sum of its path's weighted digits (see WalkPlan)."""
+    coeffs, radix, member_weights = plan.coeffs, plan.radix, plan.member_weights
     _check_scalar_order(coeffs[0].order if coeffs else None, algebra)
     N = algebra.modulus
     scale = lcm(*(coeff.den for coeff in coeffs[::2]))  # -c has the den of c
-    acc = EvaluationTable(N, scale, radix, width)
-    if not trie:
+    acc = EvaluationTable(N, scale, radix, plan.width)
+    if not plan.trie:
         return acc
     m = algebra.presentation.size
     mul = algebra.mul_table
@@ -752,7 +764,7 @@ def _walk_paths(
     for r in range(m):
         for h in algebra.presentation.subgroup.members:
             ends[h] = [(h, r, c) for c in range(m)]
-        walk(trie, ends, r, 0, 0, 0)
+        walk(plan.trie, ends, r, 0, 0, 0)
     # walk holds itself through its closure cell.  Clearing the cell breaks
     # that cycle, so the table is freed when the caller drops it, not at the
     # next full collection.

@@ -254,3 +254,20 @@ def count_walks(monkeypatch) -> list:
 
     monkeypatch.setattr(polynomials, "accumulate_evaluations", counting)
     return calls
+
+
+def built_plans(monkeypatch, run) -> list:
+    """The polynomials.WalkPlan of every walk that run() makes, in order
+    (evaluation_table looks the builder up at call time, and walks each plan
+    it builds)."""
+    plans = []
+    build = polynomials.WalkPlan
+
+    def recording(*args):
+        plans.append(build(*args))
+        return plans[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polynomials, "WalkPlan", recording)
+        run()
+    return plans

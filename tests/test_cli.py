@@ -766,6 +766,19 @@ def test_no_module_imports_inside_a_function():
     assert found == []
 
 
+def test_no_assert_statements_in_the_package():
+    """Invariants of src/gradedpi raise typed errors: python -O strips every
+    assert statement, so the package holds none."""
+    src = Path(__file__).resolve().parents[1] / "src" / "gradedpi"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 @pytest.mark.parametrize(
     "command, grading", [("validate", [1, 0]), ("classify", [1, 0]), ("witness", [1, 0, 0])]
 )

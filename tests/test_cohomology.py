@@ -450,6 +450,40 @@ def test_product_fold_refuses_a_factor_outside_the_subgroup(d4):
         assert c.product_exp([2, 4, 6]) == (c.exp(2, 4) + c.exp(d4.mul(2, 4), 6)) % 2
 
 
+def test_a_lookup_refuses_an_element_outside_the_subgroup(d4):
+    """exp and value name an element outside H, inside G or not, where the
+    local-index lookup raised a bare KeyError."""
+    klein = d4.subgroup([0, 2, 4, 6])
+    for c in (Cocycle2.trivial(klein, 2), klein_nontrivial_cocycle(klein)):
+        for a, b, bad in ((1, 0, 1), (0, 3, 3), (5, 7, 5), (2, 100, 100), (-1, 2, -1)):
+            for lookup in (c.exp, c.value):
+                with pytest.raises(NotSubgroupError, match=f"element {bad} "):
+                    lookup(a, b)
+        assert c.value(2, 4) == root_of_unity(2, c.exp(2, 4))
+
+
+@pytest.mark.parametrize(
+    "hs, sigma, error, match",
+    [
+        ((100,), (0,), NotSubgroupError, "factor 100 "),
+        ((2, -1), (1, 0), NotSubgroupError, "factor -1 "),
+        ((2, 4), (0, 5), BinomialConditionError, "not a permutation"),
+        ((2, 2), (0, 0), BinomialConditionError, "not a permutation"),
+        ((2, 4), (0,), BinomialConditionError, "not a permutation"),
+    ],
+    ids=["outside-G", "negative", "index-past-the-end", "repeated-index", "short-sigma"],
+)
+def test_binomial_inputs_are_checked_before_any_product(d4, hs, sigma, error, match):
+    """A factor outside H and a sigma that is no permutation of the positions
+    are refused by type, where the products read past the Cayley table or
+    returned a value."""
+    klein = d4.subgroup([0, 2, 4, 6])
+    c = klein_nontrivial_cocycle(klein)
+    with pytest.raises(error, match=match):
+        c.binomial_alpha_exp(hs, sigma)
+    assert c.binomial_alpha_exp((2, 4), (1, 0)) == (c.exp(2, 4) - c.exp(4, 2)) % 2
+
+
 def test_binomial_alpha_examples(k4):
     H = k4.full_subgroup()
     c = klein_nontrivial_cocycle(H)

@@ -22,6 +22,8 @@ from gradedpi.groups import FiniteGroup
 from gradedpi.polynomials import GradedPolynomial, monomial_polynomial, variables_for
 from gradedpi.scalars import CycScalar, root_of_unity
 
+from conftest import built_plans
+
 
 def gens(n, count):
     return [GrassmannElement.generator(n, i + 1) for i in range(count)]
@@ -453,26 +455,12 @@ def test_envelope_check_rejects_a_degree_outside_the_second_factor():
 # -- the parity-split trie ------------------------------------------------------------
 
 
-def _envelope_tries(monkeypatch, f, base, truncation):
-    """The (terms, edges) of every _prefix_trie call that one envelope check
-    makes, and the (coefficients, trie) it walks."""
-    built, walked = [], []
-    build, walk = polynomials._prefix_trie, polynomials._walk_paths
-
-    def capture_build(terms, edges):
-        built.append((terms, edges))
-        return build(terms, edges)
-
-    def capture_walk(algebra, coeffs, trie, radix, width, member_weights=()):
-        assert not member_weights
-        walked.append((coeffs, trie))
-        return walk(algebra, coeffs, trie, radix, width, member_weights)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(polynomials, "_prefix_trie", capture_build)
-        patch.setattr(polynomials, "_walk_paths", capture_walk)
-        envelope_identity_check(f, base, truncation)
-    return built, walked
+def _envelope_plans(monkeypatch, f, base, truncation):
+    """The WalkPlan of every walk that one envelope check makes, read after
+    the check; an envelope walk has no alternation classes."""
+    plans = built_plans(monkeypatch, lambda: envelope_identity_check(f, base, truncation))
+    assert all(plan.classes == plan.member_weights == [] for plan in plans)
+    return plans
 
 
 def _expanded_trie(f, terms, edges):
@@ -539,21 +527,20 @@ def test_split_trie_equals_the_trie_of_the_expanded_parity_paths(monkeypatch):
         f = _prefix_sharing_polynomials(rng, base, ng)
         if f.is_zero():
             continue
-        built, walked = _envelope_tries(monkeypatch, f, base, f.degree)
-        (terms, edges), = built
-        assert _entries(walked[0][1]) == _entries(_expanded_trie(f, terms, edges))
-        evens = {vid: alts[:1] for vid, alts in edges.items()}
-        entries = len(_entries(polynomials._prefix_trie(terms, evens)))
-        shared += entries < sum(len(order) for _, order in terms)
+        (plan,) = _envelope_plans(monkeypatch, f, base, f.degree)
+        assert _entries(plan.trie) == _entries(_expanded_trie(f, plan.terms, plan.edges))
+        evens = {vid: alts[:1] for vid, alts in plan.edges.items()}
+        entries = len(_entries(polynomials._prefix_trie(plan.terms, evens)))
+        shared += entries < sum(len(order) for _, order in plan.terms)
         degrees.add(f.degree)
     assert shared >= 20 and degrees == set(range(1, 7))
     zero = GradedPolynomial(variables_for([0, 1]), [])
-    built, walked = _envelope_tries(monkeypatch, zero, bases[0][0], 2)
-    assert [terms for terms, _ in built] == [[]] and walked == [([], [])]
+    (plan,) = _envelope_plans(monkeypatch, zero, bases[0][0], 2)
+    assert plan.terms == [] and (plan.coeffs, plan.trie) == ([], [])
 
 
 def test_an_envelope_check_builds_one_trie_over_its_monomials(monkeypatch):
-    """One _prefix_trie call per check, over exactly one term per monomial:
+    """One plan per check, whose trie is built over one term per monomial:
     the builder makes the parity alternatives' entries; no parity pattern is
     inserted as a path.  The walk's coefficients are one (c, -c) pair per
     distinct coefficient up to sign (1, i, -1, -i make two pairs); a -c that
@@ -569,9 +556,9 @@ def test_an_envelope_check_builds_one_trie_over_its_monomials(monkeypatch):
             variables_for([0, 1, 1]), [(root_of_unity(4, k), o) for k, o in enumerate(orders)]
         )
         f_coeffs = [m.coeff for m in f.monomials]
-        built, walked = _envelope_tries(monkeypatch, f, A, 4)
-        assert len(built) == 1 and len(built[0][0]) == len(f.monomials) == len(orders)
-        (coeffs, _), = walked
+        (plan,) = _envelope_plans(monkeypatch, f, A, 4)
+        assert len(plan.terms) == len(f.monomials) == len(orders)
+        coeffs = plan.coeffs
         pairs = {frozenset((c, -c)) for c in coeffs[::2]}
         assert len(coeffs) == 2 * len(pairs)
         assert pairs == {frozenset((m.coeff, -m.coeff)) for m in f.monomials}

@@ -53,6 +53,7 @@ from gradedpi.scalars import CycScalar, root_of_unity
 
 from conftest import (
     brute_is_identity,
+    built_plans,
     count_walks,
     klein_nontrivial_cocycle,
     random_multilinear,
@@ -109,6 +110,21 @@ def test_evaluate_degree_mismatch_names_variable(p_group_algebra_z2):
     f = monomial_polynomial(variables_for([1]), one())
     with pytest.raises(DegreeMismatchError, match="x1"):
         evaluate(f, A, {1: A.basis_element(0)})
+
+
+@pytest.mark.parametrize("degree", [100, 8, -1])
+def test_the_oracle_refuses_a_degree_outside_the_group(p_d4_klein, degree):
+    """A variable degree that is no element of D4 is named when the walk is
+    planned, by check_identity, evaluation_span and the factored product,
+    where an empty walk answered that f is an identity with span 0."""
+    A = build_algebra(p_d4_klein)
+    f = monomial_polynomial(variables_for([degree, 0]), one(2))
+    g = monomial_polynomial(variables_for([0], start_id=3), one(2))
+    for run in (check_identity, evaluation_span, accumulate_evaluations):
+        with pytest.raises(DegreeMismatchError, match=f"x1: degree {degree} "):
+            run(f, A)
+    with pytest.raises(DegreeMismatchError, match=f"x1: degree {degree} "):
+        check_identity(disjoint_product(f, g), A)
 
 
 def _evaluate_without_stop(f, A, assignment):
@@ -566,6 +582,16 @@ def test_alternate_mixed_degree_rejected():
     f = monomial_polynomial(vs, one())
     with pytest.raises(DegreeMismatchError):
         alternate(f, [1, 2])
+
+
+def test_alternate_refuses_an_id_outside_the_monomial():
+    """An alternation set with an id that is no variable of the monomial
+    raises NonMultilinearError before any degree is read, where an unknown id
+    raised a bare KeyError."""
+    f = monomial_polynomial(variables_for([0, 1]), one())
+    for var_ids in ([1, 7], [7], [2, 2]):
+        with pytest.raises(NonMultilinearError, match="alternation set must be variables"):
+            alternate(f, var_ids)
 
 
 def test_standard_polynomial_on_matrices():
@@ -1573,10 +1599,9 @@ def test_an_alternation_over_five_walks_one_term(monkeypatch):
     m2 = build_algebra(Presentation(c1, e1, Cocycle2.trivial(e1, 1), (0, 0)))
     f, _ = _capelli_shaped("xyxyxyxyx", 0, 0, one(1), x_least=True)
     assert len(f.monomials) == 120
-    built = _built_tries(monkeypatch, lambda: accumulate_evaluations(f, m2))
-    (terms, _, _), = built
-    assert len(terms) == 1
-    _assert_orbit_representatives(f, terms)
+    (plan,) = built_plans(monkeypatch, lambda: accumulate_evaluations(f, m2))
+    assert len(plan.terms) == 1
+    _assert_orbit_representatives(f, plan.terms)
 
 
 def test_class_state_is_restored_between_sibling_entries(monkeypatch):
@@ -1597,8 +1622,8 @@ def test_class_state_is_restored_between_sibling_entries(monkeypatch):
             f = alternate(monomial_polynomial(variables, coeff, (4, 1, 2, 3)), members) + alternate(
                 monomial_polynomial(variables, coeff + coeff, (4, 1, 3, 2)), members
             )
-            (_, _, trie), = _built_tries(monkeypatch, lambda: accumulate_evaluations(f, A))
-            (_, below_x1), = trie[0][1]
+            (plan,) = built_plans(monkeypatch, lambda: accumulate_evaluations(f, A))
+            (_, below_x1), = plan.trie[0][1]
             seen.add(tuple(type(per_row[0]) is list for per_row, _ in below_x1))
             brute = _assert_canonical_walk(f, A, [members])
             _assert_oracle_answers(f, A, brute)
@@ -1675,28 +1700,13 @@ def _assert_orbit_representatives(f: GradedPolynomial, terms) -> None:
             assert [vid for vid in order if vid in members] == members
 
 
-def _built_tries(monkeypatch, run) -> list:
-    """The (terms, edges, trie) of every trie that run builds."""
-    built = []
-    build = polynomials._prefix_trie
-
-    def capture(terms, edges):
-        trie = build(terms, edges)
-        built.append((terms, edges, trie))
-        return trie
-
-    with monkeypatch.context() as patch:
-        patch.setattr(polynomials, "_prefix_trie", capture)
-        run()
-    return built
-
-
 def test_prefix_trie_entries_leaves_and_orbit_representatives(k4, monkeypatch):
     """The _chained_keys fixtures without classes (twisted K4, nb = 16) and
     with them (one class, two interleaved classes, a class around a free
     variable), and one envelope term set, whose labels have an even and an
     odd alternative.  A polynomial with classes is walked on one monomial per
-    orbit."""
+    orbit.  Each walk's plan holds the classes that _alternation_classes
+    finds and their members' slot weights."""
     H = k4.full_subgroup()
     A = build_algebra(Presentation(k4, H, klein_nontrivial_cocycle(H), (0, 1)))
     rng = random.Random(16)
@@ -1726,13 +1736,16 @@ def test_prefix_trie_entries_leaves_and_orbit_representatives(k4, monkeypatch):
             accumulate_evaluations(f, M3)
         envelope_identity_check(envelope, base, 3)
 
-    built = _built_tries(monkeypatch, run)
+    built = built_plans(monkeypatch, run)
     assert len(built) == len(plain) + len(alternating) + 1
     classes = [polynomials._alternation_classes(f, _coefficient_terms(f)) for f in alternating]
     assert [len(c) for c in classes] == [1, 2, 1]
-    for terms, edges, trie in built:
-        _assert_trie(terms, edges, trie)
-    for f, (terms, _, _) in zip(plain + alternating, built):
-        _assert_orbit_representatives(f, terms)
+    assert [plan.classes for plan in built] == [[]] * len(plain) + classes + [[]]
+    for f, plan in zip(plain + alternating + [envelope], built):
+        _assert_trie(plan.terms, plan.edges, plan.trie)
+        slots = [f.var_ids().index(vid) for members in plan.classes for vid in members]
+        assert plan.member_weights == [plan.radix ** (plan.width - 1 - s) for s in slots]
+    for f, plan in zip(plain + alternating, built):
+        _assert_orbit_representatives(f, plan.terms)
     # The class of 3 fills the monomial, so its paths end on None.
-    assert built[len(plain)][0][0][1][-1] is None
+    assert built[len(plain)].terms[0][1][-1] is None
