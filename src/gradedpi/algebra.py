@@ -64,14 +64,20 @@ class Presentation(Record):
     def cosets(self) -> CosetDecomposition:
         return self.subgroup.right_cosets()
 
+    def coset_positions(self) -> tuple[tuple[int, ...], ...]:
+        """The tuple positions in each right coset of H, in cosets().reps
+        order and in tuple order within a coset (empty for a coset the tuple
+        misses).  Built on each call."""
+        cosets = self.cosets()
+        out: list[list[int]] = [[] for _ in cosets.reps]
+        for i, g in enumerate(self.grading):
+            out[cosets.coset_of[g]].append(i)
+        return tuple(map(tuple, out))
+
     def coset_multiplicities(self) -> dict[int, int]:
         """Map canonical right-coset representative -> multiplicity in the tuple
         (all representatives appear, possibly with multiplicity 0)."""
-        cosets = self.cosets()
-        out = {rep: 0 for rep in cosets.reps}
-        for g in self.grading:
-            out[cosets.rep_of(g)] += 1
-        return out
+        return dict(zip(self.cosets().reps, map(len, self.coset_positions())))
 
 
 class GradedAlgebra:
@@ -438,23 +444,19 @@ def block_structure(p: Presentation) -> BlockStructure:
             raise HypothesisError(
                 f"tuple entry {g} is not a canonical coset representative"
             )
-    reps: list[int] = []
-    positions: list[list[int]] = []
-    block_of = []
-    for i, g in enumerate(p.grading):
-        if reps and reps[-1] == g:
-            positions[-1].append(i)
-        else:
-            if g in reps:
-                raise HypothesisError("equal coset reps must occupy adjacent positions")
-            reps.append(g)
-            positions.append([i])
-        block_of.append(len(reps) - 1)
-    missing = set(cosets.reps) - set(reps)
+    positions = p.coset_positions()
+    # Disjoint and nonempty, so sorting orders the blocks by first position.
+    blocks = sorted(pos for pos in positions if pos)
+    if any(pos[-1] - pos[0] >= len(pos) for pos in blocks):
+        raise HypothesisError("equal coset reps must occupy adjacent positions")
+    missing = [rep for rep, pos in zip(cosets.reps, positions) if not pos]
     if missing:
-        raise HypothesisError(f"cosets {sorted(missing)} are not represented")
+        raise HypothesisError(f"cosets {missing} are not represented")
     return BlockStructure(
-        tuple(reps), tuple(tuple(pos) for pos in positions), tuple(block_of), cosets
+        tuple(p.grading[pos[0]] for pos in blocks),
+        tuple(blocks),
+        tuple(b for b, pos in enumerate(blocks) for _ in pos),
+        cosets,
     )
 
 
@@ -486,11 +488,7 @@ def is_crossed_product(algebra: GradedAlgebra) -> CrossedProductResult:
     H r g give g_i g g_j^-1 in H."""
     p = algebra.presentation
     G = p.group
-    cosets = p.cosets()
-    # Positions per coset index, in tuple order.
-    pos_by_coset: list[list[int]] = [[] for _ in cosets.reps]
-    for i, g in enumerate(p.grading):
-        pos_by_coset[cosets.coset_of[g]].append(i)
+    pos_by_coset = p.coset_positions()
     if len({len(pos) for pos in pos_by_coset}) != 1:
         return CrossedProductResult(False)
     steps = coset_steps(p.subgroup)

@@ -32,7 +32,7 @@ from .errors import (
     NonMultilinearError,
     VerificationFailedError,
 )
-from .groups import equivalence_classes_tilde
+from .groups import coset_steps, equivalence_classes_tilde
 from .polynomials import (
     GradedPolynomial,
     GradedVariable,
@@ -347,40 +347,26 @@ def _alternating_witness(np: Presentation, kind: str) -> WitnessPair:
 
 
 def _tilde_class_witness(np: Presentation) -> WitnessPair:
-    """Equal multiplicities but H not normal: reorder blocks so equivalent
-    coset representatives are adjacent and bridge equivalent neighbors through
-    subgroup elements."""
-    G = np.group
+    """Equal multiplicities but H not normal: reorder the blocks so that the
+    coset representatives of each ~ class are adjacent, in class order, and
+    bridge each pair of neighbors r_a, r_b of one class by the least h in H
+    with r_a t = h r_b for some t in H, read off r_a's coset_steps row, so
+    that r_a^-1 h r_b = t lies in H.  Neighbors in two classes get h = 1."""
     H = np.subgroup
-    cosets = np.cosets()
-    classes = equivalence_classes_tilde(H, cosets)
-    bs = block_structure(np)
-    block_order: list[int] = []
-    for cls in classes:
-        for rep in cls:
-            block_order.append(bs.reps.index(rep))
-    perm: list[int] = []
-    for b in block_order:
-        perm.extend(bs.positions[b])
-    pres_w = apply_move(np, M1(tuple(perm)))
-    bs_w = block_structure(pres_w)
-    class_of = {}
-    for idx, cls in enumerate(classes):
-        for rep in cls:
-            class_of[rep] = idx
+    coset_of = np.cosets().coset_of
+    positions = np.coset_positions()
+    steps = coset_steps(H)
+    classes = equivalence_classes_tilde(H)
+    perm = [i for cls in classes for rep in cls for i in positions[coset_of[rep]]]
     bridges = []
-    for b in range(bs_w.k - 1):
-        ra, rb = bs_w.reps[b], bs_w.reps[b + 1]
-        if class_of[ra] == class_of[rb]:
-            hhat = next(
-                h
-                for h in H.members
-                if G.mul(G.mul(G.inv(ra), h), rb) in H.member_set
-            )
-            bridges.append(hhat)
-        else:
-            bridges.append(0)
-    return _shifted_pair("non_normal", pres_w, *_alternating_factor(pres_w, bridges, start_id=1))
+    for cls in classes:
+        for ra, rb in zip(cls, cls[1:]):
+            row, b = steps[coset_of[ra]], coset_of[rb]
+            bridges.append(min(row[t][0] for t in H.members if row[t][1] == b))
+        bridges.append(0)
+    pres_w = apply_move(np, M1(tuple(perm)))
+    factor = _alternating_factor(pres_w, bridges[:-1], start_id=1)
+    return _shifted_pair("non_normal", pres_w, *factor)
 
 
 # -- verification -----------------------------------------------------------------

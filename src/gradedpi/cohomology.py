@@ -63,7 +63,7 @@ solve.
 from __future__ import annotations
 
 from itertools import permutations, product
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -647,14 +647,6 @@ def coboundary_or_obstruction(
     return (system or CoboundarySystem(c.subgroup)).decide(c)
 
 
-def subgroup_exponent(H: Subgroup) -> int:
-    out = 1
-    for h in H.members:
-        o = H.parent.element_order(h)
-        out = out * o // gcd(out, o)
-    return out
-
-
 def class_modulus(c: Cocycle2) -> int:
     """Root order sufficient to witness triviality of [c] in H^2(H, F*).
 
@@ -663,7 +655,8 @@ def class_modulus(c: Cocycle2) -> int:
     (N * exp(H))-th roots of unity.  Deciding class triviality therefore only
     needs the congruence solve at that lifted modulus.
     """
-    return c.modulus * subgroup_exponent(c.subgroup)
+    H = c.subgroup
+    return c.modulus * lcm(*map(H.parent.element_order, H.members))
 
 
 def is_trivial_class(c: Cocycle2, system: Optional[CoboundarySystem] = None) -> bool:
@@ -691,7 +684,7 @@ def classes_cohomologous(
         raise CocycleError("cocycles live on different subgroups")
     if c1.modulus == c2.modulus and c1.exps == c2.exps:
         return True  # the quotient is d(0)
-    n = c1.modulus * c2.modulus // gcd(c1.modulus, c2.modulus)
+    n = lcm(c1.modulus, c2.modulus)
     return is_trivial_class(c1.with_modulus(n).quotient_exps(c2.with_modulus(n)), system)
 
 

@@ -41,6 +41,15 @@ generated by the s t s^-1 and lies in H when they do.  The x with
 x H x^-1 inside H hold the identity and are closed under products
 (xy H y^-1 x^-1 lies in x H x^-1), so they hold every product of the
 generators of G, which is every element.
+
+The paper's relation on right-coset representatives, g_i ~ g_j iff
+g_i^-1 H g_j meets H, says h g_j = g_i t for some h, t in H, that is
+H g_i H = H g_j H: the classes are the double cosets of H
+(equivalence_classes_tilde).  The double coset H g H is the union of the
+right cosets H g t for t in H, so each class is the orbit of one right coset
+under right multiplication by H, read off that coset's row of the step table
+coset_steps(H), whose entry steps[i][t] = (h, j) says r_i t = h r_j.  The
+same entries give the h of a relation: h g_j = g_i t with t in H.
 """
 
 from __future__ import annotations
@@ -465,26 +474,12 @@ def coset_steps(H: Subgroup) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
-def equivalence_classes_tilde(H: Subgroup, cosets: CosetDecomposition) -> list[list[int]]:
-    """Partition of the coset representatives under g_i ~ g_j iff
-    g_i^-1 H g_j meets H.  Classes come out sorted by (size, smallest rep);
+def equivalence_classes_tilde(H: Subgroup) -> list[list[int]]:
+    """Partition of the right-coset representatives under g_i ~ g_j iff
+    g_i^-1 H g_j meets H, that is iff H g_i H = H g_j H (module docstring).
+    Each class is the orbit of a coset under right multiplication by H, read
+    off one coset_steps row.  Classes come out sorted by (size, smallest rep);
     when H is normal every class is a singleton."""
-    g = H.parent
-    reps = cosets.reps
-
-    def related(a: int, b: int) -> bool:
-        ia = g.inv(a)
-        return any(g.mul(g.mul(ia, h), b) in H.member_set for h in H.members)
-
-    unassigned = list(reps)
-    classes: list[list[int]] = []
-    while unassigned:
-        seed = unassigned.pop(0)
-        cls = [seed]
-        rest = []
-        for x in unassigned:
-            (cls if related(seed, x) else rest).append(x)
-        unassigned = rest
-        classes.append(sorted(cls))
-    classes.sort(key=lambda c: (len(c), c[0]))
-    return classes
+    reps = H.right_cosets().reps
+    orbits = {tuple(sorted({row[t][1] for t in H.members})) for row in coset_steps(H)}
+    return sorted(([reps[j] for j in orbit] for orbit in orbits), key=lambda c: (len(c), c[0]))

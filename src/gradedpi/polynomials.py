@@ -94,6 +94,7 @@ of the same shape (GradedPolynomial.shape) have one span, from one walk.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, permutations
 from math import gcd, lcm
 from operator import add, ne, neg
@@ -928,6 +929,7 @@ def good_permutations_of(degrees: Sequence[int], H: Subgroup) -> Iterator[tuple[
     """All sigma with Z_sigma a good permutation of Z (identity included),
     generated by a prefix-coset DFS in lexicographic order: at each depth it
     scans only the positions that leave the current coset in the word."""
+    _check_letters(degrees, H.parent)
     table = H.parent.table
     cosets = H.right_cosets()
     n = len(degrees)
@@ -963,6 +965,7 @@ def good_binomial(
     degrees: Sequence[int], sigma: Sequence[int], scalar: CycScalar, start_id: int = 1
 ) -> GradedPolynomial:
     """Z - scalar * Z_sigma on fresh variables with the given degrees."""
+    _check_sigma(sigma, len(degrees))
     variables = variables_for(degrees, start_id)
     base = tuple(v.vid for v in variables)
     permuted = tuple(variables[s].vid for s in sigma)
@@ -996,6 +999,7 @@ class GoodScalarContext:
     def transversal_walk(self, degrees: Sequence[int]) -> list[int]:
         """The H-elements f_i = [t_1...t_(i-1)] t_i [t_1...t_i]^-1, [g] the
         representative of Hg: one coset_steps step per letter, from H."""
+        _check_letters(degrees, self.presentation.group)
         steps = self.steps
         i = 0
         out = []
@@ -1006,12 +1010,28 @@ class GoodScalarContext:
 
     def scalar_exp(self, degrees: Sequence[int], sigma: Sequence[int]) -> int:
         fs = self.transversal_walk(degrees)
+        _check_sigma(sigma, len(fs))
         permuted = [fs[s] for s in sigma]
         c = self.cocycle
         return (c.product_exp(fs) - c.product_exp(permuted)) % c.modulus
 
     def scalar(self, degrees: Sequence[int], sigma: Sequence[int]) -> CycScalar:
         return root_of_unity(self.cocycle.modulus, self.scalar_exp(degrees, sigma))
+
+
+def _check_letters(degrees: Sequence[int], G: FiniteGroup) -> None:
+    """Refuse a degree word with a letter outside G, which indexing would
+    read as another element (-1 as the last one) or fail on."""
+    order = G.order
+    for t in degrees:
+        if not 0 <= t < order:
+            p = degrees.index(t)
+            raise DegreeMismatchError(f"letter {p}: degree {t} is not an element of the group")
+
+
+def _check_sigma(sigma: Sequence[int], n: int) -> None:
+    if sorted(sigma) != list(range(n)):
+        raise HypothesisError("sigma is not a permutation of the positions of the degree word")
 
 
 def good_permutation_scalar(
@@ -1021,6 +1041,7 @@ def good_permutation_scalar(
     algebra, for sigma a good permutation of the degree word: a permutation
     whose monomial signature is the identity order's."""
     ctx = GoodScalarContext(presentation)
+    _check_letters(degrees, presentation.group)
     H, n = presentation.subgroup, len(degrees)
     if sorted(sigma) != list(range(n)) or monomial_signature(
         sigma, degrees, H
@@ -1054,7 +1075,14 @@ def _vanishing_pattern(f: GradedPolynomial, algebra: GradedAlgebra) -> tuple[boo
 def path_vanishes(f: GradedPolynomial, algebra: GradedAlgebra, start_block: int) -> bool:
     """True iff f vanishes on all basis evaluations whose leading variable is
     rooted in the given e-block row range."""
-    return _vanishing_pattern(f, algebra)[start_block]
+    pattern = _vanishing_pattern(f, algebra)
+    _check_block(start_block, len(pattern))
+    return pattern[start_block]
+
+
+def _check_block(start_block: int, k: int) -> None:
+    if not 0 <= start_block < k:
+        raise HypothesisError(f"start block {start_block} is not in 0..{k - 1}")
 
 
 def _path_block_structure(f: GradedPolynomial, algebra: GradedAlgebra) -> BlockStructure:
@@ -1101,17 +1129,12 @@ class PathRestriction:
         return check_identity(poly, algebra).identity
 
 
-_MATRIX_ALGEBRAS: dict[tuple[int, int], GradedAlgebra] = {}
-
-
+@cache
 def _matrix_algebra(r: int, modulus: int) -> GradedAlgebra:
-    key = (r, modulus)
-    if key not in _MATRIX_ALGEBRAS:
-        trivial = FiniteGroup.cyclic(1)
-        sub = trivial.full_subgroup()
-        pres = Presentation(trivial, sub, Cocycle2.trivial(sub, modulus), (0,) * r)
-        _MATRIX_ALGEBRAS[key] = build_algebra(pres)
-    return _MATRIX_ALGEBRAS[key]
+    trivial = FiniteGroup.cyclic(1)
+    sub = trivial.full_subgroup()
+    pres = Presentation(trivial, sub, Cocycle2.trivial(sub, modulus), (0,) * r)
+    return build_algebra(pres)
 
 
 def path_restriction(
@@ -1124,6 +1147,7 @@ def path_restriction(
     bs = _path_block_structure(f, algebra)
     if not bs.equal_multiplicity:
         raise HypothesisError("path restriction requires equal block multiplicities")
+    _check_block(start_block, bs.k)
     p = algebra.presentation
     steps = coset_steps(p.subgroup)
     c = p.cocycle

@@ -214,6 +214,35 @@ def test_block_structure_requires_grouping(z2):
         block_structure(p)
 
 
+def test_coset_positions_and_the_block_structure_errors(d3):
+    """coset_positions lists each right coset's tuple positions in rep order;
+    block_structure reads its blocks off them, and names each way a tuple
+    fails to be grouped.  H = {e, s} in D3 has the reps 0, 1 and 2, and 4
+    lies in the coset of 1."""
+    H = d3.generated_subgroup([3])
+    cosets = H.right_cosets()
+    assert cosets.reps == (0, 1, 2)
+    p = Presentation(d3, H, Cocycle2.trivial(H, 1), (4, 0, 1, 5, 1))
+    assert p.coset_positions() == ((1,), (0, 2, 4), (3,))
+    assert p.coset_multiplicities() == {0: 1, 1: 3, 2: 1}
+    bs = block_structure(Presentation(d3, H, Cocycle2.trivial(H, 1), (1, 1, 0, 2, 2)))
+    assert bs.reps == (1, 0, 2)
+    assert bs.positions == ((0, 1), (2,), (3, 4))
+    assert bs.block_of == (0, 0, 1, 2, 2)
+    assert bs.cosets is cosets
+    for grading, message in [
+        ((0, 4), "tuple entry 4 is not a canonical coset representative"),
+        ((0, 1, 0, 2), "equal coset reps must occupy adjacent positions"),
+        ((0, 1, 0), "equal coset reps must occupy adjacent positions"),
+        ((1, 1, 0), "cosets [2] are not represented"),
+        ((2,), "cosets [0, 1] are not represented"),
+    ]:
+        p = Presentation(d3, H, Cocycle2.trivial(H, 1), grading)
+        with pytest.raises(HypothesisError) as err:
+            block_structure(p)
+        assert str(err.value) == message
+
+
 def test_equivalence_respects_moves(p_z2_unbalanced, z2):
     rng = random.Random(17)
     p = p_z2_unbalanced

@@ -158,11 +158,11 @@ def test_coset_steps_match_their_definition():
 def test_tilde_classes_examples():
     d3 = FiniteGroup.dihedral(3)
     refl = d3.generated_subgroup([3])
-    classes = equivalence_classes_tilde(refl, refl.right_cosets())
+    classes = equivalence_classes_tilde(refl)
     assert [len(c) for c in classes] == [1, 2]
     # trivial subgroup: all singletons
     triv = d3.trivial_subgroup()
-    classes = equivalence_classes_tilde(triv, triv.right_cosets())
+    classes = equivalence_classes_tilde(triv)
     assert all(len(c) == 1 for c in classes)
 
 
@@ -177,8 +177,47 @@ def test_normal_iff_tilde_singletons_on_small_zoo():
     ]
     for g in zoo:
         for H in g.all_subgroups():
-            classes = equivalence_classes_tilde(H, H.right_cosets())
+            classes = equivalence_classes_tilde(H)
             assert H.is_normal() == all(len(c) == 1 for c in classes), (g, H.members)
+
+
+def _pairwise_tilde_classes(H):
+    """The ~ classes by their definition: g_i ~ g_j iff g_i^-1 h g_j lies in
+    H for some h in H, scanned pair by pair against each class's first rep."""
+    g = H.parent
+    classes = []
+    for r in H.right_cosets().reps:
+        for cls in classes:
+            if any(g.mul(g.mul(g.inv(cls[0]), h), r) in H for h in H.members):
+                cls.append(r)
+                break
+        else:
+            classes.append([r])
+    return sorted(classes, key=lambda c: (len(c), c[0]))
+
+
+def test_tilde_classes_match_the_pairwise_definition():
+    """The classes read off the step table are the pairwise scan's, on every
+    subgroup of the groups of order <= 16 below and on the subgroups of S4
+    generated by one or two elements."""
+    zoo = _ac11_zoo() + [
+        FiniteGroup.dihedral(5),
+        FiniteGroup.dihedral(6),
+        FiniteGroup.dihedral(8),
+        FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.dihedral(4)),
+    ]
+    subgroups = [H for g in zoo for H in g.all_subgroups()]
+    s4 = FiniteGroup.symmetric(4)
+    subgroups += sorted(
+        {s4.generated_subgroup([a, b]) for a in s4.elements() for b in s4.elements()},
+        key=lambda H: H.members,
+    )
+    non_normal = 0
+    for H in subgroups:
+        classes = equivalence_classes_tilde(H)
+        assert classes == _pairwise_tilde_classes(H), (H.parent, H.members)
+        non_normal += not H.is_normal()
+    assert non_normal > 20
 
 
 def test_direct_product_structure():

@@ -755,6 +755,37 @@ def test_not_good_permutation_rejected(p_d4_klein):
         good_permutation_scalar((1, 0), (1, 0), p_d4_klein)
 
 
+def test_the_scalar_refuses_a_sigma_that_is_not_a_permutation(p_d4_klein):
+    """A repeated position and a short sigma gave the scalar 1, and a
+    position past the word raised IndexError."""
+    ctx = GoodScalarContext(p_d4_klein)
+    assert ctx.scalar((2, 4), (1, 0)) == root_of_unity(2, 1)
+    for sigma in ((0, 0), (1,), (0, 5)):
+        for call in (ctx.scalar, ctx.scalar_exp):
+            with pytest.raises(HypothesisError, match="sigma is not a permutation"):
+                call((2, 4), sigma)
+
+
+def test_degree_words_refuse_a_letter_outside_the_group(p_d4_klein):
+    """-1 was read as the element 7 (transversal_walk gave [0, 6], and
+    good_permutations_of gave [(0, 1)]), and 9 raised IndexError;
+    good_permutation_scalar called the swap not good, or raised IndexError."""
+    ctx = GoodScalarContext(p_d4_klein)
+    H = p_d4_klein.subgroup
+    for word in ((0, -1), (0, 9)):
+        message = f"letter 1: degree {word[1]} is not an element of the group"
+        with pytest.raises(DegreeMismatchError, match=message):
+            ctx.transversal_walk(word)
+        with pytest.raises(DegreeMismatchError, match=message):
+            ctx.scalar(word, (0, 1))
+        with pytest.raises(DegreeMismatchError, match=message):
+            list(good_permutations_of(word, H))
+        with pytest.raises(DegreeMismatchError, match=message):
+            good_permutation_scalar(word, (1, 0), p_d4_klein)
+    with pytest.raises(HypothesisError, match="sigma is not a permutation"):
+        good_binomial((0, 1), (0, 5), one(2))
+
+
 def test_good_scalar_decides_goodness_without_the_permutation_list(p_k4_twisted, monkeypatch):
     """A length-10 word over H = G: every permutation is good, and the scalar
     comes from two monomial signatures, not from the 10! good permutations."""
@@ -901,6 +932,18 @@ def test_path_requires_normal_subgroup(p_d3_reflection):
     f = commutator([0, 0], 1)
     with pytest.raises(NotNormalError):
         path_vanishes(f, A, 0)
+
+
+def test_path_machinery_refuses_a_block_outside_the_range(p_d4_klein):
+    """-1 answered for block 1 (path_restriction kept start_block == -1),
+    and 2 and 5 raised IndexError; the tuple has blocks 0 and 1."""
+    A = build_algebra(p_d4_klein)
+    f = commutator([0, 0], 2)
+    assert [path_restriction(f, A, b).start_block for b in (0, 1)] == [0, 1]
+    for b in (-1, 2, 5):
+        for call in (path_vanishes, path_restriction):
+            with pytest.raises(HypothesisError, match=rf"start block {b} is not in 0\.\.1"):
+                call(f, A, b)
 
 
 def test_path_requires_pure_input(p_z2_balanced):
