@@ -79,6 +79,21 @@ class Presentation(Record):
         (all representatives appear, possibly with multiplicity 0)."""
         return dict(zip(self.cosets().reps, map(len, self.coset_positions())))
 
+    def support(self) -> frozenset[int]:
+        """The degrees g_i^-1 h g_j, h in H, of the presented algebra's basis,
+        with no algebra built.  They are read off the Cayley rows of each
+        distinct g_i^-1, as GradedAlgebra reads its degrees: the left coset
+        g_i^-1 H first, then each of its elements times each distinct g_j."""
+        G = self.group
+        table, members, entries = G.table, self.subgroup.members, set(self.grading)
+        left = {row[h] for row in [table[G.inv(g)] for g in entries] for h in members}
+        return frozenset([table[x][g] for x in left for g in entries])
+
+    def is_connected(self) -> bool:
+        """Whether the support generates the group, the paper's standing
+        hypothesis on a grading."""
+        return self.group.generates(self.support())
+
 
 class GradedAlgebra:
     """Materialized algebra with an indexed homogeneous basis."""
@@ -164,11 +179,14 @@ class GradedAlgebra:
         return vec_clean(out)
 
     def support(self) -> frozenset[int]:
-        return frozenset(g for g, comp in self.components.items() if comp)
+        """The degrees of the nonzero components: Presentation.support, the
+        one definition, which the components' keys equal."""
+        return self.presentation.support()
 
     def is_connected(self) -> bool:
-        gen = self.group.generated_subgroup(self.support())
-        return len(gen) == self.group.order
+        """Whether the support generates the group (Presentation.is_connected,
+        which needs no algebra)."""
+        return self.presentation.is_connected()
 
     # -- elements ------------------------------------------------------------
 

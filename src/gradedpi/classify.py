@@ -21,7 +21,6 @@ from .algebra import (
     apply_move,
     block_structure,
     build_algebra,
-    is_graded_division,
     normalize_presentation,
 )
 from .cohomology import CoboundaryObstruction, invariance_obstruction
@@ -132,13 +131,16 @@ def classify(p: Presentation, with_witness: bool = False) -> ClassificationRepor
 
     The presentation is normalized first; all flags are invariant under the
     presentation moves, and every valid connected presentation yields a graded
-    simple algebra, so verbally_prime is structural.  With with_witness, the
-    normal form and the algebra built from it are handed to the witness
-    construction, which neither normalizes nor builds them again.
+    simple algebra, so verbally_prime is structural.  Every flag is read off
+    the normal form, and no algebra is built: connectivity is
+    Presentation.is_connected, and graded_division is m = 1, all that
+    is_graded_division tests.  With with_witness, the normal form and its
+    coset multiplicities are handed to the witness construction, which
+    computes neither again.
     """
     np = normalize_presentation(p)
-    algebra = build_algebra(np)
-    if not algebra.is_connected():
+    np.cocycle.require_valid()
+    if not np.is_connected():
         raise DisconnectedGradingError(
             "the support of the grading does not generate the group"
         )
@@ -160,14 +162,14 @@ def classify(p: Presentation, with_witness: bool = False) -> ClassificationRepor
         # is_crossed_product holds exactly when the multiplicities are equal
         # (its docstring has the proof).
         crossed_product=cosets_equal,
-        graded_division=is_graded_division(algebra),
+        graded_division=np.size == 1,
         verbally_prime=True,
         strongly_verbally_prime=strongly,
         division_form_exists=strongly,
         invariance_failure=failure,
     )
     if with_witness and not strongly:
-        report.witness = _witness_of_normal(np, algebra)
+        report.witness = _witness_of_normal(np, mults)
     return report
 
 
@@ -280,24 +282,22 @@ def witness_nonstrong(p: Presentation) -> Optional[WitnessPair]:
     presentation is strongly verbally prime.
 
     p is normalized here; classify(p, with_witness=True) hands its own normal
-    form and algebra to the same construction instead."""
-    return _witness_of_normal(normalize_presentation(p), None)
+    form and multiplicities to the same construction instead."""
+    np = normalize_presentation(p)
+    return _witness_of_normal(np, np.coset_multiplicities())
 
 
-def _witness_of_normal(
-    np: Presentation, algebra: Optional[GradedAlgebra]
-) -> Optional[WitnessPair]:
-    """witness_nonstrong on a normalized presentation.  algebra, when given,
-    is build_algebra(np); it is built here only for a missing coset, the one
-    construction that reads it."""
-    mults = np.coset_multiplicities()
-    missing = [rep for rep, n in mults.items() if n == 0]
-    if missing:
-        return _missing_coset_witness(
-            np, algebra if algebra is not None else build_algebra(np)
-        )
+def _witness_of_normal(np: Presentation, mults: dict[int, int]) -> Optional[WitnessPair]:
+    """witness_nonstrong on a normalized presentation np, given
+    mults = np.coset_multiplicities(), which its caller has computed.  An
+    algebra is built only for a missing coset, the one construction that
+    reads it."""
+    if 0 in mults.values():
+        return _missing_coset_witness(np, build_algebra(np))
     if len(set(mults.values())) != 1:
-        return _alternating_witness(np, "unequal_blocks")
+        # No coset is missing, so each is one block; neighbors get h = 1.
+        factor = _alternating_factor(np, [0] * (len(mults) - 1), start_id=1)
+        return _shifted_pair("unequal_blocks", np, *factor)
     if not np.subgroup.is_normal():
         return _tilde_class_witness(np)
     return None
@@ -338,12 +338,6 @@ def _shifted_pair(
     )
     assignment_g = {vid + shift: t for vid, t in assignment_f.items()}
     return WitnessPair(kind, pres, f, g, assignment_f, assignment_g)
-
-
-def _alternating_witness(np: Presentation, kind: str) -> WitnessPair:
-    bs = block_structure(np)
-    bridges = [0] * (bs.k - 1)
-    return _shifted_pair(kind, np, *_alternating_factor(np, bridges, start_id=1))
 
 
 def _tilde_class_witness(np: Presentation) -> WitnessPair:

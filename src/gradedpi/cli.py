@@ -23,7 +23,6 @@ from .algebra import (
     build_algebra,
     normalize_presentation,
     presentations_equivalent,
-    support,
 )
 from .classify import ClassificationReport, classify, verify_witness
 from .cohomology import CoboundaryObstruction, Cocycle2
@@ -441,13 +440,13 @@ def _cmd_validate(doc: SessionDocument) -> tuple[str, int]:
             {"valid": False, "violations": [str(v) for v in violations]},
         )
         return text, 2
-    algebra = build_algebra(doc.presentation)
-    rep = support(algebra)
+    p = doc.presentation
+    # dim F^cH (x) M_m(F) = |H| m^2; no algebra is built for the report.
     machine = {
         "valid": True,
-        "dimension": algebra.dim,
-        "connected": rep.connected,
-        "support": sorted(rep.support),
+        "dimension": len(p.subgroup) * p.size**2,
+        "connected": p.is_connected(),
+        "support": sorted(p.support()),
     }
     lines = [(k, machine[k]) for k in ("valid", "dimension", "connected", "support")]
     return _emit(lines, machine), 0

@@ -73,7 +73,7 @@ from .errors import (
     NotSubgroupError,
     VerificationFailedError,
 )
-from .groups import Subgroup, right_generators
+from .groups import Subgroup
 from .records import Record
 from .scalars import CycScalar, root_of_unity
 
@@ -204,7 +204,7 @@ class Cocycle2:
 
     def _is_cocycle(self) -> bool:
         """Normalization, and the identity only for s in a generating set S
-        of H (right_generators):
+        of H (H.generators()):
             c(a, s) c(as, b) = c(a, sb) c(s, b)   for all a, b in H,
         |H|^2 |S| checks instead of |H|^3.  That suffices (Light's argument
         on the twisted group algebra F^cH): the t with (xt)y = x(ty) for all
@@ -220,7 +220,7 @@ class Cocycle2:
         E = self.exponent_table()
         mul = H.parent.table
         members = H.members
-        for s in right_generators(mul, 0, members):
+        for s in H.generators():
             row_s, mul_s = E[s], mul[s]
             for a in members:
                 row_a, row_as, exp_as = E[a], E[mul[a][s]], E[a][s]
@@ -536,7 +536,9 @@ class CoboundarySystem:
     def __init__(self, subgroup: Subgroup):
         mul = subgroup.local_table()
         n = len(mul)
-        gens = right_generators(mul)
+        # Local order is member order, so these are the greedy generators of
+        # the local table.
+        gens = [subgroup.local_index(s) for s in subgroup.generators()]
         k = len(gens)
         coefs: list[Optional[tuple[int, ...]]] = [None] * n
         coefs[0] = (0,) * k

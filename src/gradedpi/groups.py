@@ -25,7 +25,10 @@ member of S is a product t1 ... tk of them, and the x with S x inside S hold
 the identity and are closed under products (S xy = (S x) y lies in S y, so in
 S).  When S is a subgroup there are at most log2 |S| generators, so the test
 costs |S| log2 |S| products instead of |S|^2.  A finite set closed under
-products is a subgroup.
+products is a subgroup.  Each set of greedy generators is computed once: a
+Subgroup keeps the ones its closure check finds, and FiniteGroup.generators()
+computes the group's on its first call.  The normality test, the cocycle
+check and the coboundary system read them there.
 
 The subgroup generated by a set X is the closure of the identity under right
 multiplication by X (generated_subgroup): the closure is closed under
@@ -65,7 +68,7 @@ MAX_ORDER = 64
 class FiniteGroup:
     """A finite group given by its multiplication table on 0..order-1."""
 
-    __slots__ = ("order", "table", "_inv", "name", "product_factors")
+    __slots__ = ("order", "table", "_inv", "_gens", "name", "product_factors")
 
     def __init__(self, table, name: str = "G", product_factors=None, *, _trusted=False):
         """_trusted: the caller, a constructor of this class, built the table
@@ -79,6 +82,7 @@ class FiniteGroup:
         self.table = rows
         self.name = name
         self.product_factors = product_factors
+        self._gens = None
         try:
             self._inv = tuple([row.index(0) for row in rows])
         except ValueError:
@@ -103,6 +107,14 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
+
+    def generators(self) -> tuple[int, ...]:
+        """The greedy right generators of the group (right_generators), at
+        most log2 of its order of them.  Computed on the first call, and the
+        same tuple on every later one."""
+        if self._gens is None:
+            self._gens = tuple(right_generators(self.table))
+        return self._gens
 
     def product_seq(self, seq) -> int:
         out = 0
@@ -140,7 +152,9 @@ class FiniteGroup:
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
         _check_order(n)
-        table = [tuple(range(a, n)) + tuple(range(a)) for a in range(n)]
+        # Row a is a, a+1, ..., n-1, 0, ..., a-1: a slice of 0..n-1 twice.
+        twice = tuple(range(n)) * 2
+        table = [twice[a : a + n] for a in range(n)]
         return cls(table, name=f"C{n}", _trusted=True)
 
     @classmethod
@@ -209,6 +223,12 @@ class FiniteGroup:
         under right multiplication by them (module docstring)."""
         return Subgroup(self, _right_closure(self.table, 0, generators)[1])
 
+    def generates(self, elements) -> bool:
+        """Whether elements generate the group: the closure that
+        generated_subgroup takes reaches every element.  No subgroup is
+        built."""
+        return len(_right_closure(self.table, 0, elements)[1]) == self.order
+
     def all_subgroups(self) -> list["Subgroup"]:
         """Every subgroup, by brute-force closure over subsets. Order <= 16 only."""
         if self.order > 16:
@@ -220,19 +240,21 @@ class FiniteGroup:
         for d in divisors:
             for extra in combinations(rest, d - 1):
                 members = (0,) + extra
-                if _closed(self, members):
+                if _closure_generators(self, members) is not None:
                     found.add(members)
         return [Subgroup(self, m) for m in sorted(found, key=lambda m: (len(m), m))]
 
 
-def _closed(group: FiniteGroup, members) -> bool:
-    """True iff members, which hold the identity, are closed under products:
-    checked on their greedy right generators (module docstring)."""
+def _closure_generators(group: FiniteGroup, members) -> tuple[int, ...] | None:
+    """The greedy right generators of members, which hold the identity, when
+    they are closed under products, else None: closure is checked on those
+    generators (module docstring)."""
     ms = frozenset(members)
     rows = [group.table[a] for a in members]
-    return all(
-        row[t] in ms for t in right_generators(group.table, 0, members) for row in rows
-    )
+    gens = tuple(right_generators(group.table, 0, members))
+    if all(row[t] in ms for t in gens for row in rows):
+        return gens
+    return None
 
 
 def _check_order(n: int) -> None:
@@ -338,7 +360,7 @@ def _relabel(rows, e: int):
 class Subgroup:
     """A validated subgroup, stored as the sorted tuple of its members."""
 
-    __slots__ = ("parent", "members", "member_set", "_local", "_table", "_cosets")
+    __slots__ = ("parent", "members", "member_set", "_gens", "_local", "_table", "_cosets")
 
     def __init__(self, parent: FiniteGroup, members):
         ms = tuple(sorted(set(members)))
@@ -347,7 +369,8 @@ class Subgroup:
         for a in ms:
             if not (0 <= a < parent.order):
                 raise NotSubgroupError(f"member {a} out of range")
-        if not _closed(parent, ms):
+        gens = _closure_generators(parent, ms)
+        if gens is None:
             for a in ms:
                 if parent.inv(a) not in ms:
                     raise NotSubgroupError(f"member {a} has inverse outside the set")
@@ -357,6 +380,7 @@ class Subgroup:
         self.parent = parent
         self.members = ms
         self.member_set = frozenset(ms)
+        self._gens = gens
         self._local = {h: i for i, h in enumerate(ms)}
         self._table = None
         self._cosets = None
@@ -371,6 +395,11 @@ class Subgroup:
 
     def __contains__(self, a: int) -> bool:
         return a in self.member_set
+
+    def generators(self) -> tuple[int, ...]:
+        """The greedy right generators of H over its members in index order
+        (right_generators), found by the constructor's closure check."""
+        return self._gens
 
     def local_index(self, h: int) -> int:
         return self._local[h]
@@ -403,8 +432,8 @@ class Subgroup:
         the greedy generators of both (module docstring)."""
         g, ms = self.parent, self.member_set
         table = g.table
-        hgens = right_generators(table, 0, self.members)
-        for s in right_generators(table):
+        hgens = self._gens
+        for s in g.generators():
             row_s, si = table[s], g.inv(s)
             for t in hgens:
                 if table[row_s[t]][si] not in ms:

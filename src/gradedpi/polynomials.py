@@ -888,11 +888,17 @@ def _factored_counterexample(f: GradedPolynomial, algebra: GradedAlgebra):
 
 def monomial_signature(order: Sequence[int], degree_of, H: Subgroup) -> tuple:
     """The total degree, then per variable in id order the right-H-coset index
-    of the degree product up to and including it (degree_of: a dict or a word)."""
-    table, coset_of = H.parent.table, H.right_cosets().coset_of
+    of the degree product up to and including it (degree_of: a dict or a word).
+    A degree outside the group raises DegreeMismatchError naming its letter,
+    the word position or variable id, as _check_letters does."""
+    G = H.parent
+    table, coset_of, n = G.table, H.right_cosets().coset_of, G.order
     prefix, coset_at = 0, {}
     for vid in order:
-        prefix = table[prefix][degree_of[vid]]
+        t = degree_of[vid]
+        if not 0 <= t < n:
+            raise DegreeMismatchError(f"letter {vid}: degree {t} is not an element of the group")
+        prefix = table[prefix][t]
         coset_at[vid] = coset_of[prefix]
     return (prefix,) + tuple(coset_at[v] for v in sorted(coset_at))
 

@@ -1,6 +1,7 @@
 """Algebra construction, element arithmetic, moves, normalization, equivalence."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -20,9 +21,11 @@ from gradedpi.algebra import (
     presentations_equivalent,
     support,
 )
+from gradedpi.classify import classify
 from gradedpi.cohomology import Cocycle2, classes_cohomologous
 from gradedpi.errors import (
     AlgebraMismatchError,
+    DisconnectedGradingError,
     HypothesisError,
     NotSubgroupError,
 )
@@ -503,3 +506,41 @@ def test_support_connectedness(z2, d3):
     p = Presentation(d3, rot, Cocycle2.trivial(rot, 3), (0, 3))
     rep = support(build_algebra(p))
     assert rep.support == frozenset(d3.elements()) and rep.connected
+
+
+def test_presentation_support_matches_the_algebras_degrees():
+    """Presentation.support() is the set of the built algebra's degrees, and
+    is_connected() says whether they generate G by generated_subgroup, on
+    every subgroup of the zoo groups with every grading of length 3 or less.
+    classify, which builds no algebra, raises DisconnectedGradingError with
+    its one text exactly on the disconnected presentations."""
+    c2 = FiniteGroup.cyclic(2)
+    zoo = [FiniteGroup.cyclic(n) for n in (2, 3, 4, 6, 8)] + [
+        FiniteGroup.dihedral(3),
+        FiniteGroup.dihedral(4),
+        FiniteGroup.direct_product(c2, c2),
+        FiniteGroup.direct_product(c2, FiniteGroup.cyclic(4)),
+    ]
+    seen = {True: 0, False: 0}
+    for G in zoo:
+        for H in G.all_subgroups():
+            c = Cocycle2.trivial(H, 1)
+            for m in (1, 2, 3):
+                for grading in product(G.elements(), repeat=m):
+                    p = Presentation(G, H, c, grading)
+                    A = build_algebra(p)
+                    degrees = frozenset(A.degree)
+                    assert p.support() == degrees == frozenset(A.components), (G, H, grading)
+                    connected = len(G.generated_subgroup(degrees)) == G.order
+                    assert p.is_connected() == connected, (G, H, grading)
+                    assert A.support() == degrees and A.is_connected() == connected
+                    seen[connected] += 1
+                    if connected:
+                        assert classify(p).connected
+                        continue
+                    with pytest.raises(DisconnectedGradingError) as err:
+                        classify(p)
+                    assert str(err.value) == (
+                        "the support of the grading does not generate the group"
+                    )
+    assert seen[False] > 1000 and seen[True] > 1000

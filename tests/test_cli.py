@@ -29,7 +29,7 @@ from gradedpi.cli import (
     serialize_presentation,
 )
 from gradedpi.cohomology import Cocycle2
-from gradedpi.errors import DocumentError
+from gradedpi.errors import DisconnectedGradingError, DocumentError
 from gradedpi.scalars import CycScalar
 
 
@@ -885,10 +885,10 @@ WITNESS_DOCS = {
 
 @pytest.mark.parametrize("kind", sorted(WITNESS_DOCS))
 def test_witness_command_normalizes_and_builds_once_each(kind, monkeypatch):
-    """classify hands its normal form and algebra to the witness
-    construction: one normalization, one algebra for classify and the
-    missing-coset search, one more for the independent verification; an
-    alternating g is f on shifted ids, so alternate runs once."""
+    """classify hands its normal form to the witness construction: one
+    normalization.  classify builds no algebra, so the independent
+    verification builds the one algebra, and a missing coset's search one
+    more; an alternating g is f on shifted ids, so alternate runs once."""
     from gradedpi import algebra, polynomials
 
     normalized = _count_calls(monkeypatch, algebra.normalize_presentation)
@@ -905,5 +905,83 @@ def test_witness_command_normalizes_and_builds_once_each(kind, monkeypatch):
     assert code == 0, text
     assert f"witness: {kind}\n" in text
     assert len(normalized) == 1
-    assert len(built) == 2
+    assert len(built) == (2 if kind == "missing_coset" else 1)
     assert len(alternated) == (0 if kind == "missing_coset" else 1)
+
+
+@pytest.mark.parametrize(
+    "kind, count", [("missing_coset", 2), ("unequal_blocks", 3), ("non_normal", 4)]
+)
+def test_witness_command_reads_the_coset_positions_once_per_use(kind, count, monkeypatch):
+    """The coset multiplicities of the normal form are computed once, by
+    classify, and handed to the witness construction: the positions are read
+    for the normal forms of the document's presentation and for classify's
+    flags, and then only by the block structure of each alternating factor
+    and the ~-class reordering.  When the witness construction computed the
+    multiplicities again, and the unequal-blocks witness read its block
+    structure twice, the counts were 3, 5 and 5."""
+    from gradedpi.algebra import Presentation
+
+    positions = Presentation.coset_positions
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return positions(self)
+
+    monkeypatch.setattr(Presentation, "coset_positions", counted)
+    text, code = run("witness", WITNESS_DOCS[kind])
+    assert code == 0 and f"witness: {kind}\n" in text
+    assert len(calls) == count
+
+
+@pytest.mark.parametrize("command", ["classify", "validate"])
+def test_classify_and_validate_build_no_algebra(command, monkeypatch):
+    """Both read every flag, the dimension and the support off the
+    presentation: no GradedAlgebra is built, on the README sample, the
+    witness documents, a disconnected grading and a C64 > C32 document."""
+    from gradedpi import algebra
+
+    built = []
+    init = algebra.GradedAlgebra.__init__
+
+    def counted_init(self, presentation):
+        built.append(presentation)
+        init(self, presentation)
+
+    monkeypatch.setattr(algebra.GradedAlgebra, "__init__", counted_init)
+    disconnected = doc_z2([0])
+    disconnected["group"] = {"construct": "cyclic", "n": 4}
+    c64 = {
+        "group": {"construct": "cyclic", "n": 64},
+        "subgroup": list(range(0, 64, 2)),
+        "cocycle": {"modulus": 1, "exponents": [[0] * 32 for _ in range(32)]},
+        "grading": [0, 1],
+    }
+    docs = [README_SAMPLE, disconnected, c64, *WITNESS_DOCS.values()]
+    codes = set()
+    for doc in docs:
+        try:
+            codes.add(run(command, doc)[1])
+        except DisconnectedGradingError:
+            codes.add("disconnected")
+    assert built == []
+    assert codes == ({0, 1, "disconnected"} if command == "classify" else {0})
+
+
+def test_greedy_generators_are_computed_only_in_groups():
+    """Outside groups.py no module of src/gradedpi calls right_generators or
+    _right_closure: groups and subgroups keep their greedy generators, and
+    every other reader takes them from there."""
+    src = Path(__file__).resolve().parents[1] / "src" / "gradedpi"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "groups.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name in ("right_generators", "_right_closure"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

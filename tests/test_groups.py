@@ -457,6 +457,39 @@ def _normality_zoo():
     )
 
 
+def test_stored_generators_equal_a_fresh_greedy_scan():
+    """FiniteGroup.generators() is computed on its first call and kept, and
+    Subgroup.generators() is what the constructor's closure check found; both
+    equal a fresh right_generators call.  In local indices, H's are the greedy
+    generators of its local table, which the coboundary system reads."""
+    s4 = FiniteGroup.symmetric(4)
+    for g in _normality_zoo() + [s4, FiniteGroup.cyclic(64), FiniteGroup.dihedral(32)]:
+        gens = g.generators()
+        assert gens == tuple(groups.right_generators(g.table)) and g.generators() is gens
+        subgroups = g.all_subgroups() if g.order <= 16 else [
+            g.generated_subgroup(x) for x in ([1], [2], [3, 7], [9, 14])
+        ]
+        for H in subgroups:
+            want = groups.right_generators(g.table, 0, H.members)
+            assert H.generators() == tuple(want), (g.name, H.members)
+            local = [H.local_index(s) for s in want]
+            assert local == groups.right_generators(H.local_table()), (g.name, H.members)
+
+
+def test_generates_matches_the_generated_subgroup():
+    """G.generates(X) says whether the subgroup generated by X is all of G,
+    on every pair of elements of the groups below."""
+    seen = set()
+    for g in _ac11_zoo() + [FiniteGroup.symmetric(4), FiniteGroup.dihedral(8)]:
+        for a in g.elements():
+            for b in g.elements():
+                want = len(g.generated_subgroup([a, b])) == g.order
+                assert g.generates([a, b]) == want, (g.name, a, b)
+                seen.add(want)
+        assert g.generates(g.elements()) and g.generates([]) == (g.order == 1)
+    assert seen == {False, True}
+
+
 def test_is_normal_on_generators_matches_the_definition_on_every_small_subgroup():
     seen = normal = 0
     for g in _normality_zoo():

@@ -43,6 +43,7 @@ from gradedpi.polynomials import (
     is_identity,
     is_pure,
     monomial_polynomial,
+    monomial_signature,
     path_restriction,
     path_vanishes,
     pure_components,
@@ -784,6 +785,27 @@ def test_degree_words_refuse_a_letter_outside_the_group(p_d4_klein):
             good_permutation_scalar(word, (1, 0), p_d4_klein)
     with pytest.raises(HypothesisError, match="sigma is not a permutation"):
         good_binomial((0, 1), (0, 5), one(2))
+
+
+def test_monomial_signature_refuses_a_degree_outside_the_group(p_d4_klein):
+    """On the Klein subgroup of D4, the signature of (0, -1) was (7, 0, 1),
+    reading -1 as element 7, and (0, 9) raised IndexError.  The check names
+    the letter as _check_letters does, also through is_good_permutation and
+    pure_components, where the letter is the variable id."""
+    H = p_d4_klein.subgroup
+    assert monomial_signature((0, 1), (0, 7), H) == (7, 0, 1)
+    for word in ((0, -1), (0, 9)):
+        message = f"letter 1: degree {word[1]} is not an element of the group"
+        with pytest.raises(DegreeMismatchError, match=message):
+            monomial_signature((0, 1), word, H)
+        f = monomial_polynomial(
+            [GradedVariable(1, word[0]), GradedVariable(2, word[1])], one(2)
+        )
+        message = f"letter 2: degree {word[1]} is not an element of the group"
+        with pytest.raises(DegreeMismatchError, match=message):
+            is_good_permutation(f, (1, 2), (2, 1), H)
+        with pytest.raises(DegreeMismatchError, match=message):
+            pure_components(f, H)
 
 
 def test_good_scalar_decides_goodness_without_the_permutation_list(p_k4_twisted, monkeypatch):
