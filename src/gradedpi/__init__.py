@@ -12,33 +12,45 @@ from .algebra import (
     apply_move,
     block_structure,
     build_algebra,
-    is_crossed_product,
-    is_graded_division,
     is_normalized,
     normalize_presentation,
     presentations_equivalent,
-    support,
+)
+from .binomials import (
+    Binomial,
+    EmpiricalCheck,
+    GoodScalarContext,
+    PathReport,
+    PathRestriction,
+    enumerate_binomials,
+    good_binomial,
+    good_permutation_scalar,
+    good_permutations_of,
+    is_crossed_product,
+    is_good_permutation,
+    is_pure,
+    path_restriction,
+    path_vanishes,
+    pure_components,
+    satisfies_path_property,
+    separating_product_test,
+    strongly_vp_empirical,
 )
 from .classify import (
     ClassificationReport,
-    EmpiricalCheck,
     WitnessCertificate,
     WitnessPair,
     classify,
-    separating_product_test,
-    strongly_vp_empirical,
     verify_witness,
     witness_nonstrong,
 )
 from .cohomology import (
-    Binomial,
     Coboundary,
     CoboundaryObstruction,
     CoboundarySystem,
     Cocycle2,
     CocycleViolation,
     classes_cohomologous,
-    enumerate_binomials,
     invariance_obstruction,
     is_G_invariant_class,
     is_coboundary,
@@ -73,29 +85,17 @@ from .grassmann import (
 )
 from .groups import CosetDecomposition, FiniteGroup, Subgroup, equivalence_classes_tilde
 from .polynomials import (
-    GoodScalarContext,
     GradedMonomial,
     GradedPolynomial,
     GradedVariable,
     IdentityReport,
-    PathReport,
-    PathRestriction,
     alternate,
     check_identity,
     disjoint_product,
     evaluate,
     evaluation_span,
-    good_binomial,
-    good_permutation_scalar,
-    good_permutations_of,
-    is_good_permutation,
     is_identity,
-    is_pure,
     monomial_polynomial,
-    path_restriction,
-    path_vanishes,
-    pure_components,
-    satisfies_path_property,
     variables_for,
 )
 from .scalars import CycScalar, cyclotomic_polynomial, euler_phi, root_of_unity

@@ -3,8 +3,8 @@
 A presentation is (H, c, g-tuple); the induced grading puts the basis element
 u_h (x) e_{i,j} in degree g_i^-1 h g_j.  Elements are sparse maps from basis
 triples (h, i, j) to cyclotomic scalars.  The module also implements the
-three presentation moves, deterministic normalization, presentation
-equivalence, crossed-product and graded-division checks.
+three presentation moves, deterministic normalization and presentation
+equivalence.
 
 Normalization conjugates one least-multiplicity coset onto H, the one with
 the least rep, and sorts the canonical coset reps of the entries.  Each
@@ -18,17 +18,11 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .cohomology import Cocycle2, CoboundarySystem, classes_cohomologous
-from .errors import (
-    AlgebraMismatchError,
-    CocycleError,
-    HypothesisError,
-    NotSubgroupError,
-    VerificationFailedError,
-)
-from .groups import CosetDecomposition, FiniteGroup, Subgroup, coset_steps
+from .errors import AlgebraMismatchError, CocycleError, HypothesisError, NotSubgroupError
+from .groups import CosetDecomposition, FiniteGroup, Subgroup
 from .linalg import vec_clean
 from .records import Record
-from .scalars import CycScalar, root_of_unity
+from .scalars import CycScalar
 
 Triple = tuple[int, int, int]  # (h, row, col): u_h (x) e_{row, col}, 0-based
 
@@ -182,11 +176,6 @@ class GradedAlgebra:
         """The degrees of the nonzero components: Presentation.support, the
         one definition, which the components' keys equal."""
         return self.presentation.support()
-
-    def is_connected(self) -> bool:
-        """Whether the support generates the group (Presentation.is_connected,
-        which needs no algebra)."""
-        return self.presentation.is_connected()
 
     # -- elements ------------------------------------------------------------
 
@@ -476,81 +465,3 @@ def block_structure(p: Presentation) -> BlockStructure:
         tuple(b for b, pos in enumerate(blocks) for _ in pos),
         cosets,
     )
-
-
-# -- crossed product / graded division checks -----------------------------------------
-
-
-class CrossedProductResult(Record):
-    __slots__ = ("is_crossed_product", "certificates")
-
-    def __init__(
-        self,
-        is_crossed_product: bool,
-        certificates: Optional[dict[int, tuple[AlgebraElement, AlgebraElement]]] = None,
-    ):
-        _set(self, "is_crossed_product", is_crossed_product)
-        _set(self, "certificates", {} if certificates is None else certificates)
-
-    def __bool__(self) -> bool:
-        return self.is_crossed_product
-
-
-def is_crossed_product(algebra: GradedAlgebra) -> CrossedProductResult:
-    """Equal coset multiplicities iff every component holds an invertible
-    homogeneous element; when they do, an explicit unit and inverse per degree
-    is built and verified to multiply to 1 on both sides.
-
-    The units always exist: with equal multiplicities, each position i of a
-    coset H r is paired with a position j of H r g, and g_i in H r, g_j in
-    H r g give g_i g g_j^-1 in H."""
-    p = algebra.presentation
-    G = p.group
-    pos_by_coset = p.coset_positions()
-    if len({len(pos) for pos in pos_by_coset}) != 1:
-        return CrossedProductResult(False)
-    steps = coset_steps(p.subgroup)
-    one = CycScalar.one(algebra.modulus)
-    certificates = {}
-    for g in G.elements():
-        terms: dict[Triple, CycScalar] = {}
-        inv_terms: dict[Triple, CycScalar] = {}
-        for src, row in zip(pos_by_coset, steps):
-            dst = pos_by_coset[row[g][1]]  # the coset H r g
-            for i, j in zip(src, dst):
-                # h with g_i^-1 h g_j = g, i.e. h = g_i g g_j^-1 (in H).
-                h = G.mul(G.mul(p.grading[i], g), G.inv(p.grading[j]))
-                if h not in p.subgroup:
-                    raise VerificationFailedError(
-                        f"crossed-product unit for degree {g} needs u_{h} outside H"
-                    )
-                terms[(h, i, j)] = one
-                hinv = G.inv(h)
-                inv_terms[(hinv, j, i)] = root_of_unity(
-                    algebra.modulus, -p.cocycle.exp(h, hinv)
-                )
-        unit = algebra.element(terms)
-        inv = algebra.element(inv_terms)
-        if unit * inv != algebra.one() or inv * unit != algebra.one():
-            raise VerificationFailedError("crossed-product certificate failed to verify")
-        certificates[g] = (unit, inv)
-    return CrossedProductResult(True, certificates)
-
-
-def is_graded_division(algebra: GradedAlgebra) -> bool:
-    """Structural test: the algebra is a twisted group algebra (m = 1), whose
-    nonzero homogeneous elements are scalar multiples of invertible u_h."""
-    return algebra.presentation.size == 1
-
-
-class SupportReport(Record):
-    __slots__ = ("support", "connected")
-
-    def __init__(self, support: frozenset[int], connected: bool):
-        _set(self, "support", support)
-        _set(self, "connected", connected)
-
-
-def support(algebra: GradedAlgebra) -> SupportReport:
-    s = algebra.support()
-    return SupportReport(s, algebra.is_connected())

@@ -18,6 +18,7 @@ from .algebra import (
     GradedAlgebra,
     M1,
     Presentation,
+    Triple,
     apply_move,
     block_structure,
     build_algebra,
@@ -28,18 +29,15 @@ from .errors import (
     AlgebraMismatchError,
     DisconnectedGradingError,
     HypothesisError,
-    NonMultilinearError,
     VerificationFailedError,
 )
 from .groups import coset_steps, equivalence_classes_tilde
 from .polynomials import (
     GradedPolynomial,
     GradedVariable,
-    Triple,
     _factor_spans,
     alternate,
     check_identity,
-    disjoint_product,
     evaluate_triples,
     monomial_polynomial,
 )
@@ -133,10 +131,10 @@ def classify(p: Presentation, with_witness: bool = False) -> ClassificationRepor
     presentation moves, and every valid connected presentation yields a graded
     simple algebra, so verbally_prime is structural.  Every flag is read off
     the normal form, and no algebra is built: connectivity is
-    Presentation.is_connected, and graded_division is m = 1, all that
-    is_graded_division tests.  With with_witness, the normal form and its
-    coset multiplicities are handed to the witness construction, which
-    computes neither again.
+    Presentation.is_connected, and graded_division is m = 1 (a twisted group
+    algebra, whose nonzero homogeneous elements are invertible).  With
+    with_witness, the normal form and its coset multiplicities are handed to
+    the witness construction, which computes neither again.
     """
     np = normalize_presentation(p)
     np.cocycle.require_valid()
@@ -159,8 +157,8 @@ def classify(p: Presentation, with_witness: bool = False) -> ClassificationRepor
         H_normal=H_normal,
         cosets_equal=cosets_equal,
         class_G_invariant=invariant,
-        # is_crossed_product holds exactly when the multiplicities are equal
-        # (its docstring has the proof).
+        # binomials.is_crossed_product holds exactly when the multiplicities
+        # are equal (its docstring has the proof).
         crossed_product=cosets_equal,
         graded_division=np.size == 1,
         verbally_prime=True,
@@ -461,56 +459,4 @@ def verify_witness(
         product_identity=True,
         span_product_zero=True,
         span_square_zero=square_zero,
-    )
-
-
-# -- polynomial-level probes --------------------------------------------------------
-
-
-def separating_product_test(
-    f: GradedPolynomial, g: GradedPolynomial, algebra: GradedAlgebra
-) -> bool:
-    """True iff f * z_g0 * g is a non-identity for some degree g0 (f, g assumed
-    non-identities on disjoint variables)."""
-    if set(f.degree_of) & set(g.degree_of):
-        raise NonMultilinearError("factors must use disjoint variables")
-    zid = max(list(f.degree_of) + list(g.degree_of)) + 1
-    for g0 in algebra.group.elements():
-        z = monomial_polynomial(
-            [GradedVariable(zid, g0)], CycScalar.one(algebra.modulus)
-        )
-        prod = disjoint_product(disjoint_product(f, z), g)
-        if not check_identity(prod, algebra).identity:
-            return True
-    return False
-
-
-class EmpiricalCheck:
-    __slots__ = ("product_identity", "f_identity", "g_identity")
-
-    def __init__(self, product_identity: bool, f_identity: bool, g_identity: bool):
-        self.product_identity = product_identity
-        self.f_identity = f_identity
-        self.g_identity = g_identity
-
-    @property
-    def consistent(self) -> bool:
-        return (not self.product_identity) or self.f_identity or self.g_identity
-
-
-def strongly_vp_empirical(
-    f: GradedPolynomial, g: GradedPolynomial, algebra: GradedAlgebra
-) -> EmpiricalCheck:
-    """Spot-check of the division-algebra product property on one pair:
-    fg in Id implies f in Id or g in Id.  The factors must not share
-    variables (the product would not be multilinear)."""
-    if set(f.degree_of) & set(g.degree_of):
-        raise NonMultilinearError(
-            "factors share variables; their product is not multilinear"
-        )
-    prod = disjoint_product(f, g)
-    return EmpiricalCheck(
-        product_identity=check_identity(prod, algebra).identity,
-        f_identity=check_identity(f, algebra).identity,
-        g_identity=check_identity(g, algebra).identity,
     )

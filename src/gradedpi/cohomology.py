@@ -62,9 +62,8 @@ solve.
 
 from __future__ import annotations
 
-from itertools import permutations, product
 from math import gcd, lcm
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     BinomialConditionError,
@@ -724,30 +723,3 @@ def invariance_obstruction(
         if wit is None:
             return g, obstruction
     return None
-
-
-class Binomial(Record):
-    """A binomial identity datum: orders hs vs hs∘sigma with scalar alpha."""
-
-    __slots__ = ("hs", "sigma", "alpha_exp")
-
-    def __init__(self, hs: tuple[int, ...], sigma: tuple[int, ...], alpha_exp: int):
-        _set(self, "hs", hs)
-        _set(self, "sigma", sigma)
-        _set(self, "alpha_exp", alpha_exp)
-
-
-def enumerate_binomials(c: Cocycle2, n: int) -> Iterator[Binomial]:
-    """All (hs in H^j, sigma in S_j) with equal products, j = 1..n, with the
-    attached alpha exponent; deterministic lexicographic order."""
-    if n > 5:
-        raise ValueError("binomial enumeration is exponential; length bound > 5 refused")
-    H = c.subgroup
-    g = H.parent
-    for length in range(1, n + 1):
-        for hs in product(H.members, repeat=length):
-            total = g.product_seq(hs)
-            for sigma in permutations(range(length)):
-                permuted = tuple(hs[s] for s in sigma)
-                if g.product_seq(permuted) == total:
-                    yield Binomial(hs, sigma, c.binomial_alpha_exp(hs, sigma))

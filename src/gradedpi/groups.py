@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .errors import InvalidTableError, NotSubgroupError
+from .errors import HypothesisError, InvalidTableError, NotSubgroupError
 from .records import Record
 
 MAX_ORDER = 64
@@ -232,7 +232,7 @@ class FiniteGroup:
     def all_subgroups(self) -> list["Subgroup"]:
         """Every subgroup, by brute-force closure over subsets. Order <= 16 only."""
         if self.order > 16:
-            raise ValueError("subgroup enumeration is brute force; order too large")
+            raise HypothesisError("subgroup enumeration is brute force; order too large")
         found = set()
         n = self.order
         divisors = [d for d in range(1, n + 1) if n % d == 0]

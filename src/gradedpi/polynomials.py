@@ -73,13 +73,13 @@ keeps.  Every answer is that of a walk of every key:
   it lies in the span and Span.add would leave every row as it is.  By
   induction the rows after each key are the same with and without the
   skipped keys;
-- path_vanishes and satisfies_path_property: block b vanishes iff no value
-  triple (h, r, c) of the table has its row r in block b.  f is pure and H
-  normal, so in every monomial the prefix before the leading variable has
-  its degree in H, and a chain of that degree starts and ends in one block:
-  every monomial with a nonzero chain on an assignment starts in the leading
-  variable's block.  A skipped key's value is 0 or +-that of its orbit's
-  canonical key, so the canonical keys carry every surviving triple.
+- binomials.path_vanishes and satisfies_path_property: block b vanishes
+  iff no value triple (h, r, c) of the table has its row r in block b.  f
+  is pure and H normal, so in each monomial the prefix before the leading
+  variable has its degree in H, and a chain of that degree starts and ends
+  in one block: each monomial with a nonzero chain on an assignment starts
+  in the leading variable's block.  A skipped key's value is 0 or +-that of
+  its orbit's canonical key: the canonical keys carry each surviving triple.
 
 Classes are built only when every variable has one alternative, so the
 envelope check walks every key of every monomial.  One walker runs both
@@ -94,37 +94,22 @@ of the same shape (GradedPolynomial.shape) have one span, from one walk.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import chain, permutations
 from math import gcd, lcm
 from operator import add, ne, neg
 from types import MappingProxyType
 from typing import Iterator, Optional, Sequence
 
-from .algebra import (
-    AlgebraElement,
-    BlockStructure,
-    GradedAlgebra,
-    Presentation,
-    block_structure,
-    build_algebra,
-    is_normalized,
-)
-from .cohomology import Cocycle2, is_G_invariant_class
+from .algebra import AlgebraElement, GradedAlgebra, Triple
 from .errors import (
     DegreeMismatchError,
-    HypothesisError,
     NonMultilinearError,
-    NotNormalError,
     OrderMismatchError,
     VerificationFailedError,
 )
-from .groups import FiniteGroup, Subgroup, coset_steps
 from .linalg import Span, span_of
 from .records import Record
-from .scalars import CycScalar, root_of_unity
-
-Triple = tuple[int, int, int]
+from .scalars import CycScalar
 
 
 _set = object.__setattr__
@@ -881,296 +866,3 @@ def _factored_counterexample(f: GradedPolynomial, algebra: GradedAlgebra):
     raise VerificationFailedError(
         "span product is nonzero but no assignment gives a nonzero value"
     )
-
-
-# -- good permutations, pure polynomials -----------------------------------------
-
-
-def monomial_signature(order: Sequence[int], degree_of, H: Subgroup) -> tuple:
-    """The total degree, then per variable in id order the right-H-coset index
-    of the degree product up to and including it (degree_of: a dict or a word).
-    A degree outside the group raises DegreeMismatchError naming its letter,
-    the word position or variable id, as _check_letters does."""
-    G = H.parent
-    table, coset_of, n = G.table, H.right_cosets().coset_of, G.order
-    prefix, coset_at = 0, {}
-    for vid in order:
-        t = degree_of[vid]
-        if not 0 <= t < n:
-            raise DegreeMismatchError(f"letter {vid}: degree {t} is not an element of the group")
-        prefix = table[prefix][t]
-        coset_at[vid] = coset_of[prefix]
-    return (prefix,) + tuple(coset_at[v] for v in sorted(coset_at))
-
-
-def is_good_permutation(
-    f: GradedPolynomial, order_a: Sequence[int], order_b: Sequence[int], H: Subgroup
-) -> bool:
-    """True iff the two monomial orders have equal total degree and matching
-    right-H-coset prefix products at every variable."""
-    if frozenset(order_a) != frozenset(order_b):
-        return False
-    return monomial_signature(order_a, f.degree_of, H) == monomial_signature(
-        order_b, f.degree_of, H
-    )
-
-
-def pure_components(f: GradedPolynomial, H: Subgroup) -> list[GradedPolynomial]:
-    """Partition of the monomials into good-permutation classes (an equivalence
-    relation: classes are exactly the signature fibers)."""
-    buckets: dict[tuple, list[GradedMonomial]] = {}
-    for m in f.monomials:
-        sig = monomial_signature(m.order, f.degree_of, H)
-        buckets.setdefault(sig, []).append(m)
-    return [
-        GradedPolynomial(f.variables, buckets[sig]) for sig in sorted(buckets)
-    ]
-
-
-def is_pure(f: GradedPolynomial, H: Subgroup) -> bool:
-    return len(pure_components(f, H)) <= 1
-
-
-def good_permutations_of(degrees: Sequence[int], H: Subgroup) -> Iterator[tuple[int, ...]]:
-    """All sigma with Z_sigma a good permutation of Z (identity included),
-    generated by a prefix-coset DFS in lexicographic order: at each depth it
-    scans only the positions that leave the current coset in the word."""
-    _check_letters(degrees, H.parent)
-    table = H.parent.table
-    cosets = H.right_cosets()
-    n = len(degrees)
-    leaving: list[list[int]] = [[] for _ in cosets.reps]
-    after = []
-    prefix = 0
-    for p, t in enumerate(degrees):
-        leaving[cosets.coset_of[prefix]].append(p)
-        prefix = table[prefix][t]
-        after.append(cosets.coset_of[prefix])
-    total = prefix
-    used = [False] * n
-    sigma: list[int] = []
-
-    def rec(current: int, prod: int) -> Iterator[tuple[int, ...]]:
-        if len(sigma) == n:
-            if prod == total:
-                yield tuple(sigma)
-            return
-        for p in leaving[current]:
-            if used[p]:
-                continue
-            used[p] = True
-            sigma.append(p)
-            yield from rec(after[p], table[prod][degrees[p]])
-            sigma.pop()
-            used[p] = False
-
-    yield from rec(0, 0)
-
-
-def good_binomial(
-    degrees: Sequence[int], sigma: Sequence[int], scalar: CycScalar, start_id: int = 1
-) -> GradedPolynomial:
-    """Z - scalar * Z_sigma on fresh variables with the given degrees."""
-    _check_sigma(sigma, len(degrees))
-    variables = variables_for(degrees, start_id)
-    base = tuple(v.vid for v in variables)
-    permuted = tuple(variables[s].vid for s in sigma)
-    one = CycScalar.one(scalar.order)
-    return GradedPolynomial(variables, [(one, base), (-scalar, permuted)])
-
-
-class GoodScalarContext:
-    """Validated context for the good-permutation scalar of one presentation.
-
-    Hypotheses (normal H, equal block multiplicities, normalized tuple,
-    G-invariant class) are checked once; scalar() is then cheap enough for
-    exhaustive sweeps.
-    """
-
-    def __init__(self, presentation: Presentation):
-        H = presentation.subgroup
-        if not H.is_normal():
-            raise NotNormalError("good-permutation scalar needs H normal")
-        if not is_normalized(presentation):
-            raise HypothesisError("presentation must be in normalized form")
-        bs = block_structure(presentation)
-        if not bs.equal_multiplicity:
-            raise HypothesisError("good-permutation scalar needs equal multiplicities")
-        if not is_G_invariant_class(presentation.cocycle):
-            raise HypothesisError("cohomology class is not G-invariant")
-        self.presentation = presentation
-        self.cocycle = presentation.cocycle
-        self.steps = coset_steps(H)
-
-    def transversal_walk(self, degrees: Sequence[int]) -> list[int]:
-        """The H-elements f_i = [t_1...t_(i-1)] t_i [t_1...t_i]^-1, [g] the
-        representative of Hg: one coset_steps step per letter, from H."""
-        _check_letters(degrees, self.presentation.group)
-        steps = self.steps
-        i = 0
-        out = []
-        for t in degrees:
-            f, i = steps[i][t]
-            out.append(f)
-        return out
-
-    def scalar_exp(self, degrees: Sequence[int], sigma: Sequence[int]) -> int:
-        fs = self.transversal_walk(degrees)
-        _check_sigma(sigma, len(fs))
-        permuted = [fs[s] for s in sigma]
-        c = self.cocycle
-        return (c.product_exp(fs) - c.product_exp(permuted)) % c.modulus
-
-    def scalar(self, degrees: Sequence[int], sigma: Sequence[int]) -> CycScalar:
-        return root_of_unity(self.cocycle.modulus, self.scalar_exp(degrees, sigma))
-
-
-def _check_letters(degrees: Sequence[int], G: FiniteGroup) -> None:
-    """Refuse a degree word with a letter outside G, which indexing would
-    read as another element (-1 as the last one) or fail on."""
-    order = G.order
-    for t in degrees:
-        if not 0 <= t < order:
-            p = degrees.index(t)
-            raise DegreeMismatchError(f"letter {p}: degree {t} is not an element of the group")
-
-
-def _check_sigma(sigma: Sequence[int], n: int) -> None:
-    if sorted(sigma) != list(range(n)):
-        raise HypothesisError("sigma is not a permutation of the positions of the degree word")
-
-
-def good_permutation_scalar(
-    degrees: Sequence[int], sigma: Sequence[int], presentation: Presentation
-) -> CycScalar:
-    """The scalar s with Z - s * Z_sigma a graded identity of the presented
-    algebra, for sigma a good permutation of the degree word: a permutation
-    whose monomial signature is the identity order's."""
-    ctx = GoodScalarContext(presentation)
-    _check_letters(degrees, presentation.group)
-    H, n = presentation.subgroup, len(degrees)
-    if sorted(sigma) != list(range(n)) or monomial_signature(
-        sigma, degrees, H
-    ) != monomial_signature(range(n), degrees, H):
-        raise HypothesisError("sigma is not a good permutation of the degree word")
-    return ctx.scalar(degrees, sigma)
-
-
-# -- path machinery ------------------------------------------------------------
-
-
-class PathReport:
-    __slots__ = ("vanishing", "holds")
-
-    def __init__(self, vanishing: tuple[bool, ...], holds: bool):
-        self.vanishing = vanishing
-        self.holds = holds
-
-
-def _vanishing_pattern(f: GradedPolynomial, algebra: GradedAlgebra) -> tuple[bool, ...]:
-    """Per block b, whether no value triple (h, r, c) in f's table has its
-    row r in block b (see the module docstring)."""
-    bs = _path_block_structure(f, algebra)
-    if f.is_zero():
-        raise HypothesisError("zero polynomial has no leading monomial")
-    acc = accumulate_evaluations(f, algebra)
-    live = {bs.block_of[r] for bucket in acc.values() for _, r, _ in bucket}
-    return tuple(b not in live for b in range(bs.k))
-
-
-def path_vanishes(f: GradedPolynomial, algebra: GradedAlgebra, start_block: int) -> bool:
-    """True iff f vanishes on all basis evaluations whose leading variable is
-    rooted in the given e-block row range."""
-    pattern = _vanishing_pattern(f, algebra)
-    _check_block(start_block, len(pattern))
-    return pattern[start_block]
-
-
-def _check_block(start_block: int, k: int) -> None:
-    if not 0 <= start_block < k:
-        raise HypothesisError(f"start block {start_block} is not in 0..{k - 1}")
-
-
-def _path_block_structure(f: GradedPolynomial, algebra: GradedAlgebra) -> BlockStructure:
-    p = algebra.presentation
-    if not p.subgroup.is_normal():
-        raise NotNormalError("path machinery requires H normal")
-    bs = block_structure(p)
-    if not is_pure(f, p.subgroup):
-        raise HypothesisError("path machinery expects a pure polynomial")
-    return bs
-
-
-def satisfies_path_property(f: GradedPolynomial, algebra: GradedAlgebra) -> PathReport:
-    """Vanishing pattern over all starting blocks, from one walk; the
-    property holds when the polynomial vanishes on every path or on none."""
-    pattern = _vanishing_pattern(f, algebra)
-    return PathReport(pattern, all(pattern) or not any(pattern))
-
-
-class PathRestriction:
-    """The ungraded multilinear polynomial carried by one evaluation path."""
-
-    __slots__ = ("start_block", "end_block", "r", "terms")
-
-    def __init__(
-        self,
-        start_block: int,
-        end_block: int,
-        r: int,
-        terms: tuple[tuple[CycScalar, tuple[int, ...]], ...],  # (gamma * coeff, order)
-    ):
-        self.start_block = start_block
-        self.end_block = end_block
-        self.r = r
-        self.terms = terms
-
-    def is_identity_of_matrices(self) -> bool:
-        if not self.terms:
-            return True
-        algebra = _matrix_algebra(self.r, self.terms[0][0].order)
-        ids = sorted({v for _, order in self.terms for v in order})
-        variables = tuple(GradedVariable(vid, 0) for vid in ids)
-        poly = GradedPolynomial(variables, list(self.terms))
-        return check_identity(poly, algebra).identity
-
-
-@cache
-def _matrix_algebra(r: int, modulus: int) -> GradedAlgebra:
-    trivial = FiniteGroup.cyclic(1)
-    sub = trivial.full_subgroup()
-    pres = Presentation(trivial, sub, Cocycle2.trivial(sub, modulus), (0,) * r)
-    return build_algebra(pres)
-
-
-def path_restriction(
-    f: GradedPolynomial, algebra: GradedAlgebra, start_block: int
-) -> PathRestriction:
-    """Follow the forced block walk from start_block through every monomial,
-    collecting the twisted-group-algebra scalar; requires equal block
-    multiplicities so the result lives over one matrix size.  Each letter is
-    one coset_steps step; a coset index maps to a block by its representative."""
-    bs = _path_block_structure(f, algebra)
-    if not bs.equal_multiplicity:
-        raise HypothesisError("path restriction requires equal block multiplicities")
-    _check_block(start_block, bs.k)
-    p = algebra.presentation
-    steps = coset_steps(p.subgroup)
-    c = p.cocycle
-    start = bs.cosets.coset_of[bs.reps[start_block]]
-    end = None
-    terms = []
-    for m in f.monomials:
-        i = start
-        hs = []
-        for vid in m.order:
-            h, i = steps[i][f.degree_of[vid]]
-            hs.append(h)
-        if end is None:
-            end = i
-        elif end != i:
-            raise HypothesisError("monomials of a pure polynomial must share end blocks")
-        gamma = root_of_unity(c.modulus, c.product_exp(hs))
-        terms.append((gamma * m.coeff, m.order))
-    end_block = start_block if end is None else bs.reps.index(bs.cosets.reps[end])
-    return PathRestriction(start_block, end_block, bs.r, tuple(terms))

@@ -9,16 +9,18 @@ maps.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from itertools import product as iproduct
 
 import pytest
 
-from gradedpi import polynomials
+from gradedpi import binomials, polynomials
 from gradedpi.algebra import GradedAlgebra, Presentation
 from gradedpi.cohomology import Cocycle2
 from gradedpi.groups import FiniteGroup
 from gradedpi.polynomials import (
     GradedPolynomial,
+    GradedVariable,
     evaluate,
     variables_for,
 )
@@ -229,8 +231,6 @@ def random_multilinear(
     rng, algebra: GradedAlgebra, degree: int, max_monomials: int = 4
 ) -> GradedPolynomial:
     """Random multilinear polynomial over random supported degrees."""
-    from itertools import permutations
-
     sup = sorted(algebra.support())
     degrees = [rng.choice(sup) for _ in range(degree)]
     vs = variables_for(degrees)
@@ -243,8 +243,9 @@ def random_multilinear(
 
 
 def count_walks(monkeypatch) -> list:
-    """Record each polynomial that polynomials.accumulate_evaluations walks
-    from now on (the module's callers look it up at call time)."""
+    """Record each polynomial that accumulate_evaluations walks from now on,
+    called from polynomials or from binomials, which imports it by name (the
+    callers look it up at call time)."""
     calls = []
     walk = polynomials.accumulate_evaluations
 
@@ -252,7 +253,8 @@ def count_walks(monkeypatch) -> list:
         calls.append(poly)
         return walk(poly, *args, **kwargs)
 
-    monkeypatch.setattr(polynomials, "accumulate_evaluations", counting)
+    for module in (polynomials, binomials):
+        monkeypatch.setattr(module, "accumulate_evaluations", counting)
     return calls
 
 
@@ -271,3 +273,34 @@ def built_plans(monkeypatch, run) -> list:
         patch.setattr(polynomials, "WalkPlan", recording)
         run()
     return plans
+
+
+# -- Capelli polynomials --------------------------------------------------------------
+
+
+def capelli_ids(n: int, x_least: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ids (x_1..x_n, y_0..y_n) of capelli(n, ...): the x's take 0..n-1
+    and the y's n..2n when x_least, else the y's take 0..n and the x's
+    n+1..2n."""
+    if x_least:
+        return tuple(range(n)), tuple(range(n, 2 * n + 1))
+    return tuple(range(n + 1, 2 * n + 1)), tuple(range(n + 1))
+
+
+def capelli(n: int, g: int, y_degrees, x_least: bool, modulus: int = 1) -> GradedPolynomial:
+    """c_n = sum over sigma in S_n of sgn(sigma) y_0 x_sigma(1) y_1 ...
+    x_sigma(n) y_n, with every x of degree g and y_k of degree y_degrees[k],
+    on the ids of capelli_ids.  The sign is counted from inversions here, not
+    taken from the package's alternate."""
+    xs, ys = capelli_ids(n, x_least)
+    variables = [GradedVariable(v, g) for v in xs]
+    variables += [GradedVariable(v, d) for v, d in zip(ys, y_degrees, strict=True)]
+    one = CycScalar.one(modulus)
+    monomials = []
+    for sigma in permutations(range(n)):
+        inversions = sum(a > b for i, a in enumerate(sigma) for b in sigma[i + 1 :])
+        order = [ys[0]]
+        for k, s in enumerate(sigma, start=1):
+            order += [xs[s], ys[k]]
+        monomials.append((-one if inversions % 2 else one, tuple(order)))
+    return GradedPolynomial(variables, monomials)

@@ -21,31 +21,28 @@ from gradedpi.algebra import (
     apply_move,
     block_structure,
     build_algebra,
-    is_crossed_product,
     normalize_presentation,
     presentations_equivalent,
 )
-from gradedpi.classify import classify, verify_witness, witness_nonstrong
-from gradedpi.cohomology import (
-    Coboundary,
-    Cocycle2,
-    enumerate_binomials,
-    is_G_invariant_class,
-    is_coboundary,
-)
-from gradedpi.grassmann import GrassmannElement, envelope_identity_check
-from gradedpi.groups import FiniteGroup
-from gradedpi.polynomials import (
+from gradedpi.binomials import (
     GoodScalarContext,
-    GradedPolynomial,
-    check_identity,
-    disjoint_product,
+    enumerate_binomials,
     good_binomial,
     good_permutations_of,
-    is_identity,
+    is_crossed_product,
     path_vanishes,
     pure_components,
     satisfies_path_property,
+)
+from gradedpi.classify import classify, verify_witness, witness_nonstrong
+from gradedpi.cohomology import Coboundary, Cocycle2, is_G_invariant_class, is_coboundary
+from gradedpi.grassmann import GrassmannElement, envelope_identity_check
+from gradedpi.groups import FiniteGroup
+from gradedpi.polynomials import (
+    GradedPolynomial,
+    check_identity,
+    disjoint_product,
+    is_identity,
     variables_for,
 )
 from gradedpi.scalars import CycScalar, root_of_unity

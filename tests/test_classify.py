@@ -7,14 +7,8 @@ import pytest
 
 from gradedpi import polynomials
 from gradedpi.algebra import Presentation, build_algebra, is_normalized, normalize_presentation
-from gradedpi.classify import (
-    WitnessPair,
-    classify,
-    separating_product_test,
-    strongly_vp_empirical,
-    verify_witness,
-    witness_nonstrong,
-)
+from gradedpi.binomials import separating_product_test, strongly_vp_empirical
+from gradedpi.classify import WitnessPair, classify, verify_witness, witness_nonstrong
 from gradedpi.cohomology import Cocycle2
 from gradedpi.errors import (
     AlgebraMismatchError,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 from hypothesis import given, seed, settings
@@ -777,6 +778,91 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _package_imports(path: Path) -> set:
+    """The gradedpi modules that one file of src/gradedpi imports, by their
+    names inside the package."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and not module.startswith("gradedpi"):
+                continue
+            module = module.removeprefix("gradedpi").lstrip(".")
+            found |= {module} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {
+                a.name.removeprefix("gradedpi.")
+                for a in node.names
+                if a.name.startswith("gradedpi.")
+            }
+    return found
+
+
+def test_only_the_package_init_imports_binomials():
+    """binomials holds the library-only machinery: no CLI command runs it,
+    so no module of src/gradedpi but __init__ (which re-exports its names)
+    imports it."""
+    src = Path(__file__).resolve().parents[1] / "src" / "gradedpi"
+    importers = sorted(
+        path.name for path in src.glob("*.py") if "binomials" in _package_imports(path)
+    )
+    assert importers == ["__init__.py"]
+
+
+def test_the_oracle_module_does_not_import_cohomology():
+    """polynomials holds the walk, its plan and their consumers; the cocycle
+    machinery that good permutations and paths read lives in binomials."""
+    src = Path(__file__).resolve().parents[1] / "src" / "gradedpi"
+    imported = _package_imports(src / "polynomials.py")
+    assert "algebra" in imported and "cohomology" not in imported
+
+
+PUBLIC_NAMES = (
+    "AlgebraElement AlgebraMismatchError Binomial BinomialConditionError BlockStructure "
+    "ClassificationReport Coboundary CoboundaryObstruction CoboundarySystem Cocycle2 "
+    "CocycleError CocycleViolation CosetDecomposition CycScalar DegreeMismatchError "
+    "DisconnectedGradingError DocumentError EmpiricalCheck EnvelopeAlgebra "
+    "FactorizationError FiniteGroup GoodScalarContext GradedAlgebra GradedMonomial "
+    "GradedPIError GradedPolynomial GradedVariable GrassmannElement HypothesisError "
+    "IdentityReport InexactDivisionError InvalidTableError M1 M2 M3 NoWitnessError "
+    "NonMultilinearError NotNormalError NotSubgroupError OrderMismatchError PathReport "
+    "PathRestriction Presentation Subgroup TruncationError VerificationFailedError "
+    "WitnessCertificate WitnessPair alternate apply_move block_structure build_algebra "
+    "check_identity classes_cohomologous classify cyclotomic_polynomial disjoint_product "
+    "enumerate_binomials envelope_identity_check equivalence_classes_tilde euler_phi "
+    "evaluate evaluation_span good_binomial good_permutation_scalar good_permutations_of "
+    "invariance_obstruction is_G_invariant_class is_coboundary is_crossed_product "
+    "is_good_permutation is_identity is_normalized is_pure is_trivial_class "
+    "monomial_polynomial normalize_presentation path_restriction path_vanishes "
+    "presentations_equivalent pure_components root_of_unity satisfies_path_property "
+    "separating_product_test smith_diagonalize solve_congruences strongly_vp_empirical "
+    "variables_for verify_witness witness_nonstrong"
+).split()
+
+
+def test_the_package_exports_are_pinned():
+    """gradedpi's public names, submodules aside, are exactly these: a move
+    between modules drops no export silently.  support and
+    is_graded_division were removed on purpose (Presentation.support(),
+    is_connected() and size == 1 say the same).  The library-only names come
+    from binomials."""
+    import gradedpi
+
+    public = {
+        name: value
+        for name, value in vars(gradedpi).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert sorted(public) == PUBLIC_NAMES
+    assert sorted(n for n, v in public.items() if v.__module__ == "gradedpi.binomials") == [
+        "Binomial", "EmpiricalCheck", "GoodScalarContext", "PathReport", "PathRestriction",
+        "enumerate_binomials", "good_binomial", "good_permutation_scalar",
+        "good_permutations_of", "is_crossed_product", "is_good_permutation", "is_pure",
+        "path_restriction", "path_vanishes", "pure_components", "satisfies_path_property",
+        "separating_product_test", "strongly_vp_empirical",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from gradedpi.cohomology import (
     class_modulus,
     classes_cohomologous,
     coboundary_or_obstruction,
-    enumerate_binomials,
     invariance_obstruction,
     is_G_invariant_class,
     is_coboundary,
@@ -23,6 +22,7 @@ from gradedpi.cohomology import (
     trivial_class_obstruction,
 )
 from gradedpi import cohomology
+from gradedpi.binomials import enumerate_binomials
 from gradedpi.algebra import (
     Presentation,
     _normal_forms,
@@ -33,6 +33,7 @@ from gradedpi.classify import classify
 from gradedpi.errors import (
     BinomialConditionError,
     CocycleError,
+    HypothesisError,
     NotNormalError,
     NotSubgroupError,
     VerificationFailedError,
@@ -517,6 +518,15 @@ def test_enumerate_binomials_counts(k4):
     # n = 1: identity permutations only, alpha = 1
     ones = [b for b in enumerate_binomials(c, 1)]
     assert all(b.sigma == (0,) and b.alpha_exp == 0 for b in ones)
+
+
+def test_enumerate_binomials_refuses_lengths_above_five_with_a_typed_error(k4):
+    """The enumeration is exponential in the length: a bound above 5 is a
+    HypothesisError, a package error, at the first item; 5 is enumerated."""
+    c = klein_nontrivial_cocycle(k4.full_subgroup())
+    assert next(enumerate_binomials(c, 5)).hs == (0,)
+    with pytest.raises(HypothesisError, match="length bound > 5 refused"):
+        next(enumerate_binomials(c, 6))
 
 
 def test_alpha_depends_only_on_class(k4):

@@ -3,7 +3,7 @@
 import pytest
 
 from gradedpi import groups
-from gradedpi.errors import InvalidTableError, NotSubgroupError
+from gradedpi.errors import HypothesisError, InvalidTableError, NotSubgroupError
 from gradedpi.groups import FiniteGroup, coset_steps, equivalence_classes_tilde
 
 
@@ -378,6 +378,14 @@ def test_closure_on_generators_matches_the_full_scan():
                     g.subgroup(members)
                 assert str(err.value) == want
         assert found == n_subgroups == len(g.all_subgroups())
+
+
+def test_all_subgroups_refuses_orders_above_sixteen_with_a_typed_error():
+    """Subgroup enumeration is brute force over member subsets: a group of
+    order 17 or more is refused with HypothesisError, a package error."""
+    for g in (FiniteGroup.cyclic(17), FiniteGroup.dihedral(9)):
+        with pytest.raises(HypothesisError, match="order too large"):
+            g.all_subgroups()
 
 
 def test_built_groups_skip_validation_and_equal_validated_ones(monkeypatch):

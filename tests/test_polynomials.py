@@ -10,7 +10,22 @@ from math import factorial, gcd, prod
 import pytest
 
 from gradedpi.algebra import Presentation, block_structure, build_algebra
-from gradedpi.cohomology import Coboundary, Cocycle2, enumerate_binomials
+from gradedpi import binomials
+from gradedpi.binomials import (
+    GoodScalarContext,
+    enumerate_binomials,
+    good_binomial,
+    good_permutation_scalar,
+    good_permutations_of,
+    is_good_permutation,
+    is_pure,
+    monomial_signature,
+    path_restriction,
+    path_vanishes,
+    pure_components,
+    satisfies_path_property,
+)
+from gradedpi.cohomology import Coboundary, Cocycle2
 from gradedpi.errors import (
     DegreeMismatchError,
     GradedPIError,
@@ -25,7 +40,6 @@ from gradedpi import polynomials
 from gradedpi.linalg import Span, span_of
 from gradedpi.polynomials import (
     EvaluationTable,
-    GoodScalarContext,
     GradedPolynomial,
     GradedVariable,
     accumulate_evaluations,
@@ -36,18 +50,8 @@ from gradedpi.polynomials import (
     evaluate,
     evaluate_triples,
     evaluation_span,
-    good_binomial,
-    good_permutation_scalar,
-    good_permutations_of,
-    is_good_permutation,
     is_identity,
-    is_pure,
     monomial_polynomial,
-    monomial_signature,
-    path_restriction,
-    path_vanishes,
-    pure_components,
-    satisfies_path_property,
     variables_for,
 )
 from gradedpi.scalars import CycScalar, root_of_unity
@@ -55,6 +59,8 @@ from gradedpi.scalars import CycScalar, root_of_unity
 from conftest import (
     brute_is_identity,
     built_plans,
+    capelli,
+    capelli_ids,
     count_walks,
     klein_nontrivial_cocycle,
     random_multilinear,
@@ -813,7 +819,7 @@ def test_good_scalar_decides_goodness_without_the_permutation_list(p_k4_twisted,
     comes from two monomial signatures, not from the 10! good permutations."""
     calls = []
     monkeypatch.setattr(
-        polynomials, "good_permutations_of", lambda *a: calls.append(a) or iter(())
+        binomials, "good_permutations_of", lambda *a: calls.append(a) or iter(())
     )
     p = p_k4_twisted
     degrees = (1, 2, 3, 1, 2, 3, 1, 2, 3, 2)
@@ -1814,3 +1820,113 @@ def test_prefix_trie_entries_leaves_and_orbit_representatives(k4, monkeypatch):
         _assert_orbit_representatives(f, plan.terms)
     # The class of 3 fills the monomial, so its paths end on None.
     assert built[len(plain)].terms[0][1][-1] is None
+
+
+# -- dense Capelli fixtures, verdicts by construction ---------------------------------
+
+# (group order, elementary grading of M_m with H trivial, degree of the x's),
+# every x component of dimension at most 4.
+CAPELLI_GRADINGS = [
+    (1, (0, 0), 0),
+    (2, (0, 1), 0),
+    (2, (0, 1), 1),
+    (2, (0, 0, 1), 1),
+    (3, (0, 1, 2), 0),
+    (3, (0, 1, 2), 1),
+    (3, (0, 1, 2), 2),
+    (3, (0, 0, 1), 1),
+    (3, (0, 0, 1), 2),
+]
+
+# The brute-force oracle runs when it evaluates at most this many monomials.
+BRUTE_BUDGET = 2000
+
+
+def _elementary(order: int, grading, modulus: int):
+    G = FiniteGroup.cyclic(order)
+    H = G.trivial_subgroup()
+    return build_algebra(Presentation(G, H, Cocycle2.trivial(H, modulus), grading))
+
+
+def _capelli_construction(A, g: int, n: int):
+    """n distinct matrix units x_k of degree g (the first in basis order),
+    y_0 = e_(row x_1, row x_1), y_k = e_(col x_k, row x_(k+1)) and
+    y_n = e_(col x_n, col x_n).  A chain y_0 x_s(1) y_1 ... needs x_s(k) to
+    have x_k's row and column, so only sigma = id chains.  Returns the x and
+    y units and the y degrees."""
+    xs = [A.basis[k] for k in A.homogeneous_basis(g)[:n]]
+    rows = [xs[0][1]] + [x[2] for x in xs]
+    cols = [x[1] for x in xs] + [xs[-1][2]]
+    ys = [(0, r, c) for r, c in zip(rows, cols)]
+    return xs, ys, [A.degree[A.index[y]] for y in ys]
+
+
+def _check_capelli(f, A, identity: bool):
+    """The oracle's verdict, a counterexample that evaluates to its reported
+    value, and the brute-force oracle's verdict where it is cheap; returns
+    the walk's table."""
+    report = check_identity(f, A)
+    assert report.identity == identity
+    if not identity:
+        one = CycScalar.one(A.modulus)
+        at = {v: A.element({t: one}) for v, t in report.counterexample.items()}
+        assert evaluate(f, A, at) == A.element(report.value)
+    cost = len(f.monomials) * prod(len(A.homogeneous_basis(d)) for d in f.degree_of.values())
+    if cost <= BRUTE_BUDGET:
+        assert brute_is_identity(f, A) == identity
+    return accumulate_evaluations(f, A)
+
+
+@pytest.mark.parametrize("modulus", [1, 3], ids=lambda n: f"mod{n}")
+@pytest.mark.parametrize(
+    "order, grading, g",
+    CAPELLI_GRADINGS,
+    ids=[f"C{o}-{''.join(map(str, gr))}-g{g}" for o, gr, g in CAPELLI_GRADINGS],
+)
+def test_capelli_threshold_by_construction(order, grading, g, modulus):
+    """c_n on x's of degree g is an identity iff n > dim A_g, in both id
+    orders.  Above the dimension every key repeats a digit among the
+    alternating x's, so the table holds no canonical key.  At the dimension
+    the construction gives c_n the value sgn(id) times the product of the
+    chosen units, by element arithmetic and in the walk's table: the x units
+    ascend in basis order, so the construction's key is canonical.  Both id
+    orders reach the same number of keys (96 for c_4 over M_2)."""
+    A = _elementary(order, grading, modulus)
+    dim = len(A.homogeneous_basis(g))
+    assert 2 <= dim <= 4
+    xs, ys, y_degrees = _capelli_construction(A, g, dim)
+    product_of_units = A.one()
+    for unit in [ys[0]] + [u for pair in zip(xs, ys[1:]) for u in pair]:
+        product_of_units = product_of_units * A.element({unit: CycScalar.one(modulus)})
+    assert product_of_units
+    keys = set()
+    for x_least in (False, True):
+        f = capelli(dim, g, y_degrees, x_least, modulus)
+        x_ids, y_ids = capelli_ids(dim, x_least)
+        units = dict(zip(x_ids + y_ids, xs + ys))
+        at = {v: A.element({t: CycScalar.one(modulus)}) for v, t in units.items()}
+        assert evaluate(f, A, at) == product_of_units
+        table = _check_capelli(f, A, identity=False)
+        key = 0
+        for vid in sorted(units):
+            key = key * table.radix + A.index[units[vid]]
+        assert A.element(table.value(key)) == product_of_units
+        keys.add(len(table))
+        for y_degree in (0, g):
+            above = capelli(dim + 1, g, [y_degree] * (dim + 2), x_least, modulus)
+            assert len(_check_capelli(above, A, identity=True)) == 0
+    assert len(keys) == 1
+    if grading == (0, 0):
+        assert keys == {96}
+
+
+@pytest.mark.parametrize("modulus", [1, 3], ids=lambda n: f"mod{n}")
+@pytest.mark.parametrize("x_least", [False, True], ids=["y_least", "x_least"])
+def test_capelli_c2_over_c2_depends_on_the_y_degrees(x_least, modulus):
+    """Over C2 with grading (0, 1) on M_2, c_2 on x's of degree 0 is an
+    identity when every y has degree 0, and a non-identity for y degrees
+    (1, 1, 1) or (0, 1, 0); the brute-force oracle agrees on each."""
+    A = _elementary(2, (0, 1), modulus)
+    for y_degrees, identity in [((0, 0, 0), True), ((1, 1, 1), False), ((0, 1, 0), False)]:
+        _check_capelli(capelli(2, 0, y_degrees, x_least, modulus), A, identity)
+

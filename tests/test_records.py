@@ -11,13 +11,11 @@ from gradedpi.algebra import (
     M2,
     M3,
     BlockStructure,
-    CrossedProductResult,
     Presentation,
-    SupportReport,
     block_structure,
 )
+from gradedpi.binomials import Binomial, CrossedProductResult
 from gradedpi.cohomology import (
-    Binomial,
     Coboundary,
     CoboundaryObstruction,
     Cocycle2,
@@ -45,7 +43,6 @@ def _samples():
          lambda: block_structure(p)),
         (CrossedProductResult, ("is_crossed_product", "certificates"),
          lambda: CrossedProductResult(True)),
-        (SupportReport, ("support", "connected"), lambda: SupportReport(frozenset({0, 1}), True)),
         (CocycleViolation, ("kind", "triple", "detail"),
          lambda: CocycleViolation("identity", (0, 2, 2), "c(a,b)c(ab,d) != c(a,bd)c(b,d)")),
         (Coboundary, ("subgroup", "modulus", "lam"), lambda: Coboundary(H, 2, (0, 1))),
