@@ -99,7 +99,8 @@ class GradedAlgebra:
         "degree",
         "components",
         "_by_degree_row",
-        "exp_table",
+        "_exps",
+        "_local",
         "mul_table",
         "_one",
     )
@@ -126,8 +127,10 @@ class GradedAlgebra:
             by_row.setdefault((g, t[1]), []).append(k)
         self.components = {g: tuple(v) for g, v in components.items()}
         self._by_degree_row = {key: tuple(v) for key, v in by_row.items()}
-        # Dense G x G tables for the hot loops (see Cocycle2.exponent_table).
-        self.exp_table = presentation.cocycle.exponent_table()
+        # For mul_basis: the cocycle's rows, read through H's local indices,
+        # and the group's Cayley rows.
+        self._exps = presentation.cocycle.exps
+        self._local = H.local
         self.mul_table = G.table
         self._one = None
 
@@ -156,7 +159,9 @@ class GradedAlgebra:
         """Structure constants: returns (scalar exponent, triple) or None for 0."""
         if a[2] != b[1]:
             return None
-        return self.exp_table[a[0]][b[0]], (self.mul_table[a[0]][b[0]], a[1], b[2])
+        ha, hb = a[0], b[0]
+        local = self._local
+        return self._exps[local[ha]][local[hb]], (self.mul_table[ha][hb], a[1], b[2])
 
     def mul_vectors(self, u: dict, v: dict) -> dict[Triple, CycScalar]:
         """Product of two sparse triple -> scalar maps, zero terms dropped.
@@ -171,11 +176,6 @@ class GradedAlgebra:
                 contrib = (ca * cb).shift_root(exp)
                 out[t] = out[t] + contrib if t in out else contrib
         return vec_clean(out)
-
-    def support(self) -> frozenset[int]:
-        """The degrees of the nonzero components: Presentation.support, the
-        one definition, which the components' keys equal."""
-        return self.presentation.support()
 
     # -- elements ------------------------------------------------------------
 

@@ -64,9 +64,14 @@ class Binomial(Record):
 
 def enumerate_binomials(c: Cocycle2, n: int) -> Iterator[Binomial]:
     """All (hs in H^j, sigma in S_j) with equal products, j = 1..n, with the
-    attached alpha exponent; deterministic lexicographic order."""
+    attached alpha exponent; deterministic lexicographic order.  A bound
+    n > 5 raises HypothesisError at the call, before any item."""
     if n > 5:
         raise HypothesisError("binomial enumeration is exponential; length bound > 5 refused")
+    return _binomials(c, n)
+
+
+def _binomials(c: Cocycle2, n: int) -> Iterator[Binomial]:
     H = c.subgroup
     g = H.parent
     for length in range(1, n + 1):

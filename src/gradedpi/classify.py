@@ -248,7 +248,7 @@ def _zero_product_sequence(algebra: GradedAlgebra) -> Optional[tuple[int, ...]]:
     Products of homogeneous components are spanned by sets of basis triples,
     so the search is an exact BFS over those sets.
     """
-    sup = sorted(algebra.support())
+    sup = sorted(algebra.presentation.support())
     seen = set()
     queue: deque = deque()
     for t in sup:

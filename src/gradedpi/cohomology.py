@@ -63,6 +63,7 @@ solve.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import index
 from typing import Optional, Sequence
 
 from .errors import (
@@ -97,10 +98,12 @@ class CocycleViolation(Record):
 class Cocycle2:
     """Exponent table of a normalized 2-cocycle on H with values zeta_N^k."""
 
-    __slots__ = ("subgroup", "modulus", "exps", "_dense", "_valid")
+    __slots__ = ("subgroup", "modulus", "exps", "_valid")
 
     def __init__(self, subgroup: Subgroup, modulus: int, exps, *, _reduced=False):
-        """_reduced: the caller, a method of this module, computed every entry
+        """exps[i][j] is the exponent of c(members[i], members[j]); an entry
+        that is not an integer (operator.index) raises CocycleError.
+        _reduced: the caller, a method of this module, computed every entry
         as an int in [0, modulus), so none is reduced again."""
         if modulus < 1:
             raise CocycleError("modulus must be a positive integer")
@@ -108,13 +111,15 @@ class Cocycle2:
         if _reduced:
             rows = tuple(map(tuple, exps))
         else:
-            rows = tuple([tuple([int(v) % modulus for v in row]) for row in exps])
+            try:
+                rows = tuple([tuple([index(v) % modulus for v in row]) for row in exps])
+            except TypeError:
+                raise CocycleError("exponent table entries must be integers") from None
         if len(rows) != n or any(len(r) != n for r in rows):
             raise CocycleError(f"exponent table must be {n}x{n}")
         self.subgroup = subgroup
         self.modulus = modulus
         self.exps = rows
-        self._dense = None
         self._valid = False  # set by a passed require_valid
 
     @classmethod
@@ -137,51 +142,32 @@ class Cocycle2:
     def value(self, a: int, b: int) -> CycScalar:
         return root_of_unity(self.modulus, self.exp(a, b))
 
-    def exponent_table(self) -> tuple[tuple[int, ...], ...]:
-        """Dense G x G exponent table indexed by parent-group elements: entry
-        [a][b] is exp(a, b) for a, b in H and 0 elsewhere.  Built on the
-        first call, with tuple rows, and the same object on every later one."""
-        if self._dense is None:
-            H = self.subgroup
-            n = H.parent.order
-            if len(H) == n:  # H = G, whose members are 0..n-1 in order
-                self._dense = self.exps
-            else:
-                table = [(0,) * n] * n
-                for row, a in zip(self.exps, H.members):
-                    dense = [0] * n
-                    for v, b in zip(row, H.members):
-                        dense[b] = v
-                    table[a] = tuple(dense)
-                self._dense = tuple(table)
-        return self._dense
-
     # -- validation ------------------------------------------------------------
 
     def violations(self) -> list[CocycleViolation]:
         """Empty list iff the table is a normalized 2-cocycle."""
         H = self.subgroup
-        g = H.parent
         N = self.modulus
+        E = self.exps
         out = []
-        e_local = H.local_index(0)
         for i, h in enumerate(H.members):
-            if self.exps[e_local][i] % N != 0:
+            if E[0][i] % N != 0:
                 out.append(CocycleViolation("normalization", (0, h), "c(e, h) != 1"))
-            if self.exps[i][e_local] % N != 0:
+            if E[i][0] % N != 0:
                 out.append(CocycleViolation("normalization", (h, 0), "c(h, e) != 1"))
-        E = self.exponent_table()
-        mul = g.table
+        mul = H.local_table()
         members = H.members
-        for a in members:
+        n = len(members)
+        for a in range(n):
             row_a, mul_a = E[a], mul[a]
-            for b in members:
+            for b in range(n):
                 row_b, row_ab, mul_b = E[b], E[mul_a[b]], mul[b]
-                for d in members:
+                for d in range(n):
                     lhs, rhs = row_a[b] + row_ab[d], row_a[mul_b[d]] + row_b[d]
                     if (lhs - rhs) % N != 0:
                         detail = f"c(a,b)c(ab,d) != c(a,bd)c(b,d) (exponents {lhs} vs {rhs})"
-                        out.append(CocycleViolation("identity", (a, b, d), detail))
+                        triple = (members[a], members[b], members[d])
+                        out.append(CocycleViolation("identity", triple, detail))
         self._valid = self._valid or not out
         return out
 
@@ -213,17 +199,17 @@ class Cocycle2:
         So F^cH is associative, which is the full identity."""
         H = self.subgroup
         N = self.modulus
-        e = H.local_index(0)
-        if any(row[e] % N or v % N for row, v in zip(self.exps, self.exps[e])):
+        E = self.exps
+        # The identity is members[0], local index 0.
+        if any(row[0] % N or v % N for row, v in zip(E, E[0])):
             return False
-        E = self.exponent_table()
-        mul = H.parent.table
-        members = H.members
-        for s in H.generators():
+        mul = H.local_table()
+        n = len(E)
+        for s in map(H.local_index, H.generators()):
             row_s, mul_s = E[s], mul[s]
-            for a in members:
+            for a in range(n):
                 row_a, row_as, exp_as = E[a], E[mul[a][s]], E[a][s]
-                for b in members:
+                for b in range(n):
                     if (exp_as + row_as[b] - row_a[mul_s[b]] - row_s[b]) % N:
                         return False
         return True
@@ -306,16 +292,16 @@ class Cocycle2:
 
     def product_exp(self, hs: Sequence[int]) -> int:
         """Exponent of c(h1,...,hn) defined by u_h1 ... u_hn = c(hs) u_(h1...hn): a
-        left fold over the rows of exponent_table() and of the Cayley table.  A
-        factor outside H, which those rows read as 0, raises NotSubgroupError."""
+        left fold over the rows of exps and of H.local_table(), in local
+        indices.  A factor outside H raises NotSubgroupError."""
         H = self.subgroup
         if not H.member_set.issuperset(hs):
             bad = next(h for h in hs if h not in H)
             raise NotSubgroupError(f"factor {bad} is not in the subgroup")
-        E, table = self.exponent_table(), H.parent.table
+        E, table = self.exps, H.local_table()
         total = 0
         prefix = 0
-        for h in hs:
+        for h in map(H.local_index, hs):
             total += E[prefix][h]
             prefix = table[prefix][h]
         return total % self.modulus

@@ -360,7 +360,7 @@ def _relabel(rows, e: int):
 class Subgroup:
     """A validated subgroup, stored as the sorted tuple of its members."""
 
-    __slots__ = ("parent", "members", "member_set", "_gens", "_local", "_table", "_cosets")
+    __slots__ = ("parent", "members", "member_set", "local", "_gens", "_table", "_cosets")
 
     def __init__(self, parent: FiniteGroup, members):
         ms = tuple(sorted(set(members)))
@@ -380,8 +380,8 @@ class Subgroup:
         self.parent = parent
         self.members = ms
         self.member_set = frozenset(ms)
+        self.local = {h: i for i, h in enumerate(ms)}  # member -> local index, read-only
         self._gens = gens
-        self._local = {h: i for i, h in enumerate(ms)}
         self._table = None
         self._cosets = None
 
@@ -402,16 +402,19 @@ class Subgroup:
         return self._gens
 
     def local_index(self, h: int) -> int:
-        return self._local[h]
+        return self.local[h]
 
     def local_table(self) -> tuple[tuple[int, ...], ...]:
         """H's multiplication table in local indices: entry [i][j] is the
         local index of members[i] * members[j].  Built on the first call,
-        and the same object on every later one."""
+        and the same object on every later one; for H = G, whose members
+        are 0..n-1 in order, it is the parent's Cayley table itself."""
         if self._table is None:
-            table, local, ms = self.parent.table, self._local, self.members
-            rows = [table[a] for a in ms]
-            self._table = tuple([tuple([local[row[b]] for b in ms]) for row in rows])
+            table, local, ms = self.parent.table, self.local, self.members
+            if len(ms) < len(table):
+                rows = [table[a] for a in ms]
+                table = tuple([tuple([local[row[b]] for b in ms]) for row in rows])
+            self._table = table
         return self._table
 
     def __eq__(self, other) -> bool:

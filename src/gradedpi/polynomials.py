@@ -26,8 +26,9 @@ Coefficient c has index 2k and -c has 2k + 1: index i negates to i ^ 1.
   monomials (a chain of basis choices) is enumerated once; each leaf holds
   its monomial's coefficient index.  One descent over the trie of the label
   paths makes every entry, with its parity.
-- The cocycle is read from one dense G x G exponent table and products from
-  the group's Cayley rows; every H-product of a chain lies in H.
+- A chain's H-parts are H's local indices (basis index k has H-part
+  k // m^2, m the matrix size): products come from H.local_table() and
+  exponents from the cocycle's own rows, so every H-product stays in H.
 - A value is a tuple of phi(N) Python ints: its coordinates over the power
   basis 1, zeta, ..., zeta^(phi(N)-1) of Q(zeta_N), times the lcm L of all
   coefficient denominators.  A leaf adds the precomputed L * coeff * zeta^e,
@@ -382,20 +383,23 @@ def evaluate_triples(
             raise DegreeMismatchError(
                 f"assignment of x{v.vid} is not homogeneous of degree {v.degree}"
             )
-    mul, exps = algebra.mul_table, algebra.exp_table
+    # As in the walk, the H-parts are H's local indices.
+    H = algebra.presentation.subgroup
+    mul, exps, members = H.local_table(), algebra.presentation.cocycle.exps, H.members
+    at = {vid: (H.local[h], r, c) for vid, (h, r, c) in triples.items()}
     total: dict[Triple, CycScalar] = {}
     for m in f.monomials:
         order = m.order
-        h, row, col = triples[order[0]]
+        h, row, col = at[order[0]]
         e = 0
         for vid in order[1:]:
-            b, r, c = triples[vid]
+            b, r, c = at[vid]
             if r != col:
                 break
             e += exps[h][b]
             h, col = mul[h][b], c
         else:
-            t = (h, row, col)
+            t = (members[h], row, col)
             value = m.coeff.shift_root(e)
             total[t] = total[t] + value if t in total else value
     return algebra.element(total)
@@ -547,7 +551,7 @@ class WalkPlan:
         vids = poly.var_ids()
         basis, by_row = algebra.basis, algebra.basis_by_degree_and_row
         size, order = algebra.presentation.size, algebra.presentation.group.order
-        nb, d = len(basis), len(vids)
+        nb, d, mm = len(basis), len(vids), size * size
         radix = nb * max(map(len, degrees.values()), default=1)
         weight, edges = {}, {}
         for s, vid in enumerate(vids):
@@ -556,10 +560,10 @@ class WalkPlan:
             for j, g in enumerate(degrees[vid]):
                 if not 0 <= g < order:
                     raise DegreeMismatchError(f"x{vid}: degree {g} is not an element of the group")
-                # Per row: the ((j nb + basis index) * w, H-part, column) of the
-                # degree-g basis elements there.
+                # Per row: the ((j nb + k) * w, H-part k // mm, column) of the
+                # degree-g basis elements k there (basis[k][0] is members[k // mm]).
                 rows = [
-                    tuple(((j * nb + k) * w, basis[k][0], basis[k][2]) for k in by_row(g, row))
+                    tuple(((j * nb + k) * w, k // mm, basis[k][2]) for k in by_row(g, row))
                     for row in range(size)
                 ]
                 alternatives.append((rows, j << s))
@@ -589,7 +593,7 @@ class WalkPlan:
             for vid in members:
                 rows = [
                     [
-                        (basis[k][0], basis[k][2], 1 << j * nb + k, (1 << nb) - (2 << k) << j * nb)
+                        (k // mm, basis[k][2], 1 << j * nb + k, (1 << nb) - (2 << k) << j * nb)
                         for k in by_row(poly.degree_of[vid], row)
                     ]
                     for row in range(size)
@@ -656,10 +660,10 @@ def _alternation_classes(poly: GradedPolynomial, terms: list) -> list[list[int]]
 def _walk_paths(plan: WalkPlan, algebra: GradedAlgebra) -> EvaluationTable:
     """The chained-path walk behind accumulate_evaluations and the envelope
     check: it runs plan over algebra.  A free entry's edges hold, per row, the
-    (weighted key digit, H-part, column) of the basis elements it may take
-    there, and a class member's a list of (H-part, column, bit, above); every
-    root-to-leaf path visits each of the width key slots once, and a key is
-    the sum of its path's weighted digits (see WalkPlan)."""
+    (weighted key digit, local H-part, column) of the basis elements it may
+    take there, and a class member's a list of (H-part, column, bit, above);
+    every root-to-leaf path visits each of the width key slots once, and a
+    key is the sum of its path's weighted digits (see WalkPlan)."""
     coeffs, radix, member_weights = plan.coeffs, plan.radix, plan.member_weights
     _check_scalar_order(coeffs[0].order if coeffs else None, algebra)
     N = algebra.modulus
@@ -667,13 +671,14 @@ def _walk_paths(plan: WalkPlan, algebra: GradedAlgebra) -> EvaluationTable:
     acc = EvaluationTable(N, scale, radix, plan.width)
     if not plan.trie:
         return acc
-    m = algebra.presentation.size
-    mul = algebra.mul_table
+    p = algebra.presentation
+    m, members = p.size, p.subgroup.members
+    mul = p.subgroup.local_table()
     # Row 0 is zero: build_algebra validated the cocycle, so it is normalized.
     # Every exponent sum is a multiple of g = gcd(N, cocycle exponents), so
     # the walk sums e // g modulo N // g and multiplies by g only on first use.
-    exps = algebra.exp_table
-    g = gcd(N, *chain.from_iterable(algebra.presentation.cocycle.exps))
+    exps = p.cocycle.exps
+    g = gcd(N, *chain.from_iterable(exps))
     if g > 1:
         exps = [[v // g for v in row] for row in exps]
     n = N // g
@@ -743,13 +748,11 @@ def _walk_paths(plan: WalkPlan, algebra: GradedAlgebra) -> EvaluationTable:
                 else:
                     acc[key] = _ZERO
 
-    # A chain starting in row r is a walk from the identity with column r; its
-    # value triples (h, r, col) are ends[h][col], one object shared by all
-    # keys.  Every H-product of the walk is in H, so only H's rows are built.
-    ends = [None] * len(mul)
+    # A chain starting in row r is a walk from the identity (local index 0)
+    # with column r; its value triples (members[h], r, col) are ends[h][col],
+    # one object shared by all keys.
     for r in range(m):
-        for h in algebra.presentation.subgroup.members:
-            ends[h] = [(h, r, c) for c in range(m)]
+        ends = [[(h, r, c) for c in range(m)] for h in members]
         walk(plan.trie, ends, r, 0, 0, 0)
     # walk holds itself through its closure cell.  Clearing the cell breaks
     # that cycle, so the table is freed when the caller drops it, not at the

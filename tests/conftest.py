@@ -84,6 +84,23 @@ def z3z3_swap_group():
     return semidirect_swap_z3z3()
 
 
+def normality_zoo() -> list[FiniteGroup]:
+    """Groups of order at most 16, small enough for all_subgroups: C1..C16,
+    D1..D8, S3 and four direct products, abelian and not."""
+    c2 = FiniteGroup.cyclic(2)
+    return (
+        [FiniteGroup.cyclic(n) for n in range(1, 17)]
+        + [FiniteGroup.dihedral(n) for n in range(1, 9)]
+        + [
+            FiniteGroup.symmetric(3),
+            FiniteGroup.direct_product(c2, c2),
+            FiniteGroup.direct_product(FiniteGroup.cyclic(4), FiniteGroup.cyclic(4)),
+            FiniteGroup.direct_product(c2, FiniteGroup.dihedral(4)),
+            FiniteGroup.direct_product(FiniteGroup.dihedral(3), c2),
+        ]
+    )
+
+
 # -- standard cocycles -------------------------------------------------------------
 
 
@@ -231,7 +248,7 @@ def random_multilinear(
     rng, algebra: GradedAlgebra, degree: int, max_monomials: int = 4
 ) -> GradedPolynomial:
     """Random multilinear polynomial over random supported degrees."""
-    sup = sorted(algebra.support())
+    sup = sorted(algebra.presentation.support())
     degrees = [rng.choice(sup) for _ in range(degree)]
     vs = variables_for(degrees)
     ids = [v.vid for v in vs]

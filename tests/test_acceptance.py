@@ -304,7 +304,7 @@ def _good_scalar_sweep(p: Presentation, max_len: int, oracle_stride: int):
     oracle_checks = 0
     wrong_scalars = [root_of_unity(N, e) for e in range(N)]
     for n in range(1, max_len + 1):
-        for degrees in product(sorted(A.support()), repeat=n):
+        for degrees in product(sorted(A.presentation.support()), repeat=n):
             walks = []
             for b0 in range(k):
                 hs = []
@@ -368,7 +368,7 @@ def test_ac07_good_permutation_scalars():
 
 
 def _random_pure(rng, p: Presentation, algebra, degree: int):
-    sup = sorted(algebra.support())
+    sup = sorted(algebra.presentation.support())
     for _ in range(60):
         degrees = tuple(rng.choice(sup) for _ in range(degree))
         sigmas = []

@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -1070,4 +1071,20 @@ def test_greedy_generators_are_computed_only_in_groups():
                 name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
                 if name in ("right_generators", "_right_closure"):
                     found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_parent_indexed_exponent_table_in_the_package():
+    """A cocycle has one exponent table, its own rows in H's local indices:
+    no line of src/gradedpi, code, comment or docstring, names the deleted
+    G x G copy (Cocycle2.exponent_table and its _dense slot) or
+    GradedAlgebra.exp_table."""
+    src = Path(__file__).resolve().parents[1] / "src" / "gradedpi"
+    pattern = re.compile(r"exponent_table|exp_table|_dense")
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(src.glob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
     assert found == []

@@ -41,7 +41,7 @@ from gradedpi.errors import (
 from gradedpi.groups import FiniteGroup, Subgroup
 from gradedpi.scalars import root_of_unity
 
-from conftest import brute_coboundary, klein_nontrivial_cocycle, z3z3_cocycle
+from conftest import brute_coboundary, klein_nontrivial_cocycle, normality_zoo, z3z3_cocycle
 
 
 def test_trivial_cocycle_validates(k4):
@@ -110,12 +110,94 @@ def test_violations_match_the_naive_triple_loop():
                         kinds["valid"] += 1
                     for kind in {v.kind for v in got}:
                         kinds[kind] += 1
-                    table = c.exponent_table()
                     for a in G.elements():
                         for b in G.elements():
-                            inside = a in H and b in H
-                            assert table[a][b] == (c.exp(a, b) if inside else 0)
+                            if a in H and b in H:
+                                local = H.local_index(a), H.local_index(b)
+                                assert c.exps[local[0]][local[1]] == c.exp(a, b)
+                            else:
+                                with pytest.raises(NotSubgroupError):
+                                    c.exp(a, b)
     assert min(kinds.values()) >= 10, kinds
+
+
+def _parent_indexed_checks(c: Cocycle2, words) -> tuple:
+    """The cocycle check, violations() and product_exp as naive triple loops
+    and folds over parent-group elements, each entry read with exp(a, b)."""
+    H, N = c.subgroup, c.modulus
+    g, mem = H.parent, H.members
+    out = []
+    for h in mem:
+        if c.exp(0, h) % N:
+            out.append(CocycleViolation("normalization", (0, h), "c(e, h) != 1"))
+        if c.exp(h, 0) % N:
+            out.append(CocycleViolation("normalization", (h, 0), "c(h, e) != 1"))
+    for a, b, d in product(mem, repeat=3):
+        lhs = c.exp(a, b) + c.exp(g.mul(a, b), d)
+        rhs = c.exp(a, g.mul(b, d)) + c.exp(b, d)
+        if (lhs - rhs) % N:
+            detail = f"c(a,b)c(ab,d) != c(a,bd)c(b,d) (exponents {lhs} vs {rhs})"
+            out.append(CocycleViolation("identity", (a, b, d), detail))
+    folds = []
+    for hs in words:
+        total, prefix = 0, 0
+        for h in hs:
+            total, prefix = total + c.exp(prefix, h), g.mul(prefix, h)
+        folds.append(total % N)
+    return not out, out, folds
+
+
+def test_local_rows_agree_with_parent_indexed_loops():
+    """The generator check, violations() and product_exp read the cocycle's
+    rows through H's local indices; each agrees with naive parent-indexed
+    loops, on valid and corrupted tables, for H = G, H trivial, a proper
+    normal H and a non-normal H of every group in the normality zoo."""
+    rng = random.Random(3232)
+    seen = {"G": 0, "trivial": 0, "normal": 0, "non-normal": 0, "valid": 0, "invalid": 0}
+    for G in normality_zoo():
+        subgroups = G.all_subgroups()
+        picks = {"G": G.full_subgroup(), "trivial": G.trivial_subgroup()}
+        proper = [H for H in subgroups if 1 < len(H) < G.order]
+        picks["normal"] = next((H for H in proper if H.is_normal()), None)
+        picks["non-normal"] = next((H for H in proper if not H.is_normal()), None)
+        for kind, H in picks.items():
+            if H is None:
+                continue
+            n = len(H)
+            outside = next((x for x in G.elements() if x not in H), None)
+            for N in (1, 3, 4, 12):
+                lam = (0,) + tuple(rng.randrange(N) for _ in range(n - 1))
+                valid = Coboundary(H, N, lam).induced().exps
+                corrupted = [list(row) for row in valid]
+                i, j = rng.randrange(n), rng.randrange(n)
+                corrupted[i][j] += rng.randrange(1, N) if N > 1 else 1
+                for exps in (valid, corrupted):
+                    words = [
+                        [rng.choice(H.members) for _ in range(rng.randrange(6))] for _ in range(4)
+                    ]
+                    c = Cocycle2(H, N, exps)
+                    ok, bad, folds = _parent_indexed_checks(c, words)
+                    # is_valid first: violations() records its own verdict.
+                    assert c.is_valid() == ok, (G.name, H.members, N)
+                    assert c.violations() == bad, (G.name, H.members, N)
+                    assert [c.product_exp(hs) for hs in words] == folds
+                    if outside is not None:
+                        with pytest.raises(NotSubgroupError):
+                            c.product_exp([0, outside])
+                    seen[kind] += 1
+                    seen["valid" if ok else "invalid"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_cocycle_entries_must_be_integers():
+    """An entry is read with operator.index: a float or a numeric string is a
+    CocycleError, not truncated or parsed; ints and bools are reduced mod N."""
+    H = FiniteGroup.cyclic(2).full_subgroup()
+    for bad in (2.7, 2.0, "3"):
+        with pytest.raises(CocycleError, match="entries must be integers"):
+            Cocycle2(H, 4, [[0, 0], [0, bad]])
+    assert Cocycle2(H, 4, [[0, 0], [0, 6]]).exps == ((0, 0), (0, 2))
+    assert Cocycle2(H, 4, [[0, False], [0, True]]).exps == ((0, 0), (0, 1))
 
 
 def _check_like_violations(c: Cocycle2) -> bool:
@@ -522,11 +604,12 @@ def test_enumerate_binomials_counts(k4):
 
 def test_enumerate_binomials_refuses_lengths_above_five_with_a_typed_error(k4):
     """The enumeration is exponential in the length: a bound above 5 is a
-    HypothesisError, a package error, at the first item; 5 is enumerated."""
+    HypothesisError, a package error, at the call, before any item is
+    asked for; 5 is enumerated."""
     c = klein_nontrivial_cocycle(k4.full_subgroup())
     assert next(enumerate_binomials(c, 5)).hs == (0,)
     with pytest.raises(HypothesisError, match="length bound > 5 refused"):
-        next(enumerate_binomials(c, 6))
+        enumerate_binomials(c, 6)
 
 
 def test_alpha_depends_only_on_class(k4):
@@ -995,10 +1078,12 @@ def test_built_cocycles_equal_the_validated_constructor():
         Coboundary(H, -3, lam).induced()
 
 
-def test_exponent_table_is_built_once_with_immutable_rows():
-    """exponent_table() builds the dense table on the first call and returns
-    that same tuple-of-tuples object on every later one; it equals a dense
-    table built entry by entry, and GradedAlgebra reads that object."""
+def test_local_table_is_built_once_with_immutable_rows():
+    """local_table() builds H's table on the first call and returns that same
+    tuple-of-tuples object on every later one; it equals a table built entry
+    by entry, and for H = G it is the parent's Cayley table.  A cocycle's
+    rows are tuples too, and GradedAlgebra.mul_basis reads them through H's
+    local indices."""
     from gradedpi.algebra import build_algebra
 
     rng = random.Random(1414)
@@ -1006,19 +1091,24 @@ def test_exponent_table_is_built_once_with_immutable_rows():
     for G in (FiniteGroup.dihedral(4), c2c4, FiniteGroup.cyclic(1)):
         for H in G.all_subgroups():
             n = len(H)
-            c = Cocycle2(H, 6, [[rng.randrange(6) for _ in range(n)] for _ in range(n)])
-            table = c.exponent_table()
-            assert c.exponent_table() is table
+            table = H.local_table()
+            assert H.local_table() is table
             assert type(table) is tuple and all(type(row) is tuple for row in table)
             assert table == tuple(
-                tuple(c.exp(a, b) if a in H and b in H else 0 for b in G.elements())
-                for a in G.elements()
+                tuple(H.local_index(G.mul(a, b)) for b in H.members) for a in H.members
             )
+            assert (table is G.table) == (n == G.order)
             with pytest.raises(TypeError):
                 table[0][0] = 1  # type: ignore[index]
-            trivial = Cocycle2.trivial(H, 6)
-            algebra = build_algebra(Presentation(G, H, trivial, (0,)))
-            assert algebra.exp_table is trivial.exponent_table()
+            c = Coboundary(H, 6, tuple([0] + [rng.randrange(6) for _ in range(n - 1)])).induced()
+            assert type(c.exps) is tuple and all(type(row) is tuple for row in c.exps)
+            with pytest.raises(TypeError):
+                c.exps[0][0] = 1  # type: ignore[index]
+            algebra = build_algebra(Presentation(G, H, c, (0,)))
+            for a in H.members:
+                for b in H.members:
+                    exp, _ = algebra.mul_basis((a, 0, 0), (b, 0, 0))
+                    assert exp == c.exp(a, b)
 
 
 def _nonabelian_subgroups():

@@ -6,6 +6,8 @@ from gradedpi import groups
 from gradedpi.errors import HypothesisError, InvalidTableError, NotSubgroupError
 from gradedpi.groups import FiniteGroup, coset_steps, equivalence_classes_tilde
 
+from conftest import normality_zoo
+
 
 def brute_center(g: FiniteGroup):
     return [a for a in g.elements() if all(g.mul(a, b) == g.mul(b, a) for b in g.elements())]
@@ -450,28 +452,13 @@ def _brute_is_normal(H) -> bool:
     return all(g.conj(x, h) in H for x in g.elements() for h in H.members)
 
 
-def _normality_zoo():
-    c2 = FiniteGroup.cyclic(2)
-    return (
-        [FiniteGroup.cyclic(n) for n in range(1, 17)]
-        + [FiniteGroup.dihedral(n) for n in range(1, 9)]
-        + [
-            FiniteGroup.symmetric(3),
-            FiniteGroup.direct_product(c2, c2),
-            FiniteGroup.direct_product(FiniteGroup.cyclic(4), FiniteGroup.cyclic(4)),
-            FiniteGroup.direct_product(c2, FiniteGroup.dihedral(4)),
-            FiniteGroup.direct_product(FiniteGroup.dihedral(3), c2),
-        ]
-    )
-
-
 def test_stored_generators_equal_a_fresh_greedy_scan():
     """FiniteGroup.generators() is computed on its first call and kept, and
     Subgroup.generators() is what the constructor's closure check found; both
     equal a fresh right_generators call.  In local indices, H's are the greedy
     generators of its local table, which the coboundary system reads."""
     s4 = FiniteGroup.symmetric(4)
-    for g in _normality_zoo() + [s4, FiniteGroup.cyclic(64), FiniteGroup.dihedral(32)]:
+    for g in normality_zoo() + [s4, FiniteGroup.cyclic(64), FiniteGroup.dihedral(32)]:
         gens = g.generators()
         assert gens == tuple(groups.right_generators(g.table)) and g.generators() is gens
         subgroups = g.all_subgroups() if g.order <= 16 else [
@@ -500,7 +487,7 @@ def test_generates_matches_the_generated_subgroup():
 
 def test_is_normal_on_generators_matches_the_definition_on_every_small_subgroup():
     seen = normal = 0
-    for g in _normality_zoo():
+    for g in normality_zoo():
         for H in g.all_subgroups():
             want = _brute_is_normal(H)
             assert H.is_normal() == want, (g.name, H.members)

@@ -224,7 +224,7 @@ def _random_alternating(rng, A) -> GradedPolynomial:
     """A twisted monomial of 2-4 degree-0 variables and up to two others,
     alternated over the degree-0 ones."""
     alternated = rng.randint(2, 4)
-    degrees = [0] * alternated + [rng.choice(sorted(A.support())) for _ in range(rng.randint(0, 2))]
+    degrees = [0] * alternated + [rng.choice(sorted(A.presentation.support())) for _ in range(rng.randint(0, 2))]
     variables = variables_for(degrees)
     order = tuple(rng.sample([v.vid for v in variables], len(variables)))
     rational = Fraction(rng.choice([-2, 1, 3]), rng.choice([1, 2]))
@@ -281,7 +281,8 @@ def test_evaluate_triples_cancellation_and_vanishing(p_k4_twisted, p_z2_unbalanc
     monomial."""
     A = build_algebra(p_k4_twisted)
     a, b = p_k4_twisted.subgroup.members[1:3]
-    assert A.exp_table[a][b] != A.exp_table[b][a]
+    c = p_k4_twisted.cocycle
+    assert c.exp(a, b) != c.exp(b, a)
     f = GradedPolynomial(variables_for([a, b]), [(one(2), (1, 2)), (one(2), (2, 1))])
     triples = {1: (a, 0, 0), 2: (b, 0, 0)}
     assert evaluate_triples(GradedPolynomial(f.variables, [f.monomials[0]]), A, triples)
@@ -421,7 +422,7 @@ def _presentations_over_moduli_3_4_12() -> list[Presentation]:
 def _random_twisted_polynomial(rng, A, degree: int) -> GradedPolynomial:
     """Up to four monomials with [[power, rational], ...] coefficients whose
     rationals have denominators 2, 3 and 5."""
-    sup = sorted(A.support())
+    sup = sorted(A.presentation.support())
     variables = variables_for([rng.choice(sup) for _ in range(degree)])
     orders = list(permutations([v.vid for v in variables]))
     monos = []
@@ -449,7 +450,7 @@ def test_integer_oracle_matches_brute_force_at_moduli_3_4_12():
             ctx = None
         for _ in range(4 if ctx else 0):
             # Good binomials Z - s Z_sigma, scaled: identities.
-            degrees = [rng.choice(sorted(A.support())) for _ in range(3)]
+            degrees = [rng.choice(sorted(A.presentation.support())) for _ in range(3)]
             sigma = rng.choice(list(good_permutations_of(degrees, p.subgroup))[1:] or [(0, 1, 2)])
             scale = _coefficient(A.modulus, [(rng.randrange(A.modulus), Fraction(2, 15))])
             polys.append(good_binomial(degrees, sigma, ctx.scalar(degrees, sigma)).scale(scale))
@@ -636,7 +637,7 @@ def test_good_permutation_is_equivalence(p_d4_rotations):
     rng = random.Random(9)
     H = p_d4_rotations.subgroup
     A = build_algebra(p_d4_rotations)
-    sup = sorted(A.support())
+    sup = sorted(A.presentation.support())
     for _ in range(50):
         degrees = [rng.choice(sup) for _ in range(4)]
         vs = variables_for(degrees)
@@ -899,7 +900,7 @@ def test_path_restriction_matches_vanishing(p_d4_klein, p_z2_balanced, d4):
     for p in (p_z2_balanced, p_d4_klein, p_r2):
         A = build_algebra(p)
         H = p.subgroup
-        sup = sorted(A.support())
+        sup = sorted(A.presentation.support())
         done = 0
         while done < 20:
             degrees = tuple(rng.choice(sup) for _ in range(3))
@@ -1285,7 +1286,7 @@ def test_walk_on_reduced_exponents_matches_brute_force_at_modulus_12():
     rng = random.Random(12)
     for p, g in _gcd_presentations():
         A = build_algebra(p)
-        assert gcd(12, *(v for row in A.exp_table for v in row)) == g
+        assert gcd(12, *(v for row in p.cocycle.exps for v in row)) == g
         for _ in range(8):
             f = _random_twisted_polynomial(rng, A, rng.randint(1, 3))
             acc = accumulate_evaluations(f, A)
@@ -1397,7 +1398,7 @@ def _assert_oracle_answers(f: GradedPolynomial, A, brute: dict) -> None:
 
 def _same_degree_word(rng, A, degree: int, repeats: int) -> list[int]:
     """A degree word in which the first `repeats` letters share one degree."""
-    sup = sorted(A.support())
+    sup = sorted(A.presentation.support())
     shared = rng.choice(sup)
     word = [shared] * repeats + [rng.choice(sup) for _ in range(degree - repeats)]
     rng.shuffle(word)
@@ -1456,7 +1457,7 @@ def test_sums_of_alternations_with_interleaved_class_slots():
     checked = 0
     for p in _presentations_over_moduli_1_3_4_12():
         A = build_algebra(p)
-        sup = sorted(A.support())
+        sup = sorted(A.presentation.support())
         a = rng.choice(sup)
         b = rng.choice([x for x in sup if x != a] or sup)
         coeff = _random_coefficient(rng, A.modulus)
@@ -1488,7 +1489,7 @@ def test_polynomial_antisymmetric_in_one_pair_only():
     rng = random.Random(103)
     for p in _presentations_over_moduli_1_3_4_12():
         A = build_algebra(p)
-        g = rng.choice(sorted(A.support()))
+        g = rng.choice(sorted(A.presentation.support()))
         c, d = (_random_coefficient(rng, A.modulus) for _ in range(2))
         f = GradedPolynomial(
             variables_for([g, g, g]),
@@ -1589,7 +1590,7 @@ def test_near_misses_keep_the_full_table():
     cases = 0
     for p in _presentations_over_moduli_1_3_4_12():
         A = build_algebra(p)
-        sup = sorted(A.support())
+        sup = sorted(A.presentation.support())
         g = rng.choice(sup)
         c = _random_coefficient(rng, A.modulus)
         symmetric = GradedPolynomial(variables_for([g, g, g]), [(c, (1, 2, 3)), (c, (2, 1, 3))])
