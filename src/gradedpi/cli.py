@@ -59,46 +59,7 @@ def _need(doc: dict, key: str, where: str = "document"):
     return doc[key]
 
 
-# Groups kept between documents (see _shared_group), and subgroups kept per
-# group.  A stream of documents names the same few groups and subgroups again
-# and again; each keeps its inverses, greedy generators, local table and
-# right cosets once built.  Past a cap the least recently used entry goes.
-MAX_SHARED_GROUPS = 16
-MAX_SHARED_SUBGROUPS = 10
-
-# key -> (group, its subgroup table: sorted member tuple -> Subgroup), least
-# recently used first.  A key is built from validated values only and holds
-# exact ints, so {"n": true} never finds the entry of {"n": 1}.
-_SHARED_GROUPS: dict[tuple, tuple[FiniteGroup, dict[tuple, Subgroup]]] = {}
-
-
-def _shared(table: dict, key: tuple, cap: int, build, *args):
-    """table[key], made by build(*args) on a miss; the entry becomes the most
-    recently used, and past cap entries the least recently used one is
-    dropped.  A build that raises stores nothing."""
-    entry = table.pop(key, None)
-    if entry is None:
-        entry = build(*args)
-        if len(table) >= cap:
-            del table[next(iter(table))]
-    table[key] = entry
-    return entry
-
-
-def _checked(where: str, construct, *args):
-    """construct(*args), with a package error read as a document error at where."""
-    try:
-        return construct(*args)
-    except GradedPIError as exc:
-        raise DocumentError(f"{where}: {exc}") from exc
-
-
-def _group_entry(where: str, construct, *args) -> tuple[FiniteGroup, dict]:
-    return _checked(where, construct, *args), {}
-
-
-def _shared_group(spec: Any, where: str) -> tuple[tuple, tuple[FiniteGroup, dict]]:
-    """The group spec's key and its shared entry (group, subgroup table)."""
+def parse_group(spec: Any, where: str = "group") -> FiniteGroup:
     if not isinstance(spec, dict):
         raise DocumentError(f"{where}: expected an object")
     if "table" in spec:
@@ -110,34 +71,30 @@ def _shared_group(spec: Any, where: str) -> tuple[tuple, tuple[FiniteGroup, dict
                 raise DocumentError(
                     f"{where}.table[{i}]: expected a list of integers, got {row!r}"
                 )
-        rows = tuple(map(tuple, table))
-        key = ("table", rows)
-        args = (f"{where}.table", FiniteGroup.from_table, rows)
-    else:
-        construct = _need(spec, "construct", where)
-        if construct in ("cyclic", "dihedral", "symmetric"):
-            n = _need(spec, "n", where)
-            if not _is_int(n):
-                raise DocumentError(f"{where}.n: expected an integer, got {n!r}")
-            key = (construct, int(n))
-            args = (f"{where}.n", getattr(FiniteGroup, construct), key[1])
-        elif construct == "product":
-            factors = _need(spec, "factors", where)
-            if not isinstance(factors, list) or len(factors) != 2:
-                raise DocumentError(f"{where}.factors: expected a list of two group specs")
-            key_a, (a, _) = _shared_group(factors[0], f"{where}.factors[0]")
-            key_b, (b, _) = _shared_group(factors[1], f"{where}.factors[1]")
-            key = ("product", key_a, key_b)
-            args = (where, FiniteGroup.direct_product, a, b)
-        else:
-            raise DocumentError(f"{where}.construct: unknown constructor '{construct}'")
-    return key, _shared(_SHARED_GROUPS, key, MAX_SHARED_GROUPS, _group_entry, *args)
-
-
-def parse_group(spec: Any, where: str = "group") -> FiniteGroup:
-    """The group of a spec, read through the shared table: one object for
-    every spec with the same key while the table keeps it."""
-    return _shared_group(spec, where)[1][0]
+        try:
+            return FiniteGroup.from_table(table)
+        except GradedPIError as exc:
+            raise DocumentError(f"{where}.table: {exc}") from exc
+    construct = _need(spec, "construct", where)
+    if construct in ("cyclic", "dihedral", "symmetric"):
+        n = _need(spec, "n", where)
+        if not _is_int(n):
+            raise DocumentError(f"{where}.n: expected an integer, got {n!r}")
+        try:
+            return getattr(FiniteGroup, construct)(n)
+        except GradedPIError as exc:
+            raise DocumentError(f"{where}.n: {exc}") from exc
+    if construct == "product":
+        factors = _need(spec, "factors", where)
+        if not isinstance(factors, list) or len(factors) != 2:
+            raise DocumentError(f"{where}.factors: expected a list of two group specs")
+        a = parse_group(factors[0], f"{where}.factors[0]")
+        b = parse_group(factors[1], f"{where}.factors[1]")
+        try:
+            return FiniteGroup.direct_product(a, b)
+        except GradedPIError as exc:
+            raise DocumentError(f"{where}: {exc}") from exc
+    raise DocumentError(f"{where}.construct: unknown constructor '{construct}'")
 
 
 def _need_list(doc: dict, key: str, where: str, field: str) -> list:
@@ -321,7 +278,7 @@ class SessionDocument:
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
             raise DocumentError("document: expected a JSON object")
-        self.group, self._subgroups = _shared_group(_need(raw, "group"), "group")[1]
+        self.group = parse_group(_need(raw, "group"))
         names = raw.get("names", {})
         if not isinstance(names, dict):
             raise DocumentError("names: expected an object of alias -> index")
@@ -336,7 +293,9 @@ class SessionDocument:
         if "second" in raw:
             if not isinstance(raw["second"], dict):
                 raise DocumentError("second: expected an object")
-            self.second = self._parse_presentation(raw["second"], "second.")
+            self.second = self._parse_presentation(
+                raw["second"], "second.", self.presentation.subgroup
+            )
         self.polynomials: dict[str, GradedPolynomial] = {}
         modulus = self.presentation.cocycle.modulus
         polynomials = raw.get("polynomials", {})
@@ -350,17 +309,23 @@ class SessionDocument:
         if not isinstance(self.params, dict):
             raise DocumentError("params: expected an object")
 
-    def _parse_presentation(self, raw: dict, prefix: str) -> Presentation:
+    def _parse_presentation(
+        self, raw: dict, prefix: str, first: Optional[Subgroup] = None
+    ) -> Presentation:
+        """first: the first presentation's subgroup, reused (with its local
+        table, cosets and generators) when this one names the same members."""
         where = prefix + "document"
         members = [
             _resolve_element(v, self.names, self.group, f"{prefix}subgroup[{i}]")
             for i, v in enumerate(_need_list(raw, "subgroup", where, f"{prefix}subgroup"))
         ]
-        key = tuple(sorted(set(map(int, members))))
-        subgroup = _shared(
-            self._subgroups, key, MAX_SHARED_SUBGROUPS, _checked, f"{prefix}subgroup",
-            self.group.subgroup, key,
-        )
+        if first is not None and first.member_set == set(members):
+            subgroup = first
+        else:
+            try:
+                subgroup = self.group.subgroup(members)
+            except GradedPIError as exc:
+                raise DocumentError(f"{prefix}subgroup: {exc}") from exc
         cspec = _need(raw, "cocycle", where)
         if not isinstance(cspec, dict):
             raise DocumentError(f"{prefix}cocycle: expected an object")

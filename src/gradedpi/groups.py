@@ -70,13 +70,9 @@ class FiniteGroup:
 
     __slots__ = ("order", "table", "_inv", "_gens", "name", "product_factors")
 
-    def __init__(
-        self, table, name: str = "G", product_factors=None, *, _trusted=False, _inv=None
-    ):
+    def __init__(self, table, name: str = "G", product_factors=None, *, _trusted=False):
         """_trusted: the caller, a constructor of this class, built the table
-        as a group table with identity 0, so it is not validated again.
-        _inv: the inverses, given by a trusted constructor that knows them;
-        otherwise each is found as the column of 0 in its row."""
+        as a group table with identity 0, so it is not validated again."""
         rows = tuple(map(tuple, table))
         if not _trusted:
             e = _validate_table(rows)
@@ -87,9 +83,6 @@ class FiniteGroup:
         self.name = name
         self.product_factors = product_factors
         self._gens = None
-        if _inv is not None:
-            self._inv = _inv
-            return
         try:
             self._inv = tuple([row.index(0) for row in rows])
         except ValueError:
@@ -162,8 +155,7 @@ class FiniteGroup:
         # Row a is a, a+1, ..., n-1, 0, ..., a-1: a slice of 0..n-1 twice.
         twice = tuple(range(n)) * 2
         table = [twice[a : a + n] for a in range(n)]
-        inv = tuple([(n - a) % n for a in range(n)])
-        return cls(table, name=f"C{n}", _trusted=True, _inv=inv)
+        return cls(table, name=f"C{n}", _trusted=True)
 
     @classmethod
     def dihedral(cls, n: int) -> "FiniteGroup":
@@ -213,11 +205,7 @@ class FiniteGroup:
         table = [
             tuple([p + q for p in row_a for q in row_b]) for row_a in scaled for row_b in b.table
         ]
-        # (x, y)^-1 = (x^-1, y^-1), at the same index map.
-        inv = tuple([p * nb + q for p in a._inv for q in b._inv])
-        return cls(
-            table, name=f"{a.name}x{b.name}", product_factors=(a, b), _trusted=True, _inv=inv
-        )
+        return cls(table, name=f"{a.name}x{b.name}", product_factors=(a, b), _trusted=True)
 
     # -- subgroup machinery ---------------------------------------------------
 

@@ -38,7 +38,6 @@ from itertools import permutations
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from gradedpi import cli
 from gradedpi.cli import COMMANDS, main, run
 from gradedpi.errors import GradedPIError
 from gradedpi.groups import FiniteGroup
@@ -353,27 +352,6 @@ FROZEN = {
 
 def test_reports_match_their_frozen_digests():
     assert _digests() == FROZEN
-
-
-class _KeepsNothing(dict):
-    """A shared group table that stores nothing: every document reads its
-    groups and subgroups cold."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
-def test_reports_are_the_same_with_a_cold_and_a_warm_group_table(monkeypatch):
-    """Every document's report is the same whether its groups are built for
-    it, read from a table the earlier documents filled, or read from the
-    table a full pass left."""
-    monkeypatch.setattr(cli, "_SHARED_GROUPS", _KeepsNothing())
-    cold = _digests()
-    table = {}
-    monkeypatch.setattr(cli, "_SHARED_GROUPS", table)
-    first = _digests()
-    assert table
-    assert cold == first == _digests() == FROZEN
 
 
 def test_no_document_leaves_garbage_for_the_cyclic_collector():
