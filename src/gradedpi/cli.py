@@ -315,10 +315,9 @@ class SessionDocument:
         """first: the first presentation's subgroup, reused (with its local
         table, cosets and generators) when this one names the same members."""
         where = prefix + "document"
-        members = [
-            _resolve_element(v, self.names, self.group, f"{prefix}subgroup[{i}]")
-            for i, v in enumerate(_need_list(raw, "subgroup", where, f"{prefix}subgroup"))
-        ]
+        members = self._elements(
+            _need_list(raw, "subgroup", where, f"{prefix}subgroup"), f"{prefix}subgroup"
+        )
         if first is not None and first.member_set == set(members):
             subgroup = first
         else:
@@ -350,14 +349,22 @@ class SessionDocument:
             raise DocumentError(
                 f"{prefix}grading: length {len(raw_grading)} exceeds the maximum {MAX_GRADING}"
             )
-        grading = [
-            _resolve_element(v, self.names, self.group, f"{prefix}grading[{i}]")
-            for i, v in enumerate(raw_grading)
-        ]
+        grading = self._elements(raw_grading, f"{prefix}grading")
         try:
             return Presentation(self.group, subgroup, cocycle, tuple(grading))
         except GradedPIError as exc:
             raise DocumentError(f"{prefix}presentation: {exc}") from exc
+
+    def _elements(self, values: list, field: str) -> list[int]:
+        """The element indices of a subgroup or grading list.  A non-empty
+        list of exact ints in range is taken in one pass; any other is
+        resolved entry by entry, so an error names field[i]."""
+        if values and _exact_ints(values) and min(values) >= 0 and max(values) < self.group.order:
+            return values
+        return [
+            _resolve_element(v, self.names, self.group, f"{field}[{i}]")
+            for i, v in enumerate(values)
+        ]
 
     def polynomial(self, key: str = "polynomial") -> GradedPolynomial:
         name = self.params.get(key)

@@ -14,10 +14,19 @@ The set of a that pass is closed under products (when a and b pass,
 (x ab) y = ((x a) b) y = (x a)(b y) = x (a (b y)) = x ((ab) y)) and holds the
 identity, so it holds every left-nested product of generators, which is
 every element.  On a failure the n^3 scan runs in (a, b, c) order, so the
-error names the first failing triple.  The tables that cyclic, dihedral,
-symmetric and direct_product build are group tables with identity 0 by
-construction (rotation r^0 and the sorted identity permutation come first)
-and are not validated again.
+error names the first failing triple.  The Latin-square check compares each
+row, and each column of zip(*rows), with the set 0..n-1; only a row that
+fails is scanned entry by entry, to name an out-of-range entry before a
+repeat.  Light's test reads the row x (a y), over y, off row x with one
+itemgetter per generator a.
+
+The tables that cyclic, dihedral, symmetric and direct_product build are
+group tables with identity 0 by construction (rotation r^0 and the sorted
+identity permutation come first) and are not validated again.  They are
+built by whole rows: a cyclic row is a slice of 0..n-1 written out twice,
+and a dihedral half-row a slice of the rotations or of the reflections
+written out twice; an S_n entry (a, b) is the position of pa o pb, read off
+pa by itemgetter(*pb); a product row joins the rows of its factors.
 
 A subset S holding the identity is closed under products iff S t is inside S
 for each greedy right generator t of S (right_generators over S): every
@@ -58,6 +67,7 @@ same entries give the h of a relation: h g_j = g_i t with t in H.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from operator import index, itemgetter
 
 from .errors import HypothesisError, InvalidTableError, NotSubgroupError
 from .records import Record
@@ -135,7 +145,7 @@ class FiniteGroup:
         return n
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteGroup) and self.table == other.table
+        return self is other or (isinstance(other, FiniteGroup) and self.table == other.table)
 
     def __hash__(self) -> int:
         return hash(self.table)
@@ -165,33 +175,25 @@ class FiniteGroup:
             raise InvalidTableError("dihedral parameter must be >= 1")
         size = 2 * n
         _check_order(size)
-
-        def mul(a, b):
-            ra, fa = a % n, a >= n
-            rb, fb = b % n, b >= n
-            if not fa and not fb:
-                return (ra + rb) % n
-            if not fa and fb:
-                return n + (rb - ra) % n
-            if fa and not fb:
-                return n + (ra + rb) % n
-            return (rb - ra) % n
-
-        table = [[mul(a, b) for b in range(size)] for a in range(size)]
+        # r^a r^b = r^(a+b), r^a s r^b = s r^(b-a), s r^a r^b = s r^(a+b) and
+        # s r^a s r^b = r^(b-a): each half-row is a slice of the rotations or
+        # of the reflections, each written out twice.
+        rots, refls = tuple(range(n)) * 2, tuple(range(n, size)) * 2
+        table = [rots[a : a + n] + refls[n - a : size - a] for a in range(n)]
+        table += [refls[a : a + n] + rots[n - a : size - a] for a in range(n)]
         return cls(table, name=f"D{n}", _trusted=True)
 
     @classmethod
     def symmetric(cls, n: int) -> "FiniteGroup":
         if not 0 <= n <= 4:
             raise InvalidTableError("symmetric groups only supported for 0 <= n <= 4")
+        if n < 2:  # itemgetter needs two indices to return a tuple
+            return cls([[0]], name=f"S{n}", _trusted=True)
         perms = sorted(permutations(range(n)))
-        index = {p: i for i, p in enumerate(perms)}
-
-        def mul(a, b):
-            pa, pb = perms[a], perms[b]
-            return index[tuple(pa[pb[i]] for i in range(n))]
-
-        table = [[mul(a, b) for b in range(len(perms))] for a in range(len(perms))]
+        position = {p: i for i, p in enumerate(perms)}
+        # Entry (a, b) is pa o pb, i -> pa[pb[i]], which itemgetter(*pb) reads off pa.
+        getters = [itemgetter(*pb) for pb in perms]
+        table = [[position[get(pa)] for get in getters] for pa in perms]
         return cls(table, name=f"S{n}", _trusted=True)
 
     @classmethod
@@ -270,28 +272,30 @@ def _validate_table(rows) -> int:
     identity."""
     n = len(rows)
     _check_order(n)
+    ordered = tuple(range(n))
+    full = set(ordered)
     for i, row in enumerate(rows):
         if len(row) != n:
             raise InvalidTableError(f"row {i} has length {len(row)}, expected {n}")
-        for v in row:
-            if not (0 <= v < n):
-                raise InvalidTableError(f"row {i} contains out-of-range entry {v}")
-        if len(set(row)) != n:
+        if set(row) != full:  # an entry out of range is named before a repeat
+            for v in row:
+                if not (0 <= v < n):
+                    raise InvalidTableError(f"row {i} contains out-of-range entry {v}")
             raise InvalidTableError(f"row {i} is not a permutation (Latin square fails)")
-    for j in range(n):
-        col = [rows[i][j] for i in range(n)]
-        if len(set(col)) != n:
+    cols = list(zip(*rows))
+    for j, col in enumerate(cols):
+        if set(col) != full:
             raise InvalidTableError(f"column {j} is not a permutation (Latin square fails)")
-    e = _find_identity(rows)
+    e = next((e for e in range(n) if rows[e] == ordered and cols[e] == ordered), None)
     if e is None:
         raise InvalidTableError("no two-sided identity element")
     # Latin square + identity still needs associativity checked: Light's test
     # on the generators (module docstring), then the first failing triple.
+    # A generator is not the identity, so n >= 2 and get returns a tuple.
     for a in right_generators(rows, e):
-        row_a = rows[a]
+        get = itemgetter(*rows[a])  # get(row x) is x (a y) over y
         for row_x in rows:
-            row_xa = rows[row_x[a]]
-            if tuple(row_x[v] for v in row_a) != row_xa:
+            if get(row_x) != rows[row_x[a]]:
                 _raise_first_nonassociative(rows)
     return e
 
@@ -337,14 +341,6 @@ def _right_closure(table, identity: int, elements) -> tuple[list[int], list[int]
     return gens, members
 
 
-def _find_identity(rows):
-    n = len(rows)
-    for e in range(n):
-        if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
-            return e
-    return None
-
-
 def _relabel(rows, e: int):
     """Swap labels 0 <-> e so the identity sits at index 0."""
     n = len(rows)
@@ -363,12 +359,20 @@ class Subgroup:
     __slots__ = ("parent", "members", "member_set", "local", "_gens", "_table", "_cosets")
 
     def __init__(self, parent: FiniteGroup, members):
-        ms = tuple(sorted(set(members)))
+        try:
+            ms = tuple(sorted(set(map(index, members))))
+        except TypeError:
+            for a in members:
+                try:
+                    index(a)
+                except TypeError:
+                    raise NotSubgroupError(f"member {a!r} is not an integer") from None
+            raise
         if not ms or ms[0] != 0:
             raise NotSubgroupError("subgroup must contain the identity (index 0)")
-        for a in ms:
-            if not (0 <= a < parent.order):
-                raise NotSubgroupError(f"member {a} out of range")
+        if ms[-1] >= parent.order:  # ms is sorted from 0: name the least one out of range
+            bad = next(a for a in ms if a >= parent.order)
+            raise NotSubgroupError(f"member {bad} out of range")
         gens = _closure_generators(parent, ms)
         if gens is None:
             for a in ms:
@@ -410,15 +414,20 @@ class Subgroup:
         and the same object on every later one; for H = G, whose members
         are 0..n-1 in order, it is the parent's Cayley table itself."""
         if self._table is None:
-            table, local, ms = self.parent.table, self.local, self.members
-            if len(ms) < len(table):
-                rows = [table[a] for a in ms]
-                table = tuple([tuple([local[row[b]] for b in ms]) for row in rows])
+            table, ms = self.parent.table, self.members
+            if len(ms) == 1 < len(table):  # itemgetter(0) would give a bare value
+                table = ((0,),)
+            elif len(ms) < len(table):
+                # Per row, one itemgetter picks H's columns and one relabels
+                # them through to_local, each element's local index.
+                pick = itemgetter(*ms)
+                to_local = list(map(self.local.get, range(len(table))))
+                table = tuple([itemgetter(*pick(table[a]))(to_local) for a in ms])
             self._table = table
         return self._table
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Subgroup)
             and self.parent == other.parent
             and self.members == other.members

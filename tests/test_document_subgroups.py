@@ -54,8 +54,34 @@ def _main(tmp_path, capsys, document, command="validate"):
             doc(cyclic(2), subgroup=(0, True)),
             "subgroup[1]: element True out of range",
         ),
+        (
+            doc(cyclic(4), subgroup=(0, 2), names={"two": 2}),
+            doc(cyclic(4), subgroup=(0, "two")),
+            "subgroup[1]: unknown element alias 'two'",
+        ),
+        (doc(cyclic(4), subgroup=(0, 2)), doc(cyclic(4), subgroup=(0, -1)),
+         "subgroup[1]: element -1 out of range"),
+        (doc(cyclic(4), subgroup=(0, 2)), doc(cyclic(4), subgroup=(0, 2, 4)),
+         "subgroup[2]: element 4 out of range"),
+        (doc(cyclic(4)), doc(cyclic(4), subgroup=()),
+         "subgroup: subgroup must contain the identity (index 0)"),
+        (
+            doc(cyclic(4), grading=(0, 2), names={"two": 2}),
+            doc(cyclic(4), grading=(0, "two")),
+            "grading[1]: unknown element alias 'two'",
+        ),
+        (doc(cyclic(2), grading=(0, 1)), doc(cyclic(2), grading=(0, True)),
+         "grading[1]: element True out of range"),
+        (doc(cyclic(4), grading=(3,)), doc(cyclic(4), grading=(-1,)),
+         "grading[0]: element -1 out of range"),
+        (doc(cyclic(4), grading=(3, 0)), doc(cyclic(4), grading=(3, 4)),
+         "grading[1]: element 4 out of range"),
     ],
-    ids=["n-true", "n-float", "table-true", "member-true"],
+    ids=[
+        "n-true", "n-float", "table-true", "member-true", "member-alias", "member-negative",
+        "member-order", "member-none", "grading-alias", "grading-true", "grading-negative",
+        "grading-order",
+    ],
 )
 def test_an_alias_of_an_earlier_value_is_refused_as_before(
     earlier, refused, message, tmp_path, capsys

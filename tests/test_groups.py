@@ -1,5 +1,7 @@
 """Cayley-table groups: validation, subgroups, cosets, normality."""
 
+from itertools import permutations
+
 import pytest
 
 from gradedpi import groups
@@ -35,6 +37,14 @@ def test_symmetric_three_nonabelian():
 def test_repeated_row_rejected():
     with pytest.raises(InvalidTableError):
         FiniteGroup.from_table([[0, 1], [0, 1]])
+    for table, message in [
+        ([[0, 1, 2], [1, 1, 7], [2, 0, 1]], "row 1 contains out-of-range entry 7"),
+        ([[0, 1, 2], [1, 2, 0], [1, 0, 2]], "column 0 is not a permutation (Latin square fails)"),
+        ([[0, 1, 2], [1, 2], [2, 0, 1]], "row 1 has length 2, expected 3"),
+    ]:
+        with pytest.raises(InvalidTableError) as err:
+            FiniteGroup.from_table(table)
+        assert str(err.value) == message
 
 
 def test_nonassociative_latin_square_rejected():
@@ -92,6 +102,21 @@ def test_subgroup_validation():
     with pytest.raises(NotSubgroupError):
         g.subgroup([1, 3])  # misses identity
     assert len(g.subgroup([0, 2])) == 2
+    with pytest.raises(NotSubgroupError, match=r"^member 70 out of range$"):
+        FiniteGroup.cyclic(64).subgroup([0, 70, 80])
+
+
+def test_subgroup_members_are_read_with_operator_index():
+    """A member is read as operator.index reads it, so True is 1 and a
+    float or a string is refused with a typed error that names it."""
+    g = FiniteGroup.cyclic(4)
+    H = g.subgroup([0, True, 2, 3])
+    assert repr(H) == "Subgroup([0, 1, 2, 3] of C4)"
+    assert [type(h) for h in H.members] == [int] * 4
+    for bad in (2.0, 1.5, "a", None):
+        with pytest.raises(NotSubgroupError) as err:
+            g.subgroup([0, bad])
+        assert str(err.value) == f"member {bad!r} is not an integer"
 
 
 def test_lagrange_on_all_small_groups():
@@ -338,6 +363,28 @@ def test_unvalidated_constructors_build_group_tables_with_identity_zero():
     ]
     for g in built:
         assert groups._validate_table(g.table) == 0, g.name
+
+
+def test_constructor_tables_equal_their_definitions():
+    """dihedral and symmetric build exactly these labellings.  A relabelled
+    table is still a group table, so the test above would pass it, while
+    every D_n and S_n report would change."""
+    for n in range(1, 33):
+        size = 2 * n
+        table = [[0] * size for _ in range(size)]
+        for a in range(n):
+            for b in range(n):
+                table[a][b] = (a + b) % n  # r^a r^b = r^(a+b)
+                table[a][n + b] = n + (b - a) % n  # r^a s r^b = s r^(b-a)
+                table[n + a][b] = n + (a + b) % n  # s r^a r^b = s r^(a+b)
+                table[n + a][n + b] = (b - a) % n  # s r^a s r^b = r^(b-a)
+        assert FiniteGroup.dihedral(n).table == tuple(map(tuple, table)), n
+    for n in range(5):
+        perms = sorted(permutations(range(n)))
+        table = [
+            [perms.index(tuple(pa[pb[i]] for i in range(n))) for pb in perms] for pa in perms
+        ]
+        assert FiniteGroup.symmetric(n).table == tuple(map(tuple, table)), n
 
 
 def _full_scan_error(g: FiniteGroup, members):
