@@ -66,11 +66,7 @@ def parse_group(spec: Any, where: str = "group") -> FiniteGroup:
         table = spec["table"]
         if not isinstance(table, list):
             raise DocumentError(f"{where}.table: expected a list of rows, got {table!r}")
-        for i, row in enumerate(table):
-            if not isinstance(row, list) or not _exact_ints(row):
-                raise DocumentError(
-                    f"{where}.table[{i}]: expected a list of integers, got {row!r}"
-                )
+        _check_int_rows(table, f"{where}.table")
         try:
             return FiniteGroup.from_table(table)
         except GradedPIError as exc:
@@ -115,6 +111,13 @@ def _exact_ints(values: list) -> bool:
     """True when every entry is exactly an int (so no bool), checked at C
     speed; json.loads yields no other int type."""
     return set(map(type, values)) <= _INT_TYPE
+
+
+def _check_int_rows(rows: list, field: str) -> None:
+    """Raise DocumentError naming the first row that is not a list of ints."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or not _exact_ints(row):
+            raise DocumentError(f"{field}[{i}]: expected a list of integers, got {row!r}")
 
 
 def _resolve_element(value: Any, names: dict[str, int], group: FiniteGroup, where: str) -> int:
@@ -318,7 +321,7 @@ class SessionDocument:
         members = self._elements(
             _need_list(raw, "subgroup", where, f"{prefix}subgroup"), f"{prefix}subgroup"
         )
-        if first is not None and first.member_set == set(members):
+        if first is not None and first.local.keys() == set(members):
             subgroup = first
         else:
             try:
@@ -335,11 +338,7 @@ class SessionDocument:
                 f"got {modulus!r}"
             )
         exps = _need_list(cspec, "exponents", prefix + "cocycle", f"{prefix}cocycle.exponents")
-        for i, row in enumerate(exps):
-            if not isinstance(row, list) or not _exact_ints(row):
-                raise DocumentError(
-                    f"{prefix}cocycle.exponents[{i}]: expected a list of integers, got {row!r}"
-                )
+        _check_int_rows(exps, f"{prefix}cocycle.exponents")
         try:
             cocycle = Cocycle2(subgroup, modulus, exps)
         except GradedPIError as exc:

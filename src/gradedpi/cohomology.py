@@ -251,29 +251,25 @@ class Cocycle2:
     # -- the G-action -----------------------------------------------------------
 
     def conjugate(self, g: int) -> "Cocycle2":
-        """(g . c)(h1, h2) = c(g h1 g^-1, g h2 g^-1) on the same subgroup."""
+        """(g . c)(h1, h2) = c(g h1 g^-1, g h2 g^-1) on the same subgroup: the
+        transport by g^-1, when g normalizes H.  Otherwise NotNormalError
+        names the first member that conjugation by g moves outside H."""
         H = self.subgroup
-        table = H.parent.table
-        row_g, gi = table[g], H.parent.inv(g)
-        images = []
-        for h in H.members:
-            x = table[row_g[h]][gi]
-            if x not in H.member_set:
-                raise NotNormalError(f"conjugation by {g} maps {h} outside H")
-            images.append(H.local_index(x))
-        return self._permuted(H, images)
+        out = self.transport(H.parent.inv(g))
+        if out.subgroup is not H:
+            bad = next(h for h in H.members if H.parent.conj(g, h) not in H)
+            raise NotNormalError(f"conjugation by {g} maps {bad} outside H")
+        return out
 
     def transport(self, g: int) -> "Cocycle2":
         """Move the cocycle to the conjugate subgroup gHg^-1 (the M3 transport):
         c'(g h1 g^-1, g h2 g^-1) = c(h1, h2).  When g normalizes H and fixes
         each of its members, this is the cocycle itself (see _permuted)."""
         H = self.subgroup
-        table = H.parent.table
+        table, local = H.parent.table, H.local
         new_sub = H.conjugate(g)
         row_gi = table[H.parent.inv(g)]
-        return self._permuted(
-            new_sub, [H.local_index(table[row_gi[x]][g]) for x in new_sub.members]
-        )
+        return self._permuted(new_sub, [local[table[row_gi[x]][g]] for x in new_sub.members])
 
     def _permuted(self, subgroup: Subgroup, local: list[int]) -> "Cocycle2":
         """The cocycle on subgroup with entry [i][j] = exps[local[i]][local[j]].
@@ -295,15 +291,16 @@ class Cocycle2:
         left fold over the rows of exps and of H.local_table(), in local
         indices.  A factor outside H raises NotSubgroupError."""
         H = self.subgroup
-        if not H.member_set.issuperset(hs):
-            bad = next(h for h in hs if h not in H)
-            raise NotSubgroupError(f"factor {bad} is not in the subgroup")
         E, table = self.exps, H.local_table()
         total = 0
         prefix = 0
-        for h in map(H.local_index, hs):
-            total += E[prefix][h]
-            prefix = table[prefix][h]
+        try:
+            for h in map(H.local_index, hs):
+                total += E[prefix][h]
+                prefix = table[prefix][h]
+        except KeyError:
+            bad = next(h for h in hs if h not in H)
+            raise NotSubgroupError(f"factor {bad} is not in the subgroup") from None
         return total % self.modulus
 
     def binomial_alpha_exp(self, hs: Sequence[int], sigma: Sequence[int]) -> int:

@@ -41,7 +41,7 @@ from typing import Optional
 
 from .algebra import GradedAlgebra
 from .errors import DegreeMismatchError, FactorizationError, TruncationError
-from .polynomials import GradedPolynomial, evaluation_table
+from .polynomials import GradedPolynomial, IdentityReport, evaluation_table
 from .scalars import CycScalar
 
 
@@ -210,26 +210,17 @@ class EnvelopeAlgebra:
         return sign, exp, (merged, self.base.index[triple])
 
 
-class EnvelopeIdentityReport:
-    __slots__ = ("identity", "counterexample")
-
-    def __init__(
-        self, identity: bool, counterexample: Optional[dict[int, EnvelopeBasisKey]] = None
-    ):
-        self.identity = identity
-        self.counterexample = counterexample
-
-
 def envelope_identity_check(
     f: GradedPolynomial, base: GradedAlgebra, truncation: int
-) -> EnvelopeIdentityReport:
+) -> IdentityReport:
     """Multilinear identity test over the truncated envelope, by the sign twist.
 
     Variable degrees of f are elements of the second (G) factor.  The
     truncation must be at least deg(f); the verdict then matches the full
-    envelope (module docstring).  The counterexample is the nonzero assignment
-    that is least under the per-variable order (parity, basis index), written
-    as envelope keys with the generators 1, 2, ... given to the odd variables
+    envelope (module docstring).  The report is the oracle's IdentityReport
+    with value None.  Its counterexample is the nonzero assignment that is
+    least under the per-variable order (parity, basis index), written as
+    envelope keys with the generators 1, 2, ... given to the odd variables
     in id order and the empty subset to the even ones.  That is the lex-first
     nonzero key over all generator subsets as well: the canonical subsets are
     the least disjoint ones of their parities, and canonical keys compare as
@@ -250,8 +241,8 @@ def envelope_identity_check(
     acc = evaluation_table(f, base, degrees)
     key = min((key for key, bucket in acc.items() if bucket), default=None)
     if key is None:
-        return EnvelopeIdentityReport(True)
+        return IdentityReport(True)
     odd_rank = count(1)
     pairs = (divmod(digit, len(base.basis)) for digit in acc.digits(key))
     assign = {vid: ((next(odd_rank),) if odd else (), k) for vid, (odd, k) in zip(degrees, pairs)}
-    return EnvelopeIdentityReport(False, assign)
+    return IdentityReport(False, assign)

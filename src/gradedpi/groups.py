@@ -37,7 +37,8 @@ costs |S| log2 |S| products instead of |S|^2.  A finite set closed under
 products is a subgroup.  Each set of greedy generators is computed once: a
 Subgroup keeps the ones its closure check finds, and FiniteGroup.generators()
 computes the group's on its first call.  The normality test, the cocycle
-check and the coboundary system read them there.
+check and the coboundary system read them there.  Membership in a subgroup
+reads its local dict (member -> local index); no second set is kept.
 
 The subgroup generated by a set X is the closure of the identity under right
 multiplication by X (generated_subgroup): the closure is closed under
@@ -83,7 +84,7 @@ class FiniteGroup:
     def __init__(self, table, name: str = "G", product_factors=None, *, _trusted=False):
         """_trusted: the caller, a constructor of this class, built the table
         as a group table with identity 0, so it is not validated again."""
-        rows = tuple(map(tuple, table))
+        rows = tuple(map(tuple, table)) if _trusted else _read_rows(table)
         if not _trusted:
             e = _validate_table(rows)
             if e != 0:
@@ -242,19 +243,18 @@ class FiniteGroup:
         for d in divisors:
             for extra in combinations(rest, d - 1):
                 members = (0,) + extra
-                if _closure_generators(self, members) is not None:
+                if _closure_generators(self, dict.fromkeys(members)) is not None:
                     found.add(members)
         return [Subgroup(self, m) for m in sorted(found, key=lambda m: (len(m), m))]
 
 
-def _closure_generators(group: FiniteGroup, members) -> tuple[int, ...] | None:
-    """The greedy right generators of members, which hold the identity, when
-    they are closed under products, else None: closure is checked on those
-    generators (module docstring)."""
-    ms = frozenset(members)
+def _closure_generators(group: FiniteGroup, members: dict) -> tuple[int, ...] | None:
+    """The greedy right generators of members (a dict keyed by them, the
+    identity first, as Subgroup.local) when they are closed under products,
+    else None: closure is checked on those generators (module docstring)."""
     rows = [group.table[a] for a in members]
     gens = tuple(right_generators(group.table, 0, members))
-    if all(row[t] in ms for t in gens for row in rows):
+    if all(row[t] in members for t in gens for row in rows):
         return gens
     return None
 
@@ -265,6 +265,18 @@ def _check_order(n: int) -> None:
         raise InvalidTableError("empty table")
     if n > MAX_ORDER:
         raise InvalidTableError(f"order {n} exceeds supported maximum {MAX_ORDER}")
+
+
+def _read_rows(table) -> tuple[tuple[int, ...], ...]:
+    """The rows of table, each entry read with operator.index, one map per
+    row; InvalidTableError names a row that is not a sequence of integers."""
+    rows = []
+    for i, row in enumerate(table):
+        try:
+            rows.append(tuple(map(index, row)))
+        except TypeError:
+            raise InvalidTableError(f"row {i} is not a list of integers: {row!r}") from None
+    return tuple(rows)
 
 
 def _validate_table(rows) -> int:
@@ -354,9 +366,11 @@ def _relabel(rows, e: int):
 
 
 class Subgroup:
-    """A validated subgroup, stored as the sorted tuple of its members."""
+    """A validated subgroup, stored as the sorted tuple of its members and
+    local, the dict from each member to its local index (its position in
+    members).  Every membership test reads local."""
 
-    __slots__ = ("parent", "members", "member_set", "local", "_gens", "_table", "_cosets")
+    __slots__ = ("parent", "members", "local", "_gens", "_table", "_cosets")
 
     def __init__(self, parent: FiniteGroup, members):
         try:
@@ -373,18 +387,18 @@ class Subgroup:
         if ms[-1] >= parent.order:  # ms is sorted from 0: name the least one out of range
             bad = next(a for a in ms if a >= parent.order)
             raise NotSubgroupError(f"member {bad} out of range")
-        gens = _closure_generators(parent, ms)
+        local = {h: i for i, h in enumerate(ms)}  # member -> local index, read-only
+        gens = _closure_generators(parent, local)
         if gens is None:
             for a in ms:
-                if parent.inv(a) not in ms:
+                if parent.inv(a) not in local:
                     raise NotSubgroupError(f"member {a} has inverse outside the set")
                 for b in ms:
-                    if parent.mul(a, b) not in ms:
+                    if parent.mul(a, b) not in local:
                         raise NotSubgroupError(f"product {a}*{b} leaves the set")
         self.parent = parent
         self.members = ms
-        self.member_set = frozenset(ms)
-        self.local = {h: i for i, h in enumerate(ms)}  # member -> local index, read-only
+        self.local = local
         self._gens = gens
         self._table = None
         self._cosets = None
@@ -398,7 +412,7 @@ class Subgroup:
         return len(self.members)
 
     def __contains__(self, a: int) -> bool:
-        return a in self.member_set
+        return a in self.local
 
     def generators(self) -> tuple[int, ...]:
         """The greedy right generators of H over its members in index order
@@ -442,7 +456,7 @@ class Subgroup:
     def is_normal(self) -> bool:
         """Whether x H x^-1 = H for every x in the parent group, decided on
         the greedy generators of both (module docstring)."""
-        g, ms = self.parent, self.member_set
+        g, ms = self.parent, self.local
         table = g.table
         hgens = self._gens
         for s in g.generators():
@@ -459,7 +473,7 @@ class Subgroup:
         table = self.parent.table
         row_g, gi = table[g], self.parent.inv(g)
         image = [table[row_g[h]][gi] for h in self.members]
-        if self.member_set.issuperset(image):
+        if all(map(self.local.__contains__, image)):
             return self
         return Subgroup(self.parent, image)
 

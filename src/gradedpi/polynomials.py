@@ -143,8 +143,7 @@ class GradedPolynomial:
         if len(set(ids)) != len(ids):
             raise NonMultilinearError("duplicate variable ids")
         id_set = frozenset(ids)
-        merged: dict[tuple[int, ...], CycScalar] = {}
-        order_seen: list[tuple[int, ...]] = []
+        merged: dict[tuple[int, ...], CycScalar] = {}  # in first-occurrence order
         for m in monomials:
             coeff, order = (m.coeff, m.order) if isinstance(m, GradedMonomial) else m
             order = tuple(order)
@@ -154,15 +153,9 @@ class GradedPolynomial:
                 )
             if not order:
                 raise NonMultilinearError("a monomial of degree 0 (empty order) is not supported")
-            if order in merged:
-                merged[order] = merged[order] + coeff
-            else:
-                merged[order] = coeff
-                order_seen.append(order)
+            merged[order] = merged[order] + coeff if order in merged else coeff
         self.variables = vars_t
-        self.monomials = tuple(
-            GradedMonomial(merged[o], o) for o in order_seen if merged[o]
-        )
+        self.monomials = tuple(GradedMonomial(c, o) for o, c in merged.items() if c)
         self.degree_of = {v.vid: v.degree for v in vars_t}
         self.factors = factors
         self.renamed = dict(renamed) if renamed else {}
@@ -425,6 +418,9 @@ def assignment_elements(
 
 
 class IdentityReport:
+    """The verdict of check_identity, and of envelope_identity_check (its
+    counterexample holds envelope keys, and its value is None)."""
+
     __slots__ = ("identity", "counterexample", "value")
 
     def __init__(

@@ -634,7 +634,7 @@ def _exp_conjugate(c: Cocycle2, g: int) -> Cocycle2:
     conj = {}
     for h in H.members:
         x = grp.conj(g, h)
-        if x not in H.member_set:
+        if x not in H:
             raise NotNormalError(f"conjugation by {g} maps {h} outside H")
         conj[h] = x
     mem = H.members
@@ -1001,7 +1001,7 @@ def test_shortcut_decisions_match_a_reference_that_solves_every_quotient(z3z3_sw
         G = H.parent
         for g in G.elements():
             image = [G.conj(g, h) for h in H.members]
-            normalizes = set(image) == H.member_set
+            normalizes = set(image) == set(H.members)
             K = H.conjugate(g)
             assert (K is H) == normalizes
             seen["H moved"] += not normalizes

@@ -51,6 +51,12 @@ def _main(tmp_path, capsys, document, command="validate"):
         ),
         (
             doc(cyclic(2), subgroup=(0, 1)),
+            {**doc(cyclic(2), subgroup=(0, 1)),
+             "cocycle": {"modulus": 2, "exponents": [[0, True], [0, 1]]}},
+            "cocycle.exponents[0]: expected a list of integers, got [0, True]",
+        ),
+        (
+            doc(cyclic(2), subgroup=(0, 1)),
             doc(cyclic(2), subgroup=(0, True)),
             "subgroup[1]: element True out of range",
         ),
@@ -78,7 +84,7 @@ def _main(tmp_path, capsys, document, command="validate"):
          "grading[1]: element 4 out of range"),
     ],
     ids=[
-        "n-true", "n-float", "table-true", "member-true", "member-alias", "member-negative",
+        "n-true", "n-float", "table-true", "exponents-true", "member-true", "member-alias", "member-negative",
         "member-order", "member-none", "grading-alias", "grading-true", "grading-negative",
         "grading-order",
     ],

@@ -103,6 +103,9 @@ def test_envelope_of_purely_even_base():
     B = base_env_fixture((0,))
     rep2 = envelope_identity_check(comm, B, 2)
     assert rep2.identity
+    # Both verdicts are the oracle's report, with no value.
+    for report in (rep, rep2):
+        assert type(report) is polynomials.IdentityReport and report.value is None
 
 
 def test_envelope_odd_tensors_anticommute():

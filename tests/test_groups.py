@@ -119,6 +119,22 @@ def test_subgroup_members_are_read_with_operator_index():
         assert str(err.value) == f"member {bad!r} is not an integer"
 
 
+def test_table_entries_are_read_with_operator_index():
+    """A given table is read as operator.index reads each entry, so True is
+    1, and a float or a string is refused with a typed error naming its row."""
+    g = FiniteGroup.from_table([[0, True], [True, 0]])
+    assert g.table == ((0, 1), (1, 0)) and type(g.table[0][1]) is int
+    assert g == FiniteGroup.cyclic(2)
+    for table, message in [
+        ([[0, 1.0], [1.0, 0]], "row 0 is not a list of integers: [0, 1.0]"),
+        ([[0, 1], [1, "a"]], "row 1 is not a list of integers: [1, 'a']"),
+        ([[0, 1], None], "row 1 is not a list of integers: None"),
+    ]:
+        with pytest.raises(InvalidTableError) as err:
+            FiniteGroup.from_table(table)
+        assert str(err.value) == message
+
+
 def test_lagrange_on_all_small_groups():
     zoo = [
         FiniteGroup.cyclic(n) for n in range(1, 9)

@@ -97,6 +97,16 @@ def test_monomials_merge_and_drop_zeros():
     g = GradedPolynomial(vs, [(one(), (1, 2)), (one(), (1, 2))])
     assert len(g.monomials) == 1
     assert g.monomials[0].coeff == CycScalar.from_rational(1, 2)
+    # A repeated order keeps its first place, and a cancelled order between
+    # two survivors drops out without moving them.
+    vs = variables_for([0, 0, 0])
+    h = GradedPolynomial(
+        vs,
+        [(one(), (3, 1, 2)), (one(), (1, 2, 3)), (one(), (2, 1, 3)),
+         (-one(), (1, 2, 3)), (one(), (3, 1, 2)), (one(), (1, 3, 2))],
+    )
+    assert [m.order for m in h.monomials] == [(3, 1, 2), (2, 1, 3), (1, 3, 2)]
+    assert h.monomials[0].coeff == CycScalar.from_rational(1, 2)
 
 
 def test_evaluate_single_monomial(p_group_algebra_z2):

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+import gradedpi
 from gradedpi.algebra import (
     M1,
     M2,
@@ -24,6 +25,7 @@ from gradedpi.cohomology import (
 from gradedpi.errors import CocycleError, HypothesisError, NotSubgroupError
 from gradedpi.groups import CosetDecomposition, FiniteGroup
 from gradedpi.polynomials import GradedMonomial, GradedVariable
+from gradedpi.records import Record
 from gradedpi.scalars import CycScalar
 
 
@@ -57,6 +59,17 @@ def _samples():
 
 SAMPLES = _samples()
 IDS = [cls.__name__ for cls, _, _ in SAMPLES]
+
+
+def test_samples_cover_every_record_class_of_the_package():
+    """A new value record of the package cannot skip the tests below."""
+    found, stack = set(), [Record]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.split(".")[0] == gradedpi.__name__:
+                found.add(sub)
+    assert found == {cls for cls, _, _ in SAMPLES}
 
 
 @pytest.mark.parametrize("cls, fields, make", SAMPLES, ids=IDS)
